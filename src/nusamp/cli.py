@@ -695,3 +695,7 @@ def main(argv=None, out=None, err=None) -> int:
 
 def console_entry() -> None:  # pragma: no cover - thin wrapper
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

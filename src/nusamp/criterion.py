@@ -124,17 +124,26 @@ def shifted_intervals(schedule: SamplingSchedule, n: int) -> ShiftedIntervals:
     return ShiftedIntervals(alpha, alpha_n)
 
 
-def mode_matrix(modes: ModeSet, alphas: ShiftedIntervals) -> np.ndarray:
-    """Matrix with entry (m, i) = mode_i(alpha_m)."""
+def mode_matrix(modes: ModeSet, alphas) -> np.ndarray:
+    """Mode matrices: entry (..., m, i) = mode_i(alpha[..., m]).
+
+    ``alphas`` is a ShiftedIntervals or an array of shape (..., n); any
+    leading axes are a batch of schedules, evaluated in one vectorized pass
+    into shape (..., n, n).  Raises NumericRangeError when any entry of the
+    batch overflows.
+    """
+    if isinstance(alphas, ShiftedIntervals):
+        alphas = alphas.alpha
     params = modes.mode_params()
     n = len(params)
-    if len(alphas.alpha) != n:
+    a = np.asarray(alphas, dtype=float)
+    if a.ndim == 0 or a.shape[-1] != n:
         raise DimensionError(
-            f"mode matrix needs {n} intervals for {n} modes, got {len(alphas.alpha)}"
+            f"mode matrix needs {n} intervals for {n} modes, got shape {a.shape}"
         )
-    a = np.asarray(alphas.alpha, dtype=float)[:, None]
-    lams = np.array([lam for lam, _ in params], dtype=complex)[None, :]
-    powers = np.array([p for _, p in params], dtype=float)[None, :]
+    a = a[..., None]
+    lams = np.array([lam for lam, _ in params], dtype=complex)
+    powers = np.array([p for _, p in params], dtype=float)
     matrix = (a**powers) * np.exp(lams * a)
     if not np.all(np.isfinite(matrix)):
         raise NumericRangeError("mode matrix overflowed; shrink the schedule window")

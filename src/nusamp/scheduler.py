@@ -10,6 +10,7 @@ the best-conditioned mode matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .criterion import (
     CriterionReport,
     SamplingSchedule,
     joint_verdict,
+    mode_matrix,
     schedule_conditioning,
 )
 from .errors import InfeasibleError, NotApplicableError, UnsupportedOrderError
@@ -26,6 +28,11 @@ from .system_model import ModeSet, Realization, mode_set, require_minimal
 
 # Guard so a careless search spec cannot ask for an astronomically large grid.
 MAX_GRID_CANDIDATES = 2_000_000
+
+# Grid schedules evaluated per batched mode-matrix call.  Large enough that
+# Python overhead per candidate is small, small enough that the stacked
+# complex mode matrices stay a few hundred kilobytes even at order 12.
+SEARCH_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -60,10 +67,14 @@ class ScheduleSearchSpec:
         lo, hi = (float(self.window[0]), float(self.window[1]))
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise InfeasibleError(f"window {self.window!r} is not a proper interval")
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise InfeasibleError(f"count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise InfeasibleError("count must be at least 1")
-        if self.min_spacing <= 0.0:
-            raise InfeasibleError("min_spacing must be positive")
+        if not np.isfinite(self.min_spacing) or self.min_spacing <= 0.0:
+            raise InfeasibleError(
+                f"min_spacing must be positive and finite, got {self.min_spacing!r}"
+            )
         if hi - lo < (self.count - 1) * self.min_spacing:
             raise InfeasibleError(
                 f"window of length {hi - lo:g} cannot hold {self.count} instants "
@@ -215,6 +226,67 @@ def _uniform_schedule(interval: float, n: int) -> SamplingSchedule:
     return SamplingSchedule(tuple(i * interval for i in range(n)))
 
 
+def _grid_blocks(lo: float, hi: float, spacing: float, step: float, head: int, tail: int):
+    """Yield the search grid as arrays of rows of ``head`` instants.
+
+    Rows come in lexicographic order.  The first instant is ``lo``; each
+    later one starts at the first point of the grid ``lo + k * step`` at
+    least ``spacing`` past its predecessor and advances by repeated
+    addition of ``step``, leaving room for the instants after it.  Every
+    level but the last is enumerated per prefix; the last is one array per
+    prefix.
+    """
+
+    def chain(after: float, depth: int) -> np.ndarray:
+        remaining = head - depth - 1 + tail
+        first = lo + math.ceil((after + spacing - lo) / step - 1e-12) * step
+        bound = hi - remaining * spacing + 1e-12
+        # np.cumsum adds sequentially, so element k is exactly the float that
+        # k repeated ``+= step`` updates of ``first`` produce.
+        increments = np.full(max(2, math.floor((bound - first) / step) + 2), step)
+        increments[0] = first
+        values = np.cumsum(increments)
+        # Far from zero each addition rounds, and the chain can fall short of
+        # the estimate; continue it until it passes the bound or stalls.
+        while values[-1] <= bound and values[-1] + step > values[-1]:
+            increments[0] = values[-1]
+            values = np.concatenate((values, np.cumsum(increments)[1:]))
+        return values[values <= bound]
+
+    if head == 1:
+        yield np.array([[lo]])
+        return
+    prefixes = [(lo,)]
+    for depth in range(1, head - 1):
+        prefixes = [p + (t,) for p in prefixes for t in chain(p[-1], depth).tolist()]
+    for prefix in prefixes:
+        last = chain(prefix[-1], head - 1)
+        block = np.empty((last.size, head))
+        block[:, :-1] = prefix
+        block[:, -1] = last
+        yield block
+
+
+def _chunks(blocks, size: int):
+    """Regroup a stream of row blocks into arrays of ``size`` rows.
+
+    Only the last array may be shorter.
+    """
+    pending, count = [], 0
+    for block in blocks:
+        pending.append(block)
+        count += len(block)
+        if count < size:
+            continue
+        rows = np.concatenate(pending)
+        full = count - count % size
+        for start in range(0, full, size):
+            yield rows[start : start + size]
+        pending, count = [rows[full:]], count - full
+    if count:
+        yield np.concatenate(pending)
+
+
 def suggest_schedule(
     realization: Realization,
     spec: ScheduleSearchSpec,
@@ -228,9 +300,11 @@ def suggest_schedule(
 
     Deterministic grid search (step = min_spacing / 4) followed by three
     coordinate-refinement passes with shrinking step; ties keep the
-    lexicographically lowest schedule.  The search is fully deterministic,
-    so the seed never influences the result; the parameter stays for
-    interface stability.  Returns (schedule, achieved sigma ratio).
+    lexicographically lowest schedule.  The grid is evaluated in chunks of
+    ``SEARCH_CHUNK`` schedules, each one stacked mode-matrix and SVD call;
+    the refinement probes one schedule at a time.  The search is fully
+    deterministic, so the seed never influences the result; the parameter
+    stays for interface stability.  Returns (schedule, achieved sigma ratio).
 
     The objective depends only on instant differences, so the first instant
     is pinned to the window start without loss of generality.
@@ -265,25 +339,16 @@ def suggest_schedule(
 
     best_obj = -1.0
     best: tuple | None = None
-
-    def explore(prefix: list, depth: int):
-        nonlocal best_obj, best
-        if depth == head:
-            value = objective(tuple(prefix))
-            if value > best_obj:
-                best_obj = value
-                best = tuple(prefix)
-            return
-        remaining = head - depth - 1 + tail
-        start = prefix[-1] + spacing
-        position = lo + math.ceil((start - lo) / step - 1e-12) * step
-        while position <= hi - remaining * spacing + 1e-12:
-            prefix.append(position)
-            explore(prefix, depth + 1)
-            prefix.pop()
-            position += step
-
-    explore([lo], 1)
+    for rows in _chunks(_grid_blocks(lo, hi, spacing, step, head, tail), SEARCH_CHUNK):
+        # alpha_m = t[n-1] - t[n-1-m], as shifted_intervals computes it.
+        alphas = rows[:, -1:] - rows[:, ::-1]
+        values = numerics.column_normalized_sigma_ratio(mode_matrix(modes, alphas))
+        # argmax keeps the first maximum in the chunk and the strict > keeps
+        # an earlier chunk's, so ties go to the lexicographically lowest row.
+        k = int(np.argmax(values))
+        if values[k] > best_obj:
+            best_obj = float(values[k])
+            best = tuple(rows[k].tolist())
     if best is None:  # pragma: no cover - ScheduleSearchSpec validation prevents this
         raise InfeasibleError("no feasible schedule in the window")
 

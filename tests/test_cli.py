@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nusamp
 from nusamp import SystemDocumentError
 from nusamp.cli import (
     EXIT_NEGATIVE,
@@ -342,3 +347,23 @@ class TestUniform:
     def test_exit_codes_stable(self, rotation_file):
         results = {run_cli("uniform", rotation_file, "--interval", "1.0")[0] for _ in range(3)}
         assert results == {EXIT_OK}
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["nusamp", "nusamp.cli"])
+    def test_missing_file_exits_with_usage_error(self, module, tmp_path):
+        src = str(Path(nusamp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "analyze", "nothing.json"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.startswith("error:")
+        assert "nothing.json" in done.stderr

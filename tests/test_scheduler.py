@@ -1,26 +1,76 @@
 """Forbidden instants, uniform-interval validation and schedule search."""
 
+import math
+
 import numpy as np
 import pytest
 
 from nusamp import (
+    DimensionError,
     InfeasibleError,
+    ModeSet,
     NotApplicableError,
+    NumericRangeError,
     Realization,
     SamplingSchedule,
     ScheduleSearchSpec,
     UnsupportedOrderError,
     forbidden_instants_order2,
     joint_verdict,
+    mode_matrix,
+    mode_set,
+    schedule_conditioning,
     suggest_schedule,
     validate_uniform,
 )
+from nusamp import numerics
+from nusamp.numerics import column_normalized_sigma_ratio
 
 RNG = np.random.default_rng(55)
 
 
 def oscillator(a: float, b: float) -> Realization:
     return Realization([[a, -b], [b, a]], [1.0, 0.0], [1.0, 0.0])
+
+
+# Real modal form: a real mode at -0.5 and the pair -0.1 +- 0.8j.
+ORDER3 = Realization(
+    [[-0.5, 0.0, 0.0], [0.0, -0.1, -0.8], [0.0, 0.8, -0.1]],
+    [1.0, 0.7, -0.4],
+    [0.9, 1.0, 0.5],
+)
+# Real modal form: the pairs -0.2 +- 1.1j and -0.6 +- 0.5j.
+ORDER4 = Realization(
+    [
+        [-0.2, -1.1, 0.0, 0.0],
+        [1.1, -0.2, 0.0, 0.0],
+        [0.0, 0.0, -0.6, -0.5],
+        [0.0, 0.0, 0.5, -0.6],
+    ],
+    [1.0, 0.4, -0.8, 0.6],
+    [0.7, -1.0, 0.5, 0.9],
+)
+
+
+def reference_grid(lo, hi, spacing, head, tail):
+    """The search grid by scalar recursion, one candidate at a time."""
+    step = spacing / 4.0
+    found = []
+
+    def explore(prefix):
+        depth = len(prefix)
+        if depth == head:
+            found.append(tuple(prefix))
+            return
+        remaining = head - depth - 1 + tail
+        start = prefix[-1] + spacing
+        position = lo + math.ceil((start - lo) / step - 1e-12) * step
+        while position <= hi - remaining * spacing + 1e-12:
+            explore(prefix + [position])
+            position += step
+
+    explore([lo])
+    return found
 
 
 class TestForbiddenInstants:
@@ -162,10 +212,158 @@ class TestSuggestSchedule:
             assert joint_verdict(system, first[0]).reachable
 
     def test_infeasible_spec(self):
-        with pytest.raises(InfeasibleError):
-            ScheduleSearchSpec(window=(0.0, 0.5), count=4, min_spacing=0.3)
+        for window, count, spacing in [
+            ((0.0, 0.5), 4, 0.3),
+            ((0.0, 2.0), 2, float("nan")),
+            ((0.0, 2.0), 1, float("inf")),
+            ((0.0, 2.0), 2, -float("inf")),
+            ((0.0, 2.0), 2.0, 0.1),
+            ((0.0, 2.0), 2.5, 0.1),
+            ((0.0, 2.0), True, 0.1),
+        ]:
+            with pytest.raises(InfeasibleError):
+                ScheduleSearchSpec(window=window, count=count, min_spacing=spacing)
+
+    def test_numpy_integer_count(self):
+        spec = ScheduleSearchSpec(window=(0.0, 2.0), count=np.int64(2), min_spacing=0.1)
+        assert spec.count == 2
+
+    def test_step_lost_in_rounding(self, rotation_system):
+        # ulp(1e16) is 2, so a grid step of 0.25 leaves the instants equal
+        spec = ScheduleSearchSpec(window=(1e16, 1e16 + 8.0), count=2, min_spacing=1.0)
+        with pytest.raises(DimensionError, match="strictly increasing"):
+            suggest_schedule(rotation_system, spec)
+
+    def test_stalled_step_terminates(self, rotation_system):
+        # 1e16 + 4 plus a step of 1 rounds back to itself: the chain stalls
+        spec = ScheduleSearchSpec(window=(1e16, 1e16 + 64.0), count=2, min_spacing=4.0)
+        schedule, _ = suggest_schedule(rotation_system, spec)
+        assert schedule.instants == (1e16, 1e16 + 4.0)
 
     def test_count_below_order(self, rotation_system):
         spec = ScheduleSearchSpec(window=(0.0, 2.0), count=1, min_spacing=0.1)
         with pytest.raises(InfeasibleError, match="below the system order"):
             suggest_schedule(rotation_system, spec)
+
+    # Results recorded with the one-candidate-at-a-time search the grid
+    # kernel replaced; the batched search must reproduce them bit for bit.
+    @pytest.mark.parametrize(
+        "system, window, count, spacing, instants, objective",
+        [
+            (
+                Realization([[-0.7]], [1.0], [1.0]),
+                (0.0, 1.0), 3, 0.15,
+                (0.0, 0.15, 0.3),
+                1.0,
+            ),
+            (
+                oscillator(-0.3, 1.0),
+                (0.0, 2.5), 3, 0.07,
+                (0.0, 1.448671875000001, 1.518671875000001),
+                0.6360064067364166,
+            ),
+            (
+                Realization([[0.0, 0.0], [0.0, -1.0]], [1.0, 1.0], [1.0, 1.0]),
+                (0.0, 1.0), 2, 0.1,
+                (0.0, 1.0000000000000004),
+                0.21988684450667884,
+            ),
+            (
+                ORDER3,
+                (0.0, 2.2), 4, 0.2,
+                (0.0, 1.0539062500000003, 2.0000000000000004, 2.2000000000000006),
+                0.09505088044419804,
+            ),
+            (
+                ORDER4,
+                (0.0, 3.5), 4, 0.4,
+                (0.0, 1.3062500000000001, 2.731250000000001, 3.5000000000000004),
+                0.06892079089455981,
+            ),
+        ],
+    )
+    def test_pinned_results(self, system, window, count, spacing, instants, objective):
+        spec = ScheduleSearchSpec(window=window, count=count, min_spacing=spacing)
+        schedule, achieved = suggest_schedule(system, spec)
+        assert schedule.instants == instants
+        assert achieved == objective
+        assert achieved == schedule_conditioning(mode_set(system), schedule)
+
+    @pytest.mark.parametrize(
+        "window, count, spacing, instants",
+        [((0.0, 2.0), 3, 0.1, (0.0, 0.1, 0.2)), ((0.5, 30.0), 2, 0.01, (0.5, 0.51))],
+    )
+    def test_ties_keep_the_lowest_schedule(self, monkeypatch, window, count, spacing, instants):
+        # A constant objective makes every candidate tie, in every chunk.
+        def constant(matrix):
+            matrix = np.asarray(matrix)
+            return np.ones(matrix.shape[:-2]) if matrix.ndim > 2 else 1.0
+
+        monkeypatch.setattr(numerics, "column_normalized_sigma_ratio", constant)
+        spec = ScheduleSearchSpec(window=window, count=count, min_spacing=spacing)
+        schedule, achieved = suggest_schedule(oscillator(-0.3, 1.0), spec)
+        assert schedule.instants == instants
+        assert achieved == 1.0
+
+
+class TestBatchedGrid:
+    @pytest.mark.parametrize(
+        "lo, hi, spacing, head, tail",
+        [
+            (0.0, 1.0, 0.15, 1, 2),
+            (0.0, 2.5, 0.07, 2, 1),
+            (0.3, 2.2, 0.2, 3, 1),
+            (0.0, 3.5, 0.4, 4, 0),
+            (-1.0, 2.0, 0.5, 4, 1),
+            # far from zero, where every step addition rounds
+            (1e15, 1e15 + 10.0, 1.2, 2, 1),
+            (1e14, 1e14 + 30.0, 0.9, 3, 0),
+        ],
+    )
+    def test_grid_matches_scalar_enumeration(self, lo, hi, spacing, head, tail):
+        from nusamp.scheduler import _grid_blocks
+
+        blocks = list(_grid_blocks(lo, hi, spacing, spacing / 4.0, head, tail))
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert rows == reference_grid(lo, hi, spacing, head, tail)
+
+    @pytest.mark.parametrize(
+        "system, lo, hi, spacing, tail",
+        [
+            (oscillator(-0.3, 1.0), 0.0, 2.5, 0.07, 1),
+            (ORDER4, 0.0, 3.5, 0.4, 0),
+        ],
+    )
+    def test_batched_kernel_equals_scalar(self, system, lo, hi, spacing, tail):
+        from nusamp.scheduler import _grid_blocks
+
+        modes = mode_set(system)
+        blocks = _grid_blocks(lo, hi, spacing, spacing / 4.0, system.n, tail)
+        rows = np.concatenate(list(blocks))
+        assert len(rows) > 100
+        batched = column_normalized_sigma_ratio(
+            mode_matrix(modes, rows[:, -1:] - rows[:, ::-1])
+        )
+        scalar = [
+            schedule_conditioning(modes, SamplingSchedule(tuple(row))) for row in rows.tolist()
+        ]
+        assert batched.shape == (len(rows),)
+        assert np.array_equal(batched, scalar)
+
+    def test_overflowing_row_raises(self):
+        modes = ModeSet(((0.0, 1), (2.0, 1)))
+        alphas = np.array([[0.0, 0.5], [0.0, 400.0], [0.0, 1.0]])
+        assert np.all(np.isfinite(mode_matrix(modes, alphas[[0, 2]])))
+        with pytest.raises(NumericRangeError), np.errstate(over="ignore", invalid="ignore"):
+            mode_matrix(modes, alphas)
+
+    def test_sigma_ratio_shapes(self):
+        stack = np.stack([np.eye(2), np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]]])
+        ratios = column_normalized_sigma_ratio(stack)
+        assert ratios.shape == (3,)
+        assert ratios[0] == 1.0 and ratios[1] == 0.0 and ratios[2] < 1e-15
+        single = column_normalized_sigma_ratio(np.eye(2))
+        assert type(single) is float and single == 1.0
+        for shape in ((3, 1), (1, 3)):
+            nested = column_normalized_sigma_ratio(stack.reshape(shape + (2, 2)))
+            assert np.array_equal(nested, ratios.reshape(shape))
