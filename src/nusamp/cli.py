@@ -24,37 +24,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .criterion import (
-    CriterionReport,
-    SamplingSchedule,
-    joint_verdict,
-)
+from .criterion import CriterionReport, SamplingSchedule
 from .errors import (
     AnalysisError,
+    DimensionError,
     MinimalityError,
     NotApplicableError,
     SingularScheduleError,
     SystemDocumentError,
 )
-from .experiments import classify_case, deadbeat_inputs, reconstruct_state, simulate_impulse
+from .experiments import (
+    classify_case,
+    deadbeat_inputs,
+    default_final_time,
+    reconstruct_state,
+    simulate_impulse,
+)
+from .numerics import Tolerances
 from .oracle import controllable_direct, cross_validate
 from .scheduler import ScheduleSearchSpec, forbidden_instants_order2, suggest_schedule, validate_uniform
-from .system_model import Realization, check_minimal, mode_set
+from .system_model import PreparedSystem, Realization
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_NOT_MINIMAL = 3
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerance bundle echoed into every report."""
-
-    singularity: float = numerics.DEFAULT_RANK_TOL
-    cluster: float = numerics.DEFAULT_CLUSTER_TOL
-    rank: float = numerics.DEFAULT_RANK_TOL
-    residual: float = numerics.DEFAULT_RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -121,11 +115,10 @@ def parse_system_document(text: str) -> SystemDocument:
         if not isinstance(entries, (list, tuple)) or len(entries) < 1:
             raise SystemDocumentError("field schedule: expected a non-empty list")
         values = _field_floats(entries, "schedule", len(entries))
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise SystemDocumentError(
-                "field schedule: instants must be strictly increasing"
-            )
-        schedule = tuple(values)
+        try:
+            schedule = SamplingSchedule(values).instants
+        except DimensionError as exc:
+            raise SystemDocumentError(f"field schedule: {exc}") from exc
 
     x0 = None
     if raw.get("x0") is not None:
@@ -224,8 +217,9 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
     Returns a JSON-serializable dict; the text rendering is derived from the
     same dict so the two forms cannot diverge.
     """
-    realization = document.realization()
-    minimality = check_minimal(realization, tolerances.rank)
+    prepared = PreparedSystem(document.realization(), tolerances)
+    realization = prepared.realization
+    minimality = prepared.minimality
     result = {
         "system": {"order": realization.n},
         "schedule": list(schedule.instants),
@@ -250,28 +244,13 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
         )
         return result
 
-    modes = mode_set(realization, tolerances.cluster)
     result["modes"] = [
         {"eigenvalue": {"re": lam.real, "im": lam.imag}, "multiplicity": m}
-        for lam, m in modes.roots
+        for lam, m in prepared.decomposition.modes.roots
     ]
 
-    report = joint_verdict(
-        realization,
-        schedule,
-        tolerances.singularity,
-        cluster_tol=tolerances.cluster,
-        rank_tol=tolerances.rank,
-    )
-    result["criterion"] = _criterion_entry(report)
-
-    oracle = cross_validate(
-        realization,
-        schedule,
-        tolerances.singularity,
-        cluster_tol=tolerances.cluster,
-        rank_tol=tolerances.rank,
-    )
+    oracle = cross_validate(prepared, schedule)
+    result["criterion"] = _criterion_entry(oracle.criterion)
     result["oracle"] = {
         "reachable": oracle.reachable,
         "observable": oracle.observable,
@@ -291,13 +270,7 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
         )
 
     if realization.n == 2 and len(schedule) >= 3:
-        case = classify_case(
-            realization,
-            schedule,
-            tolerances.singularity,
-            cluster_tol=tolerances.cluster,
-            rank_tol=tolerances.rank,
-        )
+        case = classify_case(prepared, schedule)
         result["case"] = {
             "label": case.label,
             "pair_sigma_ratio": case.pair_sigma_ratio,
@@ -378,11 +351,12 @@ def render_text(result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(result: dict, fmt: str, stream) -> None:
+def _emit(result: dict, fmt: str, stream, render) -> None:
+    """Write a subcommand's result dict as JSON or as its ``render`` text."""
     if fmt == "json":
         stream.write(json.dumps(result, indent=2) + "\n")
     else:
-        stream.write(render_text(result))
+        stream.write(render(result))
 
 
 def _tolerances_from_args(document: SystemDocument, args) -> Tolerances:
@@ -446,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, help="search window as 'lo,hi'")
     p.add_argument("--count", type=int, required=True, help="number of instants")
     p.add_argument("--min-spacing", type=float, required=True, help="minimum spacing")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("deadbeat", help="n-step input sequence reaching a target state")
     _add_common(p)
@@ -477,10 +450,19 @@ def _cmd_analyze(args, out, err) -> int:
     result["warnings"] = warnings + result["warnings"]
     for warning in warnings:
         err.write(f"warning: {warning}\n")
-    _emit(result, args.format, out)
+    _emit(result, args.format, out, render_text)
     if not result["minimality"]["minimal"]:
         return EXIT_NOT_MINIMAL
     return EXIT_OK if result["criterion"]["reachable"] else EXIT_NEGATIVE
+
+
+def _forbidden_text(result: dict) -> str:
+    listing = ", ".join(_fmt(t) for t in result["forbidden"]) or "none in window"
+    return (
+        f"forbidden separation period: {_fmt(result['period'])}\n"
+        f"forbidden instants in window: {listing}\n"
+        f"empirical guard band: {_fmt(result['guard_band'])}\n"
+    )
 
 
 def _cmd_forbidden(args, out, err) -> int:
@@ -489,14 +471,9 @@ def _cmd_forbidden(args, out, err) -> int:
     window = _parse_floats(args.window, "--window")
     if len(window) != 2:
         raise SystemDocumentError("--window: expected 'lo,hi'")
+    system = PreparedSystem(document.realization(), tolerances)
     try:
-        forbidden = forbidden_instants_order2(
-            document.realization(),
-            args.t0,
-            window,
-            tolerances.singularity,
-            cluster_tol=tolerances.cluster,
-        )
+        forbidden = forbidden_instants_order2(system, args.t0, window)
     except NotApplicableError as exc:
         err.write(f"{exc}\n")
         return EXIT_NEGATIVE
@@ -507,14 +484,15 @@ def _cmd_forbidden(args, out, err) -> int:
         "guard_band": forbidden.guard_band,
         "window": list(window),
     }
-    if args.format == "json":
-        out.write(json.dumps(result, indent=2) + "\n")
-    else:
-        out.write(f"forbidden separation period: {_fmt(forbidden.period)}\n")
-        listing = ", ".join(_fmt(t) for t in forbidden.forbidden) or "none in window"
-        out.write(f"forbidden instants in window: {listing}\n")
-        out.write(f"empirical guard band: {_fmt(forbidden.guard_band)}\n")
+    _emit(result, args.format, out, _forbidden_text)
     return EXIT_OK
+
+
+def _suggest_text(result: dict) -> str:
+    return (
+        "schedule: " + ", ".join(_fmt(t) for t in result["schedule"]) + "\n"
+        f"sigma ratio: {_fmt(result['sigma_ratio'])}\n"
+    )
 
 
 def _cmd_suggest(args, out, err) -> int:
@@ -525,20 +503,19 @@ def _cmd_suggest(args, out, err) -> int:
         raise SystemDocumentError("--window: expected 'lo,hi'")
     spec = ScheduleSearchSpec(window=window, count=args.count, min_spacing=args.min_spacing)
     schedule, objective = suggest_schedule(
-        document.realization(),
-        spec,
-        args.seed,
-        tolerances.singularity,
-        cluster_tol=tolerances.cluster,
-        rank_tol=tolerances.rank,
+        PreparedSystem(document.realization(), tolerances), spec
     )
     result = {"schedule": list(schedule.instants), "sigma_ratio": objective}
-    if args.format == "json":
-        out.write(json.dumps(result, indent=2) + "\n")
-    else:
-        out.write("schedule: " + ", ".join(_fmt(t) for t in schedule.instants) + "\n")
-        out.write(f"sigma ratio: {_fmt(objective)}\n")
+    _emit(result, args.format, out, _suggest_text)
     return EXIT_OK
+
+
+def _deadbeat_text(result: dict) -> str:
+    return (
+        "inputs: " + ", ".join(_fmt(u) for u in result["inputs"]) + "\n"
+        f"final time: {_fmt(result['final_time'])}\n"
+        f"re-simulation residual: {_fmt(result['resimulation_residual'])}\n"
+    )
 
 
 def _cmd_deadbeat(args, out, err) -> int:
@@ -548,26 +525,13 @@ def _cmd_deadbeat(args, out, err) -> int:
     for warning in warnings:
         err.write(f"warning: {warning}\n")
     tolerances = _tolerances_from_args(document, args)
-    realization = document.realization()
+    system = PreparedSystem(document.realization(), tolerances)
     x0 = _parse_floats(args.x0, "--x0")
     target = _parse_floats(args.target, "--target")
-    t = schedule.instants
-    t_final = args.final_time
-    if t_final is None:
-        spacing = (t[-1] - t[0]) / (len(t) - 1) if len(t) > 1 else 1.0
-        t_final = t[-1] + spacing
-    inputs = deadbeat_inputs(
-        realization,
-        schedule,
-        x0,
-        target,
-        t_final=t_final,
-        tol=tolerances.singularity,
-        cluster_tol=tolerances.cluster,
-        rank_tol=tolerances.rank,
-    )
+    t_final = args.final_time if args.final_time is not None else default_final_time(schedule)
+    inputs = deadbeat_inputs(system, schedule, x0, target, t_final=t_final)
     check = simulate_impulse(
-        realization, SamplingSchedule(t + (t_final,)), inputs, x0
+        system.realization, SamplingSchedule(schedule.instants + (t_final,)), inputs, x0
     )
     residual = float(
         np.linalg.norm(check.states[-1] - np.asarray(target))
@@ -578,13 +542,15 @@ def _cmd_deadbeat(args, out, err) -> int:
         "final_time": t_final,
         "resimulation_residual": residual,
     }
-    if args.format == "json":
-        out.write(json.dumps(result, indent=2) + "\n")
-    else:
-        out.write("inputs: " + ", ".join(_fmt(u) for u in inputs) + "\n")
-        out.write(f"final time: {_fmt(t_final)}\n")
-        out.write(f"re-simulation residual: {_fmt(residual)}\n")
+    _emit(result, args.format, out, _deadbeat_text)
     return EXIT_OK
+
+
+def _reconstruct_text(result: dict) -> str:
+    return (
+        "x0: " + ", ".join(_fmt(v) for v in result["x0"]) + "\n"
+        f"re-simulation residual: {_fmt(result['resimulation_residual'])}\n"
+    )
 
 
 def _cmd_reconstruct(args, out, err) -> int:
@@ -594,16 +560,10 @@ def _cmd_reconstruct(args, out, err) -> int:
     for warning in warnings:
         err.write(f"warning: {warning}\n")
     tolerances = _tolerances_from_args(document, args)
-    realization = document.realization()
+    system = PreparedSystem(document.realization(), tolerances)
+    realization = system.realization
     outputs = _parse_floats(args.outputs, "--outputs")
-    x0 = reconstruct_state(
-        realization,
-        schedule,
-        outputs,
-        tol=tolerances.singularity,
-        cluster_tol=tolerances.cluster,
-        rank_tol=tolerances.rank,
-    )
+    x0 = reconstruct_state(system, schedule, outputs)
     resim = [
         float(realization.c @ numerics.expm(realization.A, ti) @ x0)
         for ti in schedule.instants
@@ -616,24 +576,29 @@ def _cmd_reconstruct(args, out, err) -> int:
         "x0": [float(v) for v in x0],
         "resimulation_residual": residual,
     }
-    if args.format == "json":
-        out.write(json.dumps(result, indent=2) + "\n")
-    else:
-        out.write("x0: " + ", ".join(_fmt(v) for v in x0) + "\n")
-        out.write(f"re-simulation residual: {_fmt(residual)}\n")
+    _emit(result, args.format, out, _reconstruct_text)
     return EXIT_OK
+
+
+def _uniform_text(result: dict) -> str:
+    text = (
+        f"uniform interval {_fmt(result['interval'])}: "
+        f"{'pass' if result['passes'] else 'fail'} "
+        f"(sigma ratio {_fmt(result['sigma_ratio'])})\n"
+    )
+    if result["first_failing_multiple"] is not None:
+        text += (
+            f"first failing multiple: {result['first_failing_multiple']} "
+            f"(interval {_fmt(result['first_failing_interval'])})\n"
+        )
+    return text
 
 
 def _cmd_uniform(args, out, err) -> int:
     document = load_system_document(args.system)
     tolerances = _tolerances_from_args(document, args)
     validation = validate_uniform(
-        document.realization(),
-        args.interval,
-        args.horizon,
-        tolerances.singularity,
-        cluster_tol=tolerances.cluster,
-        rank_tol=tolerances.rank,
+        PreparedSystem(document.realization(), tolerances), args.interval, args.horizon
     )
     result = {
         "interval": validation.interval,
@@ -642,19 +607,7 @@ def _cmd_uniform(args, out, err) -> int:
         "first_failing_multiple": validation.first_failing_multiple,
         "first_failing_interval": validation.first_failing_interval,
     }
-    if args.format == "json":
-        out.write(json.dumps(result, indent=2) + "\n")
-    else:
-        out.write(
-            f"uniform interval {_fmt(validation.interval)}: "
-            f"{'pass' if validation.passes else 'fail'} "
-            f"(sigma ratio {_fmt(validation.report.sigma_ratio)})\n"
-        )
-        if validation.first_failing_multiple is not None:
-            out.write(
-                f"first failing multiple: {validation.first_failing_multiple} "
-                f"(interval {_fmt(validation.first_failing_interval)})\n"
-            )
+    _emit(result, args.format, out, _uniform_text)
     return EXIT_OK if validation.passes else EXIT_NEGATIVE
 
 

@@ -33,13 +33,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionError, InsufficientScheduleError, NumericRangeError
-from .system_model import (
-    ModalDecomposition,
-    ModeSet,
-    Realization,
-    modal_decompose,
-    require_minimal,
-)
+from .system_model import ModalDecomposition, ModeSet, PreparedSystem, Realization, prepare
 
 
 @dataclass(frozen=True)
@@ -106,9 +100,7 @@ class CriterionReport:
     membership_residual: float | None
     factorization_residual: float
     alphas: ShiftedIntervals
-    singularity_tol: float
-    cluster_tol: float
-    rank_tol: float
+    tolerances: numerics.Tolerances
 
 
 def shifted_intervals(schedule: SamplingSchedule, n: int) -> ShiftedIntervals:
@@ -144,7 +136,8 @@ def mode_matrix(modes: ModeSet, alphas) -> np.ndarray:
     a = a[..., None]
     lams = np.array([lam for lam, _ in params], dtype=complex)
     powers = np.array([p for _, p in params], dtype=float)
-    matrix = (a**powers) * np.exp(lams * a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = (a**powers) * np.exp(lams * a)
     if not np.all(np.isfinite(matrix)):
         raise NumericRangeError("mode matrix overflowed; shrink the schedule window")
     return matrix
@@ -159,7 +152,7 @@ def factor_n1(modes: ModeSet) -> float:
     return value
 
 
-def factor_n2(decomposition: ModalDecomposition, modes: ModeSet | None = None) -> complex:
+def factor_n2(decomposition: ModalDecomposition) -> complex:
     """Product of the per-block anti-triangular determinants in y0.
 
     The block for a multiplicity-m eigenvalue has entry (p, q) equal to the
@@ -167,11 +160,10 @@ def factor_n2(decomposition: ModalDecomposition, modes: ModeSet | None = None) -
     its determinant is ``(-1)**(m*(m-1)/2) * y_last**m``.  Nonzero exactly
     when the last y0 component of every block is nonzero.
     """
-    modes = modes if modes is not None else decomposition.modes
     y0 = decomposition.y0
     value = complex(1.0)
     offset = 0
-    for _, m in modes.roots:
+    for _, m in decomposition.modes.roots:
         block = y0[offset : offset + m]
         anti = np.zeros((m, m), dtype=complex)
         for p in range(m):
@@ -216,28 +208,24 @@ def _mode_space_membership(
 
 
 def joint_verdict(
-    realization: Realization,
-    schedule: SamplingSchedule,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-    *,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
+    system: Realization | PreparedSystem, schedule: SamplingSchedule
 ) -> CriterionReport:
     """Run the joint n-reachability / n-observability test on a schedule.
 
     The realization must be minimal (MinimalityError otherwise, naming the
     failing rank test) and the schedule must supply at least n instants; the
-    first n decide the verdict.  With n+1 or more instants the weaker
+    first n decide the verdict: reachable when the mode-matrix sigma ratio
+    exceeds the singularity tolerance.  With n+1 or more instants the weaker
     controllability / constructibility pair is also reported, via the
-    range-membership test at ``alpha_n = t[n] - t[0]``.
+    range-membership test at ``alpha_n = t[n] - t[0]`` with the singularity
+    tolerance as residual tolerance.  A plain realization is analysed with
+    the default tolerances.
     """
-    require_minimal(realization, rank_tol)
-    decomposition = modal_decompose(
-        realization, cluster_tol, rank_tol, require_minimality=False
-    )
+    prepared = prepare(system)
+    decomposition = prepared.decomposition
+    tol = prepared.tolerances.singularity
     modes = decomposition.modes
-    n = realization.n
-    alphas = shifted_intervals(schedule, n)
+    alphas = shifted_intervals(schedule, prepared.realization.n)
 
     phi = mode_matrix(modes, alphas)
     sigma_ratio = numerics.column_normalized_sigma_ratio(phi)
@@ -269,35 +257,27 @@ def joint_verdict(
         membership_residual=membership_residual,
         factorization_residual=factorization_residual,
         alphas=alphas,
-        singularity_tol=tol,
-        cluster_tol=cluster_tol,
-        rank_tol=rank_tol,
+        tolerances=prepared.tolerances,
     )
 
 
 def controllability_verdict(
-    realization: Realization,
-    schedule: SamplingSchedule,
-    tol: float = numerics.DEFAULT_RESIDUAL_TOL,
-    *,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
+    system: Realization | PreparedSystem, schedule: SamplingSchedule
 ) -> ControllabilityVerdict:
     """The weaker joint pair on n+1 instants, as a range-membership test.
 
     The mode-space vector at ``alpha_n`` must lie in the span of the vectors
-    at ``alpha_0 .. alpha_{n-1}``.  Full joint reachability implies this; a
-    schedule can pass here while failing the full test.
+    at ``alpha_0 .. alpha_{n-1}``, to the residual tolerance.  Full joint
+    reachability implies this; a schedule can pass here while failing the
+    full test.  A plain realization is analysed with the default tolerances.
     """
-    n = realization.n
+    prepared = prepare(system)
+    n = prepared.realization.n
     if len(schedule) < n + 1:
         raise InsufficientScheduleError(
             f"controllability test needs {n + 1} instants, got {len(schedule)}"
         )
-    require_minimal(realization, rank_tol)
-    decomposition = modal_decompose(
-        realization, cluster_tol, rank_tol, require_minimality=False
-    )
+    decomposition = prepared.decomposition
     alphas = shifted_intervals(schedule, n)
-    membership = _mode_space_membership(decomposition, alphas, tol)
+    membership = _mode_space_membership(decomposition, alphas, prepared.tolerances.residual)
     return ControllabilityVerdict(membership.contained, membership.contained, membership.residual)

@@ -25,7 +25,7 @@ from .errors import (
     SingularScheduleError,
     UnsupportedOrderError,
 )
-from .system_model import Realization, modal_decompose, require_minimal
+from .system_model import PreparedSystem, Realization, prepare
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,8 @@ def _state_vector(values, n: int, name: str) -> np.ndarray:
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.shape[0] != n:
         raise DimensionError(f"{name} has {v.shape[0]} entries, expected {n}")
+    if not np.all(np.isfinite(v)):
+        raise DimensionError(f"{name} must be finite")
     return v
 
 
@@ -159,33 +161,38 @@ def zoh_input_matrix(
     return np.column_stack(columns)
 
 
+def default_final_time(schedule: SamplingSchedule) -> float:
+    """Deadbeat evaluation instant: last instant plus the mean spacing, or
+    plus one second for a single instant."""
+    t = schedule.instants
+    spacing = (t[-1] - t[0]) / (len(t) - 1) if len(t) > 1 else 1.0
+    return t[-1] + spacing
+
+
 def deadbeat_inputs(
-    realization: Realization,
+    system: Realization | PreparedSystem,
     schedule: SamplingSchedule,
     x0,
     x_target,
     t_final: float | None = None,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-    *,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
 ) -> np.ndarray:
     """Impulse weights u_0..u_{n-1} driving x0 at t_0 to x_target at t_final.
 
     The schedule carries the n input instants; ``t_final`` is the evaluation
-    instant after them (default: last instant plus the mean spacing, or plus
-    one second for first-order systems).  A schedule failing the joint
-    criterion raises SingularScheduleError with the report attached.
+    instant after them (default: ``default_final_time(schedule)``).  A
+    schedule failing the joint criterion raises SingularScheduleError with
+    the report attached; non-finite states raise DimensionError.  A plain
+    realization is analysed with the default tolerances.
     """
+    prepared = prepare(system)
+    realization = prepared.realization
     n = realization.n
     t = schedule.instants
     if len(t) != n:
         raise InsufficientScheduleError(
             f"deadbeat design needs exactly {n} input instants, got {len(t)}"
         )
-    report = joint_verdict(
-        realization, schedule, tol, cluster_tol=cluster_tol, rank_tol=rank_tol
-    )
+    report = joint_verdict(prepared, schedule)
     if not report.reachable:
         raise SingularScheduleError(
             f"schedule is singular (sigma ratio {report.sigma_ratio:.3e}); "
@@ -193,8 +200,7 @@ def deadbeat_inputs(
             report=report,
         )
     if t_final is None:
-        spacing = (t[-1] - t[0]) / (n - 1) if n > 1 else 1.0
-        t_final = t[-1] + spacing
+        t_final = default_final_time(schedule)
     if t_final <= t[-1]:
         raise ValueError("t_final must lie beyond the last input instant")
 
@@ -206,15 +212,16 @@ def deadbeat_inputs(
 
 
 def reconstruct_state(
-    realization: Realization,
-    schedule: SamplingSchedule,
-    outputs,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-    *,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
+    system: Realization | PreparedSystem, schedule: SamplingSchedule, outputs
 ) -> np.ndarray:
-    """Recover x(0) from n free-response outputs y(t_i) = c exp(A t_i) x(0)."""
+    """Recover x(0) from n free-response outputs y(t_i) = c exp(A t_i) x(0).
+
+    A schedule failing the joint criterion raises SingularScheduleError with
+    the report attached; non-finite outputs raise DimensionError.  A plain
+    realization is analysed with the default tolerances.
+    """
+    prepared = prepare(system)
+    realization = prepared.realization
     n = realization.n
     t = schedule.instants
     if len(t) != n:
@@ -224,9 +231,9 @@ def reconstruct_state(
     y = np.asarray(outputs, dtype=float).reshape(-1)
     if y.shape[0] != n:
         raise DimensionError(f"expected {n} outputs, got {y.shape[0]}")
-    report = joint_verdict(
-        realization, schedule, tol, cluster_tol=cluster_tol, rank_tol=rank_tol
-    )
+    if not np.all(np.isfinite(y)):
+        raise DimensionError("outputs must be finite")
+    report = joint_verdict(prepared, schedule)
     if not report.observable:
         raise SingularScheduleError(
             f"schedule is singular (sigma ratio {report.sigma_ratio:.3e}); "
@@ -238,31 +245,26 @@ def reconstruct_state(
 
 
 def classify_case(
-    realization: Realization,
-    schedule: SamplingSchedule,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-    *,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
+    system: Realization | PreparedSystem, schedule: SamplingSchedule
 ) -> CaseLabel:
     """Label a three-instant schedule of an order-2 system as case a, b or c.
 
     Works with the mode-space vectors Y_m = exp(J alpha_m) y0; the change of
     basis is invertible, so the dependency structure matches the state-space
-    input vectors.
+    input vectors.  The singularity tolerance judges the pair's sigma ratio
+    and, as residual tolerance, the membership of Y2 in span(Y0).  A plain
+    realization is analysed with the default tolerances.
     """
-    if realization.n != 2:
-        raise UnsupportedOrderError(
-            f"case classification is defined for order 2, got {realization.n}"
-        )
+    prepared = prepare(system)
+    n = prepared.realization.n
+    if n != 2:
+        raise UnsupportedOrderError(f"case classification is defined for order 2, got {n}")
     if len(schedule) < 3:
         raise InsufficientScheduleError(
             f"case classification needs 3 instants, got {len(schedule)}"
         )
-    require_minimal(realization, rank_tol)
-    decomposition = modal_decompose(
-        realization, cluster_tol, rank_tol, require_minimality=False
-    )
+    decomposition = prepared.decomposition
+    tol = prepared.tolerances.singularity
     alphas = shifted_intervals(schedule, 2)
     y_vectors = [
         numerics.expm(decomposition.J, a) @ decomposition.y0

@@ -6,6 +6,7 @@ All functions are pure; nothing here keeps state.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +19,25 @@ MAX_ORDER = 12
 DEFAULT_CLUSTER_TOL = 1e-7
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_RESIDUAL_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerances of one analysis, passed around as one value.
+
+    ``singularity`` is the verdict threshold on the mode-matrix sigma ratio
+    (also the range-membership tolerance of the joint verdict and the case
+    taxonomy, and the rank tolerance of the direct oracle); ``cluster``
+    merges eigenvalues into multiplicity clusters; ``rank`` decides the
+    continuous-time Kalman rank tests; ``residual`` is the tolerance of the
+    range-membership tests of the controllability verdict and the
+    x0-specific oracle.
+    """
+
+    singularity: float = DEFAULT_RANK_TOL
+    cluster: float = DEFAULT_CLUSTER_TOL
+    rank: float = DEFAULT_RANK_TOL
+    residual: float = DEFAULT_RESIDUAL_TOL
 
 # Entry magnitudes beyond this are treated as overflow even when still finite.
 OVERFLOW_LIMIT = 1e300

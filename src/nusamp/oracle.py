@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .criterion import SamplingSchedule, joint_verdict
+from .criterion import CriterionReport, SamplingSchedule, joint_verdict
 from .errors import InsufficientScheduleError
-from .system_model import Realization
+from .system_model import PreparedSystem, Realization, prepare
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,20 @@ class ReachabilityMatrixResult:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Direct verdicts plus the computed agreement with the criterion."""
+    """Direct verdicts, the criterion report they were compared against, and
+    the computed agreement."""
 
     reachable: bool
     observable: bool
     agrees_with_criterion: bool
-    criterion_sigma_ratio: float
+    criterion: CriterionReport
     reachability_sigma_ratio: float
     observability_sigma_ratio: float
+
+    @property
+    def criterion_sigma_ratio(self) -> float:
+        """Sigma ratio of the compared criterion report."""
+        return self.criterion.sigma_ratio
 
 
 def reachability_matrix(
@@ -112,21 +118,19 @@ def controllable_direct(
 
 
 def cross_validate(
-    realization: Realization,
-    schedule: SamplingSchedule,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-    *,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
+    system: Realization | PreparedSystem, schedule: SamplingSchedule
 ) -> OracleReport:
     """Run both routes and record whether every verdict matches.
 
-    Disagreement is data for triage (the report carries all three sigma
-    ratios), not an error.
+    The direct rank tests use the singularity tolerance as rank tolerance.
+    Disagreement is data for triage (the report carries the criterion report
+    and both direct sigma ratios), not an error.  A plain realization is
+    analysed with the default tolerances.
     """
-    report = joint_verdict(
-        realization, schedule, tol, cluster_tol=cluster_tol, rank_tol=rank_tol
-    )
+    prepared = prepare(system)
+    report = joint_verdict(prepared, schedule)
+    realization = prepared.realization
+    tol = prepared.tolerances.singularity
     reach = reachability_matrix(realization, schedule, tol)
     obs = reachability_matrix(realization.dual(), schedule, tol)
     n = realization.n
@@ -137,7 +141,7 @@ def cross_validate(
         reachable=reachable,
         observable=observable,
         agrees_with_criterion=agrees,
-        criterion_sigma_ratio=report.sigma_ratio,
+        criterion=report,
         reachability_sigma_ratio=reach.rank.sigma_ratio,
         observability_sigma_ratio=obs.rank.sigma_ratio,
     )

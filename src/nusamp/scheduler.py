@@ -24,7 +24,7 @@ from .criterion import (
     schedule_conditioning,
 )
 from .errors import InfeasibleError, NotApplicableError, UnsupportedOrderError
-from .system_model import ModeSet, Realization, mode_set, require_minimal
+from .system_model import ModeSet, PreparedSystem, Realization, mode_set, prepare, require_minimal
 
 # Guard so a careless search spec cannot ask for an astronomically large grid.
 MAX_GRID_CANDIDATES = 2_000_000
@@ -114,29 +114,32 @@ def _oscillatory_frequency(modes: ModeSet) -> float:
 
 
 def forbidden_instants_order2(
-    realization: Realization,
-    t0: float,
-    window,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-    *,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
+    system: Realization | PreparedSystem, t0: float, window
 ) -> ForbiddenSet:
     """Enumerate the singular second instants for an order-2 oscillatory system.
 
     Given a first instant t0, the pair (t0, t1) fails the joint criterion
     exactly when ``b * (t1 - t0)`` is an integer multiple of pi, b being the
     imaginary part of the eigenvalue pair.  Damping (the real part) only
-    stretches the mode-space vectors and never changes this set.
+    stretches the mode-space vectors and never changes this set.  Only the
+    mode set is needed, so minimality is not checked; the guard band is
+    bisected against the singularity tolerance.  A non-finite t0 or window
+    bound raises InfeasibleError.  A plain realization is analysed with the
+    default tolerances.
     """
-    if realization.n != 2:
-        raise UnsupportedOrderError(
-            f"forbidden-instant analysis is defined for order 2, got {realization.n}"
-        )
-    modes = mode_set(realization, cluster_tol)
+    prepared = prepare(system)
+    n = prepared.realization.n
+    if n != 2:
+        raise UnsupportedOrderError(f"forbidden-instant analysis is defined for order 2, got {n}")
+    modes = mode_set(prepared.realization, prepared.tolerances.cluster)
     frequency = _oscillatory_frequency(modes)
     period = math.pi / frequency
 
     lo, hi = (float(window[0]), float(window[1]))
+    if not all(np.isfinite((t0, lo, hi))):
+        raise InfeasibleError(
+            f"t0 and the window bounds must be finite, got t0={t0!r}, window={window!r}"
+        )
     if hi < lo:
         lo, hi = hi, lo
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
@@ -151,7 +154,7 @@ def forbidden_instants_order2(
             points.append(t)
         k += 1
 
-    guard = _bisect_guard_band(modes, t0, t0 + period, tol)
+    guard = _bisect_guard_band(modes, t0, t0 + period, prepared.tolerances.singularity)
     return ForbiddenSet(float(t0), period, tuple(points), guard)
 
 
@@ -180,37 +183,28 @@ def _bisect_guard_band(
 
 
 def validate_uniform(
-    realization: Realization,
-    interval: float,
-    horizon: int = 10,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-    *,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
+    system: Realization | PreparedSystem, interval: float, horizon: int = 10
 ) -> UniformValidation:
     """Joint verdict of the uniform schedule {0, T, ..., (n-1) T}.
 
     Also scans the subsampled intervals j*T for j up to ``horizon`` and
-    reports the first failing one, which for an oscillatory order-2 system
-    flags the smallest multiple of T hitting a forbidden separation.
+    reports the first one whose sigma ratio is at or below the singularity
+    tolerance, which for an oscillatory order-2 system flags the smallest
+    multiple of T hitting a forbidden separation.  A plain realization is
+    analysed with the default tolerances.
     """
+    prepared = prepare(system)
     if interval <= 0.0 or not np.isfinite(interval):
         raise InfeasibleError(f"sampling interval must be positive, got {interval!r}")
     if horizon < 1:
         raise InfeasibleError("horizon must be at least 1")
-    n = realization.n
-    report = joint_verdict(
-        realization,
-        _uniform_schedule(interval, n),
-        tol,
-        cluster_tol=cluster_tol,
-        rank_tol=rank_tol,
-    )
-    modes = mode_set(realization, cluster_tol)
+    n = prepared.realization.n
+    report = joint_verdict(prepared, _uniform_schedule(interval, n))
+    modes = prepared.decomposition.modes
     first_failing = None
     for j in range(1, horizon + 1):
         ratio = schedule_conditioning(modes, _uniform_schedule(j * interval, n))
-        if ratio <= tol:
+        if ratio <= prepared.tolerances.singularity:
             first_failing = j
             break
     return UniformValidation(
@@ -287,32 +281,26 @@ def _chunks(blocks, size: int):
         yield np.concatenate(pending)
 
 
-def suggest_schedule(
-    realization: Realization,
-    spec: ScheduleSearchSpec,
-    seed: int = 0,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-    *,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
-):
+def suggest_schedule(system: Realization | PreparedSystem, spec: ScheduleSearchSpec):
     """Search the window for the best-conditioned feasible schedule.
 
     Deterministic grid search (step = min_spacing / 4) followed by three
     coordinate-refinement passes with shrinking step; ties keep the
     lexicographically lowest schedule.  The grid is evaluated in chunks of
     ``SEARCH_CHUNK`` schedules, each one stacked mode-matrix and SVD call;
-    the refinement probes one schedule at a time.  The search is fully
-    deterministic, so the seed never influences the result; the parameter
-    stays for interface stability.  Returns (schedule, achieved sigma ratio).
+    the refinement probes one schedule at a time.  Returns (schedule,
+    achieved sigma ratio), or raises InfeasibleError when that ratio does not
+    exceed the singularity tolerance.  The realization must be minimal; only
+    its mode set is computed, never the modal decomposition.  A plain
+    realization is analysed with the default tolerances.
 
     The objective depends only on instant differences, so the first instant
     is pinned to the window start without loss of generality.
     """
-    del seed
-    require_minimal(realization, rank_tol)
-    modes = mode_set(realization, cluster_tol)
-    n = realization.n
+    prepared = prepare(system)
+    n = prepared.realization.n
+    require_minimal(prepared.minimality, n)
+    modes = mode_set(prepared.realization, prepared.tolerances.cluster)
     if spec.count < n:
         raise InfeasibleError(
             f"count {spec.count} is below the system order {n}; "
@@ -379,7 +367,7 @@ def suggest_schedule(
     for _ in range(tail):
         instants.append(instants[-1] + spacing)
     schedule = SamplingSchedule(tuple(instants))
-    if best_obj <= tol:
+    if best_obj <= prepared.tolerances.singularity:
         raise InfeasibleError(
             f"no schedule in the window clears the singularity tolerance "
             f"(best sigma ratio {best_obj:.3e})"

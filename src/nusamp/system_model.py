@@ -9,6 +9,11 @@ the modal picture extracted here: the clustered eigenvalues, the ordered
 characteristic modes ``t**k * exp(lam*t)``, and the Jordan-form data
 (J, B, y0) with ``A = B J B^-1`` and ``y0 = B^-1 b``.
 
+An analysis receives the realization as a ``PreparedSystem``: the
+realization with the tolerances of the analysis, which computes the
+minimality report and the modal decomposition once and shares them with
+every analysis it is passed to.
+
 Conventions fixed once here:
 
 * eigenvalue clusters are sorted by (real part, imaginary part) ascending;
@@ -21,6 +26,7 @@ Conventions fixed once here:
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +143,6 @@ class ModalDecomposition:
     reconstruction_residual: float
     conditioning_warning: str | None = None
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Alias for y0, read as the mode weighting coefficients."""
-        return self.y0
-
 
 def controllability_matrix(realization: Realization) -> np.ndarray:
     """Kalman controllability matrix [b, Ab, ..., A^(n-1) b]."""
@@ -169,23 +170,15 @@ def check_minimal(
     return MinimalityReport(ctrb.rank == n, obsv.rank == n, ctrb, obsv)
 
 
-def require_minimal(
-    realization: Realization, rank_tol: float = numerics.DEFAULT_RANK_TOL
-) -> MinimalityReport:
-    """check_minimal, raising MinimalityError that names the failing test."""
-    report = check_minimal(realization, rank_tol)
+def require_minimal(report: MinimalityReport, n: int) -> None:
+    """Raise MinimalityError naming each failed rank test of an order-n report."""
     if not report.minimal:
         failed = []
         if not report.controllable_ct:
-            failed.append(
-                f"controllability rank {report.controllability_rank.rank} < {realization.n}"
-            )
+            failed.append(f"controllability rank {report.controllability_rank.rank} < {n}")
         if not report.observable_ct:
-            failed.append(
-                f"observability rank {report.observability_rank.rank} < {realization.n}"
-            )
+            failed.append(f"observability rank {report.observability_rank.rank} < {n}")
         raise MinimalityError("realization is not minimal: " + "; ".join(failed))
-    return report
 
 
 def mode_set(
@@ -252,7 +245,7 @@ def modal_decompose(
     attaches a warning to the result instead of failing.
     """
     if require_minimality:
-        require_minimal(realization, rank_tol)
+        require_minimal(check_minimal(realization, rank_tol), realization.n)
     modes = mode_set(realization, cluster_tol)
     A = realization.A.astype(complex)
     roots = modes.roots
@@ -305,9 +298,7 @@ def modal_decompose(
 
 
 def check_y0_components(
-    decomposition: ModalDecomposition,
-    modes: ModeSet | None = None,
-    tol: float = numerics.DEFAULT_RANK_TOL,
+    decomposition: ModalDecomposition, tol: float = numerics.DEFAULT_RANK_TOL
 ) -> bool:
     """True when the last y0 component of every Jordan block is nonzero.
 
@@ -315,15 +306,46 @@ def check_y0_components(
     the joint-criterion factor built from y0 is nonzero exactly when this
     check passes.
     """
-    modes = modes if modes is not None else decomposition.modes
     y0 = decomposition.y0
     scale = float(np.linalg.norm(y0))
     offset = 0
-    for _, m in modes.roots:
+    for _, m in decomposition.modes.roots:
         if abs(y0[offset + m - 1]) <= tol * scale:
             return False
         offset += m
     return True
+
+
+@dataclass(frozen=True)
+class PreparedSystem:
+    """A realization, the tolerances of its analysis, and the facts it needs.
+
+    The minimality report and the modal decomposition are computed on first
+    use, at most once each, and shared by every analysis the prepared system
+    is passed to.  Reading ``decomposition`` of a non-minimal realization
+    raises MinimalityError naming the failed rank test.  Analyses that need
+    only the mode set never trigger the decomposition.
+    """
+
+    realization: Realization
+    tolerances: numerics.Tolerances = numerics.Tolerances()
+
+    @functools.cached_property
+    def minimality(self) -> MinimalityReport:
+        return check_minimal(self.realization, self.tolerances.rank)
+
+    @functools.cached_property
+    def decomposition(self) -> ModalDecomposition:
+        require_minimal(self.minimality, self.realization.n)
+        return modal_decompose(
+            self.realization, self.tolerances.cluster, require_minimality=False
+        )
+
+
+def prepare(system: Realization | PreparedSystem) -> PreparedSystem:
+    """The prepared form of an analysis argument; a plain realization gets
+    the default tolerances."""
+    return system if isinstance(system, PreparedSystem) else PreparedSystem(system)
 
 
 def impulse_response(realization: Realization, t: float) -> float:

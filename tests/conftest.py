@@ -10,6 +10,8 @@ package.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,20 @@ def diag_system():
 @pytest.fixture
 def scalar_system():
     return Realization([[-1.0]], [1.0], [1.0])
+
+
+def count_calls(monkeypatch, targets) -> Counter:
+    """Count calls of each ``(module, name)`` function, by name, for one test."""
+    calls = Counter()
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nusamp
-from nusamp import SystemDocumentError
+from nusamp import SamplingSchedule, SystemDocumentError, oracle, system_model
 from nusamp.cli import (
     EXIT_NEGATIVE,
     EXIT_NOT_MINIMAL,
@@ -19,10 +19,12 @@ from nusamp.cli import (
     EXIT_USAGE,
     SystemDocument,
     Tolerances,
+    build_analysis,
     document_to_json,
     main,
     parse_system_document,
 )
+from conftest import count_calls
 
 PI_16 = "3.141592653589793"
 
@@ -138,6 +140,19 @@ class TestAnalyze:
         code, _, err = run_cli("analyze", str(path), "--schedule", "0,1")
         assert code == EXIT_USAGE
         assert "field b: expected 2 entries, found 3" in err
+
+    def test_analysis_computes_each_fact_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, [
+            (system_model, "check_minimal"),
+            (system_model, "modal_decompose"),
+            (oracle, "joint_verdict"),
+        ])
+        document = SystemDocument(
+            order=2, A=np.array([[0.0, -1.0], [1.0, 0.0]]), b=np.ones(2), c=np.ones(2)
+        )
+        result = build_analysis(document, SamplingSchedule((0.0, 1.0, 2.5)), Tolerances())
+        assert "case" in result
+        assert calls == {"check_minimal": 1, "modal_decompose": 1, "joint_verdict": 1}
 
     def test_json_and_text_carry_identical_values(self, rotation_file):
         code_t, text, _ = run_cli("analyze", rotation_file, "--schedule", "0,0.8")
@@ -334,6 +349,14 @@ class TestDeadbeatAndReconstruct:
         assert payload["x0"] == pytest.approx([2.0, -1.0])
         assert payload["resimulation_residual"] < 1e-10
 
+    def test_reconstruct_rejects_non_finite_outputs(self, rotation_file):
+        code, out, err = run_cli(
+            "reconstruct", rotation_file, "--schedule", "0,1", "--outputs", "nan,1"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: outputs must be finite\n"
+
 
 class TestUniform:
     def test_pass_and_fail(self, rotation_file):
@@ -367,3 +390,23 @@ class TestModuleEntryPoints:
         assert done.returncode == EXIT_USAGE
         assert done.stderr.startswith("error:")
         assert "nothing.json" in done.stderr
+
+    def test_overflow_prints_one_error_line(self, tmp_path):
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps({"order": 2, "A": [0, 0, 0, 3], "b": [1, 1], "c": [1, 1]}))
+        src = str(Path(nusamp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "nusamp", "suggest", str(path), "--window", "0,400",
+             "--count", "2", "--min-spacing", "50"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_USAGE
+        assert done.stdout == ""
+        assert done.stderr == "error: mode matrix overflowed; shrink the schedule window\n"

@@ -1,5 +1,7 @@
 """Shifted intervals, mode matrix, determinant factorization, joint verdict."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ from nusamp import (
     MinimalityError,
     ModalDecomposition,
     ModeSet,
+    NumericRangeError,
+    PreparedSystem,
     Realization,
     SamplingSchedule,
+    Tolerances,
     controllability_verdict,
     factor_n1,
     factor_n2,
@@ -85,6 +90,13 @@ class TestModeMatrix:
         modes = ModeSet(((-1.0, 1),))
         with pytest.raises(DimensionError):
             mode_matrix(modes, shifted_intervals(SamplingSchedule((0.0, 1.0)), 2))
+
+    def test_overflow_raises_without_warnings(self):
+        modes = ModeSet(((0.0, 1), (3.0, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError):
+                mode_matrix(modes, np.array([0.0, 400.0]))
 
 
 class TestFactorN1:
@@ -279,6 +291,14 @@ class TestControllabilityVerdict:
     def test_requires_extra_instant(self, rotation_system):
         with pytest.raises(InsufficientScheduleError):
             controllability_verdict(rotation_system, SamplingSchedule((0.0, 1.0)))
+
+    def test_membership_uses_the_residual_tolerance(self, rotation_system):
+        schedule = SamplingSchedule((0.0, np.pi, np.pi + 1.5))
+        assert not controllability_verdict(rotation_system, schedule).controllable
+        loose = PreparedSystem(rotation_system, Tolerances(residual=10.0))
+        assert controllability_verdict(loose, schedule).controllable
+        loose_singularity = PreparedSystem(rotation_system, Tolerances(singularity=10.0))
+        assert not controllability_verdict(loose_singularity, schedule).controllable
 
     def test_reachable_implies_controllable(self):
         for _ in range(30):

@@ -112,6 +112,13 @@ class TestDeadbeat:
         assert info.value.report is not None
         assert not info.value.report.reachable
 
+    def test_non_finite_states_rejected(self, rotation_system):
+        schedule = SamplingSchedule((0.0, 1.0))
+        with pytest.raises(DimensionError, match="x0 must be finite"):
+            deadbeat_inputs(rotation_system, schedule, [np.nan, 0.0], [0.0, 1.0])
+        with pytest.raises(DimensionError, match="x_target must be finite"):
+            deadbeat_inputs(rotation_system, schedule, [1.0, 0.0], [0.0, np.inf])
+
     def test_random_closure(self):
         for _ in range(60):
             n = int(RNG.integers(1, 5))
@@ -151,6 +158,10 @@ class TestReconstruct:
         ]
         assert outputs == pytest.approx([2.0, 1.0])
         assert np.allclose(reconstruct_state(rotation_system, schedule, outputs), truth)
+
+    def test_non_finite_outputs_rejected(self, rotation_system):
+        with pytest.raises(DimensionError, match="outputs must be finite"):
+            reconstruct_state(rotation_system, SamplingSchedule((0.0, 1.0)), [np.nan, 1.0])
 
     def test_singular_schedule_rejected(self, rotation_system):
         with pytest.raises(SingularScheduleError):

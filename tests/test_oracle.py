@@ -8,6 +8,7 @@ from nusamp import (
     SamplingSchedule,
     controllable_direct,
     cross_validate,
+    joint_verdict,
     observable_direct,
     reachability_matrix,
     reachable_direct,
@@ -111,6 +112,12 @@ class TestControllableDirect:
 
 
 class TestCrossValidate:
+    def test_report_carries_the_compared_criterion(self, rotation_system):
+        schedule = SamplingSchedule((0.0, 1.0, 2.5))
+        report = cross_validate(rotation_system, schedule)
+        assert report.criterion == joint_verdict(rotation_system, schedule)
+        assert report.criterion_sigma_ratio == report.criterion.sigma_ratio
+
     def test_agreement_on_rotation(self, rotation_system):
         good = cross_validate(rotation_system, SamplingSchedule((0.0, np.pi / 2)))
         assert good.agrees_with_criterion

@@ -8,16 +8,31 @@ from nusamp import (
     MinimalityError,
     ModalDecomposition,
     ModeSet,
+    PreparedSystem,
     Realization,
+    SamplingSchedule,
+    ScheduleSearchSpec,
+    Tolerances,
     UnsupportedOrderError,
     check_minimal,
     check_y0_components,
+    classify_case,
+    controllability_verdict,
+    cross_validate,
+    deadbeat_inputs,
     eval_mode,
+    forbidden_instants_order2,
     impulse_response,
+    joint_verdict,
     modal_decompose,
     mode_set,
+    reconstruct_state,
+    suggest_schedule,
+    validate_uniform,
 )
-from conftest import random_minimal_system, random_orthogonal
+from nusamp import numerics, system_model
+from nusamp.system_model import prepare
+from conftest import count_calls, random_minimal_system, random_orthogonal
 
 RNG = np.random.default_rng(7)
 
@@ -202,6 +217,65 @@ class TestCheckY0Components:
             assert check_y0_components(decomposition) == report.controllable_ct
             agree += 1
         assert agree == 60
+
+
+class TestPreparedSystem:
+    def test_plain_realization_gets_default_tolerances(self, rotation_system):
+        prepared = prepare(rotation_system)
+        assert prepared.realization is rotation_system
+        assert prepared.tolerances == Tolerances(1e-9, 1e-7, 1e-9, 1e-9)
+        assert prepare(prepared) is prepared
+
+    def test_facts_computed_once_across_analyses(self, rotation_system, monkeypatch):
+        calls = count_calls(monkeypatch, [
+            (system_model, "check_minimal"),
+            (system_model, "modal_decompose"),
+            (numerics, "eig_clustered"),
+        ])
+        prepared = PreparedSystem(rotation_system)
+        two, three = SamplingSchedule((0.0, 1.0)), SamplingSchedule((0.0, 1.0, 2.5))
+        joint_verdict(prepared, three)
+        controllability_verdict(prepared, three)
+        cross_validate(prepared, three)
+        classify_case(prepared, three)
+        deadbeat_inputs(prepared, two, [1.0, 0.0], [0.0, 1.0])
+        reconstruct_state(prepared, two, [1.0, 0.5])
+        validate_uniform(prepared, 0.5)
+        assert calls == {"check_minimal": 1, "modal_decompose": 1, "eig_clustered": 1}
+
+    def test_decomposition_raises_the_minimality_message(self):
+        system = Realization(np.diag([0.0, -1.0]), [1.0, 0.0], [1.0, 1.0])
+        prepared = PreparedSystem(system)
+        with pytest.raises(MinimalityError) as lazy:
+            prepared.decomposition
+        with pytest.raises(MinimalityError) as direct:
+            modal_decompose(system)
+        assert str(lazy.value) == str(direct.value)
+        assert str(lazy.value) == "realization is not minimal: controllability rank 1 < 2"
+        assert not prepared.minimality.minimal
+
+    def test_mode_set_analyses_leave_the_decomposition_alone(self):
+        # b = 0: not minimal, yet the forbidden set only needs the modes.
+        unexcited = PreparedSystem(Realization([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0], [1.0, 0.0]))
+        result = forbidden_instants_order2(unexcited, 0.0, (0.0, 4.0))
+        assert result.forbidden == pytest.approx((0.0, np.pi))
+        assert "decomposition" not in vars(unexcited)
+        assert "minimality" not in vars(unexcited)
+
+    def test_search_checks_minimality_without_decomposing(self, rotation_system):
+        prepared = PreparedSystem(rotation_system)
+        suggest_schedule(prepared, ScheduleSearchSpec((0.0, 2.0), 2, 0.2))
+        assert prepared.minimality.minimal
+        assert "decomposition" not in vars(prepared)
+
+    def test_tolerances_reach_the_verdict(self, rotation_system):
+        schedule = SamplingSchedule((0.0, 3.1))
+        assert joint_verdict(rotation_system, schedule).reachable
+        strict = PreparedSystem(rotation_system, Tolerances(singularity=0.05))
+        report = joint_verdict(strict, schedule)
+        assert not report.reachable
+        assert report.tolerances is strict.tolerances
+        assert not cross_validate(strict, schedule).reachable
 
 
 class TestImpulseResponse:
