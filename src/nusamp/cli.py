@@ -133,7 +133,11 @@ def parse_system_document(text: str) -> SystemDocument:
         for key in ("singularity", "cluster", "rank", "residual"):
             if key in record:
                 item = record[key]
-                if isinstance(item, bool) or not isinstance(item, (int, float)) or item <= 0:
+                if (
+                    isinstance(item, bool)
+                    or not isinstance(item, (int, float))
+                    or not (np.isfinite(item) and item > 0)
+                ):
                     raise SystemDocumentError(
                         f"field tolerances.{key}: must be a positive number"
                     )
@@ -564,12 +568,9 @@ def _cmd_reconstruct(args, out, err) -> int:
     realization = system.realization
     outputs = _parse_floats(args.outputs, "--outputs")
     x0 = reconstruct_state(system, schedule, outputs)
-    resim = [
-        float(realization.c @ numerics.expm(realization.A, ti) @ x0)
-        for ti in schedule.instants
-    ]
+    resim = realization.c @ numerics.expm(realization.A, schedule.instants) @ x0
     residual = float(
-        np.linalg.norm(np.asarray(resim) - np.asarray(outputs))
+        np.linalg.norm(resim - np.asarray(outputs))
         / max(1.0, float(np.linalg.norm(outputs)))
     )
     result = {

@@ -181,10 +181,7 @@ def full_determinant(decomposition: ModalDecomposition, alphas: ShiftedIntervals
         raise DimensionError(
             f"full determinant needs {n} intervals, got {len(alphas.alpha)}"
         )
-    columns = [
-        numerics.expm(decomposition.J, a) @ decomposition.y0 for a in alphas.alpha
-    ]
-    return complex(np.linalg.det(np.column_stack(columns)))
+    return complex(np.linalg.det(_mode_space_vectors(decomposition, alphas.alpha).T))
 
 
 def schedule_conditioning(modes: ModeSet, schedule: SamplingSchedule) -> float:
@@ -197,14 +194,16 @@ def schedule_conditioning(modes: ModeSet, schedule: SamplingSchedule) -> float:
     return numerics.column_normalized_sigma_ratio(mode_matrix(modes, alphas))
 
 
+def _mode_space_vectors(decomposition: ModalDecomposition, alphas) -> np.ndarray:
+    """Rows exp(J alpha_k) y0, one per interval, from one batched expm."""
+    return numerics.expm(decomposition.J, alphas) @ decomposition.y0
+
+
 def _mode_space_membership(
     decomposition: ModalDecomposition, alphas: ShiftedIntervals, residual_tol: float
 ) -> numerics.RangeCheck:
-    span = np.column_stack(
-        [numerics.expm(decomposition.J, a) @ decomposition.y0 for a in alphas.alpha]
-    )
-    target = numerics.expm(decomposition.J, alphas.alpha_n) @ decomposition.y0
-    return numerics.in_range(span, target, residual_tol)
+    vectors = _mode_space_vectors(decomposition, (*alphas.alpha, alphas.alpha_n))
+    return numerics.in_range(vectors[:-1].T, vectors[-1], residual_tol)
 
 
 def joint_verdict(

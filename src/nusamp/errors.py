@@ -17,6 +17,13 @@ class NumericRangeError(AnalysisError):
     """A computation left the representable floating-point range."""
 
 
+class ToleranceError(AnalysisError):
+    """A tolerance is not a positive finite number.
+
+    The message names the offending tolerance.
+    """
+
+
 class ConvergenceError(AnalysisError):
     """An iterative numerical routine failed to converge."""
 

@@ -93,26 +93,26 @@ def simulate_impulse(
         else _state_vector(x0, realization.n, "x0")
     )
     states = [x]
-    for i in range(len(u)):
-        step = numerics.expm(realization.A, t[i + 1] - t[i])
-        x = step @ (x + realization.b * u[i])
+    for step, u_i in zip(numerics.expm(realization.A, np.diff(t)), u):
+        x = step @ (x + realization.b * u_i)
         states.append(x)
     states = np.array(states)
     return Trajectory(t, states, states @ realization.c)
 
 
-def _zoh_step(realization: Realization, dt: float):
-    """ZOH transition pair (exp(A dt), integral of exp(A s) ds times b).
+def _zoh_steps(realization: Realization, dts):
+    """ZOH transition pairs (exp(A dt), integral of exp(A s) ds times b).
 
-    Both come out of one exponential of the (n+1)-square block matrix
-    [[A, b], [0, 0]] scaled by dt.
+    For each interval dt both come out of one exponential of the
+    (n+1)-square block matrix [[A, b], [0, 0]] scaled by dt; all intervals
+    share one batched call.  Returns the stacks (k, n, n) and (k, n).
     """
     n = realization.n
     augmented = np.zeros((n + 1, n + 1))
     augmented[:n, :n] = realization.A
     augmented[:n, n] = realization.b
-    transition = numerics.expm(augmented, dt)
-    return transition[:n, :n], transition[:n, n]
+    transition = numerics.expm(augmented, dts)
+    return transition[:, :n, :n], transition[:, :n, n]
 
 
 def simulate_zoh(
@@ -130,9 +130,8 @@ def simulate_zoh(
         else _state_vector(x0, realization.n, "x0")
     )
     states = [x]
-    for i in range(len(u)):
-        step, forced = _zoh_step(realization, t[i + 1] - t[i])
-        x = step @ x + forced * u[i]
+    for step, forced, u_i in zip(*_zoh_steps(realization, np.diff(t)), u):
+        x = step @ x + forced * u_i
         states.append(x)
     states = np.array(states)
     return Trajectory(t, states, states @ realization.c)
@@ -154,11 +153,9 @@ def zoh_input_matrix(
         raise InsufficientScheduleError(
             f"hold-input matrix needs {n + 1} instants, got {len(t)}"
         )
-    columns = []
-    for i in range(n):
-        _, forced = _zoh_step(realization, t[i + 1] - t[i])
-        columns.append(numerics.expm(realization.A, t[n] - t[i + 1]) @ forced)
-    return np.column_stack(columns)
+    _, forced = _zoh_steps(realization, [t[i + 1] - t[i] for i in range(n)])
+    carry = numerics.expm(realization.A, [t[n] - t[i + 1] for i in range(n)])
+    return (carry @ forced[..., None])[..., 0].T
 
 
 def default_final_time(schedule: SamplingSchedule) -> float:
@@ -206,9 +203,10 @@ def deadbeat_inputs(
 
     x0 = _state_vector(x0, n, "x0")
     x_target = _state_vector(x_target, n, "x_target")
-    columns = [numerics.expm(realization.A, t_final - ti) @ realization.b for ti in t]
-    rhs = x_target - numerics.expm(realization.A, t_final - t[0]) @ x0
-    return np.linalg.solve(np.column_stack(columns), rhs)
+    # One exponential per input instant; the first also carries x0.
+    steps = numerics.expm(realization.A, [t_final - ti for ti in t])
+    rhs = x_target - steps[0] @ x0
+    return np.linalg.solve((steps @ realization.b).T, rhs)
 
 
 def reconstruct_state(
@@ -240,7 +238,7 @@ def reconstruct_state(
             "outputs do not determine the state",
             report=report,
         )
-    rows = np.vstack([realization.c @ numerics.expm(realization.A, ti) for ti in t])
+    rows = realization.c @ numerics.expm(realization.A, t)
     return np.linalg.solve(rows, y)
 
 
@@ -266,11 +264,10 @@ def classify_case(
     decomposition = prepared.decomposition
     tol = prepared.tolerances.singularity
     alphas = shifted_intervals(schedule, 2)
-    y_vectors = [
-        numerics.expm(decomposition.J, a) @ decomposition.y0
-        for a in (*alphas.alpha, alphas.alpha_n)
-    ]
-    pair = np.column_stack(y_vectors[:2])
+    y_vectors = (
+        numerics.expm(decomposition.J, [*alphas.alpha, alphas.alpha_n]) @ decomposition.y0
+    )
+    pair = y_vectors[:2].T
     pair_sigma_ratio = numerics.column_normalized_sigma_ratio(pair)
 
     membership = numerics.in_range(y_vectors[0][:, None], y_vectors[2], tol)

@@ -6,13 +6,15 @@ All functions are pure; nothing here keeps state.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConvergenceError, DimensionError, NumericRangeError
+from .errors import ConvergenceError, DimensionError, NumericRangeError, ToleranceError
 
 MAX_ORDER = 12
 
@@ -39,6 +41,19 @@ class Tolerances:
     rank: float = DEFAULT_RANK_TOL
     residual: float = DEFAULT_RESIDUAL_TOL
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value > 0.0)
+            ):
+                raise ToleranceError(
+                    f"tolerance {field.name} must be a positive finite number, got {value!r}"
+                )
+
+
 # Entry magnitudes beyond this are treated as overflow even when still finite.
 OVERFLOW_LIMIT = 1e300
 
@@ -64,30 +79,97 @@ def _require_square(matrix, op: str) -> np.ndarray:
     return m
 
 
-def expm(matrix, t: float = 1.0) -> np.ndarray:
-    """Return exp(matrix * t).
+# Degree-13 Pade coefficients b_0..b_13 (Higham 2005, "The scaling and
+# squaring method for the matrix exponential revisited"), divided by b_0 so
+# that the denominator at a zero matrix is exactly the identity and t = 0
+# gives the identity exactly.
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+]) / 64764752532480000.0
+# Row i weighs (A^6, A^4, A^2, I) into W_i; then U = A (A^6 W_0 + W_1) and
+# V = A^6 W_2 + W_3.
+_PADE13_WEIGHTS = np.append(
+    _PADE13[[[13, 11, 9], [7, 5, 3], [12, 10, 8], [6, 4, 2]]],
+    [[0.0], [_PADE13[1]], [0.0], [_PADE13[0]]],
+    axis=1,
+)
+# The 1-norm up to which the degree-13 approximant is accurate to double
+# precision without scaling.
+_THETA13 = 5.371920351148152
 
-    Uses scaling-and-squaring with a Pade rational approximant (scipy),
-    deliberately independent of any eigendecomposition so the two paths can
-    cross-check each other.
+
+def expm(matrix, t=1.0) -> np.ndarray:
+    """Return exp(matrix * t); for a 1-D array of times, the stack of them.
+
+    A scalar ``t`` gives shape (n, n) and a 1-D ``t`` of k times gives
+    (k, n, n), each slice bit-identical to the scalar call at that time.
+    Degree-13 Pade approximant with scaling and squaring (Higham 2005): time
+    t_k is scaled by its own power of two so that ``|t_k| * ||matrix||_1``
+    drops below theta_13, and the approximant is squared back as often.  A
+    diagonal matrix is exponentiated entry by entry.  No eigendecomposition
+    is involved, so this path and the modal one can cross-check each other.
+
+    Raises NumericRangeError for a non-finite time, a scaled norm that
+    overflows, or a result beyond OVERFLOW_LIMIT.
     """
     m = _require_square(matrix, "expm")
-    if not np.isfinite(t):
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise DimensionError(f"expm takes a scalar or a 1-D array of times, got shape {times.shape}")
+    ts = times.reshape(-1)
+    if not np.isfinite(ts).all():
         raise NumericRangeError("expm needs a finite time scale")
+    n = m.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(m * t)
-    if not np.all(np.isfinite(result)) or np.max(np.abs(result)) > OVERFLOW_LIMIT:
+        if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
+            result = np.zeros((ts.size, n, n), dtype=np.result_type(m, float))
+            index = np.arange(n)
+            result[:, index, index] = np.exp(ts[:, None] * m.diagonal())
+        else:
+            norms = np.abs(ts) * np.abs(m).sum(axis=0).max()
+            if not np.isfinite(norms).all():
+                raise NumericRangeError(
+                    f"matrix exponential out of range: |t| * ||A||_1 overflows for t={t!r}"
+                )
+            squarings = np.ceil(np.log2(np.maximum(norms, _THETA13) / _THETA13)).astype(int)
+            scale = np.ldexp(ts, -squarings)[:, None, None]
+            result = _pade13(scale * m)
+            # Square back the times scaled more than k times; when that is
+            # all of them, without copying the stack through an index.
+            for k in range(squarings.max(initial=0)):
+                if squarings.min() > k:
+                    result = result @ result
+                else:
+                    pick = squarings > k
+                    result[pick] = result[pick] @ result[pick]
+    if not np.abs(result).max(initial=0.0) <= OVERFLOW_LIMIT:
         raise NumericRangeError(
             f"matrix exponential overflowed for t={t!r} (entries beyond {OVERFLOW_LIMIT:g})"
         )
-    return result
+    return result if times.ndim else result[0]
+
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """Degree-13 Pade approximant of exp for a stack (k, n, n) of matrices."""
+    powers = np.empty((4,) + a.shape, dtype=a.dtype)
+    np.matmul(a, a, out=powers[2])
+    np.matmul(powers[2], powers[2], out=powers[1])
+    np.matmul(powers[1], powers[2], out=powers[0])
+    powers[3] = np.eye(a.shape[-1])
+    weighted = (_PADE13_WEIGHTS[:, :, None, None, None] * powers).sum(axis=1)
+    halves = powers[0] @ weighted[0::2] + weighted[1::2]
+    u = a @ halves[0]
+    v = halves[1]
+    return np.linalg.solve(v - u, v + u)
 
 
 def eig_clustered(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     """Eigenvalues of a real square matrix merged into multiplicity clusters.
 
     Eigenvalues i and j join the same cluster when
-    ``|l_i - l_j| <= cluster_tol * max(1, |l_i|)`` (single linkage, so
+    ``|l_i - l_j| <= cluster_tol * max(1, |l_i|, |l_j|)`` (single linkage, so
     clusters are the connected components of that relation).  Each cluster is
     reported as (mean value, member count), sorted by real part then
     imaginary part; exact ties keep the order the eigensolver produced.
@@ -103,30 +185,24 @@ def eig_clustered(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
 
-    n = values.shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(values[i] - values[j])
-            scale = max(1.0, abs(values[i]), abs(values[j]))
-            if gap <= cluster_tol * scale:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
+    # Linked pairs as one boolean matrix, made reflexive, so each boolean
+    # squaring doubles the path length it covers and ceil(log2(n-1))
+    # squarings give the transitive closure (single-linkage components).
+    magnitude = np.abs(values)
+    linked = np.abs(values[:, None] - values[None, :]) <= cluster_tol * np.maximum(
+        1.0, np.maximum(magnitude[:, None], magnitude[None, :])
+    )
+    np.fill_diagonal(linked, True)
+    reach = 1
+    while reach < values.shape[0] - 1:
+        linked = linked @ linked
+        reach *= 2
+    # Each member's component is labelled by its lowest index.
+    labels = np.argmax(linked, axis=1)
     clusters = []
-    for members in groups.values():
-        mean = complex(np.mean(values[members]))
-        clusters.append((mean, len(members), min(members)))
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        clusters.append((complex(np.mean(values[members])), len(members), int(label)))
     clusters.sort(key=lambda c: (c[0].real, c[0].imag, c[2]))
     return [(value, count) for value, count, _ in clusters]
 

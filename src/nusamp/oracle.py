@@ -68,11 +68,8 @@ def reachability_matrix(
             f"reachability matrix needs at least {n} instants, got {len(t)}"
         )
     reference = t[n - 1] if len(t) == n else t[n]
-    columns = [
-        numerics.expm(realization.A, reference - t[n - 1 - i]) @ realization.b
-        for i in range(n)
-    ]
-    G = np.column_stack(columns)
+    intervals = [reference - t[n - 1 - i] for i in range(n)]
+    G = (numerics.expm(realization.A, intervals) @ realization.b).T
     return ReachabilityMatrixResult(G, numerics.numeric_rank(G, rank_tol), reference)
 
 

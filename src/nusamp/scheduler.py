@@ -24,7 +24,7 @@ from .criterion import (
     schedule_conditioning,
 )
 from .errors import InfeasibleError, NotApplicableError, UnsupportedOrderError
-from .system_model import ModeSet, PreparedSystem, Realization, mode_set, prepare, require_minimal
+from .system_model import ModeSet, PreparedSystem, Realization, prepare, require_minimal
 
 # Guard so a careless search spec cannot ask for an astronomically large grid.
 MAX_GRID_CANDIDATES = 2_000_000
@@ -131,7 +131,7 @@ def forbidden_instants_order2(
     n = prepared.realization.n
     if n != 2:
         raise UnsupportedOrderError(f"forbidden-instant analysis is defined for order 2, got {n}")
-    modes = mode_set(prepared.realization, prepared.tolerances.cluster)
+    modes = prepared.modes
     frequency = _oscillatory_frequency(modes)
     period = math.pi / frequency
 
@@ -200,7 +200,7 @@ def validate_uniform(
         raise InfeasibleError("horizon must be at least 1")
     n = prepared.realization.n
     report = joint_verdict(prepared, _uniform_schedule(interval, n))
-    modes = prepared.decomposition.modes
+    modes = prepared.modes
     first_failing = None
     for j in range(1, horizon + 1):
         ratio = schedule_conditioning(modes, _uniform_schedule(j * interval, n))
@@ -300,7 +300,7 @@ def suggest_schedule(system: Realization | PreparedSystem, spec: ScheduleSearchS
     prepared = prepare(system)
     n = prepared.realization.n
     require_minimal(prepared.minimality, n)
-    modes = mode_set(prepared.realization, prepared.tolerances.cluster)
+    modes = prepared.modes
     if spec.count < n:
         raise InfeasibleError(
             f"count {spec.count} is below the system order {n}; "

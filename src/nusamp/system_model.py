@@ -30,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .errors import DimensionError, MinimalityError, UnsupportedOrderError
@@ -236,17 +235,21 @@ def modal_decompose(
     cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
     rank_tol: float = numerics.DEFAULT_RANK_TOL,
     require_minimality: bool = True,
+    modes: ModeSet | None = None,
 ) -> ModalDecomposition:
     """Compute J, B and y0 = B^-1 b for a (normally minimal) realization.
 
     Non-minimal input raises MinimalityError unless ``require_minimality`` is
     switched off for diagnostic use; in that case the decomposition is only
     well defined when the eigenvalues are distinct.  An ill-conditioned basis
-    attaches a warning to the result instead of failing.
+    attaches a warning to the result instead of failing.  ``modes``, when
+    given, is the realization's mode set at ``cluster_tol``, already
+    clustered; otherwise it is computed here.
     """
     if require_minimality:
         require_minimal(check_minimal(realization, rank_tol), realization.n)
-    modes = mode_set(realization, cluster_tol)
+    if modes is None:
+        modes = mode_set(realization, cluster_tol)
     A = realization.A.astype(complex)
     roots = modes.roots
 
@@ -269,13 +272,11 @@ def modal_decompose(
             chains[j] = _jordan_chain(A, lam, m, cluster_tol)
 
     basis = np.column_stack([v for j in range(len(roots)) for v in chains[j]])
-    blocks = []
-    for lam, m in roots:
-        block = np.diag(np.full(m, lam, dtype=complex))
-        if m > 1:
-            block += np.diag(np.ones(m - 1), 1)
-        blocks.append(block)
-    J = scipy.linalg.block_diag(*blocks).astype(complex)
+    # One Jordan block per cluster: the eigenvalue on the diagonal, a unit
+    # superdiagonal inside each block and zero between blocks.
+    params = modes.mode_params()
+    J = np.diag(np.array([lam for lam, _ in params], dtype=complex))
+    J += np.diag([float(power > 0) for _, power in params[1:]], 1)
 
     sigma = np.linalg.svd(basis, compute_uv=False)
     sigma_ratio = float(sigma[-1] / sigma[0]) if sigma[0] > 0.0 else 0.0
@@ -320,11 +321,13 @@ def check_y0_components(
 class PreparedSystem:
     """A realization, the tolerances of its analysis, and the facts it needs.
 
-    The minimality report and the modal decomposition are computed on first
-    use, at most once each, and shared by every analysis the prepared system
-    is passed to.  Reading ``decomposition`` of a non-minimal realization
-    raises MinimalityError naming the failed rank test.  Analyses that need
-    only the mode set never trigger the decomposition.
+    The minimality report, the mode set and the modal decomposition are
+    computed on first use, at most once each, and shared by every analysis
+    the prepared system is passed to; the decomposition is built on the mode
+    set.  Reading ``decomposition`` of a non-minimal realization raises
+    MinimalityError naming the failed rank test.  Analyses that need only the
+    mode set read ``modes``, which checks no minimality and never triggers
+    the decomposition.
     """
 
     realization: Realization
@@ -335,10 +338,17 @@ class PreparedSystem:
         return check_minimal(self.realization, self.tolerances.rank)
 
     @functools.cached_property
+    def modes(self) -> ModeSet:
+        return mode_set(self.realization, self.tolerances.cluster)
+
+    @functools.cached_property
     def decomposition(self) -> ModalDecomposition:
         require_minimal(self.minimality, self.realization.n)
         return modal_decompose(
-            self.realization, self.tolerances.cluster, require_minimality=False
+            self.realization,
+            self.tolerances.cluster,
+            require_minimality=False,
+            modes=self.modes,
         )
 
 

@@ -110,6 +110,26 @@ class TestDocumentParsing:
                 json.dumps({"order": 1, "A": [-1], "b": [1], "c": [1], "extra": 1})
             )
 
+    @pytest.mark.parametrize("key", ["singularity", "cluster", "rank", "residual"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, key, value):
+        text = json.dumps({"order": 1, "A": [-1], "b": [1], "c": [1], "tolerances": {key: value}})
+        with pytest.raises(SystemDocumentError) as caught:
+            parse_system_document(text)
+        assert str(caught.value) == f"field tolerances.{key}: must be a positive number"
+
+    def test_nan_tolerance_in_file_exits_one(self, tmp_path):
+        path = tmp_path / "nan_tol.json"
+        # json writes NaN as a bare token, which json.loads accepts.
+        path.write_text(json.dumps(
+            {"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0],
+             "tolerances": {"singularity": float("nan")}}
+        ))
+        code, out, err = run_cli("analyze", str(path), "--schedule", "0,1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: field tolerances.singularity: must be a positive number\n"
+
 
 class TestAnalyze:
     def test_quarter_turn_exit_zero(self, rotation_file):
@@ -140,6 +160,15 @@ class TestAnalyze:
         code, _, err = run_cli("analyze", str(path), "--schedule", "0,1")
         assert code == EXIT_USAGE
         assert "field b: expected 2 entries, found 3" in err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol", "--rank-tol", "--residual-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_flag_exits_one(self, rotation_file, flag, value):
+        code, out, err = run_cli("analyze", rotation_file, "--schedule", "0,1", f"{flag}={value}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: tolerance ")
+        assert err.count("\n") == 1
 
     def test_analysis_computes_each_fact_once(self, monkeypatch):
         calls = count_calls(monkeypatch, [
@@ -390,6 +419,22 @@ class TestModuleEntryPoints:
         assert done.returncode == EXIT_USAGE
         assert done.stderr.startswith("error:")
         assert "nothing.json" in done.stderr
+
+    def test_cli_imports_no_scipy(self):
+        src = str(Path(nusamp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nusamp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_overflow_prints_one_error_line(self, tmp_path):
         path = tmp_path / "unstable.json"

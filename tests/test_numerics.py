@@ -1,11 +1,17 @@
 """Kernel tests: matrix exponential, clustered eigenvalues, rank, membership."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nusamp import (
+    AnalysisError,
     DimensionError,
     NumericRangeError,
+    ToleranceError,
+    Tolerances,
     eig_clustered,
     expm,
     in_range,
@@ -64,6 +70,72 @@ class TestExpm:
         with pytest.raises(NumericRangeError):
             expm(np.array([[800.0]]), 1.0)
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "upper"])
+    def test_matches_scipy_reference(self, kind):
+        rng = np.random.default_rng({"real": 1, "complex": 2, "upper": 3}[kind])
+        for n in range(1, 14):
+            for target in (0.01, 0.3, 1.0, 4.0, 12.0, 35.0, 70.0):
+                m = rng.normal(size=(n, n))
+                if kind == "complex":
+                    m = m + 1j * rng.normal(size=(n, n))
+                elif kind == "upper":
+                    m = np.triu(m)
+                t = float(rng.choice([-1.0, 1.0])) * target / np.abs(m).sum(axis=0).max()
+                reference = scipy.linalg.expm(m * t)
+                error = np.abs(expm(m, t) - reference).max() / np.abs(reference).max()
+                assert error <= (1e-13 if target <= 1.0 else 1e-10), (n, target, error)
+
+    def test_batch_equals_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 13):
+            for m in (rng.normal(size=(n, n)), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):
+                m = m * rng.uniform(0.1, 4.0)
+                times = np.concatenate(([0.0], rng.uniform(-6.0, 6.0, size=6), [1e-9, 20.0]))
+                batch = expm(m, times)
+                assert batch.shape == (times.size, n, n)
+                for k, t in enumerate(times):
+                    assert np.array_equal(batch[k], expm(m, t)), (n, t)
+
+    def test_zero_time_is_exact_identity(self):
+        for n in (1, 2, 5, 12):
+            m = RNG.normal(size=(n, n))
+            assert np.array_equal(expm(m, 0.0), np.eye(n))
+            assert np.array_equal(expm(m + 1j, [0.0, 0.0]), np.stack([np.eye(n)] * 2))
+
+    def test_diagonal_input_goes_entry_by_entry(self):
+        for diagonal in ([0.3, -1.7, 2.2], [0.5 + 1j, 0.5 - 1j, -2.0 + 0j]):
+            m = np.diag(diagonal)
+            for t in (0.7, -3.1, 11.0):
+                expected = np.diag(np.exp(np.asarray(diagonal) * t))
+                assert np.array_equal(expm(m, t), expected)
+                assert np.array_equal(expm(m, [t])[0], expected)
+
+    def test_scalar_and_batch_shapes(self):
+        m = RNG.normal(size=(3, 3))
+        assert expm(m, 1.0).shape == (3, 3)
+        assert expm(m, np.float64(1.0)).shape == (3, 3)
+        assert expm(m, [0.5, 1.0]).shape == (2, 3, 3)
+        assert expm(m, []).shape == (0, 3, 3)
+        with pytest.raises(DimensionError):
+            expm(m, [[1.0]])
+
+    @pytest.mark.parametrize(
+        "matrix, t",
+        [
+            ([[800.0]], 1.0),
+            ([[0.0, 1e300], [-1e300, 0.0]], 1e10),
+            ([[1.0, 2.0], [3.0, 4.0]], [1.0, 1e308]),
+            ([[1.0, 2.0], [3.0, 4.0]], 900.0),
+            ([[1.0, 2.0], [3.0, 4.0]], np.inf),
+            ([[1.0, 2.0], [3.0, 4.0]], [0.0, np.nan]),
+        ],
+    )
+    def test_out_of_range_raises_without_warnings(self, matrix, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError):
+                expm(np.array(matrix), t)
+
 
 class TestEigClustered:
     def test_diagonal(self):
@@ -107,6 +179,92 @@ class TestEigClustered:
     def test_rejects_complex_input(self):
         with pytest.raises(DimensionError):
             eig_clustered(np.eye(2, dtype=complex))
+
+    def test_matches_pairwise_union_find(self):
+        rng = np.random.default_rng(11)
+        tol = 1e-7
+        for n in range(1, 13):
+            for _ in range(12):
+                matrix = _spectrum_matrix(rng, n, tol)
+                for cluster_tol in (tol, 1e-3):
+                    assert eig_clustered(matrix, cluster_tol) == _reference_clusters(
+                        np.linalg.eigvals(matrix), cluster_tol
+                    ), (n, matrix.diagonal())
+
+    def test_chain_links_transitively(self):
+        # Neighbours 0.8*tol apart link; the ends, 1.6*tol apart, only
+        # through the middle.
+        tol = 1e-7
+        result = eig_clustered(np.diag([1.0, 1.0 + 0.8e-7, 1.0 + 1.6e-7, 3.0]), tol)
+        assert [count for _, count in result] == [3, 1]
+        split = eig_clustered(np.diag([1.0, 1.0 + 1.6e-7, 3.0]), tol)
+        assert [count for _, count in split] == [1, 1, 1]
+
+
+def _reference_clusters(values, cluster_tol):
+    """The pairwise union-find clustering eig_clustered replaced."""
+    n = values.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = abs(values[i] - values[j])
+            scale = max(1.0, abs(values[i]), abs(values[j]))
+            if gap <= cluster_tol * scale:
+                parent[find(i)] = find(j)
+
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    clusters = []
+    for members in groups.values():
+        clusters.append((complex(np.mean(values[members])), len(members), min(members)))
+    clusters.sort(key=lambda c: (c[0].real, c[0].imag, c[2]))
+    return [(value, count) for value, count, _ in clusters]
+
+
+def _spectrum_matrix(rng, n, tol):
+    """Real block-diagonal matrix whose spectrum mixes exact repeats,
+    conjugate pairs, chains that link only transitively, and gaps just
+    inside and just outside ``tol`` (relative to max(1, |l|)).  The blocks
+    are shuffled so linked eigenvalues need not be adjacent."""
+    blocks = []
+    size = 0
+    while size < n:
+        room = n - size
+        kind = rng.integers(5)
+        base = float(rng.uniform(-3.0, 3.0))
+        scale = max(1.0, abs(base))
+        if kind == 1 and room >= 2:
+            im = float(rng.uniform(0.2, 2.0))
+            blocks.append(np.array([[base, -im], [im, base]]))
+        elif kind == 2 and room >= 2:
+            repeats = int(rng.integers(2, min(room, 4) + 1))
+            blocks.extend([np.array([[base]])] * repeats)
+        elif kind == 3 and room >= 3:
+            step = 0.7 * tol * scale
+            length = int(rng.integers(3, min(room, 6) + 1))
+            blocks.extend(np.array([[base + k * step]]) for k in range(length))
+        elif kind == 4 and room >= 2:
+            factor = float(rng.choice([0.9, 1.1]))
+            blocks.extend([np.array([[base]]), np.array([[base + factor * tol * scale]])])
+        else:
+            blocks.append(np.array([[base]]))
+        size = sum(len(b) for b in blocks)
+    order = rng.permutation(len(blocks))
+    matrix = np.zeros((size, size))
+    offset = 0
+    for k in order:
+        block = blocks[k]
+        matrix[offset : offset + len(block), offset : offset + len(block)] = block
+        offset += len(block)
+    return matrix
 
 
 class TestNumericRank:
@@ -163,3 +321,15 @@ class TestInRange:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             in_range(np.eye(2), [1.0, 2.0, 3.0])
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("field", ["singularity", "cluster", "rank", "residual"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(ToleranceError, match=field) as caught:
+            Tolerances(**{field: value})
+        assert isinstance(caught.value, AnalysisError)
+
+    def test_accepts_positive_numbers(self):
+        assert Tolerances(singularity=1e-3, cluster=np.float64(1e-5), rank=1, residual=0.5).rank == 1

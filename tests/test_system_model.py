@@ -243,6 +243,15 @@ class TestPreparedSystem:
         validate_uniform(prepared, 0.5)
         assert calls == {"check_minimal": 1, "modal_decompose": 1, "eig_clustered": 1}
 
+    def test_search_reuses_the_clustered_modes(self, rotation_system, monkeypatch):
+        calls = count_calls(monkeypatch, [(numerics, "eig_clustered")])
+        prepared = PreparedSystem(rotation_system)
+        joint_verdict(prepared, SamplingSchedule((0.0, 1.0)))
+        suggest_schedule(prepared, ScheduleSearchSpec((0.0, 2.0), 2, 0.2))
+        forbidden_instants_order2(prepared, 0.0, (0.0, 4.0))
+        assert calls == {"eig_clustered": 1}
+        assert prepared.decomposition.modes is prepared.modes
+
     def test_decomposition_raises_the_minimality_message(self):
         system = Realization(np.diag([0.0, -1.0]), [1.0, 0.0], [1.0, 1.0])
         prepared = PreparedSystem(system)
