@@ -9,9 +9,9 @@ A system document is a JSON object with the fields
     x0          optional list of n reals
     tolerances  optional record: singularity, cluster, rank, residual
 
-Exit codes: 0 analysis positive (jointly reachable/observable, schedule
-valid, ...), 1 usage or parse error, 2 analysis negative or not applicable,
-3 non-minimal input system.
+Stderr: a ``warning:`` line comes after every input has validated and before the analysis.
+Exit codes, from one table: 0 positive, 1 usage, parse or tolerance error,
+2 negative or not applicable, 3 non-minimal input system.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import (
     NotApplicableError,
     SingularScheduleError,
     SystemDocumentError,
+    ToleranceError,
 )
 from .experiments import (
     classify_case,
@@ -129,25 +130,20 @@ def parse_system_document(text: str) -> SystemDocument:
         record = raw["tolerances"]
         if not isinstance(record, dict):
             raise SystemDocumentError("field tolerances: expected an object")
-        values = {}
-        for key in ("singularity", "cluster", "rank", "residual"):
+        names = [field.name for field in fields(Tolerances)]
+        for key in names:
             if key in record:
-                item = record[key]
-                if (
-                    isinstance(item, bool)
-                    or not isinstance(item, (int, float))
-                    or not (np.isfinite(item) and item > 0)
-                ):
+                try:
+                    tolerances = replace(tolerances, **{key: record[key]})
+                except ToleranceError as exc:
                     raise SystemDocumentError(
                         f"field tolerances.{key}: must be a positive number"
-                    )
-                values[key] = float(item)
-        unknown = set(record) - {"singularity", "cluster", "rank", "residual"}
+                    ) from exc
+        unknown = set(record) - set(names)
         if unknown:
             raise SystemDocumentError(
                 f"field tolerances.{sorted(unknown)[0]}: unknown field"
             )
-        tolerances = Tolerances(**values)
 
     return SystemDocument(
         order=order,
@@ -172,12 +168,7 @@ def document_to_json(document: SystemDocument) -> str:
         payload["schedule"] = list(document.schedule)
     if document.x0 is not None:
         payload["x0"] = list(document.x0)
-    payload["tolerances"] = {
-        "singularity": document.tolerances.singularity,
-        "cluster": document.tolerances.cluster,
-        "rank": document.tolerances.rank,
-        "residual": document.tolerances.residual,
-    }
+    payload["tolerances"] = asdict(document.tolerances)
     return json.dumps(payload, indent=2)
 
 
@@ -227,12 +218,7 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
     result = {
         "system": {"order": realization.n},
         "schedule": list(schedule.instants),
-        "tolerances": {
-            "singularity": tolerances.singularity,
-            "cluster": tolerances.cluster,
-            "rank": tolerances.rank,
-            "residual": tolerances.residual,
-        },
+        "tolerances": asdict(tolerances),
         "minimality": {
             "controllable_ct": minimality.controllable_ct,
             "observable_ct": minimality.observable_ct,
@@ -295,16 +281,9 @@ def render_text(result: dict) -> str:
     """Human-readable form of an analysis dict (6 significant digits)."""
     lines = [f"order {result['system']['order']} system"]
     lines.append("schedule: " + ", ".join(_fmt(t) for t in result["schedule"]))
-    tol = result["tolerances"]
     lines.append(
-        "tolerances: singularity "
-        + _fmt(tol["singularity"])
-        + ", cluster "
-        + _fmt(tol["cluster"])
-        + ", rank "
-        + _fmt(tol["rank"])
-        + ", residual "
-        + _fmt(tol["residual"])
+        "tolerances: "
+        + ", ".join(f"{name} {_fmt(value)}" for name, value in result["tolerances"].items())
     )
     minimality = result["minimality"]
     lines.append(
@@ -364,13 +343,9 @@ def _emit(result: dict, fmt: str, stream, render) -> None:
 
 
 def _tolerances_from_args(document: SystemDocument, args) -> Tolerances:
-    base = document.tolerances
-    return Tolerances(
-        singularity=args.tol if args.tol is not None else base.singularity,
-        cluster=args.cluster_tol if args.cluster_tol is not None else base.cluster,
-        rank=args.rank_tol if args.rank_tol is not None else base.rank,
-        residual=args.residual_tol if args.residual_tol is not None else base.residual,
-    )
+    """The document's tolerances with every tolerance flag that was set."""
+    flags = {field.name: getattr(args, field.name) for field in fields(Tolerances)}
+    return replace(document.tolerances, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_floats(text: str, label: str) -> tuple:
@@ -380,27 +355,54 @@ def _parse_floats(text: str, label: str) -> tuple:
         raise SystemDocumentError(f"{label}: {exc}") from exc
 
 
-def _resolve_schedule(document: SystemDocument, args, warnings: list) -> SamplingSchedule:
-    flag = getattr(args, "schedule", None)
-    if flag is not None:
-        instants = _parse_floats(flag, "--schedule")
-        if document.schedule is not None:
-            warnings.append("schedule: command-line value overrides the one in the file")
-        return SamplingSchedule(instants)
-    if document.schedule is not None:
-        return SamplingSchedule(document.schedule)
-    raise SystemDocumentError(
-        "no schedule: provide --schedule or a schedule field in the file"
-    )
+def _window(args) -> tuple:
+    window = _parse_floats(args.window, "--window")
+    if len(window) != 2:
+        raise SystemDocumentError("--window: expected 'lo,hi'")
+    return window
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _schedule(document: SystemDocument, args, err) -> tuple:
+    """The run's schedule, from --schedule or else the file, and its warnings.
+
+    A command-line schedule that replaces the file's writes its warning
+    here, so call this after every other input of the run has validated.
+    """
+    if args.schedule is None:
+        if document.schedule is None:
+            raise SystemDocumentError(
+                "no schedule: provide --schedule or a schedule field in the file"
+            )
+        return SamplingSchedule(document.schedule), []
+    schedule = SamplingSchedule(_parse_floats(args.schedule, "--schedule"))
+    if document.schedule is None:
+        return schedule, []
+    warning = "schedule: command-line value overrides the one in the file"
+    err.write(f"warning: {warning}\n")
+    return schedule, [warning]
+
+
+def _subcommand(sub, name: str, run, summary: str) -> argparse.ArgumentParser:
+    """Add a subcommand with the arguments every subcommand takes.
+
+    ``run(args, document, system, err)`` parses the subcommand's own flags,
+    then resolves the schedule if it needs one, and returns
+    ``(result, render, exit_code)``.
+    """
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(run=run)
     parser.add_argument("system", help="system-definition JSON file")
-    parser.add_argument("--tol", type=float, default=None, help="singularity tolerance")
-    parser.add_argument("--cluster-tol", type=float, default=None, help="eigenvalue clustering tolerance")
-    parser.add_argument("--rank-tol", type=float, default=None, help="rank-test tolerance")
-    parser.add_argument("--residual-tol", type=float, default=None, help="range-membership tolerance")
+    # Each flag's dest is the Tolerances field it sets.
+    parser.add_argument("--tol", dest="singularity", metavar="TOL", type=float,
+                        help="singularity tolerance")
+    parser.add_argument("--cluster-tol", dest="cluster", metavar="CLUSTER_TOL", type=float,
+                        help="eigenvalue clustering tolerance")
+    parser.add_argument("--rank-tol", dest="rank", metavar="RANK_TOL", type=float,
+                        help="rank-test tolerance")
+    parser.add_argument("--residual-tol", dest="residual", metavar="RESIDUAL_TOL", type=float,
+                        help="range-membership tolerance")
     parser.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -410,54 +412,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="joint criterion with oracle cross-check")
-    _add_common(p)
+    p = _subcommand(sub, "analyze", _cmd_analyze, "joint criterion with oracle cross-check")
     p.add_argument("--schedule", help="comma-separated instants (overrides the file)")
 
-    p = sub.add_parser("forbidden", help="forbidden second instants of an order-2 oscillatory system")
-    _add_common(p)
+    p = _subcommand(sub, "forbidden", _cmd_forbidden,
+                    "forbidden second instants of an order-2 oscillatory system")
     p.add_argument("--t0", type=float, default=0.0, help="first sampling instant")
     p.add_argument("--window", required=True, help="query window as 'lo,hi'")
 
-    p = sub.add_parser("suggest", help="search a window for a well-conditioned schedule")
-    _add_common(p)
+    p = _subcommand(sub, "suggest", _cmd_suggest, "search a window for a well-conditioned schedule")
     p.add_argument("--window", required=True, help="search window as 'lo,hi'")
     p.add_argument("--count", type=int, required=True, help="number of instants")
     p.add_argument("--min-spacing", type=float, required=True, help="minimum spacing")
 
-    p = sub.add_parser("deadbeat", help="n-step input sequence reaching a target state")
-    _add_common(p)
+    p = _subcommand(sub, "deadbeat", _cmd_deadbeat, "n-step input sequence reaching a target state")
     p.add_argument("--schedule", help="comma-separated input instants")
     p.add_argument("--x0", required=True, help="initial state, comma-separated")
     p.add_argument("--target", required=True, help="target state, comma-separated")
     p.add_argument("--final-time", type=float, default=None, help="evaluation instant after the inputs")
 
-    p = sub.add_parser("reconstruct", help="recover the initial state from free-response outputs")
-    _add_common(p)
+    p = _subcommand(sub, "reconstruct", _cmd_reconstruct,
+                    "recover the initial state from free-response outputs")
     p.add_argument("--schedule", help="comma-separated output instants")
     p.add_argument("--outputs", required=True, help="measured outputs, comma-separated")
 
-    p = sub.add_parser("uniform", help="validate a uniform sampling interval")
-    _add_common(p)
+    p = _subcommand(sub, "uniform", _cmd_uniform, "validate a uniform sampling interval")
     p.add_argument("--interval", type=float, required=True, help="sampling interval T")
     p.add_argument("--horizon", type=int, default=10, help="largest multiple of T to scan")
 
     return parser
 
 
-def _cmd_analyze(args, out, err) -> int:
-    document = load_system_document(args.system)
-    warnings: list = []
-    schedule = _resolve_schedule(document, args, warnings)
-    tolerances = _tolerances_from_args(document, args)
-    result = build_analysis(document, schedule, tolerances)
+def _cmd_analyze(args, document, system, err):
+    schedule, warnings = _schedule(document, args, err)
+    result = build_analysis(document, schedule, system.tolerances)
     result["warnings"] = warnings + result["warnings"]
-    for warning in warnings:
-        err.write(f"warning: {warning}\n")
-    _emit(result, args.format, out, render_text)
     if not result["minimality"]["minimal"]:
-        return EXIT_NOT_MINIMAL
-    return EXIT_OK if result["criterion"]["reachable"] else EXIT_NEGATIVE
+        return result, render_text, EXIT_NOT_MINIMAL
+    return result, render_text, EXIT_OK if result["criterion"]["reachable"] else EXIT_NEGATIVE
 
 
 def _forbidden_text(result: dict) -> str:
@@ -469,27 +461,10 @@ def _forbidden_text(result: dict) -> str:
     )
 
 
-def _cmd_forbidden(args, out, err) -> int:
-    document = load_system_document(args.system)
-    tolerances = _tolerances_from_args(document, args)
-    window = _parse_floats(args.window, "--window")
-    if len(window) != 2:
-        raise SystemDocumentError("--window: expected 'lo,hi'")
-    system = PreparedSystem(document.realization(), tolerances)
-    try:
-        forbidden = forbidden_instants_order2(system, args.t0, window)
-    except NotApplicableError as exc:
-        err.write(f"{exc}\n")
-        return EXIT_NEGATIVE
-    result = {
-        "base_instant": forbidden.base_instant,
-        "period": forbidden.period,
-        "forbidden": list(forbidden.forbidden),
-        "guard_band": forbidden.guard_band,
-        "window": list(window),
-    }
-    _emit(result, args.format, out, _forbidden_text)
-    return EXIT_OK
+def _cmd_forbidden(args, document, system, err):
+    window = _window(args)
+    forbidden = forbidden_instants_order2(system, args.t0, window)
+    return {**asdict(forbidden), "window": list(window)}, _forbidden_text, EXIT_OK
 
 
 def _suggest_text(result: dict) -> str:
@@ -499,19 +474,17 @@ def _suggest_text(result: dict) -> str:
     )
 
 
-def _cmd_suggest(args, out, err) -> int:
-    document = load_system_document(args.system)
-    tolerances = _tolerances_from_args(document, args)
-    window = _parse_floats(args.window, "--window")
-    if len(window) != 2:
-        raise SystemDocumentError("--window: expected 'lo,hi'")
-    spec = ScheduleSearchSpec(window=window, count=args.count, min_spacing=args.min_spacing)
-    schedule, objective = suggest_schedule(
-        PreparedSystem(document.realization(), tolerances), spec
-    )
+def _cmd_suggest(args, document, system, err):
+    spec = ScheduleSearchSpec(window=_window(args), count=args.count, min_spacing=args.min_spacing)
+    schedule, objective = suggest_schedule(system, spec)
     result = {"schedule": list(schedule.instants), "sigma_ratio": objective}
-    _emit(result, args.format, out, _suggest_text)
-    return EXIT_OK
+    return result, _suggest_text, EXIT_OK
+
+
+def _relative_residual(actual, expected) -> float:
+    """Re-simulation residual: |actual - expected| / max(1, |expected|)."""
+    expected = np.asarray(expected)
+    return float(np.linalg.norm(actual - expected) / max(1.0, float(np.linalg.norm(expected))))
 
 
 def _deadbeat_text(result: dict) -> str:
@@ -522,32 +495,21 @@ def _deadbeat_text(result: dict) -> str:
     )
 
 
-def _cmd_deadbeat(args, out, err) -> int:
-    document = load_system_document(args.system)
-    warnings: list = []
-    schedule = _resolve_schedule(document, args, warnings)
-    for warning in warnings:
-        err.write(f"warning: {warning}\n")
-    tolerances = _tolerances_from_args(document, args)
-    system = PreparedSystem(document.realization(), tolerances)
+def _cmd_deadbeat(args, document, system, err):
     x0 = _parse_floats(args.x0, "--x0")
     target = _parse_floats(args.target, "--target")
+    schedule, _ = _schedule(document, args, err)
     t_final = args.final_time if args.final_time is not None else default_final_time(schedule)
     inputs = deadbeat_inputs(system, schedule, x0, target, t_final=t_final)
     check = simulate_impulse(
         system.realization, SamplingSchedule(schedule.instants + (t_final,)), inputs, x0
     )
-    residual = float(
-        np.linalg.norm(check.states[-1] - np.asarray(target))
-        / max(1.0, float(np.linalg.norm(target)))
-    )
     result = {
         "inputs": [float(u) for u in inputs],
         "final_time": t_final,
-        "resimulation_residual": residual,
+        "resimulation_residual": _relative_residual(check.states[-1], target),
     }
-    _emit(result, args.format, out, _deadbeat_text)
-    return EXIT_OK
+    return result, _deadbeat_text, EXIT_OK
 
 
 def _reconstruct_text(result: dict) -> str:
@@ -557,28 +519,17 @@ def _reconstruct_text(result: dict) -> str:
     )
 
 
-def _cmd_reconstruct(args, out, err) -> int:
-    document = load_system_document(args.system)
-    warnings: list = []
-    schedule = _resolve_schedule(document, args, warnings)
-    for warning in warnings:
-        err.write(f"warning: {warning}\n")
-    tolerances = _tolerances_from_args(document, args)
-    system = PreparedSystem(document.realization(), tolerances)
-    realization = system.realization
+def _cmd_reconstruct(args, document, system, err):
     outputs = _parse_floats(args.outputs, "--outputs")
+    schedule, _ = _schedule(document, args, err)
     x0 = reconstruct_state(system, schedule, outputs)
+    realization = system.realization
     resim = realization.c @ numerics.expm(realization.A, schedule.instants) @ x0
-    residual = float(
-        np.linalg.norm(resim - np.asarray(outputs))
-        / max(1.0, float(np.linalg.norm(outputs)))
-    )
     result = {
         "x0": [float(v) for v in x0],
-        "resimulation_residual": residual,
+        "resimulation_residual": _relative_residual(resim, outputs),
     }
-    _emit(result, args.format, out, _reconstruct_text)
-    return EXIT_OK
+    return result, _reconstruct_text, EXIT_OK
 
 
 def _uniform_text(result: dict) -> str:
@@ -595,12 +546,8 @@ def _uniform_text(result: dict) -> str:
     return text
 
 
-def _cmd_uniform(args, out, err) -> int:
-    document = load_system_document(args.system)
-    tolerances = _tolerances_from_args(document, args)
-    validation = validate_uniform(
-        PreparedSystem(document.realization(), tolerances), args.interval, args.horizon
-    )
+def _cmd_uniform(args, document, system, err):
+    validation = validate_uniform(system, args.interval, args.horizon)
     result = {
         "interval": validation.interval,
         "passes": validation.passes,
@@ -608,43 +555,44 @@ def _cmd_uniform(args, out, err) -> int:
         "first_failing_multiple": validation.first_failing_multiple,
         "first_failing_interval": validation.first_failing_interval,
     }
-    _emit(result, args.format, out, _uniform_text)
-    return EXIT_OK if validation.passes else EXIT_NEGATIVE
+    return result, _uniform_text, EXIT_OK if validation.passes else EXIT_NEGATIVE
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "forbidden": _cmd_forbidden,
-    "suggest": _cmd_suggest,
-    "deadbeat": _cmd_deadbeat,
-    "reconstruct": _cmd_reconstruct,
-    "uniform": _cmd_uniform,
-}
+# The exit code of each error that ends a run; the first matching row wins.
+_EXIT_CODES = (
+    (MinimalityError, EXIT_NOT_MINIMAL),
+    (SingularScheduleError, EXIT_NEGATIVE),
+    (NotApplicableError, EXIT_NEGATIVE),
+    (AnalysisError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+)
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def main(argv=None, out=None, err=None) -> int:
     """Entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args, out, err)
-    except SystemDocumentError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except MinimalityError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_NOT_MINIMAL
-    except SingularScheduleError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_NEGATIVE
+        document = load_system_document(args.system)
+        system = PreparedSystem(document.realization(), _tolerances_from_args(document, args))
+        result, render, code = args.run(args, document, system, err)
+    except NotApplicableError as exc:
+        # A result that does not apply is an answer, not a failure: no prefix.
+        err.write(f"{exc}\n")
+        return _exit_code(exc)
     except (AnalysisError, ValueError) as exc:
         err.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return _exit_code(exc)
+    _emit(result, args.format, out, render)
+    return code
 
 
 def console_entry() -> None:  # pragma: no cover - thin wrapper

@@ -199,10 +199,8 @@ def _mode_space_vectors(decomposition: ModalDecomposition, alphas) -> np.ndarray
     return numerics.expm(decomposition.J, alphas) @ decomposition.y0
 
 
-def _mode_space_membership(
-    decomposition: ModalDecomposition, alphas: ShiftedIntervals, residual_tol: float
-) -> numerics.RangeCheck:
-    vectors = _mode_space_vectors(decomposition, (*alphas.alpha, alphas.alpha_n))
+def _mode_space_membership(vectors: np.ndarray, residual_tol: float) -> numerics.RangeCheck:
+    """Whether the last mode-space row lies in the span of the others."""
     return numerics.in_range(vectors[:-1].T, vectors[-1], residual_tol)
 
 
@@ -224,22 +222,29 @@ def joint_verdict(
     decomposition = prepared.decomposition
     tol = prepared.tolerances.singularity
     modes = decomposition.modes
-    alphas = shifted_intervals(schedule, prepared.realization.n)
+    n = prepared.realization.n
+    alphas = shifted_intervals(schedule, n)
 
     phi = mode_matrix(modes, alphas)
     sigma_ratio = numerics.column_normalized_sigma_ratio(phi)
     verdict = sigma_ratio > tol
 
+    # One batched exponential gives full_det (first n rows) and the membership
+    # row at alpha_n; full_det stays independent of mode_det, so the
+    # factorization identity keeps its strength.
+    intervals = alphas.alpha if alphas.alpha_n is None else (*alphas.alpha, alphas.alpha_n)
+    vectors = _mode_space_vectors(decomposition, intervals)
+
     mode_det = complex(np.linalg.det(phi))
     n1 = factor_n1(modes)
     n2 = factor_n2(decomposition)
-    full_det = full_determinant(decomposition, alphas)
+    full_det = complex(np.linalg.det(vectors[:n].T))
     factorization_residual = abs(full_det - n1 * n2 * mode_det)
 
     controllable = constructible = None
     membership_residual = None
     if alphas.alpha_n is not None:
-        membership = _mode_space_membership(decomposition, alphas, tol)
+        membership = _mode_space_membership(vectors, tol)
         controllable = constructible = membership.contained
         membership_residual = membership.residual
 
@@ -278,5 +283,6 @@ def controllability_verdict(
         )
     decomposition = prepared.decomposition
     alphas = shifted_intervals(schedule, n)
-    membership = _mode_space_membership(decomposition, alphas, prepared.tolerances.residual)
+    vectors = _mode_space_vectors(decomposition, (*alphas.alpha, alphas.alpha_n))
+    membership = _mode_space_membership(vectors, prepared.tolerances.residual)
     return ControllabilityVerdict(membership.contained, membership.contained, membership.residual)

@@ -178,8 +178,10 @@ def deadbeat_inputs(
     The schedule carries the n input instants; ``t_final`` is the evaluation
     instant after them (default: ``default_final_time(schedule)``).  A
     schedule failing the joint criterion raises SingularScheduleError with
-    the report attached; non-finite states raise DimensionError.  A plain
-    realization is analysed with the default tolerances.
+    the report attached; non-finite states raise DimensionError, and a
+    ``t_final`` that is not finite or not beyond the last input instant
+    raises ValueError.  A plain realization is analysed with the default
+    tolerances.
     """
     prepared = prepare(system)
     realization = prepared.realization
@@ -198,6 +200,8 @@ def deadbeat_inputs(
         )
     if t_final is None:
         t_final = default_final_time(schedule)
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final <= t[-1]:
         raise ValueError("t_final must lie beyond the last input instant")
 

@@ -33,7 +33,8 @@ class Tolerances:
     merges eigenvalues into multiplicity clusters; ``rank`` decides the
     continuous-time Kalman rank tests; ``residual`` is the tolerance of the
     range-membership tests of the controllability verdict and the
-    x0-specific oracle.
+    x0-specific oracle.  Each must be a positive finite real (ToleranceError
+    naming the field otherwise) and is stored as a float.
     """
 
     singularity: float = DEFAULT_RANK_TOL
@@ -52,6 +53,7 @@ class Tolerances:
                 raise ToleranceError(
                     f"tolerance {field.name} must be a positive finite number, got {value!r}"
                 )
+            object.__setattr__(self, field.name, float(value))
 
 
 # Entry magnitudes beyond this are treated as overflow even when still finite.

@@ -54,6 +54,15 @@ def scalar_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def scheduled_rotation_file(tmp_path):
+    path = tmp_path / "scheduled.json"
+    path.write_text(json.dumps(
+        {"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0], "schedule": [0.0, 1.0, 2.5]}
+    ))
+    return str(path)
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out=out, err=err)
@@ -117,6 +126,12 @@ class TestDocumentParsing:
         with pytest.raises(SystemDocumentError) as caught:
             parse_system_document(text)
         assert str(caught.value) == f"field tolerances.{key}: must be a positive number"
+
+    def test_integer_tolerance_is_stored_as_float(self):
+        text = json.dumps({"order": 1, "A": [-1], "b": [1], "c": [1], "tolerances": {"rank": 1}})
+        document = parse_system_document(text)
+        assert type(document.tolerances.rank) is float
+        assert '"rank": 1.0' in document_to_json(document)
 
     def test_nan_tolerance_in_file_exits_one(self, tmp_path):
         path = tmp_path / "nan_tol.json"
@@ -378,6 +393,15 @@ class TestDeadbeatAndReconstruct:
         assert payload["x0"] == pytest.approx([2.0, -1.0])
         assert payload["resimulation_residual"] < 1e-10
 
+    def test_deadbeat_non_finite_final_time(self, rotation_file):
+        code, out, err = run_cli(
+            "deadbeat", rotation_file, "--schedule", "0,1", "--x0", "1,0", "--target", "0,1",
+            "--final-time", "nan",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: t_final must be finite, got nan\n"
+
     def test_reconstruct_rejects_non_finite_outputs(self, rotation_file):
         code, out, err = run_cli(
             "reconstruct", rotation_file, "--schedule", "0,1", "--outputs", "nan,1"
@@ -385,6 +409,44 @@ class TestDeadbeatAndReconstruct:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: outputs must be finite\n"
+
+
+class TestWarningOrder:
+    """A warning line comes only after every input has validated, and before
+    the analysis runs."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("deadbeat", ["--x0", "1,0", "--target", "0,1"]),
+        ("reconstruct", ["--outputs", "1,0"]),
+    ])
+    def test_bad_tolerance_flag_writes_only_the_error(self, scheduled_rotation_file, command, flags):
+        code, out, err = run_cli(
+            command, scheduled_rotation_file, "--schedule", "0,1.2", "--tol", "nan", *flags
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: tolerance singularity must be a positive finite number, got nan\n"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("deadbeat", ["--x0", "1,x", "--target", "0,1"]),
+        ("deadbeat", ["--x0", "1,0", "--target", "x"]),
+        ("reconstruct", ["--outputs", "1,x"]),
+    ])
+    def test_bad_own_flag_writes_only_the_error(self, scheduled_rotation_file, command, flags):
+        code, out, err = run_cli(command, scheduled_rotation_file, "--schedule", "0,1.2", *flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --")
+        assert err.count("\n") == 1
+
+    def test_analysis_error_follows_the_warning(self, scheduled_rotation_file):
+        code, out, err = run_cli("analyze", scheduled_rotation_file, "--schedule", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == [
+            "warning: schedule: command-line value overrides the one in the file",
+            "error: schedule has 1 instants but the order-2 test needs at least 2",
+        ]
 
 
 class TestUniform:

@@ -1,14 +1,17 @@
 """Golden corpus: every subcommand's output on a fixed set of system documents.
 
-``tests/corpus/*.json`` holds eleven system documents: order 1, the rotation
+``tests/corpus/*.json`` holds thirteen system documents: order 1, the rotation
 and its damped form, a diagonal order 3, a defective order 3 in modal form,
 orders 4 and 8, a non-minimal system, one with a ``tolerances`` record, a
-nearly uncontrollable one and a nearly defective one.  ``tests/corpus/runs.json``
-lists the command lines run on them, each with the exit code, stdout and
-stderr the CLI produced.  Together the runs cover every subcommand in both
-formats and each of ``--tol``, ``--cluster-tol``, ``--rank-tol`` and
-``--residual-tol`` on a case where it changes the output, so refactors are
-held to the same output and the same tolerance routing.
+nearly uncontrollable one, a nearly defective one, the rotation without a
+schedule, and one whose ``tolerances`` record has an unknown key.
+``tests/corpus/runs.json`` lists the command lines run on them, each with the
+exit code, stdout and stderr the CLI produced.  Together the runs cover every
+subcommand in both formats, each of ``--tol``, ``--cluster-tol``,
+``--rank-tol`` and ``--residual-tol`` on a case where it changes the output,
+and the input errors of the CLI (a malformed window, a missing schedule, a
+rejected tolerance), so refactors are held to the same output and the same
+tolerance routing.
 
 Exit codes, keys, booleans, integers and strings must match exactly; floats
 match to a relative 1e-9 with an absolute floor of 1e-12, so a BLAS that

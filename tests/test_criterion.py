@@ -168,6 +168,24 @@ class TestFullDeterminant:
 
 
 class TestJointVerdict:
+    def test_mode_space_rows_exponentiated_once(self, monkeypatch):
+        # One batched expm gives both full_det and the membership row at
+        # alpha_n; full_det stays bit-equal to the public full_determinant.
+        from nusamp import numerics
+        from conftest import count_calls
+
+        for _ in range(20):
+            n = int(RNG.integers(1, 5))
+            prepared = PreparedSystem(random_minimal_system(RNG, n, allow_defective=True))
+            decomposition = prepared.decomposition
+            schedule = random_schedule(RNG, n + 1)
+            with monkeypatch.context() as patch:
+                calls = count_calls(patch, [(numerics, "expm")])
+                report = joint_verdict(prepared, schedule)
+            assert calls == {"expm": 1}
+            assert report.controllable is not None
+            assert report.full_det == full_determinant(decomposition, report.alphas)
+
     def test_rotation_quarter_turn(self, rotation_system):
         report = joint_verdict(rotation_system, SamplingSchedule((0.0, np.pi / 2)))
         assert report.reachable and report.observable

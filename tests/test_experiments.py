@@ -119,6 +119,12 @@ class TestDeadbeat:
         with pytest.raises(DimensionError, match="x_target must be finite"):
             deadbeat_inputs(rotation_system, schedule, [1.0, 0.0], [0.0, np.inf])
 
+    @pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf])
+    def test_non_finite_final_time_rejected(self, rotation_system, t_final):
+        schedule = SamplingSchedule((0.0, 1.0))
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            deadbeat_inputs(rotation_system, schedule, [1.0, 0.0], [0.0, 1.0], t_final)
+
     def test_random_closure(self):
         for _ in range(60):
             n = int(RNG.integers(1, 5))
