@@ -79,7 +79,10 @@ def _field_floats(raw, name: str, expected: int) -> list:
     for k, item in enumerate(raw):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise SystemDocumentError(f"field {name}: entry {k} is not a number")
-        values.append(float(item))
+        try:
+            values.append(float(item))
+        except OverflowError:  # an integer beyond the float range
+            values.append(np.inf)
     if not all(np.isfinite(values)):
         raise SystemDocumentError(f"field {name}: entries must be finite")
     return values
@@ -255,9 +258,7 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
         )
 
     if document.x0 is not None and len(schedule) >= realization.n + 1:
-        result["oracle"]["controllable_x0"] = controllable_direct(
-            realization, schedule, document.x0, tolerances.residual
-        )
+        result["oracle"]["controllable_x0"] = controllable_direct(prepared, schedule, document.x0)
 
     if realization.n == 2 and len(schedule) >= 3:
         case = classify_case(prepared, schedule)

@@ -164,13 +164,9 @@ def factor_n2(decomposition: ModalDecomposition) -> complex:
     value = complex(1.0)
     offset = 0
     for _, m in decomposition.modes.roots:
-        block = y0[offset : offset + m]
-        anti = np.zeros((m, m), dtype=complex)
-        for p in range(m):
-            for q in range(m - p):
-                anti[p, q] = block[p + q]
-        value *= complex(np.linalg.det(anti)) if m > 1 else complex(block[0])
         offset += m
+        y_last = complex(y0[offset - 1])
+        value *= (-1) ** (m * (m - 1) // 2) * y_last**m
     return value
 
 

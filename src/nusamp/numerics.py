@@ -32,9 +32,10 @@ class Tolerances:
     taxonomy, and the rank tolerance of the direct oracle); ``cluster``
     merges eigenvalues into multiplicity clusters; ``rank`` decides the
     continuous-time Kalman rank tests; ``residual`` is the tolerance of the
-    range-membership tests of the controllability verdict and the
-    x0-specific oracle.  Each must be a positive finite real (ToleranceError
-    naming the field otherwise) and is stored as a float.
+    range-membership tests of the controllability verdict and of
+    ``controllable_direct``.  Analyses read each field from the bundle of
+    the prepared system they are given.  Each must be a positive finite real
+    (ToleranceError naming the field otherwise) and is stored as a float.
     """
 
     singularity: float = DEFAULT_RANK_TOL
@@ -45,15 +46,17 @@ class Tolerances:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not (math.isfinite(value) and value > 0.0)
-            ):
+            number = math.nan
+            if isinstance(value, numbers.Real) and not isinstance(value, bool):
+                try:
+                    number = float(value)
+                except OverflowError:  # an integer beyond the float range
+                    number = math.inf
+            if not (math.isfinite(number) and number > 0.0):
                 raise ToleranceError(
                     f"tolerance {field.name} must be a positive finite number, got {value!r}"
                 )
-            object.__setattr__(self, field.name, float(value))
+            object.__setattr__(self, field.name, number)
 
 
 # Entry magnitudes beyond this are treated as overflow even when still finite.

@@ -1,9 +1,14 @@
-"""Direct rank tests on the sampled input matrix.
+"""Direct rank tests on the sampled input and output matrices.
 
 This path stays in the original state basis end to end: matrix exponentials
 of A itself, rank by SVD, no modal decomposition anywhere.  Agreement with
 the mode-matrix criterion is therefore a genuine two-route check, and
 ``cross_validate`` computes that agreement instead of assuming it.
+
+Each check exponentiates A once over a stack of times, for the sampled input
+columns ``exp(A s_i) b``, the sampled output rows ``c exp(A s_i)`` and the
+x0 target ``exp(A t_n) x0``.  ``cross_validate`` and ``controllable_direct``
+take a ``Realization`` or a ``PreparedSystem`` and read its tolerances.
 """
 
 from __future__ import annotations
@@ -49,6 +54,29 @@ class OracleReport:
         return self.criterion.sigma_ratio
 
 
+def _exponentials(realization: Realization, schedule: SamplingSchedule, final: bool = False):
+    """The stack exp(A (t_ref - t[n-1-i])), i < n, and the reference t_ref.
+
+    With ``final`` the schedule needs n+1 instants and slice n of the stack
+    is exp(A t[n]).
+    """
+    n = realization.n
+    t = schedule.instants
+    if final and len(t) < n + 1:
+        raise InsufficientScheduleError(
+            f"controllability test needs {n + 1} instants, got {len(t)}"
+        )
+    if len(t) < n:
+        raise InsufficientScheduleError(
+            f"reachability matrix needs at least {n} instants, got {len(t)}"
+        )
+    reference = t[n - 1] if len(t) == n else t[n]
+    times = [reference - t[n - 1 - i] for i in range(n)]
+    if final:
+        times.append(t[n])
+    return numerics.expm(realization.A, times), reference
+
+
 def reachability_matrix(
     realization: Realization,
     schedule: SamplingSchedule,
@@ -61,57 +89,29 @@ def reachability_matrix(
     choices differ by a nonsingular common factor, so the rank verdict is
     the same either way.
     """
-    n = realization.n
-    t = schedule.instants
-    if len(t) < n:
-        raise InsufficientScheduleError(
-            f"reachability matrix needs at least {n} instants, got {len(t)}"
-        )
-    reference = t[n - 1] if len(t) == n else t[n]
-    intervals = [reference - t[n - 1 - i] for i in range(n)]
-    G = (numerics.expm(realization.A, intervals) @ realization.b).T
+    stack, reference = _exponentials(realization, schedule)
+    G = (stack @ realization.b).T
     return ReachabilityMatrixResult(G, numerics.numeric_rank(G, rank_tol), reference)
 
 
-def reachable_direct(
-    realization: Realization,
-    schedule: SamplingSchedule,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-) -> bool:
-    """n-reachability by full rank of the sampled input matrix."""
-    return reachability_matrix(realization, schedule, tol).rank.rank == realization.n
-
-
-def observable_direct(
-    realization: Realization,
-    schedule: SamplingSchedule,
-    tol: float = numerics.DEFAULT_RANK_TOL,
-) -> bool:
-    """n-observability, by duality: reachability of (A^T, c^T, b^T)."""
-    return reachable_direct(realization.dual(), schedule, tol)
-
-
 def controllable_direct(
-    realization: Realization,
-    schedule: SamplingSchedule,
-    x0,
-    tol: float = numerics.DEFAULT_RESIDUAL_TOL,
+    system: Realization | PreparedSystem, schedule: SamplingSchedule, x0
 ) -> bool:
     """State-specific controllability: exp(A t_n) x0 in the range of G.
 
     This is the x0-dependent form; the criterion module reports the
     x0-independent mode-space version.  Both sides use absolute times, so
-    unlike the joint verdict this test is not translation invariant.
+    unlike the joint verdict this test is not translation invariant.  The
+    membership tolerance is the bundle's ``residual``.
     """
+    prepared = prepare(system)
+    realization = prepared.realization
     n = realization.n
-    t = schedule.instants
-    if len(t) < n + 1:
-        raise InsufficientScheduleError(
-            f"controllability test needs {n + 1} instants, got {len(t)}"
-        )
-    matrix = reachability_matrix(realization, schedule, tol)
-    target = numerics.expm(realization.A, t[n]) @ np.asarray(x0, dtype=float).reshape(-1)
-    return numerics.in_range(matrix.G, target, tol).contained
+    stack, _ = _exponentials(realization, schedule, final=True)
+    target = stack[n] @ np.asarray(x0, dtype=float).reshape(-1)
+    return numerics.in_range(
+        (stack[:n] @ realization.b).T, target, prepared.tolerances.residual
+    ).contained
 
 
 def cross_validate(
@@ -128,17 +128,18 @@ def cross_validate(
     report = joint_verdict(prepared, schedule)
     realization = prepared.realization
     tol = prepared.tolerances.singularity
-    reach = reachability_matrix(realization, schedule, tol)
-    obs = reachability_matrix(realization.dual(), schedule, tol)
+    stack, _ = _exponentials(realization, schedule)
+    reach = numerics.numeric_rank((stack @ realization.b).T, tol)
+    obs = numerics.numeric_rank((realization.c @ stack).T, tol)
     n = realization.n
-    reachable = reach.rank.rank == n
-    observable = obs.rank.rank == n
+    reachable = reach.rank == n
+    observable = obs.rank == n
     agrees = reachable == report.reachable and observable == report.observable
     return OracleReport(
         reachable=reachable,
         observable=observable,
         agrees_with_criterion=agrees,
         criterion=report,
-        reachability_sigma_ratio=reach.rank.sigma_ratio,
-        observability_sigma_ratio=obs.rank.sigma_ratio,
+        reachability_sigma_ratio=reach.sigma_ratio,
+        observability_sigma_ratio=obs.sigma_ratio,
     )

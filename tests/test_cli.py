@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nusamp
-from nusamp import SamplingSchedule, SystemDocumentError, oracle, system_model
+from nusamp import SamplingSchedule, SystemDocumentError, ToleranceError, oracle, system_model
 from nusamp.cli import (
     EXIT_NEGATIVE,
     EXIT_NOT_MINIMAL,
@@ -144,6 +144,33 @@ class TestDocumentParsing:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: field tolerances.singularity: must be a positive number\n"
+
+    @pytest.mark.parametrize("field", ["A", "b", "c", "schedule", "x0"])
+    def test_integer_beyond_float_range_exits_one(self, tmp_path, field):
+        raw = {"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0],
+               "schedule": [0.0, 1.0, 2.5], "x0": [1.0, 0.0]}
+        raw[field] = [10**400] + raw[field][1:]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli("analyze", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: field {field}: entries must be finite\n"
+
+    @pytest.mark.parametrize("key", ["singularity", "cluster", "rank", "residual"])
+    def test_integer_tolerance_beyond_float_range_exits_one(self, tmp_path, key):
+        path = tmp_path / "huge_tol.json"
+        path.write_text(json.dumps(
+            {"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0], "tolerances": {key: 10**400}}
+        ))
+        code, out, err = run_cli("analyze", str(path), "--schedule", "0,1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: field tolerances.{key}: must be a positive number\n"
+
+    def test_tolerances_reject_integer_beyond_float_range(self):
+        with pytest.raises(ToleranceError, match="tolerance cluster must be a positive finite"):
+            Tolerances(cluster=10**400)
 
 
 class TestAnalyze:

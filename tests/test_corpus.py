@@ -28,6 +28,7 @@ and says which runs changed.
 
 import io
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -53,6 +54,8 @@ def run(argv):
 
 
 def _close(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
     return a == b or abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
 
 

@@ -5,15 +5,17 @@ import pytest
 
 from nusamp import (
     InsufficientScheduleError,
+    PreparedSystem,
+    Realization,
     SamplingSchedule,
+    Tolerances,
     controllable_direct,
     cross_validate,
     joint_verdict,
-    observable_direct,
+    numerics,
     reachability_matrix,
-    reachable_direct,
 )
-from conftest import random_minimal_system, random_schedule
+from conftest import count_calls, random_minimal_system, random_schedule
 
 RNG = np.random.default_rng(4242)
 
@@ -64,30 +66,36 @@ class TestReachabilityMatrix:
 
 class TestDirectVerdicts:
     def test_reachable_examples(self, rotation_system, diag_system):
-        assert reachable_direct(rotation_system, SamplingSchedule((0.0, np.pi / 2)))
-        assert not reachable_direct(rotation_system, SamplingSchedule((0.0, np.pi)))
-        assert reachable_direct(diag_system, SamplingSchedule((0.0, 1.0)))
+        assert cross_validate(rotation_system, SamplingSchedule((0.0, np.pi / 2))).reachable
+        assert not cross_validate(rotation_system, SamplingSchedule((0.0, np.pi))).reachable
+        assert cross_validate(diag_system, SamplingSchedule((0.0, 1.0))).reachable
 
-    def test_observable_by_duality(self, rotation_system, scalar_system):
-        assert observable_direct(rotation_system, SamplingSchedule((0.0, np.pi / 2)))
-        assert not observable_direct(rotation_system, SamplingSchedule((0.0, np.pi)))
-        assert observable_direct(scalar_system, SamplingSchedule((0.5,)))
+    def test_observable_examples(self, rotation_system, scalar_system):
+        assert cross_validate(rotation_system, SamplingSchedule((0.0, np.pi / 2))).observable
+        assert not cross_validate(rotation_system, SamplingSchedule((0.0, np.pi))).observable
+        assert cross_validate(scalar_system, SamplingSchedule((0.5,))).observable
+
+    def test_routes_use_b_for_inputs_and_c_for_outputs(self):
+        # (A, c^T) is not controllable and (A, b^T) is not observable, so
+        # swapping b and c in either route loses rank.
+        jordan = Realization([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [1.0, 0.0])
+        report = cross_validate(jordan, SamplingSchedule((0.0, 1.0)))
+        assert report.reachable and report.observable
 
     def test_duality_involution(self):
+        # The sampled output rows c exp(A s) and the dual's sampled input
+        # columns exp(A^T s) c^T are two routes to the observability rank.
         for _ in range(30):
             n = int(RNG.integers(1, 5))
             system = random_minimal_system(RNG, n)
             schedule = random_schedule(RNG, n)
-            assert observable_direct(system, schedule) == reachable_direct(
-                system.dual(), schedule
+            report = cross_validate(system, schedule)
+            assert report.observable == (
+                reachability_matrix(system.dual(), schedule).rank.rank == n
             )
-            double = system.dual().dual()
-            assert reachable_direct(double, schedule) == reachable_direct(
-                system, schedule
-            )
-            assert observable_direct(double, schedule) == observable_direct(
-                system, schedule
-            )
+            double = cross_validate(system.dual().dual(), schedule)
+            assert double.reachable == report.reachable
+            assert double.observable == report.observable
 
 
 class TestControllableDirect:
@@ -110,6 +118,21 @@ class TestControllableDirect:
         with pytest.raises(InsufficientScheduleError):
             controllable_direct(rotation_system, SamplingSchedule((0.0, 1.0)), [1.0, 0.0])
 
+    def test_one_exponential_stack_and_no_rank_test(self, monkeypatch, rotation_system):
+        calls = count_calls(monkeypatch, [(numerics, "expm"), (numerics, "numeric_rank")])
+        schedule = SamplingSchedule((0.0, np.pi, 2 * np.pi))
+        assert controllable_direct(rotation_system, schedule, [1.0, 0.0])
+        assert calls == {"expm": 1}
+
+    def test_residual_tolerance_from_the_bundle(self, rotation_system):
+        # After the half turn G spans one direction; x0 lies 1e-6 off it.
+        schedule = SamplingSchedule((0.0, np.pi, np.pi + 1.5))
+        x0 = [1.0, 1e-6]
+        strict = PreparedSystem(rotation_system, Tolerances(residual=1e-9))
+        loose = PreparedSystem(rotation_system, Tolerances(residual=1e-3))
+        assert not controllable_direct(strict, schedule, x0)
+        assert controllable_direct(loose, schedule, x0)
+
 
 class TestCrossValidate:
     def test_report_carries_the_compared_criterion(self, rotation_system):
@@ -117,6 +140,12 @@ class TestCrossValidate:
         report = cross_validate(rotation_system, schedule)
         assert report.criterion == joint_verdict(rotation_system, schedule)
         assert report.criterion_sigma_ratio == report.criterion.sigma_ratio
+
+    def test_one_exponential_stack_besides_the_criterion(self, monkeypatch, rotation_system):
+        prepared = PreparedSystem(rotation_system)
+        calls = count_calls(monkeypatch, [(numerics, "expm")])
+        cross_validate(prepared, SamplingSchedule((0.0, 1.0, 2.5)))
+        assert calls == {"expm": 2}
 
     def test_agreement_on_rotation(self, rotation_system):
         good = cross_validate(rotation_system, SamplingSchedule((0.0, np.pi / 2)))
