@@ -2,7 +2,7 @@
 
 A system document is a JSON object with the fields
 
-    order       system order n (positive integer)
+    order       system order n (an integer in 1..12)
     A           row-major list of n*n reals
     b, c        lists of n reals
     schedule    optional strictly increasing list of instants
@@ -106,8 +106,8 @@ def parse_system_document(text: str) -> SystemDocument:
             raise SystemDocumentError(f"field {key}: missing")
 
     order = raw["order"]
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise SystemDocumentError("field order: must be a positive integer")
+    if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= numerics.MAX_ORDER:
+        raise SystemDocumentError(f"field order: must be an integer in 1..{numerics.MAX_ORDER}")
 
     a_values = _field_floats(raw["A"], "A", order * order)
     b_values = _field_floats(raw["b"], "b", order)

@@ -181,6 +181,11 @@ def eig_clustered(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL):
 
     Complex eigenvalues of a real matrix come out in conjugate pairs, so the
     cluster list is conjugate-closed as well.
+
+    The components come from a plain pairwise loop over the at most
+    MAX_ORDER values, each labelled by its lowest member index; a cluster
+    of one reports its eigenvalue as is, a larger one the ``np.mean`` of its
+    members.
     """
     m = _require_square(matrix, "eig_clustered")
     if np.iscomplexobj(m):
@@ -190,24 +195,28 @@ def eig_clustered(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
 
-    # Linked pairs as one boolean matrix, made reflexive, so each boolean
-    # squaring doubles the path length it covers and ceil(log2(n-1))
-    # squarings give the transitive closure (single-linkage components).
-    magnitude = np.abs(values)
-    linked = np.abs(values[:, None] - values[None, :]) <= cluster_tol * np.maximum(
-        1.0, np.maximum(magnitude[:, None], magnitude[None, :])
-    )
-    np.fill_diagonal(linked, True)
-    reach = 1
-    while reach < values.shape[0] - 1:
-        linked = linked @ linked
-        reach *= 2
-    # Each member's component is labelled by its lowest index.
-    labels = np.argmax(linked, axis=1)
-    clusters = []
-    for label in np.unique(labels):
-        members = np.flatnonzero(labels == label)
-        clusters.append((complex(np.mean(values[members])), len(members), int(label)))
+    points = values.tolist()
+    magnitude = [abs(value) for value in points]
+    labels = list(range(len(points)))
+    for i in range(len(points)):
+        for j in range(i):
+            if labels[i] != labels[j] and abs(points[i] - points[j]) <= cluster_tol * max(
+                1.0, magnitude[i], magnitude[j]
+            ):
+                # Merge the two components under the lower label.
+                old, new = max(labels[i], labels[j]), min(labels[i], labels[j])
+                labels = [new if label == old else label for label in labels]
+    members = {}
+    for index, label in enumerate(labels):
+        members.setdefault(label, []).append(index)
+    clusters = [
+        (
+            complex(points[group[0]]) if len(group) == 1 else complex(np.mean(values[group])),
+            len(group),
+            label,
+        )
+        for label, group in members.items()
+    ]
     clusters.sort(key=lambda c: (c[0].real, c[0].imag, c[2]))
     return [(value, count) for value, count, _ in clusters]
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,76 +201,111 @@ def eval_mode(modes: ModeSet, index: int, t: float) -> complex:
     return (t**power) * cmath.exp(lam * t)
 
 
-def _canonical_phase(vector: np.ndarray) -> np.ndarray:
-    """Unit-normalize and rotate so the largest component is real positive."""
-    norm = np.linalg.norm(vector)
-    if norm == 0.0:
-        return vector
-    v = vector / norm
-    pivot = int(np.argmax(np.abs(v)))
-    phase = v[pivot] / abs(v[pivot])
-    return v * np.conj(phase)
+def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
+    """Unit-normalize each column and rotate it so its largest component is
+    real positive."""
+    magnitude = np.abs(vectors)
+    pivot = vectors[magnitude.argmax(axis=0), np.arange(vectors.shape[1])]
+    norm = np.sqrt(np.square(magnitude).sum(axis=0))
+    return vectors * (np.conj(pivot) / (np.abs(pivot) * norm))
 
 
 def _jordan_chain(A: np.ndarray, lam: complex, size: int, rcond: float):
-    """Eigenvector chain for one Jordan block: (A - lam I) v_{k+1} = v_k.
+    """Eigenvector chain for a defective cluster: (A - lam I) v_{k+1} = v_k.
 
-    The eigenvector comes from the smallest singular direction of
-    ``A - lam I``; the generalized vectors are minimum-norm least-squares
-    solutions with small singular values cut at ``rcond`` (pseudo-inverse
-    fallback for the nearly singular chain equations).  The whole chain is
-    scaled together, so the unit-superdiagonal block structure survives.
+    Only clusters of multiplicity above one come here; a simple cluster
+    takes its eigenvector from the eigendecomposition of
+    ``modal_decompose``.  The eigenvector comes from the smallest singular
+    direction of ``A - lam I``; the generalized vectors are minimum-norm
+    least-squares solutions with small singular values cut at ``rcond``
+    (pseudo-inverse fallback for the nearly singular chain equations).  The
+    whole chain is scaled together, so the unit-superdiagonal block
+    structure survives.  One SVD serves both the eigenvector and the
+    pseudo-inverse.
     """
     shifted = A - lam * np.eye(A.shape[0])
-    _, _, vh = np.linalg.svd(shifted)
-    chain = [_canonical_phase(vh[-1].conj())]
-    if size > 1:
-        pinv = np.linalg.pinv(shifted, rcond=rcond)
-        for _ in range(size - 1):
-            chain.append(pinv @ chain[-1])
+    u, sigma, vh = np.linalg.svd(shifted)
+    chain = [_canonical_phase(vh[-1:].conj().T)[:, 0]]
+    # The pseudo-inverse from the same SVD, as np.linalg.pinv cuts it.
+    kept = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > rcond * sigma[0])
+    pinv = (vh.conj().T * kept) @ u.conj().T
+    for _ in range(size - 1):
+        chain.append(pinv @ chain[-1])
     return chain
 
 
 def modal_decompose(
     realization: Realization,
     cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
-    require_minimality: bool = True,
     modes: ModeSet | None = None,
 ) -> ModalDecomposition:
-    """Compute J, B and y0 = B^-1 b for a (normally minimal) realization.
+    """Compute J, B and y0 = B^-1 b for a minimal realization.
 
-    Non-minimal input raises MinimalityError unless ``require_minimality`` is
-    switched off for diagnostic use; in that case the decomposition is only
-    well defined when the eigenvalues are distinct.  An ill-conditioned basis
-    attaches a warning to the result instead of failing.  ``modes``, when
-    given, is the realization's mode set at ``cluster_tol``, already
-    clustered; otherwise it is computed here.
+    One ``np.linalg.eig(A)`` supplies the basis of every simple cluster:
+    each takes the eigenvector of the nearest eigenvalue not already given
+    to another cluster, in canonical phase.  Only a defective cluster runs
+    ``_jordan_chain``.  A cluster whose conjugate partner already has its
+    chain takes the conjugate chain.  One solve with B gives y0 and the
+    B^-1 of the reconstruction residual ``||A - B J B^-1|| / max(1, ||A||)``;
+    y0 is then made exactly real on real clusters and conjugate on
+    conjugate ones, the symmetry it has in exact arithmetic.  An
+    ill-conditioned basis (sigma ratio below ``ILL_CONDITIONED_BASIS``)
+    falls back to least squares for y0 and the pseudo-inverse for the
+    residual, and attaches a warning to the result instead of failing.
+
+    Minimality is not checked here: ``PreparedSystem.decomposition`` checks
+    it first, and on a non-minimal realization the decomposition is only
+    well defined when the eigenvalues are distinct.  ``modes``, when given,
+    is the realization's mode set at ``cluster_tol``, already clustered;
+    otherwise it is computed here.
     """
-    if require_minimality:
-        require_minimal(check_minimal(realization, rank_tol), realization.n)
     if modes is None:
         modes = mode_set(realization, cluster_tol)
-    A = realization.A.astype(complex)
     roots = modes.roots
+    values, vectors = np.linalg.eig(realization.A)
+    vectors = _canonical_phase(vectors.astype(complex, copy=False))
+
+    points = values.tolist()
+    unused = list(range(len(points)))
+
+    def claim(lam: complex) -> int:
+        index = min(unused, key=lambda k: abs(points[k] - lam))
+        unused.remove(index)
+        return index
+
+    # The eigenvalues of a defective cluster carry no usable eigenvectors;
+    # keep them from the simple clusters.
+    for lam, m in roots:
+        if m > 1:
+            for _ in range(m):
+                claim(lam)
+
+    def chain(lam: complex, m: int) -> list:
+        if m > 1:
+            return _jordan_chain(realization.A.astype(complex), lam, m, cluster_tol)
+        return [vectors[:, claim(lam)]]
 
     chains: dict[int, list[np.ndarray]] = {}
+    # mirror[j]: the cluster whose chain is the conjugate of cluster j's
+    # (j itself when real, None while unknown).
+    mirror = [j if lam.imag == 0.0 else None for j, (lam, _) in enumerate(roots)]
     for j, (lam, m) in enumerate(roots):
         if lam.imag < 0.0:
             continue
-        chains[j] = _jordan_chain(A, lam, m, cluster_tol)
+        chains[j] = chain(lam, m)
     for j, (lam, m) in enumerate(roots):
         if j in chains:
             continue
         partner = None
         for k, (other, mk) in enumerate(roots):
-            if mk == m and abs(np.conj(other) - lam) <= cluster_tol * max(1.0, abs(lam)):
+            if mk == m and abs(other.conjugate() - lam) <= cluster_tol * max(1.0, abs(lam)):
                 partner = k
                 break
         if partner is not None and partner in chains:
             chains[j] = [np.conj(v) for v in chains[partner]]
+            mirror[j], mirror[partner] = partner, j
         else:
-            chains[j] = _jordan_chain(A, lam, m, cluster_tol)
+            chains[j] = chain(lam, m)
 
     basis = np.column_stack([v for j in range(len(roots)) for v in chains[j]])
     # One Jordan block per cluster: the eigenvalue on the diagonal, a unit
@@ -287,12 +323,22 @@ def modal_decompose(
             "y0 computed by least squares"
         )
         y0, *_ = np.linalg.lstsq(basis, realization.b.astype(complex), rcond=None)
+        inverse = np.linalg.pinv(basis)
     else:
-        y0 = np.linalg.solve(basis, realization.b.astype(complex))
-
-    reconstructed = basis @ J @ np.linalg.pinv(basis)
+        # One solve with the right-hand sides [b, I] gives y0 and B^-1.
+        rhs = np.eye(len(basis), len(basis) + 1, 1, dtype=complex)
+        rhs[:, 0] = realization.b
+        solved = np.linalg.solve(basis, rhs)
+        y0, inverse = solved[:, 0], solved[:, 1:]
+    if all(k is not None and mirror[k] == j for j, k in enumerate(mirror)):
+        # conj(B) is B with the conjugate blocks swapped (up to rounding), so
+        # the y0 of a real b has the same symmetry; impose it exactly, which
+        # leaves N2 real up to the rounding of its own product.
+        starts = list(itertools.accumulate((m for _, m in roots), initial=0))
+        swap = [starts[k] + p for k in mirror for p in range(roots[k][1])]
+        y0 = (y0 + y0[swap].conj()) / 2
     residual = float(
-        np.linalg.norm(realization.A - reconstructed)
+        np.linalg.norm(realization.A - basis @ J @ inverse)
         / max(1.0, float(np.linalg.norm(realization.A)))
     )
     return ModalDecomposition(modes, J, basis, y0, sigma_ratio, residual, warning)
@@ -344,12 +390,7 @@ class PreparedSystem:
     @functools.cached_property
     def decomposition(self) -> ModalDecomposition:
         require_minimal(self.minimality, self.realization.n)
-        return modal_decompose(
-            self.realization,
-            self.tolerances.cluster,
-            require_minimality=False,
-            modes=self.modes,
-        )
+        return modal_decompose(self.realization, self.tolerances.cluster, self.modes)
 
 
 def prepare(system: Realization | PreparedSystem) -> PreparedSystem:

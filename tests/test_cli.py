@@ -168,6 +168,17 @@ class TestDocumentParsing:
         assert out == ""
         assert err == f"error: field tolerances.{key}: must be a positive number\n"
 
+    @pytest.mark.parametrize(
+        "order", [0, 13, 10**400, 10**2199], ids=["0", "13", "401-digits", "2200-digits"]
+    )
+    def test_order_outside_the_supported_range_exits_one(self, tmp_path, order):
+        path = tmp_path / "huge_order.json"
+        path.write_text(json.dumps({"order": order, "A": [-1], "b": [1], "c": [1]}))
+        code, out, err = run_cli("analyze", str(path), "--schedule", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: field order: must be an integer in 1..12\n"
+
     def test_tolerances_reject_integer_beyond_float_range(self):
         with pytest.raises(ToleranceError, match="tolerance cluster must be a positive finite"):
             Tolerances(cluster=10**400)

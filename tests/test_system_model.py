@@ -31,8 +31,15 @@ from nusamp import (
     validate_uniform,
 )
 from nusamp import numerics, system_model
-from nusamp.system_model import prepare
-from conftest import count_calls, random_minimal_system, random_orthogonal
+from nusamp.system_model import prepare, require_minimal
+from conftest import (
+    _real_modal_block,
+    count_calls,
+    random_eigen_structure,
+    random_minimal_system,
+    random_orthogonal,
+    random_well_conditioned,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -160,8 +167,8 @@ class TestModalDecompose:
     def test_non_minimal_raises(self):
         system = Realization(np.diag([0.0, -1.0]), [1.0, 0.0], [1.0, 1.0])
         with pytest.raises(MinimalityError, match="controllability"):
-            modal_decompose(system)
-        decomposition = modal_decompose(system, require_minimality=False)
+            PreparedSystem(system).decomposition
+        decomposition = modal_decompose(system)
         assert abs(decomposition.y0[0]) < 1e-12  # the -1 mode is unexcited
 
     def test_reconstruction_invariant(self):
@@ -184,6 +191,143 @@ class TestModalDecompose:
             assert np.allclose(lhs, decomposition.B[:, k], atol=1e-8)
 
 
+class TestModalBasis:
+    """The basis from one eigendecomposition, on seeded spectra of orders 1-12."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_seeded_spectra(self, n, monkeypatch):
+        rng = np.random.default_rng(100 + n)
+        sizes = []
+        original = system_model._jordan_chain
+
+        def recorded(A, lam, size, rcond):
+            sizes.append(size)
+            return original(A, lam, size, rcond)
+
+        monkeypatch.setattr(system_model, "_jordan_chain", recorded)
+        for kind in ("simple", "defective", "nearly_defective"):
+            for _ in range(4):
+                system, well_conditioned = _seeded_system(rng, n, kind)
+                del sizes[:]
+                decomposition = modal_decompose(system)
+                A, B, J, y0 = system.A, decomposition.B, decomposition.J, decomposition.y0
+                assert np.linalg.norm(A @ B - B @ J) <= 1e-9 * max(1.0, np.linalg.norm(A))
+                assert np.linalg.norm(B @ y0 - system.b) <= 1e-9 * np.linalg.norm(system.b)
+                offset = 0
+                for _, m in decomposition.modes.roots:
+                    vector = B[:, offset]
+                    pivot = vector[np.argmax(np.abs(vector))]
+                    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
+                    assert pivot.real > 0.0 and abs(pivot.imag) <= 1e-12
+                    offset += m
+                # y0 of a real system: real on real clusters, conjugate on
+                # conjugate clusters, exactly.
+                roots = decomposition.modes.roots
+                blocks = np.split(y0, np.cumsum([m for _, m in roots])[:-1])
+                for (lam, _), block in zip(roots, blocks):
+                    partner = next(b for (mu, _), b in zip(roots, blocks) if mu == lam.conjugate())
+                    assert np.array_equal(block, partner.conj())
+                # Chains only for defective clusters, once per conjugate pair.
+                assert all(size > 1 for size in sizes)
+                assert len(sizes) == sum(1 for lam, m in roots if m > 1 and lam.imag >= 0.0)
+                if well_conditioned:
+                    B_ref, y0_ref = _reference_basis(system, decomposition.modes)
+                    assert np.linalg.norm(B - B_ref) <= 1e-8 * np.linalg.norm(B_ref)
+                    assert np.linalg.norm(y0 - y0_ref) <= 1e-8 * np.linalg.norm(y0_ref)
+
+    def test_nearly_defective_clusters_take_distinct_columns(self):
+        rng = np.random.default_rng(5)
+        for delta in (1e-16, 1e-14, 1e-12):
+            q = random_orthogonal(rng, 2)
+            a = q @ np.array([[-1.0, 1.0], [delta, -1.0]]) @ q.T
+            system = Realization(a, [0.3, 1.0], [1.0, 0.2])
+            decomposition = PreparedSystem(system, Tolerances(cluster=1e-15)).decomposition
+            assert decomposition.modes.r == 2
+            assert sorted(_eig_columns(system, decomposition.B)) == [0, 1]
+
+    def test_clusters_nearest_one_eigenvalue_take_distinct_columns(self):
+        # A mode set whose two values both lie nearer the lower eigenvalue
+        # -1 - s: the second cluster still gets the other column.
+        s = 1e-6
+        system = Realization([[-1.0, 1.0], [s * s, -1.0]], [0.3, 1.0], [1.0, 0.2])
+        modes = ModeSet(((-1.0 - 1.2 * s, 1), (-1.0 - 0.2 * s, 1)))
+        decomposition = modal_decompose(system, 1e-15, modes)
+        assert sorted(_eig_columns(system, decomposition.B)) == [0, 1]
+        assert decomposition.conditioning_warning is None
+
+
+def _seeded_system(rng: np.random.Generator, n: int, kind: str):
+    """An order-n realization of a seeded spectrum, and whether its basis is
+    well conditioned with a unique canonical phase.
+
+    ``simple``: distinct real eigenvalues and conjugate pairs under a random
+    well-conditioned similarity.  ``defective``: Jordan blocks up to size 4
+    as well, kept in modal form when transforming them would split the
+    eigenvalue.  ``nearly_defective``: a simple spectrum plus (when n >= 2)
+    a real Jordan pair whose corner entry ``delta`` splits it into two
+    eigenvalues ``2 sqrt(delta)`` apart, with nearly parallel eigenvectors.
+    """
+    near = kind == "nearly_defective" and n >= 2
+    structure = random_eigen_structure(rng, n - 2 * near, allow_defective=kind == "defective")
+    blocks = [_real_modal_block(re, im, m) for re, im, m in structure]
+    if near:
+        lam = 2.5 + rng.uniform(0.0, 0.5)  # apart from the rest of the spectrum
+        blocks.append(np.array([[lam, 1.0], [10.0 ** rng.uniform(-12, -10), lam]]))
+    a = np.zeros((n, n))
+    offset = 0
+    for block in blocks:
+        size = block.shape[0]
+        a[offset : offset + size, offset : offset + size] = block
+        offset += size
+    transform = not any((m >= 3 if im == 0.0 else m >= 2) for _, im, m in structure)
+    t = random_well_conditioned(rng, n) if transform else np.eye(n)
+    system = Realization(t @ a @ np.linalg.inv(t), t @ rng.normal(size=n), rng.normal(size=n))
+    # Modal form (or an orthogonal basis) puts the two largest entries of a
+    # pair's eigenvector at equal magnitude, where the canonical phase may
+    # pick either; compare with the reference only on transformed,
+    # well-separated spectra.
+    return system, transform and not near
+
+
+def _reference_basis(system: Realization, modes: ModeSet, cluster_tol: float = 1e-7):
+    """B and y0 by the construction the single eigendecomposition replaced:
+    one SVD of ``A - lam I`` per cluster (plus a pseudo-inverse for chains),
+    conjugate partners reused."""
+    A = system.A.astype(complex)
+
+    def svd_chain(lam, m):
+        shifted = A - lam * np.eye(system.n)
+        vector = np.linalg.svd(shifted)[2][-1].conj()
+        pivot = vector[np.argmax(np.abs(vector))]
+        chain = [vector * np.conj(pivot / abs(pivot))]
+        pinv = np.linalg.pinv(shifted, rcond=cluster_tol)
+        for _ in range(m - 1):
+            chain.append(pinv @ chain[-1])
+        return chain
+
+    roots = modes.roots
+    chains = {j: svd_chain(lam, m) for j, (lam, m) in enumerate(roots) if lam.imag >= 0.0}
+    for j, (lam, m) in enumerate(roots):
+        if j not in chains:
+            partner = next(
+                (k for k, (other, mk) in enumerate(roots)
+                 if mk == m and abs(np.conj(other) - lam) <= cluster_tol * max(1.0, abs(lam))),
+                None,
+            )
+            chains[j] = [np.conj(v) for v in chains[partner]] if partner in chains else svd_chain(lam, m)
+    B = np.column_stack([v for j in range(len(roots)) for v in chains[j]])
+    return B, np.linalg.solve(B, system.b.astype(complex))
+
+
+def _eig_columns(system: Realization, B: np.ndarray) -> list:
+    """For each column of B, the index of the eigendecomposition column it is."""
+    canonical = system_model._canonical_phase(np.linalg.eig(system.A)[1].astype(complex))
+    return [
+        next(k for k in range(B.shape[1]) if np.array_equal(canonical[:, k], B[:, j]))
+        for j in range(B.shape[1])
+    ]
+
+
 class TestCheckY0Components:
     def test_minimal_rotation(self, rotation_system):
         decomposition = modal_decompose(rotation_system)
@@ -191,13 +335,13 @@ class TestCheckY0Components:
 
     def test_decoupled_mode(self):
         system = Realization(np.diag([0.0, -1.0]), [1.0, 0.0], [1.0, 1.0])
-        decomposition = modal_decompose(system, require_minimality=False)
+        decomposition = modal_decompose(system)
         assert not check_y0_components(decomposition)
 
     def test_scalar(self, scalar_system):
         assert check_y0_components(modal_decompose(scalar_system))
         zero_b = Realization([[-1.0]], [0.0], [1.0])
-        decomposition = modal_decompose(zero_b, require_minimality=False)
+        decomposition = modal_decompose(zero_b)
         assert not check_y0_components(decomposition)
 
     def test_matches_controllability_for_distinct_eigenvalues(self):
@@ -213,7 +357,7 @@ class TestCheckY0Components:
                 b = np.real(decomposition.B @ y0)
                 system = Realization(system.A, b, system.c)
             report = check_minimal(system)
-            decomposition = modal_decompose(system, require_minimality=False)
+            decomposition = modal_decompose(system)
             assert check_y0_components(decomposition) == report.controllable_ct
             agree += 1
         assert agree == 60
@@ -258,7 +402,7 @@ class TestPreparedSystem:
         with pytest.raises(MinimalityError) as lazy:
             prepared.decomposition
         with pytest.raises(MinimalityError) as direct:
-            modal_decompose(system)
+            require_minimal(check_minimal(system), system.n)
         assert str(lazy.value) == str(direct.value)
         assert str(lazy.value) == "realization is not minimal: controllability rank 1 < 2"
         assert not prepared.minimality.minimal
