@@ -35,7 +35,7 @@ from .errors import (
     ToleranceError,
 )
 from .experiments import (
-    classify_case,
+    case_label,
     deadbeat_inputs,
     default_final_time,
     reconstruct_state,
@@ -261,12 +261,7 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
         result["oracle"]["controllable_x0"] = controllable_direct(prepared, schedule, document.x0)
 
     if realization.n == 2 and len(schedule) >= 3:
-        case = classify_case(prepared, schedule)
-        result["case"] = {
-            "label": case.label,
-            "pair_sigma_ratio": case.pair_sigma_ratio,
-            "membership_residual": case.membership_residual,
-        }
+        result["case"] = {"label": case_label(oracle.criterion)}
     return result
 
 

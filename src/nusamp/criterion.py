@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,14 +68,6 @@ class ShiftedIntervals:
 
     alpha: tuple
     alpha_n: float | None = None
-
-
-class ControllabilityVerdict(NamedTuple):
-    """Outcome of the weaker (n+1)-instant range-membership test."""
-
-    controllable: bool
-    constructible: bool
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -195,11 +186,6 @@ def _mode_space_vectors(decomposition: ModalDecomposition, alphas) -> np.ndarray
     return numerics.expm(decomposition.J, alphas) @ decomposition.y0
 
 
-def _mode_space_membership(vectors: np.ndarray, residual_tol: float) -> numerics.RangeCheck:
-    """Whether the last mode-space row lies in the span of the others."""
-    return numerics.in_range(vectors[:-1].T, vectors[-1], residual_tol)
-
-
 def joint_verdict(
     system: Realization | PreparedSystem, schedule: SamplingSchedule
 ) -> CriterionReport:
@@ -209,21 +195,24 @@ def joint_verdict(
     failing rank test) and the schedule must supply at least n instants; the
     first n decide the verdict: reachable when the mode-matrix sigma ratio
     exceeds the singularity tolerance.  With n+1 or more instants the weaker
-    controllability / constructibility pair is also reported, via the
-    range-membership test at ``alpha_n = t[n] - t[0]`` with the singularity
-    tolerance as residual tolerance.  A plain realization is analysed with
-    the default tolerances.
+    controllability / constructibility pair is also reported: the mode-space
+    vector at ``alpha_n = t[n] - t[0]`` must lie in the span of those at
+    ``alpha_0 .. alpha_{n-1}``, a span truncated at the singularity
+    tolerance and a membership judged by the residual tolerance.  A
+    full-rank span holds every vector, so the pair holds whenever the
+    schedule is reachable.  A plain realization is analysed with the
+    default tolerances.
     """
     prepared = prepare(system)
     decomposition = prepared.decomposition
-    tol = prepared.tolerances.singularity
+    tolerances = prepared.tolerances
     modes = decomposition.modes
     n = prepared.realization.n
     alphas = shifted_intervals(schedule, n)
 
     phi = mode_matrix(modes, alphas)
     sigma_ratio = numerics.column_normalized_sigma_ratio(phi)
-    verdict = sigma_ratio > tol
+    verdict = sigma_ratio > tolerances.singularity
 
     # One batched exponential gives full_det (first n rows) and the membership
     # row at alpha_n; full_det stays independent of mode_det, so the
@@ -240,8 +229,10 @@ def joint_verdict(
     controllable = constructible = None
     membership_residual = None
     if alphas.alpha_n is not None:
-        membership = _mode_space_membership(vectors, tol)
-        controllable = constructible = membership.contained
+        membership = numerics.in_range(
+            vectors[:n].T, vectors[n], tolerances.residual, tolerances.singularity
+        )
+        controllable = constructible = verdict or membership.contained
         membership_residual = membership.residual
 
     return CriterionReport(
@@ -257,28 +248,6 @@ def joint_verdict(
         membership_residual=membership_residual,
         factorization_residual=factorization_residual,
         alphas=alphas,
-        tolerances=prepared.tolerances,
+        tolerances=tolerances,
     )
 
-
-def controllability_verdict(
-    system: Realization | PreparedSystem, schedule: SamplingSchedule
-) -> ControllabilityVerdict:
-    """The weaker joint pair on n+1 instants, as a range-membership test.
-
-    The mode-space vector at ``alpha_n`` must lie in the span of the vectors
-    at ``alpha_0 .. alpha_{n-1}``, to the residual tolerance.  Full joint
-    reachability implies this; a schedule can pass here while failing the
-    full test.  A plain realization is analysed with the default tolerances.
-    """
-    prepared = prepare(system)
-    n = prepared.realization.n
-    if len(schedule) < n + 1:
-        raise InsufficientScheduleError(
-            f"controllability test needs {n + 1} instants, got {len(schedule)}"
-        )
-    decomposition = prepared.decomposition
-    alphas = shifted_intervals(schedule, n)
-    vectors = _mode_space_vectors(decomposition, (*alphas.alpha, alphas.alpha_n))
-    membership = _mode_space_membership(vectors, prepared.tolerances.residual)
-    return ControllabilityVerdict(membership.contained, membership.contained, membership.residual)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .criterion import SamplingSchedule, joint_verdict, shifted_intervals
+from .criterion import CriterionReport, SamplingSchedule, joint_verdict
 from .errors import (
     DimensionError,
     InsufficientScheduleError,
@@ -41,20 +41,17 @@ class Trajectory:
 class CaseLabel:
     """Three-instant taxonomy of a second-order oscillatory schedule.
 
-    * ``a``: the first two mode-space vectors are independent, so the strong
+    * ``a``: the schedule is jointly reachable and observable, so the strong
       and the weak property pair both hold;
-    * ``b``: they are dependent but the third vector stays in their span, so
-      only the weaker controllability / constructibility pair survives;
-    * ``c``: dependent and the third vector leaves the span; nothing
-      survives.  Uniform schedules never produce this case.
+    * ``b``: it is not, but the controllability / constructibility pair
+      survives;
+    * ``c``: nothing survives.  Uniform schedules never produce this case.
+
+    ``report`` is the joint verdict the label was read from.
     """
 
     label: str
-    Y0: np.ndarray
-    Y1: np.ndarray
-    Y2: np.ndarray
-    pair_sigma_ratio: float
-    membership_residual: float
+    report: CriterionReport
 
 
 def _input_vector(inputs, schedule: SamplingSchedule) -> np.ndarray:
@@ -158,6 +155,18 @@ def zoh_input_matrix(
     return (carry @ forced[..., None])[..., 0].T
 
 
+def _require_regular(
+    prepared: PreparedSystem, schedule: SamplingSchedule, consequence: str
+) -> None:
+    """Raise SingularScheduleError, with the report, unless the joint test passes."""
+    report = joint_verdict(prepared, schedule)
+    if not report.reachable:
+        raise SingularScheduleError(
+            f"schedule is singular (sigma ratio {report.sigma_ratio:.3e}); {consequence}",
+            report=report,
+        )
+
+
 def default_final_time(schedule: SamplingSchedule) -> float:
     """Deadbeat evaluation instant: last instant plus the mean spacing, or
     plus one second for a single instant."""
@@ -191,13 +200,7 @@ def deadbeat_inputs(
         raise InsufficientScheduleError(
             f"deadbeat design needs exactly {n} input instants, got {len(t)}"
         )
-    report = joint_verdict(prepared, schedule)
-    if not report.reachable:
-        raise SingularScheduleError(
-            f"schedule is singular (sigma ratio {report.sigma_ratio:.3e}); "
-            "deadbeat inputs do not exist",
-            report=report,
-        )
+    _require_regular(prepared, schedule, "deadbeat inputs do not exist")
     if t_final is None:
         t_final = default_final_time(schedule)
     if not np.isfinite(t_final):
@@ -235,15 +238,16 @@ def reconstruct_state(
         raise DimensionError(f"expected {n} outputs, got {y.shape[0]}")
     if not np.all(np.isfinite(y)):
         raise DimensionError("outputs must be finite")
-    report = joint_verdict(prepared, schedule)
-    if not report.observable:
-        raise SingularScheduleError(
-            f"schedule is singular (sigma ratio {report.sigma_ratio:.3e}); "
-            "outputs do not determine the state",
-            report=report,
-        )
+    _require_regular(prepared, schedule, "outputs do not determine the state")
     rows = realization.c @ numerics.expm(realization.A, t)
     return np.linalg.solve(rows, y)
+
+
+def case_label(report: CriterionReport) -> str:
+    """Case a, b or c of a joint verdict that covers an extra instant."""
+    if report.reachable:
+        return "a"
+    return "b" if report.controllable else "c"
 
 
 def classify_case(
@@ -251,10 +255,9 @@ def classify_case(
 ) -> CaseLabel:
     """Label a three-instant schedule of an order-2 system as case a, b or c.
 
-    Works with the mode-space vectors Y_m = exp(J alpha_m) y0; the change of
-    basis is invertible, so the dependency structure matches the state-space
-    input vectors.  The singularity tolerance judges the pair's sigma ratio
-    and, as residual tolerance, the membership of Y2 in span(Y0).  A plain
+    The label is read from one joint verdict on the schedule: ``a`` when it
+    is reachable, ``b`` when only the controllability pair holds, ``c``
+    otherwise, so the label never contradicts the verdict.  A plain
     realization is analysed with the default tolerances.
     """
     prepared = prepare(system)
@@ -265,27 +268,5 @@ def classify_case(
         raise InsufficientScheduleError(
             f"case classification needs 3 instants, got {len(schedule)}"
         )
-    decomposition = prepared.decomposition
-    tol = prepared.tolerances.singularity
-    alphas = shifted_intervals(schedule, 2)
-    y_vectors = (
-        numerics.expm(decomposition.J, [*alphas.alpha, alphas.alpha_n]) @ decomposition.y0
-    )
-    pair = y_vectors[:2].T
-    pair_sigma_ratio = numerics.column_normalized_sigma_ratio(pair)
-
-    membership = numerics.in_range(y_vectors[0][:, None], y_vectors[2], tol)
-    if pair_sigma_ratio > tol:
-        label = "a"
-    elif membership.contained:
-        label = "b"
-    else:
-        label = "c"
-    return CaseLabel(
-        label,
-        y_vectors[0],
-        y_vectors[1],
-        y_vectors[2],
-        pair_sigma_ratio,
-        membership.residual,
-    )
+    report = joint_verdict(prepared, schedule)
+    return CaseLabel(case_label(report), report)

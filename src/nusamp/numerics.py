@@ -28,11 +28,11 @@ class Tolerances:
     """The tolerances of one analysis, passed around as one value.
 
     ``singularity`` is the verdict threshold on the mode-matrix sigma ratio
-    (also the range-membership tolerance of the joint verdict and the case
-    taxonomy, and the rank tolerance of the direct oracle); ``cluster``
+    and the rank-truncation threshold of every span: the direct oracle's
+    rank tests and the spans of both range-membership tests; ``cluster``
     merges eigenvalues into multiplicity clusters; ``rank`` decides the
-    continuous-time Kalman rank tests; ``residual`` is the tolerance of the
-    range-membership tests of the controllability verdict and of
+    continuous-time Kalman rank tests; ``residual`` is the membership
+    tolerance of the joint verdict's controllability test and of
     ``controllable_direct``.  Analyses read each field from the bundle of
     the prepared system they are given.  Each must be a positive finite real
     (ToleranceError naming the field otherwise) and is stored as a float.
@@ -71,7 +71,7 @@ class RankResult(NamedTuple):
 
 
 class RangeCheck(NamedTuple):
-    """Outcome of a least-squares range-membership test."""
+    """Outcome of a rank-truncated range-membership test."""
 
     contained: bool
     residual: float
@@ -262,10 +262,18 @@ def column_normalized_sigma_ratio(matrix) -> float | np.ndarray:
     return float(ratio) if m.ndim == 2 else ratio
 
 
-def in_range(matrix, vector, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> RangeCheck:
-    """Least-squares test of whether vector lies in the column span of matrix.
+def in_range(
+    matrix,
+    vector,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    rank_tol: float = DEFAULT_RANK_TOL,
+) -> RangeCheck:
+    """Whether vector lies in the numerical column span of matrix.
 
-    Membership holds when the residual of ``min ||M x - v||`` stays below
+    The span is that of the left singular vectors of the column-normalized
+    matrix whose singular values exceed ``rank_tol * sigma_max``, so a span
+    the rank test calls dependent covers only its numerical rank.  Membership
+    holds when the residual of the projection onto it stays below
     ``residual_tol * max(1, ||v||)``.
     """
     m = np.atleast_2d(np.asarray(matrix))
@@ -274,7 +282,9 @@ def in_range(matrix, vector, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> Rang
         raise DimensionError(
             f"in_range got a vector of length {v.shape[0]} for a matrix with {m.shape[0]} rows"
         )
-    solution, *_ = np.linalg.lstsq(m, v, rcond=None)
-    residual = float(np.linalg.norm(m @ solution - v))
+    norms = np.linalg.norm(m, axis=0)
+    u, sigma, _ = np.linalg.svd(m / np.where(norms > 0.0, norms, 1.0), full_matrices=False)
+    basis = u[:, sigma > rank_tol * sigma.max(initial=0.0)]
+    residual = float(np.linalg.norm(v - basis @ (basis.conj().T @ v)))
     threshold = residual_tol * max(1.0, float(np.linalg.norm(v)))
     return RangeCheck(residual <= threshold, residual)

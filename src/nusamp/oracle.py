@@ -102,15 +102,17 @@ def controllable_direct(
     This is the x0-dependent form; the criterion module reports the
     x0-independent mode-space version.  Both sides use absolute times, so
     unlike the joint verdict this test is not translation invariant.  The
-    membership tolerance is the bundle's ``residual``.
+    span of G is truncated at the bundle's ``singularity`` and membership is
+    judged by its ``residual``.
     """
     prepared = prepare(system)
     realization = prepared.realization
     n = realization.n
     stack, _ = _exponentials(realization, schedule, final=True)
     target = stack[n] @ np.asarray(x0, dtype=float).reshape(-1)
+    tolerances = prepared.tolerances
     return numerics.in_range(
-        (stack[:n] @ realization.b).T, target, prepared.tolerances.residual
+        (stack[:n] @ realization.b).T, target, tolerances.residual, tolerances.singularity
     ).contained
 
 
@@ -119,9 +121,12 @@ def cross_validate(
 ) -> OracleReport:
     """Run both routes and record whether every verdict matches.
 
-    The direct rank tests use the singularity tolerance as rank tolerance.
+    The direct rank tests use the singularity tolerance as rank tolerance,
+    the threshold that also truncates the spans of the membership tests.
     Disagreement is data for triage (the report carries the criterion report
-    and both direct sigma ratios), not an error.  A plain realization is
+    and both direct sigma ratios), not an error.  The carried criterion
+    report is the analysis's one joint verdict: its controllability pair and
+    the case label are read from it, not recomputed.  A plain realization is
     analysed with the default tolerances.
     """
     prepared = prepare(system)

@@ -19,11 +19,12 @@ rounds differently does not fail the test.  Text output and stderr are
 compared the same way, number by number.  No recorded sigma ratio lies in the
 ambiguity band [1e-11, 1e-7], where the verdict could flip on such rounding.
 
-The recorded outputs pin today's tolerance routing, including the places
-where the singularity tolerance serves as a residual or rank tolerance.  A
-change that routes each tolerance to the test it names changes some of these
-outputs on purpose; it re-records them with ``python tests/test_corpus.py``
-and says which runs changed.
+The recorded outputs pin the tolerance routing: the singularity tolerance
+decides the verdict and truncates the rank of every span, and the residual
+tolerance judges range membership, so ``--residual-tol 10`` turns
+``criterion.controllable`` on in ``rotation-analyze-residual-tol-singular``.
+A change that alters an output on purpose re-records it with
+``python tests/test_corpus.py`` and says which runs changed.
 """
 
 import io

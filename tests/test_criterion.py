@@ -16,7 +16,9 @@ from nusamp import (
     Realization,
     SamplingSchedule,
     Tolerances,
-    controllability_verdict,
+    case_label,
+    classify_case,
+    controllable_direct,
     factor_n1,
     factor_n2,
     full_determinant,
@@ -25,6 +27,7 @@ from nusamp import (
     mode_matrix,
     shifted_intervals,
 )
+from nusamp.cli import SystemDocument, build_analysis
 from conftest import random_minimal_system, random_orthogonal, random_schedule
 
 RNG = np.random.default_rng(1101)
@@ -288,9 +291,7 @@ class TestJointVerdict:
 
 class TestControllabilityVerdict:
     def test_full_span_implies_membership(self, rotation_system):
-        verdict = controllability_verdict(
-            rotation_system, SamplingSchedule((0.0, np.pi / 2, 2.0))
-        )
+        verdict = joint_verdict(rotation_system, SamplingSchedule((0.0, np.pi / 2, 2.0)))
         assert verdict.controllable and verdict.constructible
 
     def test_full_turn_controllable_not_reachable(self, rotation_system):
@@ -307,16 +308,17 @@ class TestControllabilityVerdict:
         assert report.membership_residual > 0.1
 
     def test_requires_extra_instant(self, rotation_system):
-        with pytest.raises(InsufficientScheduleError):
-            controllability_verdict(rotation_system, SamplingSchedule((0.0, 1.0)))
+        report = joint_verdict(rotation_system, SamplingSchedule((0.0, 1.0)))
+        assert report.controllable is None and report.constructible is None
+        assert report.membership_residual is None
 
     def test_membership_uses_the_residual_tolerance(self, rotation_system):
         schedule = SamplingSchedule((0.0, np.pi, np.pi + 1.5))
-        assert not controllability_verdict(rotation_system, schedule).controllable
+        assert not joint_verdict(rotation_system, schedule).controllable
         loose = PreparedSystem(rotation_system, Tolerances(residual=10.0))
-        assert controllability_verdict(loose, schedule).controllable
+        assert joint_verdict(loose, schedule).controllable
         loose_singularity = PreparedSystem(rotation_system, Tolerances(singularity=10.0))
-        assert not controllability_verdict(loose_singularity, schedule).controllable
+        assert not joint_verdict(loose_singularity, schedule).controllable
 
     def test_reachable_implies_controllable(self):
         for _ in range(30):
@@ -326,3 +328,91 @@ class TestControllabilityVerdict:
             report = joint_verdict(system, schedule)
             if report.reachable:
                 assert report.controllable
+
+
+class TestVerdictCoherence:
+    """One report never contradicts itself, even inside the ambiguity band.
+
+    The half-turn rotation schedule ``0, 3.14159265, 4`` has sigma ratio
+    1.79e-9, just above the default singularity tolerance: the band the
+    corpus refuses, so it is pinned here.  Expected per tolerance bundle:
+    (case label, controllable, controllable_x0).
+    """
+
+    BUNDLES = {
+        "default": Tolerances(),
+        "singularity": Tolerances(singularity=0.1),
+        "residual": Tolerances(residual=10.0),
+    }
+    EXPECTED = {
+        (0.0, 3.14159265, 4.0): {
+            "default": ("a", True, True),
+            "singularity": ("c", False, False),
+            "residual": ("a", True, True),
+        },
+        (0.0, np.pi, 4.0): {
+            "default": ("c", False, False),
+            "singularity": ("c", False, False),
+            "residual": ("b", True, True),
+        },
+    }
+
+    @staticmethod
+    def assert_coherent(report, label):
+        assert report.observable == report.reachable
+        assert report.constructible == report.controllable
+        if report.reachable:
+            assert report.controllable
+        assert (label == "a") == report.reachable
+        assert (label == "b") == (not report.reachable and report.controllable)
+
+    @pytest.mark.parametrize("instants", list(EXPECTED))
+    @pytest.mark.parametrize("bundle", list(BUNDLES))
+    def test_half_turn_reports_are_coherent(self, rotation_system, instants, bundle):
+        document = SystemDocument(
+            order=2,
+            A=rotation_system.A,
+            b=rotation_system.b,
+            c=rotation_system.c,
+            x0=(1.0, -0.5),
+        )
+        schedule = SamplingSchedule(instants)
+        result = build_analysis(document, schedule, self.BUNDLES[bundle])
+        criterion = result["criterion"]
+        label = result["case"]["label"]
+        controllable_x0 = result["oracle"]["controllable_x0"]
+        assert (label, criterion["controllable"], controllable_x0) == self.EXPECTED[instants][bundle]
+
+        prepared = PreparedSystem(rotation_system, self.BUNDLES[bundle])
+        case = classify_case(prepared, schedule)
+        assert case.label == label
+        self.assert_coherent(case.report, case.label)
+
+    def test_seeded_sweep_with_random_tolerances(self):
+        rng = np.random.default_rng(2207)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            system = random_minimal_system(rng, n, allow_defective=True)
+            tolerances = Tolerances(
+                singularity=10.0 ** rng.uniform(-14.0, 0.0),
+                residual=10.0 ** rng.uniform(-14.0, 1.0),
+            )
+            prepared = PreparedSystem(system, tolerances)
+            schedule = random_schedule(rng, n + 1)
+            report = joint_verdict(prepared, schedule)
+            self.assert_coherent(report, case_label(report))
+            if n == 2:
+                case = classify_case(prepared, schedule)
+                assert case.label == case_label(report)
+                self.assert_coherent(case.report, case.label)
+
+    def test_controllable_implies_every_x0_outside_the_band(self):
+        rng = np.random.default_rng(2208)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            prepared = PreparedSystem(random_minimal_system(rng, n, allow_defective=True))
+            schedule = random_schedule(rng, n + 1)
+            report = joint_verdict(prepared, schedule)
+            if 1e-11 <= report.sigma_ratio <= 1e-7 or not report.controllable:
+                continue
+            assert controllable_direct(prepared, schedule, rng.normal(size=n))

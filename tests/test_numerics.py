@@ -322,6 +322,48 @@ class TestInRange:
         with pytest.raises(DimensionError):
             in_range(np.eye(2), [1.0, 2.0, 3.0])
 
+    def test_span_truncated_at_rank_tol(self):
+        # sigma ratio ~5e-13: dependent at 1e-9, so only the first column's
+        # direction spans, and independent at 1e-15, so the plane does.
+        columns = np.array([[1.0, 1.0], [0.0, 1e-12]])
+        truncated = in_range(columns, [0.0, 1.0], rank_tol=1e-9)
+        assert not truncated.contained
+        assert truncated.residual == pytest.approx(1.0)
+        assert in_range(columns, [0.0, 1.0], rank_tol=1e-15).contained
+
+    def test_each_tolerance_moves_only_its_own_outcome(self):
+        columns = np.array([[1.0, 1.0], [0.0, 1e-12]])
+        v = [0.0, 1.0]
+        # residual_tol moves the verdict, never the span or the residual
+        strict = in_range(columns, v, residual_tol=1e-9, rank_tol=1e-9)
+        loose = in_range(columns, v, residual_tol=10.0, rank_tol=1e-9)
+        assert not strict.contained and loose.contained
+        assert loose.residual == strict.residual
+        # rank_tol moves the span and so the residual, at a fixed threshold
+        full = in_range(columns, v, residual_tol=1e-9, rank_tol=1e-15)
+        assert full.contained and full.residual < 1e-12
+        # a full-rank span holds every vector whatever the residual_tol
+        for residual_tol in (1e-15, 1e-9, 10.0):
+            assert in_range(np.eye(2), v, residual_tol=residual_tol, rank_tol=1e-9).contained
+
+    def test_threshold_scales_with_the_vector(self):
+        column = np.array([[1.0], [0.0]])
+        assert in_range(column, [100.0, 1e-8], residual_tol=1e-9).contained
+        assert not in_range(column, [0.1, 1e-8], residual_tol=1e-9).contained
+
+    def test_complex_image_contained(self):
+        for _ in range(20):
+            rows = int(RNG.integers(1, 6))
+            cols = int(RNG.integers(1, 6))
+            m = RNG.normal(size=(rows, cols)) + 1j * RNG.normal(size=(rows, cols))
+            x = RNG.normal(size=cols) + 1j * RNG.normal(size=cols)
+            assert in_range(m, m @ x).contained
+
+    def test_zero_matrix_spans_nothing(self):
+        check = in_range(np.zeros((2, 2)), [3.0, 4.0])
+        assert not check.contained
+        assert check.residual == pytest.approx(5.0)
+
 
 class TestTolerances:
     @pytest.mark.parametrize("field", ["singularity", "cluster", "rank", "residual"])

@@ -17,7 +17,6 @@ from nusamp import (
     check_minimal,
     check_y0_components,
     classify_case,
-    controllability_verdict,
     cross_validate,
     deadbeat_inputs,
     eval_mode,
@@ -379,7 +378,6 @@ class TestPreparedSystem:
         prepared = PreparedSystem(rotation_system)
         two, three = SamplingSchedule((0.0, 1.0)), SamplingSchedule((0.0, 1.0, 2.5))
         joint_verdict(prepared, three)
-        controllability_verdict(prepared, three)
         cross_validate(prepared, three)
         classify_case(prepared, three)
         deadbeat_inputs(prepared, two, [1.0, 0.0], [0.0, 1.0])
