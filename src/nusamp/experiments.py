@@ -25,7 +25,7 @@ from .errors import (
     SingularScheduleError,
     UnsupportedOrderError,
 )
-from .system_model import PreparedSystem, Realization, prepare
+from .system_model import PreparedSystem, Realization, _state_vector, prepare
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,6 @@ def _input_vector(inputs, schedule: SamplingSchedule) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise DimensionError("inputs must be finite")
     return u
-
-
-def _state_vector(values, n: int, name: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.shape[0] != n:
-        raise DimensionError(f"{name} has {v.shape[0]} entries, expected {n}")
-    if not np.all(np.isfinite(v)):
-        raise DimensionError(f"{name} must be finite")
-    return v
 
 
 def simulate_impulse(

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NumericRangeError, ToleranceError
+from .errors import DimensionError, NumericRangeError, ToleranceError
 
 MAX_ORDER = 12
 
@@ -29,9 +29,10 @@ class Tolerances:
 
     ``singularity`` is the verdict threshold on the mode-matrix sigma ratio
     and the rank-truncation threshold of every span: the direct oracle's
-    rank tests and the spans of both range-membership tests; ``cluster``
-    merges eigenvalues into multiplicity clusters; ``rank`` decides the
-    continuous-time Kalman rank tests; ``residual`` is the membership
+    rank tests (``cross_validate`` and ``reachability_matrix``) and the
+    spans of both range-membership tests; ``cluster`` merges eigenvalues
+    into multiplicity clusters; ``rank`` decides the continuous-time Kalman
+    rank tests of ``check_minimal``; ``residual`` is the membership
     tolerance of the joint verdict's controllability test and of
     ``controllable_direct``.  Analyses read each field from the bundle of
     the prepared system they are given.  Each must be a positive finite real
@@ -77,13 +78,6 @@ class RangeCheck(NamedTuple):
     residual: float
 
 
-def _require_square(matrix, op: str) -> np.ndarray:
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{op} needs a square matrix, got shape {m.shape}")
-    return m
-
-
 # Degree-13 Pade coefficients b_0..b_13 (Higham 2005, "The scaling and
 # squaring method for the matrix exponential revisited"), divided by b_0 so
 # that the denominator at a zero matrix is exactly the identity and t = 0
@@ -119,7 +113,9 @@ def expm(matrix, t=1.0) -> np.ndarray:
     Raises NumericRangeError for a non-finite time, a scaled norm that
     overflows, or a result beyond OVERFLOW_LIMIT.
     """
-    m = _require_square(matrix, "expm")
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expm needs a square matrix, got shape {m.shape}")
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise DimensionError(f"expm takes a scalar or a 1-D array of times, got shape {times.shape}")
@@ -170,31 +166,25 @@ def _pade13(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def eig_clustered(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL):
-    """Eigenvalues of a real square matrix merged into multiplicity clusters.
+def eig_clustered(values, cluster_tol: float = DEFAULT_CLUSTER_TOL):
+    """Eigenvalues merged into multiplicity clusters.
 
-    Eigenvalues i and j join the same cluster when
+    ``values`` is the 1-D array of eigenvalues an eigensolver returned for
+    one matrix.  Eigenvalues i and j join the same cluster when
     ``|l_i - l_j| <= cluster_tol * max(1, |l_i|, |l_j|)`` (single linkage, so
     clusters are the connected components of that relation).  Each cluster is
     reported as (mean value, member count), sorted by real part then
-    imaginary part; exact ties keep the order the eigensolver produced.
+    imaginary part; exact ties keep the order of ``values``.
 
-    Complex eigenvalues of a real matrix come out in conjugate pairs, so the
+    Complex eigenvalues of a real matrix come in conjugate pairs, so the
     cluster list is conjugate-closed as well.
 
     The components come from a plain pairwise loop over the at most
     MAX_ORDER values, each labelled by its lowest member index; a cluster
-    of one reports its eigenvalue as is, a larger one the ``np.mean`` of its
-    members.
+    of one reports its eigenvalue exactly as given, a larger one the
+    ``np.mean`` of its members.
     """
-    m = _require_square(matrix, "eig_clustered")
-    if np.iscomplexobj(m):
-        raise DimensionError("eig_clustered expects a real matrix")
-    try:
-        values = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-
+    values = np.asarray(values)
     points = values.tolist()
     magnitude = [abs(value) for value in points]
     labels = list(range(len(points)))

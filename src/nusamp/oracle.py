@@ -7,8 +7,8 @@ the mode-matrix criterion is therefore a genuine two-route check, and
 
 Each check exponentiates A once over a stack of times, for the sampled input
 columns ``exp(A s_i) b``, the sampled output rows ``c exp(A s_i)`` and the
-x0 target ``exp(A t_n) x0``.  ``cross_validate`` and ``controllable_direct``
-take a ``Realization`` or a ``PreparedSystem`` and read its tolerances.
+x0 target ``exp(A t_n) x0``.  Every function here takes a ``Realization``
+or a ``PreparedSystem`` and reads its tolerances.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict
 from .errors import InsufficientScheduleError
-from .system_model import PreparedSystem, Realization, prepare
+from .system_model import PreparedSystem, Realization, _state_vector, prepare
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,22 @@ def _exponentials(realization: Realization, schedule: SamplingSchedule, final: b
 
 
 def reachability_matrix(
-    realization: Realization,
-    schedule: SamplingSchedule,
-    rank_tol: float = numerics.DEFAULT_RANK_TOL,
+    system: Realization | PreparedSystem, schedule: SamplingSchedule
 ) -> ReachabilityMatrixResult:
     """Build [G_{n-1}, ..., G_0] with G_i = exp(A (t_ref - t_i)) b.
 
     With exactly n instants the reference is ``t[n-1]`` (matching the
     shifted-interval convention); with n+1 or more it is ``t[n]``.  The two
     choices differ by a nonsingular common factor, so the rank verdict is
-    the same either way.
+    the same either way.  The rank is cut at the bundle's ``singularity``,
+    as in ``cross_validate``.
     """
+    prepared = prepare(system)
+    realization = prepared.realization
     stack, reference = _exponentials(realization, schedule)
     G = (stack @ realization.b).T
-    return ReachabilityMatrixResult(G, numerics.numeric_rank(G, rank_tol), reference)
+    rank = numerics.numeric_rank(G, prepared.tolerances.singularity)
+    return ReachabilityMatrixResult(G, rank, reference)
 
 
 def controllable_direct(
@@ -103,13 +105,15 @@ def controllable_direct(
     x0-independent mode-space version.  Both sides use absolute times, so
     unlike the joint verdict this test is not translation invariant.  The
     span of G is truncated at the bundle's ``singularity`` and membership is
-    judged by its ``residual``.
+    judged by its ``residual``.  An x0 of the wrong length or with a
+    non-finite entry raises DimensionError.
     """
     prepared = prepare(system)
     realization = prepared.realization
     n = realization.n
+    x0 = _state_vector(x0, n, "x0")
     stack, _ = _exponentials(realization, schedule, final=True)
-    target = stack[n] @ np.asarray(x0, dtype=float).reshape(-1)
+    target = stack[n] @ x0
     tolerances = prepared.tolerances
     return numerics.in_range(
         (stack[:n] @ realization.b).T, target, tolerances.residual, tolerances.singularity

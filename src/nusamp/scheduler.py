@@ -28,6 +28,7 @@ from .system_model import ModeSet, PreparedSystem, Realization, prepare, require
 
 # Guard so a careless search spec cannot ask for an astronomically large grid.
 MAX_GRID_CANDIDATES = 2_000_000
+MAX_FORBIDDEN_INSTANTS = 100_000  # the same guard for one forbidden-instant window
 
 # Grid schedules evaluated per batched mode-matrix call.  Large enough that
 # Python overhead per candidate is small, small enough that the stacked
@@ -124,8 +125,9 @@ def forbidden_instants_order2(
     stretches the mode-space vectors and never changes this set.  Only the
     mode set is needed, so minimality is not checked; the guard band is
     bisected against the singularity tolerance.  A non-finite t0 or window
-    bound raises InfeasibleError.  A plain realization is analysed with the
-    default tolerances.
+    bound raises InfeasibleError, as does a window holding more than
+    MAX_FORBIDDEN_INSTANTS of them.  A plain realization is analysed with
+    the default tolerances.
     """
     prepared = prepare(system)
     n = prepared.realization.n
@@ -144,6 +146,11 @@ def forbidden_instants_order2(
         lo, hi = hi, lo
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     k_first = max(0, math.ceil((lo - t0 - slack) / period))
+    count = math.floor((hi + slack - t0) / period) - k_first + 1
+    if count > MAX_FORBIDDEN_INSTANTS:
+        raise InfeasibleError(
+            f"window holds {count} forbidden instants, more than {MAX_FORBIDDEN_INSTANTS}"
+        )
     points = []
     k = k_first
     while True:
@@ -158,10 +165,9 @@ def forbidden_instants_order2(
     return ForbiddenSet(float(t0), period, tuple(points), guard)
 
 
-def _bisect_guard_band(
-    modes: ModeSet, t0: float, t_star: float, tol: float, iterations: int = 60
-) -> float:
-    """Half-width around a forbidden instant within which the verdict fails."""
+def _bisect_guard_band(modes: ModeSet, t0: float, t_star: float, tol: float) -> float:
+    """Half-width around a forbidden instant within which the verdict fails,
+    bisected in at most 60 halvings of a quarter period."""
     span = (t_star - t0) / 4.0
 
     def fails(offset: float) -> bool:
@@ -171,7 +177,7 @@ def _bisect_guard_band(
     low, high = 0.0, span
     if fails(high):
         return span
-    for _ in range(iterations):
+    for _ in range(60):
         mid = 0.5 * (low + high)
         if mid <= low or mid >= high:
             break

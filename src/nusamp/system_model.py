@@ -10,9 +10,9 @@ characteristic modes ``t**k * exp(lam*t)``, and the Jordan-form data
 (J, B, y0) with ``A = B J B^-1`` and ``y0 = B^-1 b``.
 
 An analysis receives the realization as a ``PreparedSystem``: the
-realization with the tolerances of the analysis, which computes the
-minimality report and the modal decomposition once and shares them with
-every analysis it is passed to.
+realization with the tolerances of the analysis, which computes the one
+eigendecomposition of A, the minimality report and the modal decomposition
+once each and shares them with every analysis it is passed to.
 
 Conventions fixed once here:
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DimensionError, MinimalityError, UnsupportedOrderError
+from .errors import ConvergenceError, DimensionError, MinimalityError, UnsupportedOrderError
 
 # Basis matrices with sigma ratios below this get a conditioning warning.
 ILL_CONDITIONED_BASIS = 1e-10
@@ -41,12 +41,23 @@ ILL_CONDITIONED_BASIS = 1e-10
 
 def _as_real_array(values, name: str) -> np.ndarray:
     try:
+        if np.iscomplexobj(values):  # a cast would drop the imaginary part
+            raise DimensionError(f"{name} must be a real array")
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} must be a real array: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise DimensionError(f"{name} contains non-finite entries")
     return arr
+
+
+def _state_vector(values, n: int, name: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float).reshape(-1)
+    if v.shape[0] != n:
+        raise DimensionError(f"{name} has {v.shape[0]} entries, expected {n}")
+    if not np.all(np.isfinite(v)):
+        raise DimensionError(f"{name} must be finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -160,10 +171,10 @@ def observability_matrix(realization: Realization) -> np.ndarray:
     return np.vstack(rows)
 
 
-def check_minimal(
-    realization: Realization, rank_tol: float = numerics.DEFAULT_RANK_TOL
-) -> MinimalityReport:
-    """Rank-test both Kalman matrices of the continuous-time realization."""
+def check_minimal(system: Realization | PreparedSystem) -> MinimalityReport:
+    """Rank-test both Kalman matrices at the bundle's ``rank`` tolerance."""
+    prepared = prepare(system)
+    realization, rank_tol = prepared.realization, prepared.tolerances.rank
     ctrb = numerics.numeric_rank(controllability_matrix(realization), rank_tol)
     obsv = numerics.numeric_rank(observability_matrix(realization), rank_tol)
     n = realization.n
@@ -181,11 +192,9 @@ def require_minimal(report: MinimalityReport, n: int) -> None:
         raise MinimalityError("realization is not minimal: " + "; ".join(failed))
 
 
-def mode_set(
-    realization: Realization, cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL
-) -> ModeSet:
+def mode_set(system: Realization | PreparedSystem) -> ModeSet:
     """Clustered eigenvalues of A, defining the ordered mode basis."""
-    return ModeSet(tuple(numerics.eig_clustered(realization.A, cluster_tol)))
+    return prepare(system).modes
 
 
 def eval_mode(modes: ModeSet, index: int, t: float) -> complex:
@@ -234,56 +243,41 @@ def _jordan_chain(A: np.ndarray, lam: complex, size: int, rcond: float):
     return chain
 
 
-def modal_decompose(
-    realization: Realization,
-    cluster_tol: float = numerics.DEFAULT_CLUSTER_TOL,
-    modes: ModeSet | None = None,
-) -> ModalDecomposition:
+def modal_decompose(system: Realization | PreparedSystem) -> ModalDecomposition:
     """Compute J, B and y0 = B^-1 b for a minimal realization.
 
-    One ``np.linalg.eig(A)`` supplies the basis of every simple cluster:
-    each takes the eigenvector of the nearest eigenvalue not already given
-    to another cluster, in canonical phase.  Only a defective cluster runs
-    ``_jordan_chain``.  A cluster whose conjugate partner already has its
-    chain takes the conjugate chain.  One solve with B gives y0 and the
-    B^-1 of the reconstruction residual ``||A - B J B^-1|| / max(1, ||A||)``;
-    y0 is then made exactly real on real clusters and conjugate on
-    conjugate ones, the symmetry it has in exact arithmetic.  An
+    The mode set and the basis read the prepared system's one ``eigen``: a
+    simple cluster holds its eigenvalue exactly as returned, so it takes
+    that eigenvalue's eigenvector, in canonical phase.  Only a defective
+    cluster runs ``_jordan_chain``.  A cluster whose conjugate partner
+    already has its chain takes the conjugate chain.  One solve with B
+    gives y0 and the B^-1 of the reconstruction residual
+    ``||A - B J B^-1|| / max(1, ||A||)``; y0 is then made exactly real on
+    real clusters and conjugate on conjugate ones, the symmetry it has in
+    exact arithmetic.  An
     ill-conditioned basis (sigma ratio below ``ILL_CONDITIONED_BASIS``)
     falls back to least squares for y0 and the pseudo-inverse for the
     residual, and attaches a warning to the result instead of failing.
 
     Minimality is not checked here: ``PreparedSystem.decomposition`` checks
     it first, and on a non-minimal realization the decomposition is only
-    well defined when the eigenvalues are distinct.  ``modes``, when given,
-    is the realization's mode set at ``cluster_tol``, already clustered;
-    otherwise it is computed here.
+    well defined when the eigenvalues are distinct.  The bundle's
+    ``cluster`` tolerance also pairs conjugate clusters and cuts the Jordan
+    chains' pseudo-inverse.
     """
-    if modes is None:
-        modes = mode_set(realization, cluster_tol)
+    prepared = prepare(system)
+    realization = prepared.realization
+    cluster_tol = prepared.tolerances.cluster
+    modes = prepared.modes
     roots = modes.roots
-    values, vectors = np.linalg.eig(realization.A)
+    values, vectors = prepared.eigen
     vectors = _canonical_phase(vectors.astype(complex, copy=False))
-
     points = values.tolist()
-    unused = list(range(len(points)))
-
-    def claim(lam: complex) -> int:
-        index = min(unused, key=lambda k: abs(points[k] - lam))
-        unused.remove(index)
-        return index
-
-    # The eigenvalues of a defective cluster carry no usable eigenvectors;
-    # keep them from the simple clusters.
-    for lam, m in roots:
-        if m > 1:
-            for _ in range(m):
-                claim(lam)
 
     def chain(lam: complex, m: int) -> list:
         if m > 1:
             return _jordan_chain(realization.A.astype(complex), lam, m, cluster_tol)
-        return [vectors[:, claim(lam)]]
+        return [vectors[:, points.index(lam)]]
 
     chains: dict[int, list[np.ndarray]] = {}
     # mirror[j]: the cluster whose chain is the conjugate of cluster j's
@@ -314,8 +308,7 @@ def modal_decompose(
     J = np.diag(np.array([lam for lam, _ in params], dtype=complex))
     J += np.diag([float(power > 0) for _, power in params[1:]], 1)
 
-    sigma = np.linalg.svd(basis, compute_uv=False)
-    sigma_ratio = float(sigma[-1] / sigma[0]) if sigma[0] > 0.0 else 0.0
+    sigma_ratio = numerics.numeric_rank(basis).sigma_ratio
     warning = None
     if sigma_ratio < ILL_CONDITIONED_BASIS:
         warning = (
@@ -367,30 +360,38 @@ def check_y0_components(
 class PreparedSystem:
     """A realization, the tolerances of its analysis, and the facts it needs.
 
-    The minimality report, the mode set and the modal decomposition are
-    computed on first use, at most once each, and shared by every analysis
-    the prepared system is passed to; the decomposition is built on the mode
-    set.  Reading ``decomposition`` of a non-minimal realization raises
-    MinimalityError naming the failed rank test.  Analyses that need only the
-    mode set read ``modes``, which checks no minimality and never triggers
-    the decomposition.
+    The eigendecomposition, the minimality report, the mode set and the
+    modal decomposition are computed on first use, at most once each, and
+    shared by every analysis the prepared system is passed to; the mode set
+    clusters the eigenvalues of ``eigen`` and the basis starts from its
+    eigenvectors.  Reading ``decomposition`` of a non-minimal realization
+    raises MinimalityError naming the failed rank test.  Analyses that need
+    only the mode set read ``modes``, which never triggers the decomposition.
     """
 
     realization: Realization
     tolerances: numerics.Tolerances = numerics.Tolerances()
 
     @functools.cached_property
+    def eigen(self):
+        """(eigenvalues, eigenvectors) of A from one ``np.linalg.eig``."""
+        try:
+            return np.linalg.eig(self.realization.A)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+
+    @functools.cached_property
     def minimality(self) -> MinimalityReport:
-        return check_minimal(self.realization, self.tolerances.rank)
+        return check_minimal(self)
 
     @functools.cached_property
     def modes(self) -> ModeSet:
-        return mode_set(self.realization, self.tolerances.cluster)
+        return ModeSet(tuple(numerics.eig_clustered(self.eigen[0], self.tolerances.cluster)))
 
     @functools.cached_property
     def decomposition(self) -> ModalDecomposition:
         require_minimal(self.minimality, self.realization.n)
-        return modal_decompose(self.realization, self.tolerances.cluster, self.modes)
+        return modal_decompose(self)
 
 
 def prepare(system: Realization | PreparedSystem) -> PreparedSystem:

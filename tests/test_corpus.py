@@ -23,8 +23,9 @@ The recorded outputs pin the tolerance routing: the singularity tolerance
 decides the verdict and truncates the rank of every span, and the residual
 tolerance judges range membership, so ``--residual-tol 10`` turns
 ``criterion.controllable`` on in ``rotation-analyze-residual-tol-singular``.
-A change that alters an output on purpose re-records it with
-``python tests/test_corpus.py`` and says which runs changed.
+A change that alters an output on purpose re-records the runs it moves with
+``python tests/test_corpus.py NAME ...`` (every run when no name is given)
+and says which runs changed.
 """
 
 import io
@@ -127,12 +128,19 @@ def test_corpus_covers_every_subcommand_and_tolerance_flag():
         assert any(flag in argv for argv in argvs), flag
 
 
-def record() -> None:
-    """Re-run every command line in runs.json and store what it printed."""
+def record(names=()) -> int:
+    """Re-run the named command lines in runs.json (all of them when none
+    are named) and store what they printed; 1 on an unknown name."""
+    unknown = set(names) - {case["name"] for case in RECORDED}
+    if unknown:
+        print(f"unknown corpus runs: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 1
     for case in RECORDED:
-        case["exit"], case["stdout"], case["stderr"] = run(case["argv"])
+        if not names or case["name"] in names:
+            case["exit"], case["stdout"], case["stderr"] = run(case["argv"])
     RUNS.write_text(json.dumps(RECORDED, indent=1) + "\n", encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    sys.exit(record(sys.argv[1:]))

@@ -139,15 +139,15 @@ class TestExpm:
 
 class TestEigClustered:
     def test_diagonal(self):
-        assert eig_clustered(np.diag([0.0, -1.0])) == [(-1.0, 1), (0.0, 1)]
+        assert eig_clustered(np.linalg.eigvals(np.diag([0.0, -1.0]))) == [(-1.0, 1), (0.0, 1)]
 
     def test_jordan_block(self):
-        result = eig_clustered(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+        result = eig_clustered(np.linalg.eigvals(np.array([[-1.0, 1.0], [0.0, -1.0]])))
         assert result == [(-1.0, 2)]
 
     def test_rotation_conjugate_pair(self):
         # characteristic polynomial x**2 + 1 has roots -j, +j
-        result = eig_clustered(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        result = eig_clustered(np.linalg.eigvals(np.array([[0.0, -1.0], [1.0, 0.0]])))
         assert len(result) == 2
         assert result[0][0] == pytest.approx(-1j)
         assert result[1][0] == pytest.approx(1j)
@@ -156,13 +156,13 @@ class TestEigClustered:
         for _ in range(30):
             n = int(RNG.integers(1, 7))
             m = RNG.normal(size=(n, n))
-            clusters = eig_clustered(m)
+            clusters = eig_clustered(np.linalg.eigvals(m))
             assert sum(count for _, count in clusters) == n
 
     def test_conjugate_symmetry(self):
         for _ in range(30):
             n = int(RNG.integers(2, 7))
-            clusters = eig_clustered(RNG.normal(size=(n, n)))
+            clusters = eig_clustered(np.linalg.eigvals(RNG.normal(size=(n, n))))
             values = sorted(
                 (lam for lam, count in clusters for _ in range(count)),
                 key=lambda z: (z.real, z.imag),
@@ -173,12 +173,8 @@ class TestEigClustered:
             assert np.allclose(values, mirrored)
 
     def test_cluster_merging(self):
-        result = eig_clustered(np.diag([1.0, 1.0 + 1e-9, 2.0]), cluster_tol=1e-7)
+        result = eig_clustered(np.linalg.eigvals(np.diag([1.0, 1.0 + 1e-9, 2.0])), cluster_tol=1e-7)
         assert result == [(pytest.approx(1.0 + 5e-10), 2), (2.0, 1)]
-
-    def test_rejects_complex_input(self):
-        with pytest.raises(DimensionError):
-            eig_clustered(np.eye(2, dtype=complex))
 
     def test_matches_pairwise_union_find(self):
         rng = np.random.default_rng(11)
@@ -186,18 +182,20 @@ class TestEigClustered:
         for n in range(1, 13):
             for _ in range(12):
                 matrix = _spectrum_matrix(rng, n, tol)
+                values = np.linalg.eigvals(matrix)
                 for cluster_tol in (tol, 1e-3):
-                    assert eig_clustered(matrix, cluster_tol) == _reference_clusters(
-                        np.linalg.eigvals(matrix), cluster_tol
+                    assert eig_clustered(values, cluster_tol) == _reference_clusters(
+                        values, cluster_tol
                     ), (n, matrix.diagonal())
 
     def test_chain_links_transitively(self):
         # Neighbours 0.8*tol apart link; the ends, 1.6*tol apart, only
         # through the middle.
         tol = 1e-7
-        result = eig_clustered(np.diag([1.0, 1.0 + 0.8e-7, 1.0 + 1.6e-7, 3.0]), tol)
+        chained = np.linalg.eigvals(np.diag([1.0, 1.0 + 0.8e-7, 1.0 + 1.6e-7, 3.0]))
+        result = eig_clustered(chained, tol)
         assert [count for _, count in result] == [3, 1]
-        split = eig_clustered(np.diag([1.0, 1.0 + 1.6e-7, 3.0]), tol)
+        split = eig_clustered(np.linalg.eigvals(np.diag([1.0, 1.0 + 1.6e-7, 3.0])), tol)
         assert [count for _, count in split] == [1, 1, 1]
 
 

@@ -1,9 +1,12 @@
 """Direct rank tests and criterion cross-validation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from nusamp import (
+    DimensionError,
     InsufficientScheduleError,
     PreparedSystem,
     Realization,
@@ -11,6 +14,7 @@ from nusamp import (
     Tolerances,
     controllable_direct,
     cross_validate,
+    deadbeat_inputs,
     joint_verdict,
     numerics,
     reachability_matrix,
@@ -117,6 +121,20 @@ class TestControllableDirect:
     def test_needs_extra_instant(self, rotation_system):
         with pytest.raises(InsufficientScheduleError):
             controllable_direct(rotation_system, SamplingSchedule((0.0, 1.0)), [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [
+            ([1.0, 0.0, 0.0], "x0 has 3 entries, expected 2"),
+            ([1.0, np.nan], "x0 must be finite"),
+            ([1.0, np.inf], "x0 must be finite"),
+        ],
+    )
+    def test_rejects_x0_as_deadbeat_does(self, rotation_system, x0, message):
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            controllable_direct(rotation_system, SamplingSchedule((0.0, 1.0, 2.0)), x0)
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            deadbeat_inputs(rotation_system, SamplingSchedule((0.0, 1.0)), x0, [0.0, 0.0])
 
     def test_one_exponential_stack_and_no_rank_test(self, monkeypatch, rotation_system):
         calls = count_calls(monkeypatch, [(numerics, "expm"), (numerics, "numeric_rank")])

@@ -23,7 +23,7 @@ from nusamp import (
     suggest_schedule,
     validate_uniform,
 )
-from nusamp import numerics
+from nusamp import numerics, scheduler
 from nusamp.numerics import column_normalized_sigma_ratio
 
 RNG = np.random.default_rng(55)
@@ -108,6 +108,14 @@ class TestForbiddenInstants:
     def test_non_finite_arguments(self, rotation_system, t0, window):
         with pytest.raises(InfeasibleError, match="must be finite"):
             forbidden_instants_order2(rotation_system, t0, window)
+
+    def test_window_list_is_bounded(self, rotation_system):
+        # Instants k*pi for k = 0..MAX fill the list; one more period raises.
+        bound = scheduler.MAX_FORBIDDEN_INSTANTS
+        full = forbidden_instants_order2(rotation_system, 0.0, (0.0, (bound - 0.5) * np.pi))
+        assert len(full.forbidden) == bound
+        with pytest.raises(InfeasibleError, match=f"holds {bound + 1} forbidden instants"):
+            forbidden_instants_order2(rotation_system, 0.0, (0.0, (bound + 0.5) * np.pi))
 
     def test_guard_band_is_tight(self, rotation_system):
         result = forbidden_instants_order2(rotation_system, 0.0, (0.0, 4.0))

@@ -52,6 +52,14 @@ class TestRealization:
         with pytest.raises(DimensionError):
             Realization([[np.inf]], [1.0], [1.0])
 
+    def test_rejects_complex_arrays(self):
+        # Cast to float, a complex array would silently lose its imaginary part.
+        real = {"A": np.eye(2), "b": np.array([1.0, 0.0]), "c": np.array([1.0, 0.0])}
+        for name, value in real.items():
+            arrays = dict(real, **{name: value.astype(complex) * 1j})
+            with pytest.raises(DimensionError, match=f"^{name} must be a real array$"):
+                Realization(**arrays)
+
     def test_order_cap(self):
         n = 13
         with pytest.raises(UnsupportedOrderError):
@@ -244,16 +252,6 @@ class TestModalBasis:
             assert decomposition.modes.r == 2
             assert sorted(_eig_columns(system, decomposition.B)) == [0, 1]
 
-    def test_clusters_nearest_one_eigenvalue_take_distinct_columns(self):
-        # A mode set whose two values both lie nearer the lower eigenvalue
-        # -1 - s: the second cluster still gets the other column.
-        s = 1e-6
-        system = Realization([[-1.0, 1.0], [s * s, -1.0]], [0.3, 1.0], [1.0, 0.2])
-        modes = ModeSet(((-1.0 - 1.2 * s, 1), (-1.0 - 0.2 * s, 1)))
-        decomposition = modal_decompose(system, 1e-15, modes)
-        assert sorted(_eig_columns(system, decomposition.B)) == [0, 1]
-        assert decomposition.conditioning_warning is None
-
 
 def _seeded_system(rng: np.random.Generator, n: int, kind: str):
     """An order-n realization of a seeded spectrum, and whether its basis is
@@ -374,6 +372,8 @@ class TestPreparedSystem:
             (system_model, "check_minimal"),
             (system_model, "modal_decompose"),
             (numerics, "eig_clustered"),
+            (np.linalg, "eig"),
+            (np.linalg, "eigvals"),
         ])
         prepared = PreparedSystem(rotation_system)
         two, three = SamplingSchedule((0.0, 1.0)), SamplingSchedule((0.0, 1.0, 2.5))
@@ -383,7 +383,10 @@ class TestPreparedSystem:
         deadbeat_inputs(prepared, two, [1.0, 0.0], [0.0, 1.0])
         reconstruct_state(prepared, two, [1.0, 0.5])
         validate_uniform(prepared, 0.5)
-        assert calls == {"check_minimal": 1, "modal_decompose": 1, "eig_clustered": 1}
+        # One eigendecomposition serves the mode set and the modal basis.
+        assert calls == {
+            "check_minimal": 1, "modal_decompose": 1, "eig_clustered": 1, "eig": 1
+        }
 
     def test_search_reuses_the_clustered_modes(self, rotation_system, monkeypatch):
         calls = count_calls(monkeypatch, [(numerics, "eig_clustered")])
