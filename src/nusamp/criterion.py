@@ -97,14 +97,17 @@ class CriterionReport:
 def shifted_intervals(schedule: SamplingSchedule, n: int) -> ShiftedIntervals:
     """Shifted intervals of the first n instants; alpha_n when one more exists."""
     t = schedule.instants
-    if len(t) < n:
-        raise InsufficientScheduleError(
-            f"schedule has {len(t)} instants but the order-{n} test needs at least {n}"
-        )
-    reference = t[n - 1]
-    alpha = tuple(reference - t[n - 1 - m] for m in range(n))
     alpha_n = (t[n] - t[0]) if len(t) > n else None
-    return ShiftedIntervals(alpha, alpha_n)
+    return ShiftedIntervals(tuple(_alpha_rows(np.array(t), n).tolist()), alpha_n)
+
+
+def _alpha_rows(t: np.ndarray, n: int) -> np.ndarray:
+    """``alpha_m = t[n-1] - t[n-1-m]`` for m = 0..n-1, along the last axis."""
+    if t.shape[-1] < n:
+        raise InsufficientScheduleError(
+            f"schedule has {t.shape[-1]} instants but the order-{n} test needs at least {n}"
+        )
+    return t[..., n - 1 : n] - t[..., n - 1 :: -1]
 
 
 def mode_matrix(modes: ModeSet, alphas) -> np.ndarray:
@@ -171,13 +174,18 @@ def full_determinant(decomposition: ModalDecomposition, alphas: ShiftedIntervals
     return complex(np.linalg.det(_mode_space_vectors(decomposition, alphas.alpha).T))
 
 
-def schedule_conditioning(modes: ModeSet, schedule: SamplingSchedule) -> float:
-    """Sigma ratio of the column-normalized mode matrix for this schedule.
+def schedule_conditioning(modes: ModeSet, schedules) -> float | np.ndarray:
+    """Sigma ratio of the column-normalized mode matrix for each schedule.
 
     This is the verdict statistic of the joint test; it needs only the mode
     set, so schedule search and guard-band probing can call it cheaply.
+    ``schedules`` is a SamplingSchedule, giving a float, or an unvalidated
+    array of instants of shape (..., k), k >= n, giving shape (...) from one
+    stacked mode-matrix and SVD pass (a float for a single row).
     """
-    alphas = shifted_intervals(schedule, modes.n)
+    if isinstance(schedules, SamplingSchedule):
+        schedules = schedules.instants
+    alphas = _alpha_rows(np.asarray(schedules, dtype=float), modes.n)
     return numerics.column_normalized_sigma_ratio(mode_matrix(modes, alphas))
 
 

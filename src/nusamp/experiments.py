@@ -25,7 +25,7 @@ from .errors import (
     SingularScheduleError,
     UnsupportedOrderError,
 )
-from .system_model import PreparedSystem, Realization, _state_vector, prepare
+from .system_model import PreparedSystem, Realization, _real_array, _state_vector, prepare
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class CaseLabel:
 
 
 def _input_vector(inputs, schedule: SamplingSchedule) -> np.ndarray:
-    u = np.asarray(inputs, dtype=float).reshape(-1)
+    u = _real_array(inputs, "inputs").reshape(-1)
     expected = len(schedule) - 1
     if u.shape[0] != expected:
         raise DimensionError(
@@ -224,7 +224,7 @@ def reconstruct_state(
         raise InsufficientScheduleError(
             f"state reconstruction needs exactly {n} output instants, got {len(t)}"
         )
-    y = np.asarray(outputs, dtype=float).reshape(-1)
+    y = _real_array(outputs, "outputs").reshape(-1)
     if y.shape[0] != n:
         raise DimensionError(f"expected {n} outputs, got {y.shape[0]}")
     if not np.all(np.isfinite(y)):

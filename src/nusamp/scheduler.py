@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
-from .criterion import (
-    CriterionReport,
-    SamplingSchedule,
-    joint_verdict,
-    mode_matrix,
-    schedule_conditioning,
-)
+from .criterion import CriterionReport, SamplingSchedule, joint_verdict, schedule_conditioning
 from .errors import InfeasibleError, NotApplicableError, UnsupportedOrderError
 from .system_model import ModeSet, PreparedSystem, Realization, prepare, require_minimal
 
@@ -35,6 +28,8 @@ MAX_FORBIDDEN_INSTANTS = 100_000  # the same guard for one forbidden-instant win
 # complex mode matrices stay a few hundred kilobytes even at order 12.
 SEARCH_CHUNK = 256
 
+GUARD_SECTIONS = 16  # guard-band bracket sections per batched round
+
 
 @dataclass(frozen=True)
 class ForbiddenSet:
@@ -42,8 +37,8 @@ class ForbiddenSet:
 
     ``forbidden`` lists the members inside the queried window (including the
     degenerate k = 0 point t0 itself when covered).  ``guard_band`` is the
-    empirically bisected half-width around a forbidden instant within which
-    the joint verdict still fails at the given tolerance.
+    half-width past a forbidden separation within which the joint verdict
+    still fails at the given tolerance; it does not depend on t0.
     """
 
     base_instant: float
@@ -107,10 +102,10 @@ def _oscillatory_frequency(modes: ModeSet) -> float:
             "no forbidden instants: the eigenvalues are not a complex conjugate pair"
         )
     lam = modes.roots[1][0]
-    if lam.imag <= numerics.DEFAULT_RANK_TOL * max(1.0, abs(lam)):
-        raise NotApplicableError(
-            "no forbidden instants: real distinct eigenvalues"
-        )
+    # Clustering already kept the pair apart, and LAPACK returns the real
+    # eigenvalues of a real matrix with an imaginary part of exactly 0.
+    if lam.imag == 0.0:
+        raise NotApplicableError("no forbidden instants: real distinct eigenvalues")
     return float(lam.imag)
 
 
@@ -124,10 +119,10 @@ def forbidden_instants_order2(
     imaginary part of the eigenvalue pair.  Damping (the real part) only
     stretches the mode-space vectors and never changes this set.  Only the
     mode set is needed, so minimality is not checked; the guard band is
-    bisected against the singularity tolerance.  A non-finite t0 or window
-    bound raises InfeasibleError, as does a window holding more than
-    MAX_FORBIDDEN_INSTANTS of them.  A plain realization is analysed with
-    the default tolerances.
+    sectioned against the singularity tolerance on the separation alone.  A
+    non-finite t0 or window bound raises InfeasibleError, as does a window
+    too far from t0 to count, or holding more than MAX_FORBIDDEN_INSTANTS
+    of them.  A plain realization is analysed with the default tolerances.
     """
     prepared = prepare(system)
     n = prepared.realization.n
@@ -137,55 +132,52 @@ def forbidden_instants_order2(
     frequency = _oscillatory_frequency(modes)
     period = math.pi / frequency
 
-    lo, hi = (float(window[0]), float(window[1]))
+    lo, hi = sorted((float(window[0]), float(window[1])))
     if not all(np.isfinite((t0, lo, hi))):
         raise InfeasibleError(
             f"t0 and the window bounds must be finite, got t0={t0!r}, window={window!r}"
         )
-    if hi < lo:
-        lo, hi = hi, lo
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-    k_first = max(0, math.ceil((lo - t0 - slack) / period))
-    count = math.floor((hi + slack - t0) / period) - k_first + 1
+    first, last = (lo - t0 - slack) / period, (hi + slack - t0) / period
+    if not (math.isfinite(first) and math.isfinite(last)):
+        raise InfeasibleError(
+            f"window {window!r} is too far from t0={t0!r} to count its forbidden instants"
+        )
+    k_first = max(0, math.ceil(first))
+    count = max(0, math.floor(last) - k_first + 1)
     if count > MAX_FORBIDDEN_INSTANTS:
         raise InfeasibleError(
             f"window holds {count} forbidden instants, more than {MAX_FORBIDDEN_INSTANTS}"
         )
-    points = []
-    k = k_first
-    while True:
-        t = t0 + k * period
-        if t > hi + slack:
-            break
-        if t >= lo - slack:
-            points.append(t)
-        k += 1
+    # One k past the count absorbs a quotient rounded down at the window end.
+    points = t0 + (k_first + np.arange(count + 1)) * period
+    points = points[(points >= lo - slack) & (points <= hi + slack)]
 
-    guard = _bisect_guard_band(modes, t0, t0 + period, prepared.tolerances.singularity)
-    return ForbiddenSet(float(t0), period, tuple(points), guard)
+    guard = _guard_band(modes, period, prepared.tolerances.singularity)
+    return ForbiddenSet(float(t0), period, tuple(points.tolist()), guard)
 
 
-def _bisect_guard_band(modes: ModeSet, t0: float, t_star: float, tol: float) -> float:
-    """Half-width around a forbidden instant within which the verdict fails,
-    bisected in at most 60 halvings of a quarter period."""
-    span = (t_star - t0) / 4.0
-
-    def fails(offset: float) -> bool:
-        schedule = SamplingSchedule((t0, t_star + offset))
-        return schedule_conditioning(modes, schedule) <= tol
-
-    low, high = 0.0, span
-    if fails(high):
+def _guard_band(modes: ModeSet, period: float, tol: float) -> float:
+    """Offset past the separation ``period`` where the verdict passes again,
+    at most a quarter period, on the rows (0, period + offset); offset 0 is
+    taken to fail.  Each round sections the bracket GUARD_SECTIONS ways in
+    one call and keeps the section ending at the first passing offset; 15
+    rounds narrow it by 16**15 = 2**60, as 60 halvings would."""
+    span = period / 4.0
+    if schedule_conditioning(modes, np.array([0.0, period + span])) <= tol:
         return span
-    for _ in range(60):
-        mid = 0.5 * (low + high)
-        if mid <= low or mid >= high:
+    low, high = 0.0, span
+    for _ in range(15):
+        offsets = np.linspace(low, high, GUARD_SECTIONS + 1)
+        offsets = offsets[(offsets > low) & (offsets < high)]
+        if offsets.size == 0:
             break
-        if fails(mid):
-            low = mid
-        else:
-            high = mid
-    return high
+        rows = np.column_stack((np.zeros(offsets.size), period + offsets))
+        passes = np.concatenate(([False], schedule_conditioning(modes, rows) > tol, [True]))
+        bracket = np.concatenate(([low], offsets, [high]))
+        first = int(np.argmax(passes))
+        low, high = bracket[first - 1], bracket[first]
+    return float(high)
 
 
 def validate_uniform(
@@ -196,20 +188,27 @@ def validate_uniform(
     Also scans the subsampled intervals j*T for j up to ``horizon`` and
     reports the first one whose sigma ratio is at or below the singularity
     tolerance, which for an oscillatory order-2 system flags the smallest
-    multiple of T hitting a forbidden separation.  A plain realization is
+    multiple of T hitting a forbidden separation.  The j = 1 ratio is the
+    report's own; larger multiples are probed one at a time, up to the first
+    failing one.  ``horizon`` must be an integer.  A plain realization is
     analysed with the default tolerances.
     """
     prepared = prepare(system)
     if interval <= 0.0 or not np.isfinite(interval):
         raise InfeasibleError(f"sampling interval must be positive, got {interval!r}")
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise InfeasibleError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise InfeasibleError("horizon must be at least 1")
     n = prepared.realization.n
     report = joint_verdict(prepared, _uniform_schedule(interval, n))
-    modes = prepared.modes
     first_failing = None
+    # Sequential on purpose: a multiple past the first failing one may
+    # overflow the mode matrix, so it is never evaluated.
     for j in range(1, horizon + 1):
-        ratio = schedule_conditioning(modes, _uniform_schedule(j * interval, n))
+        ratio = report.sigma_ratio
+        if j > 1:
+            ratio = schedule_conditioning(prepared.modes, _uniform_schedule(j * interval, n))
         if ratio <= prepared.tolerances.singularity:
             first_failing = j
             break
@@ -292,13 +291,14 @@ def suggest_schedule(system: Realization | PreparedSystem, spec: ScheduleSearchS
 
     Deterministic grid search (step = min_spacing / 4) followed by three
     coordinate-refinement passes with shrinking step; ties keep the
-    lexicographically lowest schedule.  The grid is evaluated in chunks of
-    ``SEARCH_CHUNK`` schedules, each one stacked mode-matrix and SVD call;
-    the refinement probes one schedule at a time.  Returns (schedule,
-    achieved sigma ratio), or raises InfeasibleError when that ratio does not
-    exceed the singularity tolerance.  The realization must be minimal; only
-    its mode set is computed, never the modal decomposition.  A plain
-    realization is analysed with the default tolerances.
+    lexicographically lowest schedule.  The grid goes in chunks of
+    ``SEARCH_CHUNK`` rows, each refinement step's (at most two) probes
+    together, each one stacked ``schedule_conditioning`` call.  Returns
+    (schedule, achieved sigma ratio), or raises InfeasibleError when that
+    ratio does not exceed the singularity tolerance.  The realization must
+    be minimal; only its mode set is computed, never the modal
+    decomposition.  A plain realization is analysed with the default
+    tolerances.
 
     The objective depends only on instant differences, so the first instant
     is pinned to the window start without loss of generality.
@@ -321,9 +321,6 @@ def suggest_schedule(system: Realization | PreparedSystem, spec: ScheduleSearchS
     # at minimal spacing, so the head must leave room for them.
     head_limit = hi - tail * spacing
 
-    def objective(instants) -> float:
-        return schedule_conditioning(modes, SamplingSchedule(instants))
-
     step = spacing / 4.0
     grid_len = int(math.floor((head_limit - lo) / step)) + 1
     if head > 1 and grid_len ** (head - 1) > MAX_GRID_CANDIDATES:
@@ -334,9 +331,7 @@ def suggest_schedule(system: Realization | PreparedSystem, spec: ScheduleSearchS
     best_obj = -1.0
     best: tuple | None = None
     for rows in _chunks(_grid_blocks(lo, hi, spacing, step, head, tail), SEARCH_CHUNK):
-        # alpha_m = t[n-1] - t[n-1-m], as shifted_intervals computes it.
-        alphas = rows[:, -1:] - rows[:, ::-1]
-        values = numerics.column_normalized_sigma_ratio(mode_matrix(modes, alphas))
+        values = schedule_conditioning(modes, rows)
         # argmax keeps the first maximum in the chunk and the strict > keeps
         # an earlier chunk's, so ties go to the lexicographically lowest row.
         k = int(np.argmax(values))
@@ -356,15 +351,16 @@ def suggest_schedule(system: Realization | PreparedSystem, spec: ScheduleSearchS
             if i + 1 < head:
                 upper = min(upper, refined[i + 1] - spacing)
             for _ in range(8):
+                # Minus probe first: the strict > keeps the earlier of two ties.
+                rows = np.array([refined, refined])
+                rows[:, i] += (-refine_step, refine_step)
+                rows = rows[(lower <= rows[:, i]) & (rows[:, i] <= upper)]
+                if not len(rows):
+                    break
                 winner = None
-                for candidate in (refined[i] - refine_step, refined[i] + refine_step):
-                    if lower <= candidate <= upper:
-                        trial = refined.copy()
-                        trial[i] = candidate
-                        value = objective(tuple(trial))
-                        if value > best_obj:
-                            best_obj = value
-                            winner = candidate
+                for row, value in zip(rows.tolist(), schedule_conditioning(modes, rows).tolist()):
+                    if value > best_obj:
+                        best_obj, winner = value, row[i]
                 if winner is None:
                     break
                 refined[i] = winner

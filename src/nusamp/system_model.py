@@ -39,20 +39,25 @@ from .errors import ConvergenceError, DimensionError, MinimalityError, Unsupport
 ILL_CONDITIONED_BASIS = 1e-10
 
 
-def _as_real_array(values, name: str) -> np.ndarray:
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; complex or non-numeric entries raise."""
     try:
         if np.iscomplexobj(values):  # a cast would drop the imaginary part
             raise DimensionError(f"{name} must be a real array")
-        arr = np.asarray(values, dtype=float)
+        return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} must be a real array: {exc}") from exc
+
+
+def _as_real_array(values, name: str) -> np.ndarray:
+    arr = _real_array(values, name)
     if not np.all(np.isfinite(arr)):
         raise DimensionError(f"{name} contains non-finite entries")
     return arr
 
 
 def _state_vector(values, n: int, name: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float).reshape(-1)
+    v = _real_array(values, name).reshape(-1)
     if v.shape[0] != n:
         raise DimensionError(f"{name} has {v.shape[0]} entries, expected {n}")
     if not np.all(np.isfinite(v)):

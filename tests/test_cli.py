@@ -359,6 +359,16 @@ class TestForbidden:
         assert payload["forbidden"] == pytest.approx([np.pi / 2])
 
 
+    def test_window_too_far_from_t0_exits_one(self, rotation_file):
+        code, out, err = run_cli(
+            "forbidden", rotation_file, "--t0=-1e308", "--window", "1e308,1e308"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: window ") and "too far from t0" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestSuggest:
     def test_rotation(self, rotation_file):
         code, raw, _ = run_cli(

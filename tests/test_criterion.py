@@ -25,9 +25,11 @@ from nusamp import (
     joint_verdict,
     modal_decompose,
     mode_matrix,
+    schedule_conditioning,
     shifted_intervals,
 )
 from nusamp.cli import SystemDocument, build_analysis
+from nusamp.numerics import column_normalized_sigma_ratio
 from conftest import random_minimal_system, random_orthogonal, random_schedule
 
 RNG = np.random.default_rng(1101)
@@ -65,6 +67,37 @@ class TestShiftedIntervals:
     def test_insufficient(self):
         with pytest.raises(InsufficientScheduleError):
             shifted_intervals(SamplingSchedule((0.0,)), 2)
+
+
+class TestScheduleConditioning:
+    MODES = ModeSet(((-0.3 - 1j, 1), (-0.3 + 1j, 1), (-0.5, 1)))
+
+    def test_rows_match_schedules(self):
+        schedules = [random_schedule(RNG, 4, window=(-2.0, 5.0)) for _ in range(12)]
+        rows = np.array([s.instants for s in schedules]).reshape(3, 4, 4)
+        batched = schedule_conditioning(self.MODES, rows)
+        assert batched.shape == (3, 4)
+        expected = [schedule_conditioning(self.MODES, s) for s in schedules]
+        assert all(type(value) is float for value in expected)
+        assert np.array_equal(batched.reshape(-1), expected)
+
+    def test_single_row_gives_a_float(self):
+        schedule = SamplingSchedule((0.3, 1.1, 2.0))
+        value = schedule_conditioning(self.MODES, np.array(schedule.instants))
+        assert type(value) is float
+        assert value == schedule_conditioning(self.MODES, schedule)
+
+    def test_same_intervals_as_shifted_intervals(self):
+        schedule = SamplingSchedule((0.1, 0.7, 1.9, 2.2))
+        matrix = mode_matrix(self.MODES, shifted_intervals(schedule, 3))
+        assert schedule_conditioning(self.MODES, schedule) == column_normalized_sigma_ratio(matrix)
+
+    def test_too_few_instants(self):
+        message = "schedule has 2 instants but the order-3 test needs at least 3"
+        with pytest.raises(InsufficientScheduleError, match=message):
+            schedule_conditioning(self.MODES, SamplingSchedule((0.0, 1.0)))
+        with pytest.raises(InsufficientScheduleError, match=message):
+            schedule_conditioning(self.MODES, np.zeros((5, 2)))
 
 
 class TestModeMatrix:

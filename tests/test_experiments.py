@@ -10,6 +10,7 @@ from nusamp import (
     SingularScheduleError,
     UnsupportedOrderError,
     classify_case,
+    controllable_direct,
     deadbeat_inputs,
     joint_verdict,
     reachability_matrix,
@@ -188,6 +189,25 @@ class TestReconstruct:
             assert np.linalg.norm(recovered - truth) <= 1e-6 * max(
                 1.0, np.linalg.norm(truth)
             )
+
+
+@pytest.mark.parametrize("bad", [np.array([1j, 0.0]), ["a", 0.0]], ids=["complex", "string"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda system, v: controllable_direct(system, SamplingSchedule((0.0, 1.0, 2.0)), v), "x0"),
+        (lambda system, v: deadbeat_inputs(system, SamplingSchedule((0.0, 1.0)), v, [0.0, 0.0]), "x0"),
+        (lambda system, v: deadbeat_inputs(system, SamplingSchedule((0.0, 1.0)), [0.0, 0.0], v), "x_target"),
+        (lambda system, v: simulate_impulse(system, SamplingSchedule((0.0, 1.0, 2.0)), v), "inputs"),
+        (lambda system, v: simulate_zoh(system, SamplingSchedule((0.0, 1.0, 2.0)), [1.0, 0.0], v), "x0"),
+        (lambda system, v: reconstruct_state(system, SamplingSchedule((0.0, 1.0)), v), "outputs"),
+    ],
+    ids=["controllable_direct", "deadbeat_x0", "deadbeat_target", "impulse_inputs", "zoh_x0", "reconstruct"],
+)
+def test_vector_inputs_must_be_real(rotation_system, call, name, bad):
+    # A cast to float would drop the imaginary part or fail inside numpy.
+    with pytest.raises(DimensionError, match=f"^{name} must be a real array"):
+        call(rotation_system, bad)
 
 
 class TestZohInputMatrix:

@@ -1,6 +1,7 @@
 """Forbidden instants, uniform-interval validation and schedule search."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nusamp import (
     ModeSet,
     NotApplicableError,
     NumericRangeError,
+    PreparedSystem,
     Realization,
     SamplingSchedule,
     ScheduleSearchSpec,
@@ -23,8 +25,10 @@ from nusamp import (
     suggest_schedule,
     validate_uniform,
 )
-from nusamp import numerics, scheduler
+from nusamp import Tolerances, numerics, scheduler
+from nusamp.cli import load_system_document
 from nusamp.numerics import column_normalized_sigma_ratio
+from conftest import count_calls
 
 RNG = np.random.default_rng(55)
 
@@ -50,6 +54,63 @@ ORDER4 = Realization(
     [1.0, 0.4, -0.8, 0.6],
     [0.7, -1.0, 0.5, 0.9],
 )
+
+
+# Guard-band cases: every damping, frequency and tolerance below in 15
+# combinations, the heavily damped pair whose whole quarter period fails,
+# and the corpus system with its own tolerance record.
+GUARD_CASES = [
+    ((-1.0, -0.3, 0.0, 0.2, 0.5)[i % 5], (1.0, 2.0, 0.3, 5.0)[i % 4], (1e-9, 1e-6, 1e-3)[i % 3])
+    for i in range(15)
+] + [(-1.0, 0.3, 1e-3)]
+
+
+def guard_systems():
+    systems = [
+        pytest.param(PreparedSystem(oscillator(a, b), Tolerances(singularity=tol)), id=f"{a}-{b}-{tol}")
+        for a, b, tol in GUARD_CASES
+    ]
+    document = load_system_document(
+        str(Path(__file__).parent / "corpus" / "with_tolerances.json")
+    )
+    systems.append(
+        pytest.param(PreparedSystem(document.realization(), document.tolerances), id="with_tolerances")
+    )
+    return systems
+
+
+def bisected_guard_band(modes, period, tol):
+    """The guard band by scalar bisection on rows (0, period + offset)."""
+    span = period / 4.0
+
+    def fails(offset):
+        return schedule_conditioning(modes, SamplingSchedule((0.0, period + offset))) <= tol
+
+    low, high = 0.0, span
+    if fails(high):
+        return span
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        if mid <= low or mid >= high:
+            break
+        if fails(mid):
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+def reference_forbidden(t0, window, period):
+    """The forbidden list by the scalar loop, one multiple at a time."""
+    lo, hi = sorted(window)
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    k = max(0, math.ceil((lo - t0 - slack) / period))
+    points = []
+    while t0 + k * period <= hi + slack:
+        if t0 + k * period >= lo - slack:
+            points.append(t0 + k * period)
+        k += 1
+    return tuple(points)
 
 
 def reference_grid(lo, hi, spacing, head, tail):
@@ -125,6 +186,91 @@ class TestForbiddenInstants:
         assert not joint_verdict(rotation_system, SamplingSchedule((0.0, inside))).reachable
         assert joint_verdict(rotation_system, SamplingSchedule((0.0, outside))).reachable
 
+    @pytest.mark.parametrize(
+        "b, t0, window",
+        [
+            (1.0, 0.25, (0.0, 10.0)),
+            (2.0, -3.0, (7.0, -1.0)),
+            (0.3, 0.0, (0.0, 1000.0)),
+            (1.0, 1e12, (1e12, 1e12 + 500.0)),
+            (5.0, -2e14, (-2e14 + 3.0, -2e14 + 40.0)),
+            (1.0, 0.0, (np.pi, 3 * np.pi)),
+            # the quotient for the count rounds down at the window end
+            (2.0, -1.605e14, (-1.605e14, -1.605e14 + 6.0)),
+            (5.0, 1.651e14, (1.651e14, 1.651e14 + 232.0)),
+        ],
+    )
+    def test_list_matches_the_scalar_loop(self, b, t0, window):
+        result = forbidden_instants_order2(oscillator(0.0, b), t0, window)
+        assert result.forbidden == reference_forbidden(t0, window, result.period)
+        assert all(type(t) is float for t in result.forbidden)
+
+    def test_window_too_far_from_t0(self, rotation_system):
+        # The window offset from t0 overflows to inf before it is counted.
+        with pytest.raises(InfeasibleError, match="too far from t0"):
+            forbidden_instants_order2(rotation_system, -1e308, (1e308, 1e308))
+
+    def test_real_pair_is_told_apart_by_its_imaginary_part(self):
+        slow = Realization([[0.0, -1e-10], [1e-10, 0.0]], [1.0, 0.0], [1.0, 0.0])
+        # Kept apart by a fine clustering tolerance, the pair +-1e-10j is
+        # oscillatory whatever the singularity and rank tolerances are.
+        for singularity in (1e-9, 1e-3):
+            prepared = PreparedSystem(
+                slow, Tolerances(singularity=singularity, cluster=1e-12, rank=1e-3)
+            )
+            result = forbidden_instants_order2(prepared, 0.0, (0.0, 1.0))
+            assert result.period == pytest.approx(np.pi * 1e10, rel=1e-12)
+        # The default clustering merges it into one double eigenvalue.
+        with pytest.raises(NotApplicableError, match="not a complex conjugate pair"):
+            forbidden_instants_order2(slow, 0.0, (0.0, 1.0))
+
+    def test_query_makes_at_most_sixteen_kernel_calls(self, monkeypatch):
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        for system in (oscillator(0.0, 1.0), oscillator(-0.3, 1.0), oscillator(0.5, 0.3)):
+            calls.clear()
+            forbidden_instants_order2(system, 0.0, (0.0, 10.0))
+            assert 1 <= calls["schedule_conditioning"] <= 16
+
+    @pytest.mark.parametrize("system", [oscillator(0.0, 1.0), oscillator(-0.3, 1.0)])
+    def test_guard_band_depends_on_the_separation_only(self, system):
+        bands = {
+            forbidden_instants_order2(system, t0, (0.0, 1.0)).guard_band
+            for t0 in (0.0, 0.25, 7.3, 1e15, 1e300)
+        }
+        assert len(bands) == 1
+        assert 0.0 < bands.pop() < 1e-8
+
+    def test_sectioning_stops_when_the_bracket_closes(self, rotation_system, monkeypatch):
+        # Just below the quarter-period ratio the guard band is the whole
+        # quarter but for an ulp; the bracket closes before the 15th round.
+        span = np.pi / 4.0
+        ratio = schedule_conditioning(mode_set(rotation_system), SamplingSchedule((0.0, np.pi + span)))
+        prepared = PreparedSystem(rotation_system, Tolerances(singularity=ratio * (1.0 - 1e-15)))
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        guard = forbidden_instants_order2(prepared, 0.0, (0.0, 1.0)).guard_band
+        assert span - 1e-14 < guard <= span
+        assert calls["schedule_conditioning"] <= 15
+
+    @pytest.mark.parametrize("prepared", guard_systems())
+    def test_guard_band_matches_bisection(self, prepared):
+        result = forbidden_instants_order2(prepared, 0.0, (0.0, 1.0))
+        span = result.period / 4.0
+        reference = bisected_guard_band(prepared.modes, result.period, prepared.tolerances.singularity)
+        assert abs(result.guard_band - reference) <= span * 2.0**-59
+        assert 0.0 < result.guard_band <= span
+
+    @pytest.mark.parametrize("prepared", guard_systems())
+    def test_failing_offsets_start_the_quarter_period(self, prepared):
+        # The sectioning is exact when the failing offsets form one interval
+        # from 0; on a fine grid of the quarter period they do.
+        period = forbidden_instants_order2(prepared, 0.0, (0.0, 1.0)).period
+        offsets = np.linspace(0.0, period / 4.0, 4097)
+        rows = np.column_stack((np.zeros(offsets.size), period + offsets))
+        fails = schedule_conditioning(prepared.modes, rows) <= prepared.tolerances.singularity
+        count = int(np.count_nonzero(fails))
+        assert count >= 1
+        assert fails[:count].all()
+
     def test_verdict_sweep_over_k(self):
         # Midpoint checks skip the tolerance ambiguity band: with strong
         # damping the oscillation amplitude at large separations decays to
@@ -175,6 +321,37 @@ class TestValidateUniform:
     def test_bad_interval(self, rotation_system):
         with pytest.raises(InfeasibleError):
             validate_uniform(rotation_system, 0.0)
+
+    @pytest.mark.parametrize("horizon", [2.5, "3", True, 0])
+    def test_bad_horizon(self, rotation_system, horizon):
+        with pytest.raises(InfeasibleError, match="horizon"):
+            validate_uniform(rotation_system, 1.0, horizon=horizon)
+
+    def test_numpy_integer_horizon(self, rotation_system):
+        result = validate_uniform(rotation_system, np.pi / 2, horizon=np.int64(3))
+        assert result.first_failing_multiple == 2
+
+    def test_first_multiple_is_the_reports_ratio(self, rotation_system, monkeypatch):
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        result = validate_uniform(rotation_system, np.pi)
+        assert result.first_failing_multiple == 1
+        assert calls["schedule_conditioning"] == 0
+
+    def test_infinite_multiple_raises(self, rotation_system):
+        # 2 * 1e308 overflows: that uniform schedule has an infinite instant.
+        with pytest.raises(DimensionError, match="must be finite"):
+            validate_uniform(rotation_system, 1e308)
+
+    def test_scan_stops_before_an_overflowing_multiple(self):
+        # The pair 80 +- j fails at T = 1 already; from j = 9 on the mode
+        # matrix overflows, so a scan past the first failure would raise.
+        system = Realization([[80.0, -1.0], [1.0, 80.0]], [1.0, 0.0], [1.0, 0.0])
+        modes = mode_set(system)
+        with pytest.raises(NumericRangeError):
+            schedule_conditioning(modes, SamplingSchedule((0.0, 9.0)))
+        result = validate_uniform(system, 1.0)
+        assert not result.passes
+        assert result.first_failing_multiple == 1
 
 
 class TestSuggestSchedule:
@@ -302,8 +479,9 @@ class TestSuggestSchedule:
         spec = ScheduleSearchSpec(window=window, count=count, min_spacing=spacing)
         schedule, achieved = suggest_schedule(system, spec)
         assert schedule.instants == instants
-        assert achieved == objective
         assert achieved == schedule_conditioning(mode_set(system), schedule)
+        # The recorded objective moves by a few ulps between BLAS kernels.
+        assert math.isclose(achieved, objective, rel_tol=1e-13)
 
     @pytest.mark.parametrize(
         "window, count, spacing, instants",
@@ -365,6 +543,7 @@ class TestBatchedGrid:
         ]
         assert batched.shape == (len(rows),)
         assert np.array_equal(batched, scalar)
+        assert np.array_equal(schedule_conditioning(modes, rows), scalar)
 
     def test_overflowing_row_raises(self):
         modes = ModeSet(((0.0, 1), (2.0, 1)))
