@@ -34,15 +34,12 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .experiments import (
-    CaseLabel,
     Trajectory,
-    case_label,
     classify_case,
     deadbeat_inputs,
     reconstruct_state,
     simulate_impulse,
     simulate_zoh,
-    zoh_input_matrix,
 )
 from .numerics import (
     RangeCheck,
@@ -75,18 +72,13 @@ from .system_model import (
     PreparedSystem,
     Realization,
     check_minimal,
-    check_y0_components,
-    eval_mode,
-    impulse_response,
     modal_decompose,
-    mode_set,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",
-    "CaseLabel",
     "ConvergenceError",
     "CriterionReport",
     "DimensionError",
@@ -115,26 +107,21 @@ __all__ = [
     "Trajectory",
     "UniformValidation",
     "UnsupportedOrderError",
-    "case_label",
     "check_minimal",
-    "check_y0_components",
     "classify_case",
     "controllable_direct",
     "cross_validate",
     "deadbeat_inputs",
     "eig_clustered",
-    "eval_mode",
     "expm",
     "factor_n1",
     "factor_n2",
     "forbidden_instants_order2",
     "full_determinant",
-    "impulse_response",
     "in_range",
     "joint_verdict",
     "modal_decompose",
     "mode_matrix",
-    "mode_set",
     "numeric_rank",
     "reachability_matrix",
     "reconstruct_state",
@@ -144,5 +131,4 @@ __all__ = [
     "simulate_zoh",
     "suggest_schedule",
     "validate_uniform",
-    "zoh_input_matrix",
 ]

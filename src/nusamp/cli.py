@@ -35,7 +35,7 @@ from .errors import (
     ToleranceError,
 )
 from .experiments import (
-    case_label,
+    classify_case,
     deadbeat_inputs,
     default_final_time,
     reconstruct_state,
@@ -43,7 +43,8 @@ from .experiments import (
 )
 from .numerics import Tolerances
 from .oracle import controllable_direct, cross_validate
-from .scheduler import ScheduleSearchSpec, forbidden_instants_order2, suggest_schedule, validate_uniform
+from .scheduler import MAX_UNIFORM_HORIZON, ScheduleSearchSpec, forbidden_instants_order2
+from .scheduler import suggest_schedule, validate_uniform
 from .system_model import PreparedSystem, Realization
 
 EXIT_OK = 0
@@ -260,8 +261,9 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
     if document.x0 is not None and len(schedule) >= realization.n + 1:
         result["oracle"]["controllable_x0"] = controllable_direct(prepared, schedule, document.x0)
 
-    if realization.n == 2 and len(schedule) >= 3:
-        result["case"] = {"label": case_label(oracle.criterion)}
+    label = classify_case(oracle.criterion)
+    if label is not None:
+        result["case"] = {"label": label}
     return result
 
 
@@ -434,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "uniform", _cmd_uniform, "validate a uniform sampling interval")
     p.add_argument("--interval", type=float, required=True, help="sampling interval T")
-    p.add_argument("--horizon", type=int, default=10, help="largest multiple of T to scan")
+    p.add_argument("--horizon", type=int, default=10,
+                   help=f"largest multiple of T to scan (at most {MAX_UNIFORM_HORIZON})")
 
     return parser
 

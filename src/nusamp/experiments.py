@@ -1,8 +1,10 @@
 """Operational demonstrations on sampled systems.
 
 Simulation under impulse and zero-order-hold inputs, deadbeat input design,
-initial-state reconstruction from outputs, and the three-instant taxonomy of
-second-order oscillatory schedules.
+initial-state reconstruction from outputs, and the case a / b / c label that
+the three-instant taxonomy of second-order schedules reads from a joint
+verdict.  Every vector argument (inputs, outputs, states) is checked by the
+one validator of ``system_model``.
 
 Impulse semantics: an input of weight u at instant t adds ``b * u`` to the
 state instantaneously; the recorded state at each instant is the one the
@@ -19,13 +21,8 @@ import numpy as np
 
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict
-from .errors import (
-    DimensionError,
-    InsufficientScheduleError,
-    SingularScheduleError,
-    UnsupportedOrderError,
-)
-from .system_model import PreparedSystem, Realization, _real_array, _state_vector, prepare
+from .errors import InsufficientScheduleError, SingularScheduleError
+from .system_model import PreparedSystem, Realization, _state_vector, prepare
 
 
 @dataclass(frozen=True)
@@ -37,35 +34,6 @@ class Trajectory:
     outputs: np.ndarray
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    """Three-instant taxonomy of a second-order oscillatory schedule.
-
-    * ``a``: the schedule is jointly reachable and observable, so the strong
-      and the weak property pair both hold;
-    * ``b``: it is not, but the controllability / constructibility pair
-      survives;
-    * ``c``: nothing survives.  Uniform schedules never produce this case.
-
-    ``report`` is the joint verdict the label was read from.
-    """
-
-    label: str
-    report: CriterionReport
-
-
-def _input_vector(inputs, schedule: SamplingSchedule) -> np.ndarray:
-    u = _real_array(inputs, "inputs").reshape(-1)
-    expected = len(schedule) - 1
-    if u.shape[0] != expected:
-        raise DimensionError(
-            f"expected {expected} inputs for {len(schedule)} instants, got {u.shape[0]}"
-        )
-    if not np.all(np.isfinite(u)):
-        raise DimensionError("inputs must be finite")
-    return u
-
-
 def simulate_impulse(
     realization: Realization,
     schedule: SamplingSchedule,
@@ -73,7 +41,7 @@ def simulate_impulse(
     x0=None,
 ) -> Trajectory:
     """Propagate impulse inputs: one weight per instant except the last."""
-    u = _input_vector(inputs, schedule)
+    u = _state_vector(inputs, len(schedule) - 1, "inputs")
     t = schedule.instants
     x = (
         np.zeros(realization.n)
@@ -110,7 +78,7 @@ def simulate_zoh(
     x0=None,
 ) -> Trajectory:
     """Propagate with the input held constant over each interval."""
-    u = _input_vector(inputs, schedule)
+    u = _state_vector(inputs, len(schedule) - 1, "inputs")
     t = schedule.instants
     x = (
         np.zeros(realization.n)
@@ -123,27 +91,6 @@ def simulate_zoh(
         states.append(x)
     states = np.array(states)
     return Trajectory(t, states, states @ realization.c)
-
-
-def zoh_input_matrix(
-    realization: Realization, schedule: SamplingSchedule
-) -> np.ndarray:
-    """Hold-input analogue of the sampled reachability matrix.
-
-    Column i maps the held input over ``[t[i], t[i+1])`` to its contribution
-    at the final instant.  Needs n+1 instants for n inputs; its rank equals
-    the impulse-input matrix rank, which is the operational content of the
-    statement that a data hold does not change the characteristic modes.
-    """
-    n = realization.n
-    t = schedule.instants
-    if len(t) < n + 1:
-        raise InsufficientScheduleError(
-            f"hold-input matrix needs {n + 1} instants, got {len(t)}"
-        )
-    _, forced = _zoh_steps(realization, [t[i + 1] - t[i] for i in range(n)])
-    carry = numerics.expm(realization.A, [t[n] - t[i + 1] for i in range(n)])
-    return (carry @ forced[..., None])[..., 0].T
 
 
 def _require_regular(
@@ -224,40 +171,25 @@ def reconstruct_state(
         raise InsufficientScheduleError(
             f"state reconstruction needs exactly {n} output instants, got {len(t)}"
         )
-    y = _real_array(outputs, "outputs").reshape(-1)
-    if y.shape[0] != n:
-        raise DimensionError(f"expected {n} outputs, got {y.shape[0]}")
-    if not np.all(np.isfinite(y)):
-        raise DimensionError("outputs must be finite")
+    y = _state_vector(outputs, n, "outputs")
     _require_regular(prepared, schedule, "outputs do not determine the state")
     rows = realization.c @ numerics.expm(realization.A, t)
     return np.linalg.solve(rows, y)
 
 
-def case_label(report: CriterionReport) -> str:
-    """Case a, b or c of a joint verdict that covers an extra instant."""
+def classify_case(report: CriterionReport) -> str | None:
+    """Case a, b or c of the three-instant taxonomy, read from a joint verdict.
+
+    ``a``: the schedule is jointly reachable and observable, so the strong
+    and the weak property pair both hold; ``b``: it is not, but the
+    controllability / constructibility pair survives; ``c``: nothing
+    survives (uniform schedules never produce it).  The label is read from
+    the report, so it never contradicts the verdict.  The taxonomy covers
+    order-2 systems on a third instant only: None when the order is not 2
+    or the report has no controllability verdict (no third instant).
+    """
+    if len(report.alphas.alpha) != 2 or report.controllable is None:
+        return None
     if report.reachable:
         return "a"
     return "b" if report.controllable else "c"
-
-
-def classify_case(
-    system: Realization | PreparedSystem, schedule: SamplingSchedule
-) -> CaseLabel:
-    """Label a three-instant schedule of an order-2 system as case a, b or c.
-
-    The label is read from one joint verdict on the schedule: ``a`` when it
-    is reachable, ``b`` when only the controllability pair holds, ``c``
-    otherwise, so the label never contradicts the verdict.  A plain
-    realization is analysed with the default tolerances.
-    """
-    prepared = prepare(system)
-    n = prepared.realization.n
-    if n != 2:
-        raise UnsupportedOrderError(f"case classification is defined for order 2, got {n}")
-    if len(schedule) < 3:
-        raise InsufficientScheduleError(
-            f"case classification needs 3 instants, got {len(schedule)}"
-        )
-    report = joint_verdict(prepared, schedule)
-    return CaseLabel(case_label(report), report)

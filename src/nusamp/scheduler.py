@@ -22,6 +22,11 @@ from .system_model import ModeSet, PreparedSystem, Realization, prepare, require
 # Guard so a careless search spec cannot ask for an astronomically large grid.
 MAX_GRID_CANDIDATES = 2_000_000
 MAX_FORBIDDEN_INSTANTS = 100_000  # the same guard for one forbidden-instant window
+MAX_UNIFORM_HORIZON = 10_000  # and for the multiples one uniform validation scans
+# A forbidden-instant period must span more than this many float spacings at
+# the query's largest magnitude; below it t0 + k*period rounds to repeated or
+# unordered instants.
+FORBIDDEN_SPACING_MARGIN = 16
 
 # Grid schedules evaluated per batched mode-matrix call.  Large enough that
 # Python overhead per candidate is small, small enough that the stacked
@@ -121,8 +126,10 @@ def forbidden_instants_order2(
     mode set is needed, so minimality is not checked; the guard band is
     sectioned against the singularity tolerance on the separation alone.  A
     non-finite t0 or window bound raises InfeasibleError, as does a window
-    too far from t0 to count, or holding more than MAX_FORBIDDEN_INSTANTS
-    of them.  A plain realization is analysed with the default tolerances.
+    too far from t0 to count, holding more than MAX_FORBIDDEN_INSTANTS of
+    them, or holding any so far from zero that the period is not above
+    FORBIDDEN_SPACING_MARGIN float spacings there.  A plain realization is
+    analysed with the default tolerances.
     """
     prepared = prepare(system)
     n = prepared.realization.n
@@ -148,6 +155,12 @@ def forbidden_instants_order2(
     if count > MAX_FORBIDDEN_INSTANTS:
         raise InfeasibleError(
             f"window holds {count} forbidden instants, more than {MAX_FORBIDDEN_INSTANTS}"
+        )
+    scale = max(abs(t0), abs(lo), abs(hi))
+    if count and period <= FORBIDDEN_SPACING_MARGIN * math.ulp(scale):
+        raise InfeasibleError(
+            f"forbidden instants {period:.6g} apart cannot be resolved near {scale:.6g}; "
+            "move t0 and the window closer to zero"
         )
     # One k past the count absorbs a quotient rounded down at the window end.
     points = t0 + (k_first + np.arange(count + 1)) * period
@@ -190,8 +203,8 @@ def validate_uniform(
     tolerance, which for an oscillatory order-2 system flags the smallest
     multiple of T hitting a forbidden separation.  The j = 1 ratio is the
     report's own; larger multiples are probed one at a time, up to the first
-    failing one.  ``horizon`` must be an integer.  A plain realization is
-    analysed with the default tolerances.
+    failing one.  ``horizon`` must be an integer in 1..MAX_UNIFORM_HORIZON.
+    A plain realization is analysed with the default tolerances.
     """
     prepared = prepare(system)
     if interval <= 0.0 or not np.isfinite(interval):
@@ -200,6 +213,8 @@ def validate_uniform(
         raise InfeasibleError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise InfeasibleError("horizon must be at least 1")
+    if horizon > MAX_UNIFORM_HORIZON:
+        raise InfeasibleError(f"horizon {horizon} is above the limit {MAX_UNIFORM_HORIZON}")
     n = prepared.realization.n
     report = joint_verdict(prepared, _uniform_schedule(interval, n))
     first_failing = None

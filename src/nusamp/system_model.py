@@ -25,7 +25,6 @@ Conventions fixed once here:
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 from dataclasses import dataclass
@@ -49,14 +48,8 @@ def _real_array(values, name: str) -> np.ndarray:
         raise DimensionError(f"{name} must be a real array: {exc}") from exc
 
 
-def _as_real_array(values, name: str) -> np.ndarray:
-    arr = _real_array(values, name)
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _state_vector(values, n: int, name: str) -> np.ndarray:
+    """``values`` as a finite real vector of n entries, or DimensionError."""
     v = _real_array(values, name).reshape(-1)
     if v.shape[0] != n:
         raise DimensionError(f"{name} has {v.shape[0]} entries, expected {n}")
@@ -74,7 +67,9 @@ class Realization:
     c: np.ndarray
 
     def __post_init__(self):
-        A = _as_real_array(self.A, "A")
+        A = _real_array(self.A, "A")
+        if not np.all(np.isfinite(A)):
+            raise DimensionError("A contains non-finite entries")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
@@ -82,12 +77,8 @@ class Realization:
             raise UnsupportedOrderError(
                 f"order {n} outside the supported range 1..{numerics.MAX_ORDER}"
             )
-        b = _as_real_array(self.b, "b").reshape(-1)
-        c = _as_real_array(self.c, "c").reshape(-1)
-        if b.shape[0] != n:
-            raise DimensionError(f"b has {b.shape[0]} entries, expected {n}")
-        if c.shape[0] != n:
-            raise DimensionError(f"c has {c.shape[0]} entries, expected {n}")
+        b = _state_vector(self.b, n, "b")
+        c = _state_vector(self.c, n, "c")
         for arr in (A, b, c):
             arr.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -195,24 +186,6 @@ def require_minimal(report: MinimalityReport, n: int) -> None:
         if not report.observable_ct:
             failed.append(f"observability rank {report.observability_rank.rank} < {n}")
         raise MinimalityError("realization is not minimal: " + "; ".join(failed))
-
-
-def mode_set(system: Realization | PreparedSystem) -> ModeSet:
-    """Clustered eigenvalues of A, defining the ordered mode basis."""
-    return prepare(system).modes
-
-
-def eval_mode(modes: ModeSet, index: int, t: float) -> complex:
-    """Evaluate mode ``index`` (0-based) at time t.
-
-    Mode (lam, p) evaluates to ``t**p * exp(lam*t)``; at t = 0 that is 1 for
-    p = 0 and 0 otherwise.
-    """
-    params = modes.mode_params()
-    if not 0 <= index < len(params):
-        raise IndexError(f"mode index {index} outside 0..{len(params) - 1}")
-    lam, power = params[index]
-    return (t**power) * cmath.exp(lam * t)
 
 
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
@@ -342,25 +315,6 @@ def modal_decompose(system: Realization | PreparedSystem) -> ModalDecomposition:
     return ModalDecomposition(modes, J, basis, y0, sigma_ratio, residual, warning)
 
 
-def check_y0_components(
-    decomposition: ModalDecomposition, tol: float = numerics.DEFAULT_RANK_TOL
-) -> bool:
-    """True when the last y0 component of every Jordan block is nonzero.
-
-    This is the modal restatement of the controllability half of minimality:
-    the joint-criterion factor built from y0 is nonzero exactly when this
-    check passes.
-    """
-    y0 = decomposition.y0
-    scale = float(np.linalg.norm(y0))
-    offset = 0
-    for _, m in decomposition.modes.roots:
-        if abs(y0[offset + m - 1]) <= tol * scale:
-            return False
-        offset += m
-    return True
-
-
 @dataclass(frozen=True)
 class PreparedSystem:
     """A realization, the tolerances of its analysis, and the facts it needs.
@@ -404,8 +358,3 @@ def prepare(system: Realization | PreparedSystem) -> PreparedSystem:
     the default tolerances."""
     return system if isinstance(system, PreparedSystem) else PreparedSystem(system)
 
-
-def impulse_response(realization: Realization, t: float) -> float:
-    """h(t) = c exp(A t) b, the sampled impulse response."""
-    value = realization.c @ numerics.expm(realization.A, t) @ realization.b
-    return float(value)

@@ -104,17 +104,15 @@ def test_duality():
 
 
 def test_case_taxonomy():
-    assert classify_case(ROTATION, SamplingSchedule((0.0, np.pi / 2, 1.9))).label == "a"
-    assert classify_case(ROTATION, SamplingSchedule((0.0, np.pi, 2 * np.pi))).label == "b"
-    assert (
-        classify_case(ROTATION, SamplingSchedule((0.0, np.pi, np.pi + 1.5))).label == "c"
-    )
+    def label(*instants):
+        return classify_case(joint_verdict(ROTATION, SamplingSchedule(instants)))
+
+    assert label(0.0, np.pi / 2, 1.9) == "a"
+    assert label(0.0, np.pi, 2 * np.pi) == "b"
+    assert label(0.0, np.pi, np.pi + 1.5) == "c"
     intervals = np.arange(0.01, 4.0001, 0.01)
     for interval in intervals:
-        label = classify_case(
-            ROTATION, SamplingSchedule((0.0, interval, 2.0 * interval))
-        )
-        assert label.label != "c"
+        assert label(0.0, interval, 2.0 * interval) != "c"
     _passed(
         f"case taxonomy: a/b/c on the three reference schedules; no case c over "
         f"{len(intervals)} uniform intervals"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nusamp
-from nusamp import SamplingSchedule, SystemDocumentError, ToleranceError, oracle, system_model
+from nusamp import SamplingSchedule, SystemDocumentError, ToleranceError, cli, oracle, system_model
 from nusamp.cli import (
     EXIT_NEGATIVE,
     EXIT_NOT_MINIMAL,
@@ -228,13 +228,16 @@ class TestAnalyze:
             (system_model, "check_minimal"),
             (system_model, "modal_decompose"),
             (oracle, "joint_verdict"),
+            (cli, "classify_case"),
         ])
         document = SystemDocument(
             order=2, A=np.array([[0.0, -1.0], [1.0, 0.0]]), b=np.ones(2), c=np.ones(2)
         )
         result = build_analysis(document, SamplingSchedule((0.0, 1.0, 2.5)), Tolerances())
-        assert "case" in result
-        assert calls == {"check_minimal": 1, "modal_decompose": 1, "joint_verdict": 1}
+        assert result["case"] == {"label": "a"}
+        assert calls == {
+            "check_minimal": 1, "modal_decompose": 1, "joint_verdict": 1, "classify_case": 1
+        }
 
     def test_json_and_text_carry_identical_values(self, rotation_file):
         code_t, text, _ = run_cli("analyze", rotation_file, "--schedule", "0,0.8")

@@ -8,7 +8,6 @@ from nusamp import (
     Realization,
     SamplingSchedule,
     SingularScheduleError,
-    UnsupportedOrderError,
     classify_case,
     controllable_direct,
     deadbeat_inputs,
@@ -17,7 +16,6 @@ from nusamp import (
     reconstruct_state,
     simulate_impulse,
     simulate_zoh,
-    zoh_input_matrix,
 )
 from nusamp.numerics import expm, numeric_rank
 from conftest import random_minimal_system, random_schedule
@@ -210,6 +208,13 @@ def test_vector_inputs_must_be_real(rotation_system, call, name, bad):
         call(rotation_system, bad)
 
 
+def _zoh_input_matrix(system, schedule):
+    """Column i: the final state under a unit input held on interval i."""
+    return np.column_stack([
+        simulate_zoh(system, schedule, unit).states[-1] for unit in np.eye(system.n)
+    ])
+
+
 class TestZohInputMatrix:
     def test_rank_matches_impulse_matrix(self):
         # operational form of "a data hold does not change the modes":
@@ -221,42 +226,41 @@ class TestZohInputMatrix:
             g = reachability_matrix(system, schedule)
             if 1e-11 <= g.rank.sigma_ratio <= 1e-7:
                 continue
-            h = zoh_input_matrix(system, schedule)
+            h = _zoh_input_matrix(system, schedule)
             assert numeric_rank(h).rank == g.rank.rank
 
     def test_forbidden_rotation_schedule(self, rotation_system):
         schedule = SamplingSchedule((0.0, np.pi, 2 * np.pi))
         g = reachability_matrix(rotation_system, schedule)
-        h = zoh_input_matrix(rotation_system, schedule)
+        h = _zoh_input_matrix(rotation_system, schedule)
         assert g.rank.rank == 1
         assert numeric_rank(h).rank == 1
 
 
 class TestClassifyCase:
     def test_rotation_cases(self, rotation_system):
-        assert classify_case(
-            rotation_system, SamplingSchedule((0.0, np.pi / 2, 1.9))
-        ).label == "a"
-        assert classify_case(
-            rotation_system, SamplingSchedule((0.0, np.pi, 2 * np.pi))
-        ).label == "b"
-        assert classify_case(
-            rotation_system, SamplingSchedule((0.0, np.pi, np.pi + 1.5))
-        ).label == "c"
+        for instants, label in (
+            ((0.0, np.pi / 2, 1.9), "a"),
+            ((0.0, np.pi, 2 * np.pi), "b"),
+            ((0.0, np.pi, np.pi + 1.5), "c"),
+        ):
+            report = joint_verdict(rotation_system, SamplingSchedule(instants))
+            assert classify_case(report) == label
 
     def test_case_matches_verdicts(self, damped_rotation_system):
         for _ in range(40):
             schedule = random_schedule(RNG, 3)
-            label = classify_case(damped_rotation_system, schedule)
             report = joint_verdict(damped_rotation_system, schedule)
+            label = classify_case(report)
             if 1e-11 <= report.sigma_ratio <= 1e-7:
                 continue
-            if label.label == "a":
+            if label == "a":
                 assert report.reachable
             else:
                 assert not report.reachable
-                assert (label.label == "b") == report.controllable
+                assert (label == "b") == report.controllable
 
-    def test_order_restriction(self, scalar_system):
-        with pytest.raises(UnsupportedOrderError):
-            classify_case(scalar_system, SamplingSchedule((0.0, 1.0, 2.0)))
+    def test_order_restriction(self, scalar_system, rotation_system):
+        # The taxonomy needs order 2 and a third instant.
+        assert classify_case(joint_verdict(scalar_system, SamplingSchedule((0.0, 1.0, 2.0)))) is None
+        assert classify_case(joint_verdict(rotation_system, SamplingSchedule((0.0, 1.0)))) is None

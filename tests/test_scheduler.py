@@ -20,7 +20,6 @@ from nusamp import (
     forbidden_instants_order2,
     joint_verdict,
     mode_matrix,
-    mode_set,
     schedule_conditioning,
     suggest_schedule,
     validate_uniform,
@@ -28,6 +27,7 @@ from nusamp import (
 from nusamp import Tolerances, numerics, scheduler
 from nusamp.cli import load_system_document
 from nusamp.numerics import column_normalized_sigma_ratio
+from nusamp.system_model import prepare
 from conftest import count_calls
 
 RNG = np.random.default_rng(55)
@@ -210,6 +210,34 @@ class TestForbiddenInstants:
         with pytest.raises(InfeasibleError, match="too far from t0"):
             forbidden_instants_order2(rotation_system, -1e308, (1e308, 1e308))
 
+    def test_instants_far_from_zero_are_refused(self):
+        # ulp(2.6e16) is 4: t0 + k*period rounds the 1.18-periods to repeats.
+        system = oscillator(0.0, np.pi / 1.1834222919420114)
+        t0 = 2.609712165907245e16
+        with pytest.raises(InfeasibleError, match="cannot be resolved"):
+            forbidden_instants_order2(system, t0, (t0, 2.6097121659072484e16))
+
+    def test_lists_near_the_spacing_limit_are_increasing(self):
+        rng = np.random.default_rng(1610)
+        margin = scheduler.FORBIDDEN_SPACING_MARGIN
+        outcomes = set()
+        for _ in range(200):
+            period = 10.0 ** rng.uniform(-1.0, 1.0)
+            # Place t0 where the period spans margin/64 .. 8*margin spacings.
+            spacing = period / (margin * 2.0 ** rng.uniform(-6.0, 3.0))
+            t0 = float(rng.choice((-1.0, 1.0)) * spacing / np.finfo(float).eps * rng.uniform(1.0, 2.0))
+            window = (t0, t0 + period * rng.uniform(1.0, 50.0))
+            try:
+                result = forbidden_instants_order2(oscillator(0.0, np.pi / period), t0, window)
+            except InfeasibleError as exc:
+                assert "cannot be resolved" in str(exc)
+                outcomes.add("refused")
+                continue
+            instants = np.array(result.forbidden)
+            assert len(instants) >= 1 and np.all(np.diff(instants) > 0.0)
+            outcomes.add("listed")
+        assert outcomes == {"refused", "listed"}
+
     def test_real_pair_is_told_apart_by_its_imaginary_part(self):
         slow = Realization([[0.0, -1e-10], [1e-10, 0.0]], [1.0, 0.0], [1.0, 0.0])
         # Kept apart by a fine clustering tolerance, the pair +-1e-10j is
@@ -244,7 +272,8 @@ class TestForbiddenInstants:
         # Just below the quarter-period ratio the guard band is the whole
         # quarter but for an ulp; the bracket closes before the 15th round.
         span = np.pi / 4.0
-        ratio = schedule_conditioning(mode_set(rotation_system), SamplingSchedule((0.0, np.pi + span)))
+        modes = prepare(rotation_system).modes
+        ratio = schedule_conditioning(modes, SamplingSchedule((0.0, np.pi + span)))
         prepared = PreparedSystem(rotation_system, Tolerances(singularity=ratio * (1.0 - 1e-15)))
         calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
         guard = forbidden_instants_order2(prepared, 0.0, (0.0, 1.0)).guard_band
@@ -327,6 +356,15 @@ class TestValidateUniform:
         with pytest.raises(InfeasibleError, match="horizon"):
             validate_uniform(rotation_system, 1.0, horizon=horizon)
 
+    def test_horizon_above_the_limit_is_refused_at_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, [(scheduler, "joint_verdict")])
+        system = Realization(np.diag([0.0, -1.0]), [1.0, 1.0], [1.0, 1.0])
+        validate_uniform(system, 0.5, horizon=scheduler.MAX_UNIFORM_HORIZON)
+        calls.clear()
+        with pytest.raises(InfeasibleError, match="above the limit 10000"):
+            validate_uniform(system, 0.5, horizon=1_000_000_000)
+        assert not calls
+
     def test_numpy_integer_horizon(self, rotation_system):
         result = validate_uniform(rotation_system, np.pi / 2, horizon=np.int64(3))
         assert result.first_failing_multiple == 2
@@ -346,7 +384,7 @@ class TestValidateUniform:
         # The pair 80 +- j fails at T = 1 already; from j = 9 on the mode
         # matrix overflows, so a scan past the first failure would raise.
         system = Realization([[80.0, -1.0], [1.0, 80.0]], [1.0, 0.0], [1.0, 0.0])
-        modes = mode_set(system)
+        modes = prepare(system).modes
         with pytest.raises(NumericRangeError):
             schedule_conditioning(modes, SamplingSchedule((0.0, 9.0)))
         result = validate_uniform(system, 1.0)
@@ -363,9 +401,7 @@ class TestSuggestSchedule:
         assert objective > 0.99
         # brute-force confirmation on the raw grid
         grid = np.arange(0.1, 2.0001, 0.025)
-        from nusamp import mode_set, schedule_conditioning
-
-        modes = mode_set(rotation_system)
+        modes = prepare(rotation_system).modes
         best = max(
             grid, key=lambda d: schedule_conditioning(modes, SamplingSchedule((0.0, d)))
         )
@@ -382,9 +418,7 @@ class TestSuggestSchedule:
         schedule, objective = suggest_schedule(diag_system, spec)
         assert schedule.instants[1] - schedule.instants[0] == pytest.approx(1.0, abs=1e-9)
         # grid sweep confirms the objective grows with the spacing
-        from nusamp import mode_set, schedule_conditioning
-
-        modes = mode_set(diag_system)
+        modes = prepare(diag_system).modes
         values = [
             schedule_conditioning(modes, SamplingSchedule((0.0, d)))
             for d in np.arange(0.1, 1.0001, 0.05)
@@ -479,7 +513,7 @@ class TestSuggestSchedule:
         spec = ScheduleSearchSpec(window=window, count=count, min_spacing=spacing)
         schedule, achieved = suggest_schedule(system, spec)
         assert schedule.instants == instants
-        assert achieved == schedule_conditioning(mode_set(system), schedule)
+        assert achieved == schedule_conditioning(prepare(system).modes, schedule)
         # The recorded objective moves by a few ulps between BLAS kernels.
         assert math.isclose(achieved, objective, rel_tol=1e-13)
 
@@ -531,7 +565,7 @@ class TestBatchedGrid:
     def test_batched_kernel_equals_scalar(self, system, lo, hi, spacing, tail):
         from nusamp.scheduler import _grid_blocks
 
-        modes = mode_set(system)
+        modes = prepare(system).modes
         blocks = _grid_blocks(lo, hi, spacing, spacing / 4.0, system.n, tail)
         rows = np.concatenate(list(blocks))
         assert len(rows) > 100

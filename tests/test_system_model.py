@@ -15,16 +15,13 @@ from nusamp import (
     Tolerances,
     UnsupportedOrderError,
     check_minimal,
-    check_y0_components,
-    classify_case,
     cross_validate,
     deadbeat_inputs,
-    eval_mode,
+    factor_n2,
     forbidden_instants_order2,
-    impulse_response,
     joint_verdict,
     modal_decompose,
-    mode_set,
+    mode_matrix,
     reconstruct_state,
     suggest_schedule,
     validate_uniform,
@@ -108,18 +105,18 @@ class TestCheckMinimal:
 
 class TestModeSet:
     def test_diag(self, diag_system):
-        modes = mode_set(diag_system)
+        modes = prepare(diag_system).modes
         assert modes.roots == ((-1.0, 1), (0.0, 1))
         assert modes.mode_params() == ((-1.0, 0), (0.0, 0))
 
     def test_jordan_block(self):
         system = Realization([[-1.0, 1.0], [0.0, -1.0]], [0.0, 1.0], [1.0, 0.0])
-        modes = mode_set(system)
+        modes = prepare(system).modes
         assert modes.roots == ((-1.0, 2),)
         assert modes.mode_params() == ((-1.0, 0), (-1.0, 1))
 
     def test_rotation(self, rotation_system):
-        modes = mode_set(rotation_system)
+        modes = prepare(rotation_system).modes
         assert modes.r == 2
         assert modes.roots[0][0] == pytest.approx(-1j)
         assert modes.roots[1][0] == pytest.approx(1j)
@@ -130,8 +127,8 @@ class TestModeSet:
             system = random_minimal_system(RNG, n)
             q = random_orthogonal(RNG, n)
             transformed = Realization(q @ system.A @ q.T, q @ system.b, system.c @ q.T)
-            original = mode_set(system)
-            moved = mode_set(transformed)
+            original = prepare(system).modes
+            moved = prepare(transformed).modes
             assert original.r == moved.r
             for (lam1, m1), (lam2, m2) in zip(original.roots, moved.roots):
                 assert m1 == m2
@@ -140,15 +137,12 @@ class TestModeSet:
 
 class TestEvalMode:
     def test_values(self):
+        # Mode (lam, p) is t**p exp(lam t): row m of the mode matrix holds
+        # every mode at alpha_m.
         modes = ModeSet(((-1.0, 2),))
-        assert eval_mode(modes, 0, 0.0) == pytest.approx(1.0)  # exp(-t) at 0
-        assert eval_mode(modes, 1, 0.0) == pytest.approx(0.0)  # t exp(-t) at 0
-        assert eval_mode(modes, 1, 1.0) == pytest.approx(np.exp(-1.0))
-
-    def test_index_out_of_range(self):
-        modes = ModeSet(((-1.0, 1),))
-        with pytest.raises(IndexError):
-            eval_mode(modes, 1, 0.0)
+        at_zero, at_one = mode_matrix(modes, [0.0, 1.0])
+        assert at_zero == pytest.approx([1.0, 0.0])  # exp(-t), t exp(-t) at 0
+        assert at_one == pytest.approx([np.exp(-1.0), np.exp(-1.0)])
 
 
 class TestModalDecompose:
@@ -326,20 +320,21 @@ def _eig_columns(system: Realization, B: np.ndarray) -> list:
 
 
 class TestCheckY0Components:
+    # The y0 weighting N2 is nonzero exactly when the pair is controllable:
+    # the last y0 component of every Jordan block is nonzero.
     def test_minimal_rotation(self, rotation_system):
         decomposition = modal_decompose(rotation_system)
-        assert check_y0_components(decomposition)
+        assert decomposition.y0 == pytest.approx([np.sqrt(0.5), np.sqrt(0.5)])
+        assert factor_n2(decomposition) == pytest.approx(0.5)
 
     def test_decoupled_mode(self):
         system = Realization(np.diag([0.0, -1.0]), [1.0, 0.0], [1.0, 1.0])
-        decomposition = modal_decompose(system)
-        assert not check_y0_components(decomposition)
+        assert factor_n2(modal_decompose(system)) == 0
 
     def test_scalar(self, scalar_system):
-        assert check_y0_components(modal_decompose(scalar_system))
+        assert factor_n2(modal_decompose(scalar_system)) != 0
         zero_b = Realization([[-1.0]], [0.0], [1.0])
-        decomposition = modal_decompose(zero_b)
-        assert not check_y0_components(decomposition)
+        assert factor_n2(modal_decompose(zero_b)) == 0
 
     def test_matches_controllability_for_distinct_eigenvalues(self):
         agree = 0
@@ -354,8 +349,10 @@ class TestCheckY0Components:
                 b = np.real(decomposition.B @ y0)
                 system = Realization(system.A, b, system.c)
             report = check_minimal(system)
-            decomposition = modal_decompose(system)
-            assert check_y0_components(decomposition) == report.controllable_ct
+            y0 = modal_decompose(system).y0
+            # Simple blocks: every component is the last of its block.
+            weighted = bool(np.all(np.abs(y0) > 1e-9 * np.linalg.norm(y0)))
+            assert weighted == report.controllable_ct
             agree += 1
         assert agree == 60
 
@@ -379,7 +376,6 @@ class TestPreparedSystem:
         two, three = SamplingSchedule((0.0, 1.0)), SamplingSchedule((0.0, 1.0, 2.5))
         joint_verdict(prepared, three)
         cross_validate(prepared, three)
-        classify_case(prepared, three)
         deadbeat_inputs(prepared, two, [1.0, 0.0], [0.0, 1.0])
         reconstruct_state(prepared, two, [1.0, 0.5])
         validate_uniform(prepared, 0.5)
@@ -433,35 +429,35 @@ class TestPreparedSystem:
 
 
 class TestImpulseResponse:
+    # h(t) = c exp(A t) b, the sampled impulse response.
     def test_at_zero(self):
         for _ in range(10):
             n = int(RNG.integers(1, 5))
             system = random_minimal_system(RNG, n)
-            assert impulse_response(system, 0.0) == pytest.approx(
-                float(system.c @ system.b)
-            )
+            h = system.c @ numerics.expm(system.A, 0.0) @ system.b
+            assert h == pytest.approx(float(system.c @ system.b))
 
     def test_scalar(self, scalar_system):
-        assert impulse_response(scalar_system, 1.0) == pytest.approx(np.exp(-1.0))
+        h = scalar_system.c @ numerics.expm(scalar_system.A, 1.0) @ scalar_system.b
+        assert h == pytest.approx(np.exp(-1.0))
 
     def test_rotation_cosine(self, rotation_system):
-        assert impulse_response(rotation_system, np.pi) == pytest.approx(-1.0)
+        h = rotation_system.c @ numerics.expm(rotation_system.A, np.pi) @ rotation_system.b
+        assert h == pytest.approx(-1.0)
 
     def test_matches_modal_sum(self):
         # h(t) = sum of weighted modes; the weights follow from c B and the
         # per-block anti-triangular combination of y0 with factorials.
+        times = np.array([0.1, 0.5, 1.0, 2.0])
         for _ in range(25):
             n = int(RNG.integers(1, 5))
             system = random_minimal_system(RNG, n, allow_defective=True)
             decomposition = modal_decompose(system)
-            modes = decomposition.modes
             weights = _mode_weights(system, decomposition)
-            for t in (0.1, 0.5, 1.0, 2.0):
-                modal = sum(
-                    w * eval_mode(modes, i, t) for i, w in enumerate(weights)
-                )
-                direct = impulse_response(system, t)
-                assert abs(direct - modal) <= 1e-8 * max(1.0, abs(direct))
+            # Row 0 of each mode matrix holds every mode at that time.
+            modal = mode_matrix(decomposition.modes, np.repeat(times[:, None], n, 1))[:, 0] @ weights
+            direct = system.c @ numerics.expm(system.A, times) @ system.b
+            assert np.all(np.abs(direct - modal) <= 1e-8 * np.maximum(1.0, np.abs(direct)))
 
 
 def _mode_weights(system, decomposition: ModalDecomposition) -> np.ndarray:
