@@ -69,7 +69,6 @@ from .system_model import (
     MinimalityReport,
     ModalDecomposition,
     ModeSet,
-    PreparedSystem,
     Realization,
     check_minimal,
     modal_decompose,
@@ -92,7 +91,6 @@ __all__ = [
     "NotApplicableError",
     "NumericRangeError",
     "OracleReport",
-    "PreparedSystem",
     "RangeCheck",
     "RankResult",
     "ReachabilityMatrixResult",

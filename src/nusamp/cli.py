@@ -45,7 +45,7 @@ from .numerics import Tolerances
 from .oracle import controllable_direct, cross_validate
 from .scheduler import MAX_UNIFORM_HORIZON, ScheduleSearchSpec, forbidden_instants_order2
 from .scheduler import suggest_schedule, validate_uniform
-from .system_model import PreparedSystem, Realization
+from .system_model import Realization
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,9 +64,6 @@ class SystemDocument:
     schedule: tuple | None = None
     x0: tuple | None = None
     tolerances: Tolerances = Tolerances()
-
-    def realization(self) -> Realization:
-        return Realization(self.A, self.b, self.c)
 
 
 def _field_floats(raw, name: str, expected: int) -> list:
@@ -216,9 +213,8 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
     Returns a JSON-serializable dict; the text rendering is derived from the
     same dict so the two forms cannot diverge.
     """
-    prepared = PreparedSystem(document.realization(), tolerances)
-    realization = prepared.realization
-    minimality = prepared.minimality
+    realization = Realization(document.A, document.b, document.c, tolerances)
+    minimality = realization.minimality
     result = {
         "system": {"order": realization.n},
         "schedule": list(schedule.instants),
@@ -240,10 +236,10 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
 
     result["modes"] = [
         {"eigenvalue": {"re": lam.real, "im": lam.imag}, "multiplicity": m}
-        for lam, m in prepared.decomposition.modes.roots
+        for lam, m in realization.decomposition.modes.roots
     ]
 
-    oracle = cross_validate(prepared, schedule)
+    oracle = cross_validate(realization, schedule)
     result["criterion"] = _criterion_entry(oracle.criterion)
     result["oracle"] = {
         "reachable": oracle.reachable,
@@ -259,7 +255,9 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
         )
 
     if document.x0 is not None and len(schedule) >= realization.n + 1:
-        result["oracle"]["controllable_x0"] = controllable_direct(prepared, schedule, document.x0)
+        result["oracle"]["controllable_x0"] = controllable_direct(
+            realization, schedule, document.x0
+        )
 
     label = classify_case(oracle.criterion)
     if label is not None:
@@ -500,9 +498,7 @@ def _cmd_deadbeat(args, document, system, err):
     schedule, _ = _schedule(document, args, err)
     t_final = args.final_time if args.final_time is not None else default_final_time(schedule)
     inputs = deadbeat_inputs(system, schedule, x0, target, t_final=t_final)
-    check = simulate_impulse(
-        system.realization, SamplingSchedule(schedule.instants + (t_final,)), inputs, x0
-    )
+    check = simulate_impulse(system, SamplingSchedule(schedule.instants + (t_final,)), inputs, x0)
     result = {
         "inputs": [float(u) for u in inputs],
         "final_time": t_final,
@@ -522,8 +518,7 @@ def _cmd_reconstruct(args, document, system, err):
     outputs = _parse_floats(args.outputs, "--outputs")
     schedule, _ = _schedule(document, args, err)
     x0 = reconstruct_state(system, schedule, outputs)
-    realization = system.realization
-    resim = realization.c @ numerics.expm(realization.A, schedule.instants) @ x0
+    resim = system.c @ numerics.expm(system.A, schedule.instants) @ x0
     result = {
         "x0": [float(v) for v in x0],
         "resimulation_residual": _relative_residual(resim, outputs),
@@ -581,7 +576,8 @@ def main(argv=None, out=None, err=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         document = load_system_document(args.system)
-        system = PreparedSystem(document.realization(), _tolerances_from_args(document, args))
+        tolerances = _tolerances_from_args(document, args)
+        system = Realization(document.A, document.b, document.c, tolerances)
         result, render, code = args.run(args, document, system, err)
     except NotApplicableError as exc:
         # A result that does not apply is an answer, not a failure: no prefix.

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionError, InsufficientScheduleError, NumericRangeError
-from .system_model import ModalDecomposition, ModeSet, PreparedSystem, Realization, prepare
+from .system_model import ModalDecomposition, ModeSet, Realization
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,7 @@ def _mode_space_vectors(decomposition: ModalDecomposition, alphas) -> np.ndarray
     return numerics.expm(decomposition.J, alphas) @ decomposition.y0
 
 
-def joint_verdict(
-    system: Realization | PreparedSystem, schedule: SamplingSchedule
-) -> CriterionReport:
+def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionReport:
     """Run the joint n-reachability / n-observability test on a schedule.
 
     The realization must be minimal (MinimalityError otherwise, naming the
@@ -208,14 +206,12 @@ def joint_verdict(
     ``alpha_0 .. alpha_{n-1}``, a span truncated at the singularity
     tolerance and a membership judged by the residual tolerance.  A
     full-rank span holds every vector, so the pair holds whenever the
-    schedule is reachable.  A plain realization is analysed with the
-    default tolerances.
+    schedule is reachable.
     """
-    prepared = prepare(system)
-    decomposition = prepared.decomposition
-    tolerances = prepared.tolerances
+    decomposition = system.decomposition
+    tolerances = system.tolerances
     modes = decomposition.modes
-    n = prepared.realization.n
+    n = system.n
     alphas = shifted_intervals(schedule, n)
 
     phi = mode_matrix(modes, alphas)

@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict
 from .errors import InsufficientScheduleError, SingularScheduleError
-from .system_model import PreparedSystem, Realization, _state_vector, prepare
+from .system_model import Realization, _state_vector
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,10 @@ def simulate_zoh(
 
 
 def _require_regular(
-    prepared: PreparedSystem, schedule: SamplingSchedule, consequence: str
+    realization: Realization, schedule: SamplingSchedule, consequence: str
 ) -> None:
     """Raise SingularScheduleError, with the report, unless the joint test passes."""
-    report = joint_verdict(prepared, schedule)
+    report = joint_verdict(realization, schedule)
     if not report.reachable:
         raise SingularScheduleError(
             f"schedule is singular (sigma ratio {report.sigma_ratio:.3e}); {consequence}",
@@ -114,7 +114,7 @@ def default_final_time(schedule: SamplingSchedule) -> float:
 
 
 def deadbeat_inputs(
-    system: Realization | PreparedSystem,
+    realization: Realization,
     schedule: SamplingSchedule,
     x0,
     x_target,
@@ -127,18 +127,15 @@ def deadbeat_inputs(
     schedule failing the joint criterion raises SingularScheduleError with
     the report attached; non-finite states raise DimensionError, and a
     ``t_final`` that is not finite or not beyond the last input instant
-    raises ValueError.  A plain realization is analysed with the default
-    tolerances.
+    raises ValueError.
     """
-    prepared = prepare(system)
-    realization = prepared.realization
     n = realization.n
     t = schedule.instants
     if len(t) != n:
         raise InsufficientScheduleError(
             f"deadbeat design needs exactly {n} input instants, got {len(t)}"
         )
-    _require_regular(prepared, schedule, "deadbeat inputs do not exist")
+    _require_regular(realization, schedule, "deadbeat inputs do not exist")
     if t_final is None:
         t_final = default_final_time(schedule)
     if not np.isfinite(t_final):
@@ -155,16 +152,13 @@ def deadbeat_inputs(
 
 
 def reconstruct_state(
-    system: Realization | PreparedSystem, schedule: SamplingSchedule, outputs
+    realization: Realization, schedule: SamplingSchedule, outputs
 ) -> np.ndarray:
     """Recover x(0) from n free-response outputs y(t_i) = c exp(A t_i) x(0).
 
     A schedule failing the joint criterion raises SingularScheduleError with
-    the report attached; non-finite outputs raise DimensionError.  A plain
-    realization is analysed with the default tolerances.
+    the report attached; non-finite outputs raise DimensionError.
     """
-    prepared = prepare(system)
-    realization = prepared.realization
     n = realization.n
     t = schedule.instants
     if len(t) != n:
@@ -172,7 +166,7 @@ def reconstruct_state(
             f"state reconstruction needs exactly {n} output instants, got {len(t)}"
         )
     y = _state_vector(outputs, n, "outputs")
-    _require_regular(prepared, schedule, "outputs do not determine the state")
+    _require_regular(realization, schedule, "outputs do not determine the state")
     rows = realization.c @ numerics.expm(realization.A, t)
     return np.linalg.solve(rows, y)
 

@@ -35,7 +35,7 @@ class Tolerances:
     rank tests of ``check_minimal``; ``residual`` is the membership
     tolerance of the joint verdict's controllability test and of
     ``controllable_direct``.  Analyses read each field from the bundle of
-    the prepared system they are given.  Each must be a positive finite real
+    the realization they are given.  Each must be a positive finite real
     (ToleranceError naming the field otherwise) and is stored as a float.
     """
 

@@ -8,7 +8,7 @@ the mode-matrix criterion is therefore a genuine two-route check, and
 Each check exponentiates A once over a stack of times, for the sampled input
 columns ``exp(A s_i) b``, the sampled output rows ``c exp(A s_i)`` and the
 x0 target ``exp(A t_n) x0``.  Every function here takes a ``Realization``
-or a ``PreparedSystem`` and reads its tolerances.
+and reads its tolerances.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict
 from .errors import InsufficientScheduleError
-from .system_model import PreparedSystem, Realization, _state_vector, prepare
+from .system_model import Realization, _state_vector
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _exponentials(realization: Realization, schedule: SamplingSchedule, final: b
 
 
 def reachability_matrix(
-    system: Realization | PreparedSystem, schedule: SamplingSchedule
+    realization: Realization, schedule: SamplingSchedule
 ) -> ReachabilityMatrixResult:
     """Build [G_{n-1}, ..., G_0] with G_i = exp(A (t_ref - t_i)) b.
 
@@ -88,17 +88,13 @@ def reachability_matrix(
     the same either way.  The rank is cut at the bundle's ``singularity``,
     as in ``cross_validate``.
     """
-    prepared = prepare(system)
-    realization = prepared.realization
     stack, reference = _exponentials(realization, schedule)
     G = (stack @ realization.b).T
-    rank = numerics.numeric_rank(G, prepared.tolerances.singularity)
+    rank = numerics.numeric_rank(G, realization.tolerances.singularity)
     return ReachabilityMatrixResult(G, rank, reference)
 
 
-def controllable_direct(
-    system: Realization | PreparedSystem, schedule: SamplingSchedule, x0
-) -> bool:
+def controllable_direct(realization: Realization, schedule: SamplingSchedule, x0) -> bool:
     """State-specific controllability: exp(A t_n) x0 in the range of G.
 
     This is the x0-dependent form; the criterion module reports the
@@ -108,21 +104,17 @@ def controllable_direct(
     judged by its ``residual``.  An x0 of the wrong length or with a
     non-finite entry raises DimensionError.
     """
-    prepared = prepare(system)
-    realization = prepared.realization
     n = realization.n
     x0 = _state_vector(x0, n, "x0")
     stack, _ = _exponentials(realization, schedule, final=True)
     target = stack[n] @ x0
-    tolerances = prepared.tolerances
+    tolerances = realization.tolerances
     return numerics.in_range(
         (stack[:n] @ realization.b).T, target, tolerances.residual, tolerances.singularity
     ).contained
 
 
-def cross_validate(
-    system: Realization | PreparedSystem, schedule: SamplingSchedule
-) -> OracleReport:
+def cross_validate(realization: Realization, schedule: SamplingSchedule) -> OracleReport:
     """Run both routes and record whether every verdict matches.
 
     The direct rank tests use the singularity tolerance as rank tolerance,
@@ -130,13 +122,10 @@ def cross_validate(
     Disagreement is data for triage (the report carries the criterion report
     and both direct sigma ratios), not an error.  The carried criterion
     report is the analysis's one joint verdict: its controllability pair and
-    the case label are read from it, not recomputed.  A plain realization is
-    analysed with the default tolerances.
+    the case label are read from it, not recomputed.
     """
-    prepared = prepare(system)
-    report = joint_verdict(prepared, schedule)
-    realization = prepared.realization
-    tol = prepared.tolerances.singularity
+    report = joint_verdict(realization, schedule)
+    tol = realization.tolerances.singularity
     stack, _ = _exponentials(realization, schedule)
     reach = numerics.numeric_rank((stack @ realization.b).T, tol)
     obs = numerics.numeric_rank((realization.c @ stack).T, tol)

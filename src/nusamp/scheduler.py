@@ -17,7 +17,7 @@ import numpy as np
 
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict, schedule_conditioning
 from .errors import InfeasibleError, NotApplicableError, UnsupportedOrderError
-from .system_model import ModeSet, PreparedSystem, Realization, prepare, require_minimal
+from .system_model import ModeSet, Realization, require_minimal
 
 # Guard so a careless search spec cannot ask for an astronomically large grid.
 MAX_GRID_CANDIDATES = 2_000_000
@@ -114,9 +114,7 @@ def _oscillatory_frequency(modes: ModeSet) -> float:
     return float(lam.imag)
 
 
-def forbidden_instants_order2(
-    system: Realization | PreparedSystem, t0: float, window
-) -> ForbiddenSet:
+def forbidden_instants_order2(system: Realization, t0: float, window) -> ForbiddenSet:
     """Enumerate the singular second instants for an order-2 oscillatory system.
 
     Given a first instant t0, the pair (t0, t1) fails the joint criterion
@@ -128,14 +126,12 @@ def forbidden_instants_order2(
     non-finite t0 or window bound raises InfeasibleError, as does a window
     too far from t0 to count, holding more than MAX_FORBIDDEN_INSTANTS of
     them, or holding any so far from zero that the period is not above
-    FORBIDDEN_SPACING_MARGIN float spacings there.  A plain realization is
-    analysed with the default tolerances.
+    FORBIDDEN_SPACING_MARGIN float spacings there.
     """
-    prepared = prepare(system)
-    n = prepared.realization.n
+    n = system.n
     if n != 2:
         raise UnsupportedOrderError(f"forbidden-instant analysis is defined for order 2, got {n}")
-    modes = prepared.modes
+    modes = system.modes
     frequency = _oscillatory_frequency(modes)
     period = math.pi / frequency
 
@@ -144,7 +140,10 @@ def forbidden_instants_order2(
         raise InfeasibleError(
             f"t0 and the window bounds must be finite, got t0={t0!r}, window={window!r}"
         )
-    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    # A few float spacings at the query's largest magnitude absorb the
+    # rounding of t0 + k*period at the window ends.
+    scale = max(abs(t0), abs(lo), abs(hi))
+    slack = 4 * math.ulp(scale)
     first, last = (lo - t0 - slack) / period, (hi + slack - t0) / period
     if not (math.isfinite(first) and math.isfinite(last)):
         raise InfeasibleError(
@@ -156,7 +155,6 @@ def forbidden_instants_order2(
         raise InfeasibleError(
             f"window holds {count} forbidden instants, more than {MAX_FORBIDDEN_INSTANTS}"
         )
-    scale = max(abs(t0), abs(lo), abs(hi))
     if count and period <= FORBIDDEN_SPACING_MARGIN * math.ulp(scale):
         raise InfeasibleError(
             f"forbidden instants {period:.6g} apart cannot be resolved near {scale:.6g}; "
@@ -166,7 +164,7 @@ def forbidden_instants_order2(
     points = t0 + (k_first + np.arange(count + 1)) * period
     points = points[(points >= lo - slack) & (points <= hi + slack)]
 
-    guard = _guard_band(modes, period, prepared.tolerances.singularity)
+    guard = _guard_band(modes, period, system.tolerances.singularity)
     return ForbiddenSet(float(t0), period, tuple(points.tolist()), guard)
 
 
@@ -193,9 +191,7 @@ def _guard_band(modes: ModeSet, period: float, tol: float) -> float:
     return float(high)
 
 
-def validate_uniform(
-    system: Realization | PreparedSystem, interval: float, horizon: int = 10
-) -> UniformValidation:
+def validate_uniform(system: Realization, interval: float, horizon: int = 10) -> UniformValidation:
     """Joint verdict of the uniform schedule {0, T, ..., (n-1) T}.
 
     Also scans the subsampled intervals j*T for j up to ``horizon`` and
@@ -204,9 +200,7 @@ def validate_uniform(
     multiple of T hitting a forbidden separation.  The j = 1 ratio is the
     report's own; larger multiples are probed one at a time, up to the first
     failing one.  ``horizon`` must be an integer in 1..MAX_UNIFORM_HORIZON.
-    A plain realization is analysed with the default tolerances.
     """
-    prepared = prepare(system)
     if interval <= 0.0 or not np.isfinite(interval):
         raise InfeasibleError(f"sampling interval must be positive, got {interval!r}")
     if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
@@ -215,16 +209,16 @@ def validate_uniform(
         raise InfeasibleError("horizon must be at least 1")
     if horizon > MAX_UNIFORM_HORIZON:
         raise InfeasibleError(f"horizon {horizon} is above the limit {MAX_UNIFORM_HORIZON}")
-    n = prepared.realization.n
-    report = joint_verdict(prepared, _uniform_schedule(interval, n))
+    n = system.n
+    report = joint_verdict(system, _uniform_schedule(interval, n))
     first_failing = None
     # Sequential on purpose: a multiple past the first failing one may
     # overflow the mode matrix, so it is never evaluated.
     for j in range(1, horizon + 1):
         ratio = report.sigma_ratio
         if j > 1:
-            ratio = schedule_conditioning(prepared.modes, _uniform_schedule(j * interval, n))
-        if ratio <= prepared.tolerances.singularity:
+            ratio = schedule_conditioning(system.modes, _uniform_schedule(j * interval, n))
+        if ratio <= system.tolerances.singularity:
             first_failing = j
             break
     return UniformValidation(
@@ -301,7 +295,7 @@ def _chunks(blocks, size: int):
         yield np.concatenate(pending)
 
 
-def suggest_schedule(system: Realization | PreparedSystem, spec: ScheduleSearchSpec):
+def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     """Search the window for the best-conditioned feasible schedule.
 
     Deterministic grid search (step = min_spacing / 4) followed by three
@@ -312,16 +306,14 @@ def suggest_schedule(system: Realization | PreparedSystem, spec: ScheduleSearchS
     (schedule, achieved sigma ratio), or raises InfeasibleError when that
     ratio does not exceed the singularity tolerance.  The realization must
     be minimal; only its mode set is computed, never the modal
-    decomposition.  A plain realization is analysed with the default
-    tolerances.
+    decomposition.
 
     The objective depends only on instant differences, so the first instant
     is pinned to the window start without loss of generality.
     """
-    prepared = prepare(system)
-    n = prepared.realization.n
-    require_minimal(prepared.minimality, n)
-    modes = prepared.modes
+    n = system.n
+    require_minimal(system.minimality, n)
+    modes = system.modes
     if spec.count < n:
         raise InfeasibleError(
             f"count {spec.count} is below the system order {n}; "
@@ -384,7 +376,7 @@ def suggest_schedule(system: Realization | PreparedSystem, spec: ScheduleSearchS
     for _ in range(tail):
         instants.append(instants[-1] + spacing)
     schedule = SamplingSchedule(tuple(instants))
-    if best_obj <= prepared.tolerances.singularity:
+    if best_obj <= system.tolerances.singularity:
         raise InfeasibleError(
             f"no schedule in the window clears the singularity tolerance "
             f"(best sigma ratio {best_obj:.3e})"

@@ -9,10 +9,9 @@ the modal picture extracted here: the clustered eigenvalues, the ordered
 characteristic modes ``t**k * exp(lam*t)``, and the Jordan-form data
 (J, B, y0) with ``A = B J B^-1`` and ``y0 = B^-1 b``.
 
-An analysis receives the realization as a ``PreparedSystem``: the
-realization with the tolerances of the analysis, which computes the one
-eigendecomposition of A, the minimality report and the modal decomposition
-once each and shares them with every analysis it is passed to.
+A realization carries the tolerances of its analyses and computes each of
+these facts once, on first use.  Other tolerances make another realization,
+``dataclasses.replace(r, tolerances=...)``, with facts of its own.
 
 Conventions fixed once here:
 
@@ -32,18 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import ConvergenceError, DimensionError, MinimalityError, UnsupportedOrderError
+from .errors import ConvergenceError, DimensionError, MinimalityError, ToleranceError
+from .errors import UnsupportedOrderError
 
 # Basis matrices with sigma ratios below this get a conditioning warning.
 ILL_CONDITIONED_BASIS = 1e-10
 
 
 def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array; complex or non-numeric entries raise."""
+    """A float copy of ``values``; complex or non-numeric entries raise."""
     try:
         if np.iscomplexobj(values):  # a cast would drop the imaginary part
             raise DimensionError(f"{name} must be a real array")
-        return np.asarray(values, dtype=float)
+        return np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} must be a real array: {exc}") from exc
 
@@ -60,13 +60,28 @@ def _state_vector(values, n: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Realization:
-    """Continuous-time SISO triple (A, b, c) of order n."""
+    """Continuous-time SISO triple (A, b, c) of order n, with the tolerances
+    of its analyses.
+
+    A, b and c are read-only copies of the arguments.  The
+    eigendecomposition, the minimality report, the mode set and the modal
+    decomposition are computed on first use, at most once each, and shared
+    by every analysis the realization is passed to; the mode set clusters
+    the eigenvalues of ``eigen`` and the basis starts from its eigenvectors.
+    Reading ``decomposition`` of a non-minimal realization raises
+    MinimalityError naming the failed rank test.  Analyses that need only
+    the mode set read ``modes``, which never triggers the decomposition.
+    A ``tolerances`` that is not a ``Tolerances`` raises ToleranceError.
+    """
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    tolerances: numerics.Tolerances = numerics.Tolerances()
 
     def __post_init__(self):
+        if not isinstance(self.tolerances, numerics.Tolerances):
+            raise ToleranceError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
         A = _real_array(self.A, "A")
         if not np.all(np.isfinite(A)):
             raise DimensionError("A contains non-finite entries")
@@ -90,8 +105,29 @@ class Realization:
         return self.A.shape[0]
 
     def dual(self) -> "Realization":
-        """The dual realization (A^T, c^T, b^T)."""
-        return Realization(self.A.T.copy(), self.c.copy(), self.b.copy())
+        """The dual realization (A^T, c^T, b^T), with the same tolerances."""
+        return Realization(self.A.T, self.c, self.b, self.tolerances)
+
+    @functools.cached_property
+    def eigen(self):
+        """(eigenvalues, eigenvectors) of A from one ``np.linalg.eig``."""
+        try:
+            return np.linalg.eig(self.A)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+
+    @functools.cached_property
+    def minimality(self) -> MinimalityReport:
+        return check_minimal(self)
+
+    @functools.cached_property
+    def modes(self) -> ModeSet:
+        return ModeSet(tuple(numerics.eig_clustered(self.eigen[0], self.tolerances.cluster)))
+
+    @functools.cached_property
+    def decomposition(self) -> ModalDecomposition:
+        require_minimal(self.minimality, self.n)
+        return modal_decompose(self)
 
 
 @dataclass(frozen=True)
@@ -167,10 +203,9 @@ def observability_matrix(realization: Realization) -> np.ndarray:
     return np.vstack(rows)
 
 
-def check_minimal(system: Realization | PreparedSystem) -> MinimalityReport:
+def check_minimal(realization: Realization) -> MinimalityReport:
     """Rank-test both Kalman matrices at the bundle's ``rank`` tolerance."""
-    prepared = prepare(system)
-    realization, rank_tol = prepared.realization, prepared.tolerances.rank
+    rank_tol = realization.tolerances.rank
     ctrb = numerics.numeric_rank(controllability_matrix(realization), rank_tol)
     obsv = numerics.numeric_rank(observability_matrix(realization), rank_tol)
     n = realization.n
@@ -221,10 +256,10 @@ def _jordan_chain(A: np.ndarray, lam: complex, size: int, rcond: float):
     return chain
 
 
-def modal_decompose(system: Realization | PreparedSystem) -> ModalDecomposition:
+def modal_decompose(realization: Realization) -> ModalDecomposition:
     """Compute J, B and y0 = B^-1 b for a minimal realization.
 
-    The mode set and the basis read the prepared system's one ``eigen``: a
+    The mode set and the basis read the realization's one ``eigen``: a
     simple cluster holds its eigenvalue exactly as returned, so it takes
     that eigenvalue's eigenvector, in canonical phase.  Only a defective
     cluster runs ``_jordan_chain``.  A cluster whose conjugate partner
@@ -237,18 +272,16 @@ def modal_decompose(system: Realization | PreparedSystem) -> ModalDecomposition:
     falls back to least squares for y0 and the pseudo-inverse for the
     residual, and attaches a warning to the result instead of failing.
 
-    Minimality is not checked here: ``PreparedSystem.decomposition`` checks
+    Minimality is not checked here: ``Realization.decomposition`` checks
     it first, and on a non-minimal realization the decomposition is only
     well defined when the eigenvalues are distinct.  The bundle's
     ``cluster`` tolerance also pairs conjugate clusters and cuts the Jordan
     chains' pseudo-inverse.
     """
-    prepared = prepare(system)
-    realization = prepared.realization
-    cluster_tol = prepared.tolerances.cluster
-    modes = prepared.modes
+    cluster_tol = realization.tolerances.cluster
+    modes = realization.modes
     roots = modes.roots
-    values, vectors = prepared.eigen
+    values, vectors = realization.eigen
     vectors = _canonical_phase(vectors.astype(complex, copy=False))
     points = values.tolist()
 
@@ -313,48 +346,3 @@ def modal_decompose(system: Realization | PreparedSystem) -> ModalDecomposition:
         / max(1.0, float(np.linalg.norm(realization.A)))
     )
     return ModalDecomposition(modes, J, basis, y0, sigma_ratio, residual, warning)
-
-
-@dataclass(frozen=True)
-class PreparedSystem:
-    """A realization, the tolerances of its analysis, and the facts it needs.
-
-    The eigendecomposition, the minimality report, the mode set and the
-    modal decomposition are computed on first use, at most once each, and
-    shared by every analysis the prepared system is passed to; the mode set
-    clusters the eigenvalues of ``eigen`` and the basis starts from its
-    eigenvectors.  Reading ``decomposition`` of a non-minimal realization
-    raises MinimalityError naming the failed rank test.  Analyses that need
-    only the mode set read ``modes``, which never triggers the decomposition.
-    """
-
-    realization: Realization
-    tolerances: numerics.Tolerances = numerics.Tolerances()
-
-    @functools.cached_property
-    def eigen(self):
-        """(eigenvalues, eigenvectors) of A from one ``np.linalg.eig``."""
-        try:
-            return np.linalg.eig(self.realization.A)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-
-    @functools.cached_property
-    def minimality(self) -> MinimalityReport:
-        return check_minimal(self)
-
-    @functools.cached_property
-    def modes(self) -> ModeSet:
-        return ModeSet(tuple(numerics.eig_clustered(self.eigen[0], self.tolerances.cluster)))
-
-    @functools.cached_property
-    def decomposition(self) -> ModalDecomposition:
-        require_minimal(self.minimality, self.realization.n)
-        return modal_decompose(self)
-
-
-def prepare(system: Realization | PreparedSystem) -> PreparedSystem:
-    """The prepared form of an analysis argument; a plain realization gets
-    the default tolerances."""
-    return system if isinstance(system, PreparedSystem) else PreparedSystem(system)
-

@@ -1,6 +1,7 @@
 """Shifted intervals, mode matrix, determinant factorization, joint verdict."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from nusamp import (
     ModalDecomposition,
     ModeSet,
     NumericRangeError,
-    PreparedSystem,
     Realization,
     SamplingSchedule,
     Tolerances,
@@ -211,12 +211,12 @@ class TestJointVerdict:
 
         for _ in range(20):
             n = int(RNG.integers(1, 5))
-            prepared = PreparedSystem(random_minimal_system(RNG, n, allow_defective=True))
-            decomposition = prepared.decomposition
+            system = random_minimal_system(RNG, n, allow_defective=True)
+            decomposition = system.decomposition
             schedule = random_schedule(RNG, n + 1)
             with monkeypatch.context() as patch:
                 calls = count_calls(patch, [(numerics, "expm")])
-                report = joint_verdict(prepared, schedule)
+                report = joint_verdict(system, schedule)
             assert calls == {"expm": 1}
             assert report.controllable is not None
             assert report.full_det == full_determinant(decomposition, report.alphas)
@@ -347,9 +347,9 @@ class TestControllabilityVerdict:
     def test_membership_uses_the_residual_tolerance(self, rotation_system):
         schedule = SamplingSchedule((0.0, np.pi, np.pi + 1.5))
         assert not joint_verdict(rotation_system, schedule).controllable
-        loose = PreparedSystem(rotation_system, Tolerances(residual=10.0))
+        loose = replace(rotation_system, tolerances=Tolerances(residual=10.0))
         assert joint_verdict(loose, schedule).controllable
-        loose_singularity = PreparedSystem(rotation_system, Tolerances(singularity=10.0))
+        loose_singularity = replace(rotation_system, tolerances=Tolerances(singularity=10.0))
         assert not joint_verdict(loose_singularity, schedule).controllable
 
     def test_reachable_implies_controllable(self):
@@ -416,7 +416,7 @@ class TestVerdictCoherence:
         controllable_x0 = result["oracle"]["controllable_x0"]
         assert (label, criterion["controllable"], controllable_x0) == self.EXPECTED[instants][bundle]
 
-        report = joint_verdict(PreparedSystem(rotation_system, self.BUNDLES[bundle]), schedule)
+        report = joint_verdict(replace(rotation_system, tolerances=self.BUNDLES[bundle]), schedule)
         assert classify_case(report) == label
         self.assert_coherent(report, label)
 
@@ -429,9 +429,8 @@ class TestVerdictCoherence:
                 singularity=10.0 ** rng.uniform(-14.0, 0.0),
                 residual=10.0 ** rng.uniform(-14.0, 1.0),
             )
-            prepared = PreparedSystem(system, tolerances)
             schedule = random_schedule(rng, n + 1)
-            report = joint_verdict(prepared, schedule)
+            report = joint_verdict(replace(system, tolerances=tolerances), schedule)
             label = classify_case(report)
             assert (label is None) == (n != 2)
             self.assert_coherent(report, label)
@@ -440,9 +439,9 @@ class TestVerdictCoherence:
         rng = np.random.default_rng(2208)
         for _ in range(300):
             n = int(rng.integers(1, 5))
-            prepared = PreparedSystem(random_minimal_system(rng, n, allow_defective=True))
+            system = random_minimal_system(rng, n, allow_defective=True)
             schedule = random_schedule(rng, n + 1)
-            report = joint_verdict(prepared, schedule)
+            report = joint_verdict(system, schedule)
             if 1e-11 <= report.sigma_ratio <= 1e-7 or not report.controllable:
                 continue
-            assert controllable_direct(prepared, schedule, rng.normal(size=n))
+            assert controllable_direct(system, schedule, rng.normal(size=n))

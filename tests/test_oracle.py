@@ -1,6 +1,7 @@
 """Direct rank tests and criterion cross-validation."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from nusamp import (
     DimensionError,
     InsufficientScheduleError,
-    PreparedSystem,
     Realization,
     SamplingSchedule,
     Tolerances,
@@ -146,8 +146,8 @@ class TestControllableDirect:
         # After the half turn G spans one direction; x0 lies 1e-6 off it.
         schedule = SamplingSchedule((0.0, np.pi, np.pi + 1.5))
         x0 = [1.0, 1e-6]
-        strict = PreparedSystem(rotation_system, Tolerances(residual=1e-9))
-        loose = PreparedSystem(rotation_system, Tolerances(residual=1e-3))
+        strict = replace(rotation_system, tolerances=Tolerances(residual=1e-9))
+        loose = replace(rotation_system, tolerances=Tolerances(residual=1e-3))
         assert not controllable_direct(strict, schedule, x0)
         assert controllable_direct(loose, schedule, x0)
 
@@ -160,9 +160,8 @@ class TestCrossValidate:
         assert report.criterion_sigma_ratio == report.criterion.sigma_ratio
 
     def test_one_exponential_stack_besides_the_criterion(self, monkeypatch, rotation_system):
-        prepared = PreparedSystem(rotation_system)
         calls = count_calls(monkeypatch, [(numerics, "expm")])
-        cross_validate(prepared, SamplingSchedule((0.0, 1.0, 2.5)))
+        cross_validate(rotation_system, SamplingSchedule((0.0, 1.0, 2.5)))
         assert calls == {"expm": 2}
 
     def test_agreement_on_rotation(self, rotation_system):

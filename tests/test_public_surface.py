@@ -1,12 +1,16 @@
-"""The public surface: every exported name and every traced stage resolves."""
+"""The public surface: every exported name and every traced stage resolves,
+and the README's examples run."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import nusamp
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "tracing.py"
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def test_every_export_resolves():
@@ -26,3 +30,12 @@ def test_every_traced_stage_resolves():
         if not callable(getattr(importlib.import_module(f"nusamp.{module}"), function, None))
     ]
     assert missing == []
+
+
+def test_readme_examples_run():
+    # The blocks run in order in one namespace, as a reader would paste them.
+    blocks = PYTHON_BLOCK.findall((ROOT / "README.md").read_text())
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

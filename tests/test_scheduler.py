@@ -1,6 +1,7 @@
 """Forbidden instants, uniform-interval validation and schedule search."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from nusamp import (
     ModeSet,
     NotApplicableError,
     NumericRangeError,
-    PreparedSystem,
     Realization,
     SamplingSchedule,
     ScheduleSearchSpec,
@@ -27,7 +27,6 @@ from nusamp import (
 from nusamp import Tolerances, numerics, scheduler
 from nusamp.cli import load_system_document
 from nusamp.numerics import column_normalized_sigma_ratio
-from nusamp.system_model import prepare
 from conftest import count_calls
 
 RNG = np.random.default_rng(55)
@@ -67,14 +66,19 @@ GUARD_CASES = [
 
 def guard_systems():
     systems = [
-        pytest.param(PreparedSystem(oscillator(a, b), Tolerances(singularity=tol)), id=f"{a}-{b}-{tol}")
+        pytest.param(
+            replace(oscillator(a, b), tolerances=Tolerances(singularity=tol)), id=f"{a}-{b}-{tol}"
+        )
         for a, b, tol in GUARD_CASES
     ]
     document = load_system_document(
         str(Path(__file__).parent / "corpus" / "with_tolerances.json")
     )
     systems.append(
-        pytest.param(PreparedSystem(document.realization(), document.tolerances), id="with_tolerances")
+        pytest.param(
+            Realization(document.A, document.b, document.c, document.tolerances),
+            id="with_tolerances",
+        )
     )
     return systems
 
@@ -103,7 +107,7 @@ def bisected_guard_band(modes, period, tol):
 def reference_forbidden(t0, window, period):
     """The forbidden list by the scalar loop, one multiple at a time."""
     lo, hi = sorted(window)
-    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    slack = 4 * math.ulp(max(abs(t0), abs(lo), abs(hi)))
     k = max(0, math.ceil((lo - t0 - slack) / period))
     points = []
     while t0 + k * period <= hi + slack:
@@ -205,6 +209,14 @@ class TestForbiddenInstants:
         assert result.forbidden == reference_forbidden(t0, window, result.period)
         assert all(type(t) is float for t in result.forbidden)
 
+    @pytest.mark.parametrize("t0", [0.0, 0.25, 1e12, 1e14, 1e15])
+    def test_window_edges_hold_far_from_zero(self, rotation_system, t0):
+        # (t0, t0 + 10) holds the multiples 0..3 of pi past t0 wherever t0
+        # lies; an edge slack relative to |t0| once let 1e14 list 36.
+        result = forbidden_instants_order2(rotation_system, t0, (t0, t0 + 10.0))
+        assert len(result.forbidden) == 4
+        assert all(t0 <= t <= t0 + 10.0 for t in result.forbidden)
+
     def test_window_too_far_from_t0(self, rotation_system):
         # The window offset from t0 overflows to inf before it is counted.
         with pytest.raises(InfeasibleError, match="too far from t0"):
@@ -243,10 +255,8 @@ class TestForbiddenInstants:
         # Kept apart by a fine clustering tolerance, the pair +-1e-10j is
         # oscillatory whatever the singularity and rank tolerances are.
         for singularity in (1e-9, 1e-3):
-            prepared = PreparedSystem(
-                slow, Tolerances(singularity=singularity, cluster=1e-12, rank=1e-3)
-            )
-            result = forbidden_instants_order2(prepared, 0.0, (0.0, 1.0))
+            tolerances = Tolerances(singularity=singularity, cluster=1e-12, rank=1e-3)
+            result = forbidden_instants_order2(replace(slow, tolerances=tolerances), 0.0, (0.0, 1.0))
             assert result.period == pytest.approx(np.pi * 1e10, rel=1e-12)
         # The default clustering merges it into one double eigenvalue.
         with pytest.raises(NotApplicableError, match="not a complex conjugate pair"):
@@ -272,30 +282,30 @@ class TestForbiddenInstants:
         # Just below the quarter-period ratio the guard band is the whole
         # quarter but for an ulp; the bracket closes before the 15th round.
         span = np.pi / 4.0
-        modes = prepare(rotation_system).modes
+        modes = rotation_system.modes
         ratio = schedule_conditioning(modes, SamplingSchedule((0.0, np.pi + span)))
-        prepared = PreparedSystem(rotation_system, Tolerances(singularity=ratio * (1.0 - 1e-15)))
+        system = replace(rotation_system, tolerances=Tolerances(singularity=ratio * (1.0 - 1e-15)))
         calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
-        guard = forbidden_instants_order2(prepared, 0.0, (0.0, 1.0)).guard_band
+        guard = forbidden_instants_order2(system, 0.0, (0.0, 1.0)).guard_band
         assert span - 1e-14 < guard <= span
         assert calls["schedule_conditioning"] <= 15
 
-    @pytest.mark.parametrize("prepared", guard_systems())
-    def test_guard_band_matches_bisection(self, prepared):
-        result = forbidden_instants_order2(prepared, 0.0, (0.0, 1.0))
+    @pytest.mark.parametrize("system", guard_systems())
+    def test_guard_band_matches_bisection(self, system):
+        result = forbidden_instants_order2(system, 0.0, (0.0, 1.0))
         span = result.period / 4.0
-        reference = bisected_guard_band(prepared.modes, result.period, prepared.tolerances.singularity)
+        reference = bisected_guard_band(system.modes, result.period, system.tolerances.singularity)
         assert abs(result.guard_band - reference) <= span * 2.0**-59
         assert 0.0 < result.guard_band <= span
 
-    @pytest.mark.parametrize("prepared", guard_systems())
-    def test_failing_offsets_start_the_quarter_period(self, prepared):
+    @pytest.mark.parametrize("system", guard_systems())
+    def test_failing_offsets_start_the_quarter_period(self, system):
         # The sectioning is exact when the failing offsets form one interval
         # from 0; on a fine grid of the quarter period they do.
-        period = forbidden_instants_order2(prepared, 0.0, (0.0, 1.0)).period
+        period = forbidden_instants_order2(system, 0.0, (0.0, 1.0)).period
         offsets = np.linspace(0.0, period / 4.0, 4097)
         rows = np.column_stack((np.zeros(offsets.size), period + offsets))
-        fails = schedule_conditioning(prepared.modes, rows) <= prepared.tolerances.singularity
+        fails = schedule_conditioning(system.modes, rows) <= system.tolerances.singularity
         count = int(np.count_nonzero(fails))
         assert count >= 1
         assert fails[:count].all()
@@ -384,7 +394,7 @@ class TestValidateUniform:
         # The pair 80 +- j fails at T = 1 already; from j = 9 on the mode
         # matrix overflows, so a scan past the first failure would raise.
         system = Realization([[80.0, -1.0], [1.0, 80.0]], [1.0, 0.0], [1.0, 0.0])
-        modes = prepare(system).modes
+        modes = system.modes
         with pytest.raises(NumericRangeError):
             schedule_conditioning(modes, SamplingSchedule((0.0, 9.0)))
         result = validate_uniform(system, 1.0)
@@ -401,7 +411,7 @@ class TestSuggestSchedule:
         assert objective > 0.99
         # brute-force confirmation on the raw grid
         grid = np.arange(0.1, 2.0001, 0.025)
-        modes = prepare(rotation_system).modes
+        modes = rotation_system.modes
         best = max(
             grid, key=lambda d: schedule_conditioning(modes, SamplingSchedule((0.0, d)))
         )
@@ -418,7 +428,7 @@ class TestSuggestSchedule:
         schedule, objective = suggest_schedule(diag_system, spec)
         assert schedule.instants[1] - schedule.instants[0] == pytest.approx(1.0, abs=1e-9)
         # grid sweep confirms the objective grows with the spacing
-        modes = prepare(diag_system).modes
+        modes = diag_system.modes
         values = [
             schedule_conditioning(modes, SamplingSchedule((0.0, d)))
             for d in np.arange(0.1, 1.0001, 0.05)
@@ -513,7 +523,7 @@ class TestSuggestSchedule:
         spec = ScheduleSearchSpec(window=window, count=count, min_spacing=spacing)
         schedule, achieved = suggest_schedule(system, spec)
         assert schedule.instants == instants
-        assert achieved == schedule_conditioning(prepare(system).modes, schedule)
+        assert achieved == schedule_conditioning(system.modes, schedule)
         # The recorded objective moves by a few ulps between BLAS kernels.
         assert math.isclose(achieved, objective, rel_tol=1e-13)
 
@@ -565,7 +575,7 @@ class TestBatchedGrid:
     def test_batched_kernel_equals_scalar(self, system, lo, hi, spacing, tail):
         from nusamp.scheduler import _grid_blocks
 
-        modes = prepare(system).modes
+        modes = system.modes
         blocks = _grid_blocks(lo, hi, spacing, spacing / 4.0, system.n, tail)
         rows = np.concatenate(list(blocks))
         assert len(rows) > 100

@@ -1,5 +1,7 @@
 """Realization validation, minimality, mode sets and the modal decomposition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from nusamp import (
     MinimalityError,
     ModalDecomposition,
     ModeSet,
-    PreparedSystem,
     Realization,
     SamplingSchedule,
     ScheduleSearchSpec,
+    ToleranceError,
     Tolerances,
     UnsupportedOrderError,
     check_minimal,
@@ -27,7 +29,7 @@ from nusamp import (
     validate_uniform,
 )
 from nusamp import numerics, system_model
-from nusamp.system_model import prepare, require_minimal
+from nusamp.system_model import require_minimal
 from conftest import (
     _real_modal_block,
     count_calls,
@@ -66,11 +68,37 @@ class TestRealization:
         with pytest.raises(ValueError):
             rotation_system.A[0, 0] = 5.0
 
+    def test_copies_the_callers_arrays(self):
+        # The caller's arrays stay writeable, and a later write to them (or
+        # to the array a view was cut from) never reaches the realization or
+        # the facts it caches.
+        A, b, c = np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        Realization(A, b, c)
+        assert A.flags.writeable and b.flags.writeable and c.flags.writeable
+        big = np.array([[0.0, -1.0, 7.0], [1.0, 0.0, 7.0], [7.0, 7.0, 7.0]])
+        system = Realization(big[:2, :2], b, c)
+        before = system.modes
+        big[0, 1] = -4.0
+        assert system.A[0, 1] == -1.0
+        assert [lam for lam, _ in system.modes.roots] == pytest.approx([-1j, 1j])
+        assert system.modes is before
+        assert [lam for lam, _ in Realization(big[:2, :2], b, c).modes.roots] == pytest.approx(
+            [-2j, 2j]
+        )
+
     def test_dual_swaps_b_and_c(self, rotation_system):
         dual = rotation_system.dual()
         assert np.array_equal(dual.A, rotation_system.A.T)
         assert np.array_equal(dual.b, rotation_system.c)
         assert np.array_equal(dual.c, rotation_system.b)
+
+    def test_dual_keeps_the_tolerances(self, rotation_system):
+        strict = replace(rotation_system, tolerances=Tolerances(singularity=0.05))
+        assert strict.dual().tolerances is strict.tolerances
+
+    def test_tolerances_must_be_a_bundle(self):
+        with pytest.raises(ToleranceError, match="tolerances must be a Tolerances"):
+            Realization([[-1.0]], [1.0], [1.0], {"singularity": 1e-6})
 
 
 class TestCheckMinimal:
@@ -105,18 +133,18 @@ class TestCheckMinimal:
 
 class TestModeSet:
     def test_diag(self, diag_system):
-        modes = prepare(diag_system).modes
+        modes = diag_system.modes
         assert modes.roots == ((-1.0, 1), (0.0, 1))
         assert modes.mode_params() == ((-1.0, 0), (0.0, 0))
 
     def test_jordan_block(self):
         system = Realization([[-1.0, 1.0], [0.0, -1.0]], [0.0, 1.0], [1.0, 0.0])
-        modes = prepare(system).modes
+        modes = system.modes
         assert modes.roots == ((-1.0, 2),)
         assert modes.mode_params() == ((-1.0, 0), (-1.0, 1))
 
     def test_rotation(self, rotation_system):
-        modes = prepare(rotation_system).modes
+        modes = rotation_system.modes
         assert modes.r == 2
         assert modes.roots[0][0] == pytest.approx(-1j)
         assert modes.roots[1][0] == pytest.approx(1j)
@@ -127,8 +155,8 @@ class TestModeSet:
             system = random_minimal_system(RNG, n)
             q = random_orthogonal(RNG, n)
             transformed = Realization(q @ system.A @ q.T, q @ system.b, system.c @ q.T)
-            original = prepare(system).modes
-            moved = prepare(transformed).modes
+            original = system.modes
+            moved = transformed.modes
             assert original.r == moved.r
             for (lam1, m1), (lam2, m2) in zip(original.roots, moved.roots):
                 assert m1 == m2
@@ -168,7 +196,7 @@ class TestModalDecompose:
     def test_non_minimal_raises(self):
         system = Realization(np.diag([0.0, -1.0]), [1.0, 0.0], [1.0, 1.0])
         with pytest.raises(MinimalityError, match="controllability"):
-            PreparedSystem(system).decomposition
+            system.decomposition
         decomposition = modal_decompose(system)
         assert abs(decomposition.y0[0]) < 1e-12  # the -1 mode is unexcited
 
@@ -242,7 +270,7 @@ class TestModalBasis:
             q = random_orthogonal(rng, 2)
             a = q @ np.array([[-1.0, 1.0], [delta, -1.0]]) @ q.T
             system = Realization(a, [0.3, 1.0], [1.0, 0.2])
-            decomposition = PreparedSystem(system, Tolerances(cluster=1e-15)).decomposition
+            decomposition = replace(system, tolerances=Tolerances(cluster=1e-15)).decomposition
             assert decomposition.modes.r == 2
             assert sorted(_eig_columns(system, decomposition.B)) == [0, 1]
 
@@ -358,11 +386,11 @@ class TestCheckY0Components:
 
 
 class TestPreparedSystem:
+    """The facts a realization caches: computed once per object and shared
+    by every analysis it is passed to, never across objects."""
+
     def test_plain_realization_gets_default_tolerances(self, rotation_system):
-        prepared = prepare(rotation_system)
-        assert prepared.realization is rotation_system
-        assert prepared.tolerances == Tolerances(1e-9, 1e-7, 1e-9, 1e-9)
-        assert prepare(prepared) is prepared
+        assert rotation_system.tolerances == Tolerances(1e-9, 1e-7, 1e-9, 1e-9)
 
     def test_facts_computed_once_across_analyses(self, rotation_system, monkeypatch):
         calls = count_calls(monkeypatch, [
@@ -372,13 +400,12 @@ class TestPreparedSystem:
             (np.linalg, "eig"),
             (np.linalg, "eigvals"),
         ])
-        prepared = PreparedSystem(rotation_system)
         two, three = SamplingSchedule((0.0, 1.0)), SamplingSchedule((0.0, 1.0, 2.5))
-        joint_verdict(prepared, three)
-        cross_validate(prepared, three)
-        deadbeat_inputs(prepared, two, [1.0, 0.0], [0.0, 1.0])
-        reconstruct_state(prepared, two, [1.0, 0.5])
-        validate_uniform(prepared, 0.5)
+        joint_verdict(rotation_system, three)
+        cross_validate(rotation_system, three)
+        deadbeat_inputs(rotation_system, two, [1.0, 0.0], [0.0, 1.0])
+        reconstruct_state(rotation_system, two, [1.0, 0.5])
+        validate_uniform(rotation_system, 0.5)
         # One eigendecomposition serves the mode set and the modal basis.
         assert calls == {
             "check_minimal": 1, "modal_decompose": 1, "eig_clustered": 1, "eig": 1
@@ -386,46 +413,70 @@ class TestPreparedSystem:
 
     def test_search_reuses_the_clustered_modes(self, rotation_system, monkeypatch):
         calls = count_calls(monkeypatch, [(numerics, "eig_clustered")])
-        prepared = PreparedSystem(rotation_system)
-        joint_verdict(prepared, SamplingSchedule((0.0, 1.0)))
-        suggest_schedule(prepared, ScheduleSearchSpec((0.0, 2.0), 2, 0.2))
-        forbidden_instants_order2(prepared, 0.0, (0.0, 4.0))
+        joint_verdict(rotation_system, SamplingSchedule((0.0, 1.0)))
+        suggest_schedule(rotation_system, ScheduleSearchSpec((0.0, 2.0), 2, 0.2))
+        forbidden_instants_order2(rotation_system, 0.0, (0.0, 4.0))
         assert calls == {"eig_clustered": 1}
-        assert prepared.decomposition.modes is prepared.modes
+        assert rotation_system.decomposition.modes is rotation_system.modes
 
     def test_decomposition_raises_the_minimality_message(self):
         system = Realization(np.diag([0.0, -1.0]), [1.0, 0.0], [1.0, 1.0])
-        prepared = PreparedSystem(system)
         with pytest.raises(MinimalityError) as lazy:
-            prepared.decomposition
+            system.decomposition
         with pytest.raises(MinimalityError) as direct:
             require_minimal(check_minimal(system), system.n)
         assert str(lazy.value) == str(direct.value)
         assert str(lazy.value) == "realization is not minimal: controllability rank 1 < 2"
-        assert not prepared.minimality.minimal
+        assert not system.minimality.minimal
 
     def test_mode_set_analyses_leave_the_decomposition_alone(self):
         # b = 0: not minimal, yet the forbidden set only needs the modes.
-        unexcited = PreparedSystem(Realization([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0], [1.0, 0.0]))
+        unexcited = Realization([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0], [1.0, 0.0])
         result = forbidden_instants_order2(unexcited, 0.0, (0.0, 4.0))
         assert result.forbidden == pytest.approx((0.0, np.pi))
         assert "decomposition" not in vars(unexcited)
         assert "minimality" not in vars(unexcited)
 
     def test_search_checks_minimality_without_decomposing(self, rotation_system):
-        prepared = PreparedSystem(rotation_system)
-        suggest_schedule(prepared, ScheduleSearchSpec((0.0, 2.0), 2, 0.2))
-        assert prepared.minimality.minimal
-        assert "decomposition" not in vars(prepared)
+        suggest_schedule(rotation_system, ScheduleSearchSpec((0.0, 2.0), 2, 0.2))
+        assert rotation_system.minimality.minimal
+        assert "decomposition" not in vars(rotation_system)
 
     def test_tolerances_reach_the_verdict(self, rotation_system):
         schedule = SamplingSchedule((0.0, 3.1))
         assert joint_verdict(rotation_system, schedule).reachable
-        strict = PreparedSystem(rotation_system, Tolerances(singularity=0.05))
+        strict = replace(rotation_system, tolerances=Tolerances(singularity=0.05))
         report = joint_verdict(strict, schedule)
         assert not report.reachable
         assert report.tolerances is strict.tolerances
         assert not cross_validate(strict, schedule).reachable
+
+    def test_replaced_tolerances_compute_their_own_facts(self, rotation_system, monkeypatch):
+        facts = ("eigen", "minimality", "modes", "decomposition")
+        joint_verdict(rotation_system, SamplingSchedule((0.0, 1.0)))
+        before = {name: vars(rotation_system)[name] for name in facts}
+        calls = count_calls(monkeypatch, [(np.linalg, "eig"), (system_model, "modal_decompose")])
+        coarse = replace(rotation_system, tolerances=Tolerances(cluster=1e-3))
+        assert not any(name in vars(coarse) for name in facts)
+        joint_verdict(coarse, SamplingSchedule((0.0, 1.0)))
+        assert calls == {"eig": 1, "modal_decompose": 1}
+        assert coarse.decomposition is not rotation_system.decomposition
+        assert {name: vars(rotation_system)[name] for name in facts} == before
+
+    def test_analyses_never_share_facts_across_objects(self, rotation_system, diag_system):
+        # Each system analysed after the other equals its own fresh analysis.
+        def fresh(system):
+            return Realization(system.A, system.b, system.c, system.tolerances)
+
+        def summary(validation):
+            return (validation.report.sigma_ratio, validation.first_failing_multiple)
+
+        for first, second in ((rotation_system, diag_system), (diag_system, rotation_system)):
+            validate_uniform(first, np.pi / 2)
+            assert summary(validate_uniform(second, np.pi / 2)) == summary(
+                validate_uniform(fresh(second), np.pi / 2)
+            )
+            assert second.modes is not first.modes
 
 
 class TestImpulseResponse:
