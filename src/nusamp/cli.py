@@ -43,8 +43,8 @@ from .experiments import (
 )
 from .numerics import Tolerances
 from .oracle import controllable_direct, cross_validate
-from .scheduler import MAX_UNIFORM_HORIZON, ScheduleSearchSpec, forbidden_instants_order2
-from .scheduler import suggest_schedule, validate_uniform
+from .scheduler import MAX_SCHEDULE_INSTANTS, MAX_UNIFORM_HORIZON, ScheduleSearchSpec
+from .scheduler import forbidden_instants_order2, suggest_schedule, validate_uniform
 from .system_model import Realization
 
 EXIT_OK = 0
@@ -53,9 +53,9 @@ EXIT_NEGATIVE = 2
 EXIT_NOT_MINIMAL = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemDocument:
-    """Parsed system-definition file."""
+    """Parsed system-definition file; equality is identity."""
 
     order: int
     A: np.ndarray
@@ -158,7 +158,7 @@ def parse_system_document(text: str) -> SystemDocument:
 
 
 def document_to_json(document: SystemDocument) -> str:
-    """Serialize a system document; parse(document_to_json(d)) == d."""
+    """Serialize a system document; every field round-trips through parsing."""
     payload = {
         "order": document.order,
         "A": [float(x) for x in document.A.reshape(-1)],
@@ -254,7 +254,7 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
             "the tolerance boundary"
         )
 
-    if document.x0 is not None and len(schedule) >= realization.n + 1:
+    if document.x0 is not None and oracle.criterion.controllable is not None:
         result["oracle"]["controllable_x0"] = controllable_direct(
             realization, schedule, document.x0
         )
@@ -328,14 +328,6 @@ def render_text(result: dict) -> str:
     for warning in result["warnings"]:
         lines.append(f"warning: {warning}")
     return "\n".join(lines) + "\n"
-
-
-def _emit(result: dict, fmt: str, stream, render) -> None:
-    """Write a subcommand's result dict as JSON or as its ``render`` text."""
-    if fmt == "json":
-        stream.write(json.dumps(result, indent=2) + "\n")
-    else:
-        stream.write(render(result))
 
 
 def _tolerances_from_args(document: SystemDocument, args) -> Tolerances:
@@ -418,7 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "suggest", _cmd_suggest, "search a window for a well-conditioned schedule")
     p.add_argument("--window", required=True, help="search window as 'lo,hi'")
-    p.add_argument("--count", type=int, required=True, help="number of instants")
+    p.add_argument("--count", type=int, required=True,
+                   help=f"number of instants (at most {MAX_SCHEDULE_INSTANTS})")
     p.add_argument("--min-spacing", type=float, required=True, help="minimum spacing")
 
     p = _subcommand(sub, "deadbeat", _cmd_deadbeat, "n-step input sequence reaching a target state")
@@ -586,7 +579,10 @@ def main(argv=None, out=None, err=None) -> int:
     except (AnalysisError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return _exit_code(exc)
-    _emit(result, args.format, out, render)
+    if args.format == "json":
+        out.write(json.dumps(result, indent=2) + "\n")
+    else:
+        out.write(render(result))
     return code
 
 

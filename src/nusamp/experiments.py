@@ -25,7 +25,7 @@ from .errors import InsufficientScheduleError, SingularScheduleError
 from .system_model import Realization, _state_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States and outputs recorded at the sampling instants."""
 

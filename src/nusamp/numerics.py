@@ -18,10 +18,6 @@ from .errors import DimensionError, NumericRangeError, ToleranceError
 
 MAX_ORDER = 12
 
-DEFAULT_CLUSTER_TOL = 1e-7
-DEFAULT_RANK_TOL = 1e-9
-DEFAULT_RESIDUAL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -35,14 +31,15 @@ class Tolerances:
     rank tests of ``check_minimal``; ``residual`` is the membership
     tolerance of the joint verdict's controllability test and of
     ``controllable_direct``.  Analyses read each field from the bundle of
-    the realization they are given.  Each must be a positive finite real
-    (ToleranceError naming the field otherwise) and is stored as a float.
+    the realization they are given, and the kernels' keyword defaults from
+    this class, which holds the only defaults.  Each must be a positive
+    finite real (ToleranceError naming the field otherwise), stored as a float.
     """
 
-    singularity: float = DEFAULT_RANK_TOL
-    cluster: float = DEFAULT_CLUSTER_TOL
-    rank: float = DEFAULT_RANK_TOL
-    residual: float = DEFAULT_RESIDUAL_TOL
+    singularity: float = 1e-9
+    cluster: float = 1e-7
+    rank: float = 1e-9
+    residual: float = 1e-9
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -166,7 +163,7 @@ def _pade13(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def eig_clustered(values, cluster_tol: float = DEFAULT_CLUSTER_TOL):
+def eig_clustered(values, cluster_tol: float = Tolerances.cluster):
     """Eigenvalues merged into multiplicity clusters.
 
     ``values`` is the 1-D array of eigenvalues an eigensolver returned for
@@ -176,13 +173,17 @@ def eig_clustered(values, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     reported as (mean value, member count), sorted by real part then
     imaginary part; exact ties keep the order of ``values``.
 
-    Complex eigenvalues of a real matrix come in conjugate pairs, so the
-    cluster list is conjugate-closed as well.
-
     The components come from a plain pairwise loop over the at most
     MAX_ORDER values, each labelled by its lowest member index; a cluster
     of one reports its eigenvalue exactly as given, a larger one the
     ``np.mean`` of its members.
+
+    For a real matrix the cluster list is exactly conjugate-closed: LAPACK
+    returns exact conjugate pairs, linkage is conjugation-invariant, and
+    conjugate clusters sum their members in the same order.  A cluster with
+    members on both sides of the real axis is its own conjugate, so a mean
+    with an imaginary residue (numpy's pairwise sum of five or more complex
+    members leaves a few ulps) is reported as its real part.
     """
     values = np.asarray(values)
     points = values.tolist()
@@ -199,19 +200,17 @@ def eig_clustered(values, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     members = {}
     for index, label in enumerate(labels):
         members.setdefault(label, []).append(index)
-    clusters = [
-        (
-            complex(points[group[0]]) if len(group) == 1 else complex(np.mean(values[group])),
-            len(group),
-            label,
-        )
-        for label, group in members.items()
-    ]
+    clusters = []
+    for label, group in members.items():
+        value = complex(points[group[0]]) if len(group) == 1 else complex(np.mean(values[group]))
+        if value.imag and values[group].imag.min() <= 0.0 <= values[group].imag.max():
+            value = complex(value.real)
+        clusters.append((value, len(group), label))
     clusters.sort(key=lambda c: (c[0].real, c[0].imag, c[2]))
     return [(value, count) for value, count, _ in clusters]
 
 
-def numeric_rank(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> RankResult:
+def numeric_rank(matrix, rank_tol: float = Tolerances.rank) -> RankResult:
     """Rank = number of singular values above rank_tol * sigma_max."""
     m = np.atleast_2d(np.asarray(matrix))
     sigma = np.linalg.svd(m, compute_uv=False)
@@ -219,6 +218,12 @@ def numeric_rank(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> RankResult:
         return RankResult(0, 0.0)
     rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
     return RankResult(rank, float(sigma[-1] / sigma[0]))
+
+
+def _unit_columns(m: np.ndarray) -> np.ndarray:
+    """``m`` with its nonzero columns (axis -2) scaled to unit np.linalg.norm, computed inline."""
+    norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-2, keepdims=True))
+    return m / np.where(norms > 0.0, norms, 1.0)
 
 
 def column_normalized_sigma_ratio(matrix) -> float | np.ndarray:
@@ -235,10 +240,7 @@ def column_normalized_sigma_ratio(matrix) -> float | np.ndarray:
     m = np.asarray(matrix)
     if m.ndim < 2:
         m = np.atleast_2d(m)
-    # Column 2-norms by the expression np.linalg.norm evaluates (same floats),
-    # without its argument handling, which the scalar path pays per call.
-    norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-2, keepdims=True))
-    sigma = np.linalg.svd(m / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
+    sigma = np.linalg.svd(_unit_columns(m), compute_uv=False)
     if sigma.shape[-1] == 0:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     # Singular values are sorted and nonnegative: a zero sigma_max means a
@@ -255,8 +257,8 @@ def column_normalized_sigma_ratio(matrix) -> float | np.ndarray:
 def in_range(
     matrix,
     vector,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    residual_tol: float = Tolerances.residual,
+    rank_tol: float = Tolerances.singularity,
 ) -> RangeCheck:
     """Whether vector lies in the numerical column span of matrix.
 
@@ -272,8 +274,7 @@ def in_range(
         raise DimensionError(
             f"in_range got a vector of length {v.shape[0]} for a matrix with {m.shape[0]} rows"
         )
-    norms = np.linalg.norm(m, axis=0)
-    u, sigma, _ = np.linalg.svd(m / np.where(norms > 0.0, norms, 1.0), full_matrices=False)
+    u, sigma, _ = np.linalg.svd(_unit_columns(m), full_matrices=False)
     basis = u[:, sigma > rank_tol * sigma.max(initial=0.0)]
     residual = float(np.linalg.norm(v - basis @ (basis.conj().T @ v)))
     threshold = residual_tol * max(1.0, float(np.linalg.norm(v)))

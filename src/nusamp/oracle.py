@@ -23,7 +23,7 @@ from .errors import InsufficientScheduleError
 from .system_model import Realization, _state_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachabilityMatrixResult:
     """Sampled input matrix and its rank test.
 

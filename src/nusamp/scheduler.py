@@ -23,6 +23,7 @@ from .system_model import ModeSet, Realization, require_minimal
 MAX_GRID_CANDIDATES = 2_000_000
 MAX_FORBIDDEN_INSTANTS = 100_000  # the same guard for one forbidden-instant window
 MAX_UNIFORM_HORIZON = 10_000  # and for the multiples one uniform validation scans
+MAX_SCHEDULE_INSTANTS = 100_000  # and for the instants one schedule search returns
 # A forbidden-instant period must span more than this many float spacings at
 # the query's largest magnitude; below it t0 + k*period rounds to repeated or
 # unordered instants.
@@ -58,6 +59,7 @@ class ScheduleSearchSpec:
 
     The objective is fixed: the sigma ratio of the column-normalized mode
     matrix, i.e. robust nonsingularity rather than bare nonsingularity.
+    ``count`` is an integer in 1..MAX_SCHEDULE_INSTANTS.
     """
 
     window: tuple
@@ -72,6 +74,8 @@ class ScheduleSearchSpec:
             raise InfeasibleError(f"count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise InfeasibleError("count must be at least 1")
+        if self.count > MAX_SCHEDULE_INSTANTS:
+            raise InfeasibleError(f"count {self.count} is above the limit {MAX_SCHEDULE_INSTANTS}")
         if not np.isfinite(self.min_spacing) or self.min_spacing <= 0.0:
             raise InfeasibleError(
                 f"min_spacing must be positive and finite, got {self.min_spacing!r}"

@@ -58,7 +58,7 @@ def _state_vector(values, n: int, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
     """Continuous-time SISO triple (A, b, c) of order n, with the tolerances
     of its analyses.
@@ -72,6 +72,7 @@ class Realization:
     MinimalityError naming the failed rank test.  Analyses that need only
     the mode set read ``modes``, which never triggers the decomposition.
     A ``tolerances`` that is not a ``Tolerances`` raises ToleranceError.
+    Equality and hashing are by identity, as for any object with a cache.
     """
 
     A: np.ndarray
@@ -168,7 +169,7 @@ class MinimalityReport:
         return self.controllable_ct and self.observable_ct
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalDecomposition:
     """Jordan-form data of a realization: A = B J B^-1, y0 = B^-1 b.
 
@@ -262,57 +263,46 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     The mode set and the basis read the realization's one ``eigen``: a
     simple cluster holds its eigenvalue exactly as returned, so it takes
     that eigenvalue's eigenvector, in canonical phase.  Only a defective
-    cluster runs ``_jordan_chain``.  A cluster whose conjugate partner
-    already has its chain takes the conjugate chain.  One solve with B
-    gives y0 and the B^-1 of the reconstruction residual
+    cluster runs ``_jordan_chain``.  The cluster list is exactly
+    conjugate-closed (see ``numerics.eig_clustered``), so a cluster below
+    the real axis takes the conjugate of its mirror's chain.  One solve
+    with B gives y0 and the B^-1 of the reconstruction residual
     ``||A - B J B^-1|| / max(1, ||A||)``; y0 is then made exactly real on
-    real clusters and conjugate on conjugate ones, the symmetry it has in
-    exact arithmetic.  An
-    ill-conditioned basis (sigma ratio below ``ILL_CONDITIONED_BASIS``)
-    falls back to least squares for y0 and the pseudo-inverse for the
-    residual, and attaches a warning to the result instead of failing.
+    real clusters and conjugate on mirrored ones, the symmetry it has in
+    exact arithmetic.  An ill-conditioned basis (sigma ratio below
+    ``ILL_CONDITIONED_BASIS``) falls back to least squares for y0 and the
+    pseudo-inverse for the residual, and attaches a warning to the result
+    instead of failing.
 
     Minimality is not checked here: ``Realization.decomposition`` checks
     it first, and on a non-minimal realization the decomposition is only
     well defined when the eigenvalues are distinct.  The bundle's
-    ``cluster`` tolerance also pairs conjugate clusters and cuts the Jordan
-    chains' pseudo-inverse.
+    ``cluster`` tolerance also cuts the Jordan chains' pseudo-inverse.
     """
-    cluster_tol = realization.tolerances.cluster
     modes = realization.modes
     roots = modes.roots
     values, vectors = realization.eigen
     vectors = _canonical_phase(vectors.astype(complex, copy=False))
     points = values.tolist()
 
-    def chain(lam: complex, m: int) -> list:
-        if m > 1:
-            return _jordan_chain(realization.A.astype(complex), lam, m, cluster_tol)
-        return [vectors[:, points.index(lam)]]
-
-    chains: dict[int, list[np.ndarray]] = {}
-    # mirror[j]: the cluster whose chain is the conjugate of cluster j's
-    # (j itself when real, None while unknown).
-    mirror = [j if lam.imag == 0.0 else None for j, (lam, _) in enumerate(roots)]
+    # The clusters of a real A are exactly conjugate-closed (eig_clustered):
+    # mirror[j] is the conjugate of cluster j, j itself when real.
+    mirror = [roots.index((lam.conjugate(), m)) for lam, m in roots]
+    chains = {}
     for j, (lam, m) in enumerate(roots):
         if lam.imag < 0.0:
             continue
-        chains[j] = chain(lam, m)
-    for j, (lam, m) in enumerate(roots):
-        if j in chains:
-            continue
-        partner = None
-        for k, (other, mk) in enumerate(roots):
-            if mk == m and abs(other.conjugate() - lam) <= cluster_tol * max(1.0, abs(lam)):
-                partner = k
-                break
-        if partner is not None and partner in chains:
-            chains[j] = [np.conj(v) for v in chains[partner]]
-            mirror[j], mirror[partner] = partner, j
+        if m > 1:
+            chains[j] = _jordan_chain(
+                realization.A.astype(complex), lam, m, realization.tolerances.cluster
+            )
         else:
-            chains[j] = chain(lam, m)
+            chains[j] = [vectors[:, points.index(lam)]]
 
-    basis = np.column_stack([v for j in range(len(roots)) for v in chains[j]])
+    basis = np.column_stack([
+        v for j, k in enumerate(mirror)
+        for v in (chains[j] if j in chains else np.conj(chains[k]))
+    ])
     # One Jordan block per cluster: the eigenvalue on the diagonal, a unit
     # superdiagonal inside each block and zero between blocks.
     params = modes.mode_params()
@@ -334,13 +324,12 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
         rhs[:, 0] = realization.b
         solved = np.linalg.solve(basis, rhs)
         y0, inverse = solved[:, 0], solved[:, 1:]
-    if all(k is not None and mirror[k] == j for j, k in enumerate(mirror)):
-        # conj(B) is B with the conjugate blocks swapped (up to rounding), so
-        # the y0 of a real b has the same symmetry; impose it exactly, which
-        # leaves N2 real up to the rounding of its own product.
-        starts = list(itertools.accumulate((m for _, m in roots), initial=0))
-        swap = [starts[k] + p for k in mirror for p in range(roots[k][1])]
-        y0 = (y0 + y0[swap].conj()) / 2
+    # conj(B) is B with the mirrored blocks swapped (up to rounding), so the
+    # y0 of a real b has the same symmetry; impose it exactly, which leaves
+    # N2 real up to the rounding of its own product.
+    starts = list(itertools.accumulate((m for _, m in roots), initial=0))
+    swap = [starts[k] + p for k in mirror for p in range(roots[k][1])]
+    y0 = (y0 + y0[swap].conj()) / 2
     residual = float(
         np.linalg.norm(realization.A - basis @ J @ inverse)
         / max(1.0, float(np.linalg.norm(realization.A)))

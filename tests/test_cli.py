@@ -27,6 +27,8 @@ from nusamp.cli import (
 from conftest import count_calls
 
 PI_16 = "3.141592653589793"
+CORPUS = Path(__file__).parent / "corpus"
+ROTATION = {"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0]}
 
 
 @pytest.fixture
@@ -184,6 +186,26 @@ class TestDocumentParsing:
             Tolerances(cluster=10**400)
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("{", "invalid JSON: "),
+        ("[1, 2]", "document root must be a JSON object"),
+        (json.dumps(dict(ROTATION, A=1)), "field A: expected a list of numbers"),
+        (json.dumps(dict(ROTATION, b=[1, "x"])), "field b: entry 1 is not a number"),
+        (json.dumps(dict(ROTATION, schedule=[])), "field schedule: expected a non-empty list"),
+        (json.dumps(dict(ROTATION, tolerances=[1e-9])), "field tolerances: expected an object"),
+        (None, "cannot read "),
+    ])
+    def test_document_errors_print_one_error_line(self, tmp_path, text, message):
+        path = tmp_path / "system.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli("analyze", str(path), "--schedule", "0,1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
+
+
 class TestAnalyze:
     def test_quarter_turn_exit_zero(self, rotation_file):
         code, out, _ = run_cli("analyze", rotation_file, "--schedule", "0,1.5707963")
@@ -335,6 +357,35 @@ class TestAnalyze:
         assert code == EXIT_OK
         payload = json.loads(raw)
         assert payload["oracle"]["agrees_with_criterion"] is True
+
+    def test_oracle_disagreement_warns(self):
+        # At --tol 0.01 the criterion's sigma ratio (0.0354) passes while the
+        # oracle's observability ratio (0.00776) fails.
+        code, out, err = run_cli("analyze", str(CORPUS / "order4.json"), "--tol", "0.01")
+        assert code == EXIT_OK
+        assert "agreement no" in out
+        assert out.endswith(
+            "warning: criterion and direct rank test disagree; the schedule sits near "
+            "the tolerance boundary\n"
+        )
+        assert err == ""
+
+    def test_ill_conditioned_basis_still_analyzes(self, tmp_path):
+        # A minimal system whose modal basis has sigma ratio 5e-11: y0 comes
+        # from least squares, and the factorization identity still holds.
+        A = [[-1.0, 1e4], [0.0, -1.0 + 1e-6]]
+        system = system_model.Realization(A, [0.3, 1.0], [1.0, 0.7])
+        assert system.minimality.minimal
+        assert system.decomposition.conditioning_warning is not None
+        path = tmp_path / "ill.json"
+        path.write_text(json.dumps(
+            {"order": 2, "A": [x for row in A for x in row], "b": [0.3, 1], "c": [1, 0.7]}
+        ))
+        code, raw, _ = run_cli("analyze", str(path), "--schedule", "0,1", "--format", "json")
+        assert code == EXIT_OK
+        criterion = json.loads(raw)["criterion"]
+        full_det = criterion["full_determinant"]["abs"]
+        assert criterion["factorization_residual"] <= 1e-8 * max(1.0, full_det)
 
 
 class TestForbidden:
@@ -514,37 +565,36 @@ class TestUniform:
         assert results == {EXIT_OK}
 
 
+def _python(*args, cwd=None):
+    """Run the interpreter with the checkout's package first on the path."""
+    src = str(Path(nusamp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["nusamp", "nusamp.cli"])
     def test_missing_file_exits_with_usage_error(self, module, tmp_path):
-        src = str(Path(nusamp.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
-        done = subprocess.run(
-            [sys.executable, "-m", module, "analyze", "nothing.json"],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = _python("-m", module, "analyze", "nothing.json", cwd=tmp_path)
         assert done.returncode == EXIT_USAGE
         assert done.stderr.startswith("error:")
         assert "nothing.json" in done.stderr
 
+    def test_module_run_prints_what_main_prints(self):
+        argv = ["analyze", str(CORPUS / "order4.json"), "--format", "json"]
+        done = _python("-m", "nusamp", *argv)
+        code, out, err = run_cli(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+        assert code == EXIT_OK and out.startswith("{")
+
     def test_cli_imports_no_scipy(self):
-        src = str(Path(nusamp.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, nusamp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
+        done = _python(
+            "-c",
+            "import sys, nusamp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))",
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
@@ -552,18 +602,9 @@ class TestModuleEntryPoints:
     def test_overflow_prints_one_error_line(self, tmp_path):
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps({"order": 2, "A": [0, 0, 0, 3], "b": [1, 1], "c": [1, 1]}))
-        src = str(Path(nusamp.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
-        done = subprocess.run(
-            [sys.executable, "-m", "nusamp", "suggest", str(path), "--window", "0,400",
-             "--count", "2", "--min-spacing", "50"],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
+        done = _python(
+            "-m", "nusamp", "suggest", str(path), "--window", "0,400",
+            "--count", "2", "--min-spacing", "50", cwd=tmp_path,
         )
         assert done.returncode == EXIT_USAGE
         assert done.stdout == ""

@@ -202,6 +202,13 @@ class TestFullDeterminant:
         assert abs(value) < 1e-15
 
 
+    def test_wrong_interval_count_raises(self, rotation_system):
+        from nusamp import ShiftedIntervals
+
+        with pytest.raises(DimensionError, match="needs 2 intervals, got 3"):
+            full_determinant(modal_decompose(rotation_system), ShiftedIntervals((0.0, 1.0, 2.0)))
+
+
 class TestJointVerdict:
     def test_mode_space_rows_exponentiated_once(self, monkeypatch):
         # One batched expm gives both full_det and the membership row at

@@ -1,5 +1,6 @@
 """Kernel tests: matrix exponential, clustered eigenvalues, rank, membership."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -171,6 +172,23 @@ class TestEigClustered:
                 (np.conj(z) for z in values), key=lambda z: (z.real, z.imag)
             )
             assert np.allclose(values, mirrored)
+
+    def test_cluster_on_both_sides_of_the_axis_is_real(self):
+        # numpy's complex sum of these five members (a real value and two
+        # near-real pairs, as LAPACK returned them) leaves an imaginary
+        # residue of a few 1e-24; the cluster is its own conjugate, so it
+        # reports the mean's real part with an exact zero imaginary part.
+        values = np.array([
+            0.06196313548831291,
+            0.09778122194384983 + 4.8069181684219014e-08j,
+            0.09778122194384983 - 4.8069181684219014e-08j,
+            0.09778122194386199 + 1.692202877019394e-08j,
+            0.09778122194386199 - 1.692202877019394e-08j,
+        ])
+        [(value, count)] = eig_clustered(values, 0.1)
+        assert count == 5
+        assert value.imag == 0.0
+        assert value.real == np.mean(values).real
 
     def test_cluster_merging(self):
         result = eig_clustered(np.linalg.eigvals(np.diag([1.0, 1.0 + 1e-9, 2.0])), cluster_tol=1e-7)
@@ -370,6 +388,17 @@ class TestTolerances:
         with pytest.raises(ToleranceError, match=field) as caught:
             Tolerances(**{field: value})
         assert isinstance(caught.value, AnalysisError)
+
+    def test_kernel_defaults_are_the_bundle_defaults(self):
+        defaults = Tolerances()
+        for function, name, field in [
+            (eig_clustered, "cluster_tol", "cluster"),
+            (numeric_rank, "rank_tol", "rank"),
+            (in_range, "residual_tol", "residual"),
+            (in_range, "rank_tol", "singularity"),
+        ]:
+            default = inspect.signature(function).parameters[name].default
+            assert default == getattr(defaults, field)
 
     def test_accepts_positive_numbers(self):
         assert Tolerances(singularity=1e-3, cluster=np.float64(1e-5), rank=1, residual=0.5).rank == 1

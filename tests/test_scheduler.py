@@ -1,5 +1,6 @@
 """Forbidden instants, uniform-interval validation and schedule search."""
 
+import io
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +26,7 @@ from nusamp import (
     validate_uniform,
 )
 from nusamp import Tolerances, numerics, scheduler
-from nusamp.cli import load_system_document
+from nusamp.cli import load_system_document, main
 from nusamp.numerics import column_normalized_sigma_ratio
 from conftest import count_calls
 
@@ -476,6 +477,29 @@ class TestSuggestSchedule:
         spec = ScheduleSearchSpec(window=(1e16, 1e16 + 64.0), count=2, min_spacing=4.0)
         schedule, _ = suggest_schedule(rotation_system, spec)
         assert schedule.instants == (1e16, 1e16 + 4.0)
+
+    def test_count_above_the_limit_is_refused_at_once(self, tmp_path, monkeypatch):
+        limit = scheduler.MAX_SCHEDULE_INSTANTS
+        ScheduleSearchSpec(window=(0.0, 1.0), count=limit, min_spacing=1.0 / limit)
+        path = tmp_path / "scalar.json"
+        path.write_text('{"order": 1, "A": [-1], "b": [1], "c": [1]}')
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["suggest", str(path), "--window", "0,1", "--count", "3000000",
+                "--min-spacing", str(1 / 3e6)]
+        assert main(argv, out=out, err=err) == 1
+        assert err.getvalue() == "error: count 3000000 is above the limit 100000\n"
+        assert not calls
+
+    def test_refinement_with_no_probe_in_bounds(self, monkeypatch):
+        # The grid's only row leaves no room to move: each refinement step
+        # finds both probes out of bounds and evaluates nothing.
+        system = Realization(np.diag([-1.0, -2.0, -3.0]), np.ones(3), np.ones(3))
+        spec = ScheduleSearchSpec(window=(0.0, 0.4), count=3, min_spacing=0.2)
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        schedule, _ = suggest_schedule(system, spec)
+        assert schedule.instants == (0.0, 0.2, 0.4)
+        assert calls["schedule_conditioning"] == 1
 
     def test_count_below_order(self, rotation_system):
         spec = ScheduleSearchSpec(window=(0.0, 2.0), count=1, min_spacing=0.1)

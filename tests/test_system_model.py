@@ -24,11 +24,14 @@ from nusamp import (
     joint_verdict,
     modal_decompose,
     mode_matrix,
+    reachability_matrix,
     reconstruct_state,
+    simulate_impulse,
     suggest_schedule,
     validate_uniform,
 )
 from nusamp import numerics, system_model
+from nusamp.cli import SystemDocument
 from nusamp.system_model import require_minimal
 from conftest import (
     _real_modal_block,
@@ -95,6 +98,29 @@ class TestRealization:
     def test_dual_keeps_the_tolerances(self, rotation_system):
         strict = replace(rotation_system, tolerances=Tolerances(singularity=0.05))
         assert strict.dual().tolerances is strict.tolerances
+
+    def test_equality_is_identity(self, rotation_system):
+        # A realization carries cached facts, so it equals only itself and
+        # hashes by identity; comparing array fields used to raise.
+        r = rotation_system
+        assert r == r
+        assert (r == Realization(r.A, r.b, r.c)) is False
+        assert {r: 1}[r] == 1
+        assert replace(r, tolerances=Tolerances(singularity=0.05)) != r
+
+    def test_array_records_compare_by_identity(self, rotation_system):
+        schedule = SamplingSchedule((0.0, 1.0, 2.0))
+        document = SystemDocument(order=2, A=rotation_system.A, b=rotation_system.b,
+                                  c=rotation_system.c)
+        for record in (
+            rotation_system.decomposition,
+            reachability_matrix(rotation_system, schedule),
+            simulate_impulse(rotation_system, schedule, [1.0, 0.0]),
+            document,
+        ):
+            assert record == record
+            assert (record == replace(record)) is False
+            assert {record: 1}[record] == 1
 
     def test_tolerances_must_be_a_bundle(self):
         with pytest.raises(ToleranceError, match="tolerances must be a Tolerances"):
@@ -264,6 +290,29 @@ class TestModalBasis:
                     assert np.linalg.norm(B - B_ref) <= 1e-8 * np.linalg.norm(B_ref)
                     assert np.linalg.norm(y0 - y0_ref) <= 1e-8 * np.linalg.norm(y0_ref)
 
+    def test_conjugate_mirrors_are_exact(self):
+        # Orders 1-12 mixing repeated, defective and near-real pairs, some
+        # perturbed so that Jordan blocks split into stars of a real value
+        # and conjugate pairs, each clustered at several tolerances: the
+        # cluster list is exactly conjugate-closed, and y0 exactly mirrors
+        # across conjugate clusters.
+        rng = np.random.default_rng(2026)
+        for _ in range(150):
+            a, b, c = _mirror_draw(rng, int(rng.integers(1, 13)))
+            for cluster in (1e-9, 1e-7, 1e-3, 1e-1):
+                decomposition = modal_decompose(Realization(a, b, c, Tolerances(cluster=cluster)))
+                roots = decomposition.modes.roots
+                assert sorted(roots, key=str) == sorted(
+                    ((lam.conjugate(), m) for lam, m in roots), key=str
+                )
+                starts = np.cumsum([0] + [m for _, m in roots])
+                swap = [
+                    starts[roots.index((lam.conjugate(), m))] + p
+                    for lam, m in roots for p in range(m)
+                ]
+                y0 = decomposition.y0
+                assert np.array_equal(y0[swap], y0.conj())
+
     def test_nearly_defective_clusters_take_distinct_columns(self):
         rng = np.random.default_rng(5)
         for delta in (1e-16, 1e-14, 1e-12):
@@ -306,6 +355,43 @@ def _seeded_system(rng: np.random.Generator, n: int, kind: str):
     # pick either; compare with the reference only on transformed,
     # well-separated spectra.
     return system, transform and not near
+
+
+def _mirror_draw(rng: np.random.Generator, n: int):
+    """(A, b, c) of a real order-n matrix built from real values, conjugate
+    pairs (some repeated), near-real pairs and real or complex Jordan blocks
+    under a random similarity, perturbed half the time by up to 1e-6.  The
+    triple need not be minimal."""
+    blocks, size = [], 0
+    while size < n:
+        room = n - size
+        kind = int(rng.integers(5)) if room >= 2 else 0
+        re, im = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)
+        if kind == 0:
+            block = _real_modal_block(re, 0.0, 1)
+        elif kind == 1:  # real Jordan block
+            block = _real_modal_block(re, 0.0, int(rng.integers(2, room + 1)))
+        elif kind == 2 and room >= 4:  # complex Jordan block
+            block = _real_modal_block(re, im, int(rng.integers(2, room // 2 + 1)))
+        elif kind == 3:  # near-real pair
+            block = _real_modal_block(re, 10.0 ** rng.uniform(-10.0, -4.0), 1)
+        else:  # a pair, repeated half the time when there is room
+            block = _real_modal_block(re, im, 1)
+            if room >= 4 and rng.random() < 0.5:
+                blocks.append(block)
+                size += 2
+        blocks.append(block)
+        size += len(block)
+    a = np.zeros((n, n))
+    offset = 0
+    for block in blocks:
+        a[offset : offset + len(block), offset : offset + len(block)] = block
+        offset += len(block)
+    t = random_well_conditioned(rng, n)
+    a = t @ a @ np.linalg.inv(t)
+    if rng.random() < 0.5:
+        a += 10.0 ** rng.uniform(-12.0, -6.0) * rng.normal(size=(n, n))
+    return a, rng.normal(size=n), rng.normal(size=n)
 
 
 def _reference_basis(system: Realization, modes: ModeSet, cluster_tol: float = 1e-7):
