@@ -36,6 +36,10 @@ SEARCH_CHUNK = 256
 
 GUARD_SECTIONS = 16  # guard-band bracket sections per batched round
 
+COARSE = 4  # the coarse search pass takes every COARSE-th point of each chain
+KEEP = 8  # coarse rows kept, around which the fine pass searches
+BOX = 4  # half-width of the fine pass's box, in grid steps on every instant
+
 
 @dataclass(frozen=True)
 class ForbiddenSet:
@@ -238,7 +242,8 @@ def _uniform_schedule(interval: float, n: int) -> SamplingSchedule:
     return SamplingSchedule(tuple(i * interval for i in range(n)))
 
 
-def _grid_blocks(lo: float, hi: float, spacing: float, step: float, head: int, tail: int):
+def _grid_blocks(lo: float, hi: float, spacing: float, step: float, head: int, tail: int,
+                 allowed=None):
     """Yield the search grid as arrays of rows of ``head`` instants.
 
     Rows come in lexicographic order.  The first instant is ``lo``; each
@@ -246,71 +251,99 @@ def _grid_blocks(lo: float, hi: float, spacing: float, step: float, head: int, t
     least ``spacing`` past its predecessor and advances by repeated
     addition of ``step``, leaving room for the instants after it.  Every
     level but the last is enumerated per prefix; the last is one array per
-    prefix.
+    prefix.  A chain depends only on its start index k and its depth, so
+    each is built once.
+
+    ``allowed(prefix, start, size)``, when given, filters every level: it
+    masks the ``size`` points of a chain, whose lattice indices k run from
+    ``start``, by the lattice indices of the prefix (``()`` for the first
+    instant), and is called on a prefix before any of its extensions.  The
+    blocks then come as (lattice indices, rows) pairs.
     """
+    chains = {}
 
-    def chain(after: float, depth: int) -> np.ndarray:
-        remaining = head - depth - 1 + tail
-        first = lo + math.ceil((after + spacing - lo) / step - 1e-12) * step
-        bound = hi - remaining * spacing + 1e-12
-        # np.cumsum adds sequentially, so element k is exactly the float that
-        # k repeated ``+= step`` updates of ``first`` produce.
-        increments = np.full(max(2, math.floor((bound - first) / step) + 2), step)
-        increments[0] = first
-        values = np.cumsum(increments)
-        # Far from zero each addition rounds, and the chain can fall short of
-        # the estimate; continue it until it passes the bound or stalls.
-        while values[-1] <= bound and values[-1] + step > values[-1]:
-            increments[0] = values[-1]
-            values = np.concatenate((values, np.cumsum(increments)[1:]))
-        return values[values <= bound]
+    def chain(after: float, depth: int):
+        start = math.ceil((after + spacing - lo) / step - 1e-12)
+        if (start, depth) not in chains:
+            remaining = head - depth - 1 + tail
+            first = lo + start * step
+            bound = hi - remaining * spacing + 1e-12
+            # np.cumsum adds sequentially, so element k is exactly the float
+            # that k repeated ``+= step`` updates of ``first`` produce.
+            increments = np.full(max(2, math.floor((bound - first) / step) + 2), step)
+            increments[0] = first
+            values = np.cumsum(increments)
+            # Far from zero each addition rounds, and the chain can fall short
+            # of the estimate; continue it until it passes the bound or stalls.
+            while values[-1] <= bound and values[-1] + step > values[-1]:
+                increments[0] = values[-1]
+                values = np.concatenate((values, np.cumsum(increments)[1:]))
+            chains[start, depth] = values[values <= bound]
+        return start, chains[start, depth]
 
-    if head == 1:
-        yield np.array([[lo]])
-        return
-    prefixes = [(lo,)]
-    for depth in range(1, head - 1):
-        prefixes = [p + (t,) for p in prefixes for t in chain(p[-1], depth).tolist()]
-    for prefix in prefixes:
-        last = chain(prefix[-1], head - 1)
+    def level(indices: tuple, prefix: tuple):
+        start, values = chain(prefix[-1], len(prefix)) if prefix else (0, np.array([lo]))
+        if allowed is None:
+            return start + np.arange(values.size), values
+        mask = allowed(indices, start, values.size)
+        return start + np.flatnonzero(mask), values[mask]
+
+    prefixes = [((), ())]
+    for _ in range(head - 1):
+        prefixes = [
+            (indices + (k,), prefix + (t,))
+            for indices, prefix in prefixes
+            for k, t in zip(*(part.tolist() for part in level(indices, prefix)))
+        ]
+    for indices, prefix in prefixes:
+        last_indices, last = level(indices, prefix)
         block = np.empty((last.size, head))
         block[:, :-1] = prefix
         block[:, -1] = last
-        yield block
+        if allowed is None:
+            yield block
+            continue
+        index_block = np.empty((last.size, head), int)
+        index_block[:, :-1] = indices
+        index_block[:, -1] = last_indices
+        yield index_block, block
 
 
 def _chunks(blocks, size: int):
-    """Regroup a stream of row blocks into arrays of ``size`` rows.
-
-    Only the last array may be shorter.
-    """
+    """Regroup a stream of (lattice indices, rows) block pairs into pairs of
+    ``size`` rows; only the last pair may be shorter."""
     pending, count = [], 0
     for block in blocks:
         pending.append(block)
-        count += len(block)
+        count += len(block[1])
         if count < size:
             continue
-        rows = np.concatenate(pending)
+        indices, rows = (np.concatenate(part) for part in zip(*pending))
         full = count - count % size
         for start in range(0, full, size):
-            yield rows[start : start + size]
-        pending, count = [rows[full:]], count - full
+            yield indices[start : start + size], rows[start : start + size]
+        pending, count = [(indices[full:], rows[full:])], count - full
     if count:
-        yield np.concatenate(pending)
+        yield tuple(np.concatenate(part) for part in zip(*pending))
 
 
 def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     """Search the window for the best-conditioned feasible schedule.
 
-    Deterministic grid search (step = min_spacing / 4) followed by three
-    coordinate-refinement passes with shrinking step; ties keep the
-    lexicographically lowest schedule.  The grid goes in chunks of
-    ``SEARCH_CHUNK`` rows, each refinement step's (at most two) probes
-    together, each one stacked ``schedule_conditioning`` call.  Returns
-    (schedule, achieved sigma ratio), or raises InfeasibleError when that
-    ratio does not exceed the singularity tolerance.  The realization must
-    be minimal; only its mode set is computed, never the modal
-    decomposition.
+    Deterministic coarse-to-fine search of the grid of step min_spacing / 4,
+    then three coordinate-refinement passes with shrinking step.  The coarse
+    pass evaluates every COARSE-th point of each instant's chain and keeps
+    the KEEP best rows; the fine pass evaluates the other grid rows within
+    BOX lattice steps of a kept row on every instant.  The best row of both
+    passes wins, a tie going to the lexicographically lowest, so the result
+    is the exhaustive grid search's whenever its winner lies in a box; a
+    refinement probe replaces the winner only when strictly better.  Grid
+    rows go in chunks of ``SEARCH_CHUNK``, each refinement step's (at most
+    two) probes together, each one stacked ``schedule_conditioning`` call.
+    Returns (schedule, achieved sigma ratio), or raises InfeasibleError when
+    the grid holds no row or that ratio does not exceed the singularity
+    tolerance.  The realization must be minimal; only its mode set is
+    computed, never the modal decomposition.
 
     The objective depends only on instant differences, so the first instant
     is pinned to the window start without loss of generality.
@@ -339,20 +372,46 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
             "search grid too large; increase min_spacing or shrink the window"
         )
 
-    best_obj = -1.0
-    best: tuple | None = None
-    for rows in _chunks(_grid_blocks(lo, hi, spacing, step, head, tail), SEARCH_CHUNK):
-        values = schedule_conditioning(modes, rows)
-        # argmax keeps the first maximum in the chunk and the strict > keeps
-        # an earlier chunk's, so ties go to the lexicographically lowest row.
-        k = int(np.argmax(values))
-        if values[k] > best_obj:
-            best_obj = float(values[k])
-            best = tuple(rows[k].tolist())
-    if best is None:  # pragma: no cover - ScheduleSearchSpec validation prevents this
-        raise InfeasibleError("no feasible schedule in the window")
+    def keep_best(blocks, values=np.empty(0), kept=np.empty((0, head), int),
+                  rows=np.empty((0, head))):
+        """The KEEP best (values, lattice indices, rows) of ``blocks`` and the
+        given ones, best first, a tie going to the lexicographically lowest."""
+        for chunk_indices, chunk_rows in _chunks(blocks, SEARCH_CHUNK):
+            values = np.concatenate((values, schedule_conditioning(modes, chunk_rows)))
+            kept, rows = np.concatenate((kept, chunk_indices)), np.concatenate((rows, chunk_rows))
+            order = np.lexsort((*rows.T[::-1], -values))[:KEEP]
+            values, kept, rows = values[order], kept[order], rows[order]
+        return values, kept, rows
 
-    refined = list(best)
+    # Far from zero a chain may start a step late, so its coarse points are
+    # counted from its start, not from lo.
+    values, kept, rows = keep_best(_grid_blocks(
+        lo, hi, spacing, step, head, tail, lambda _, start, size: np.arange(size) % COARSE == 0))
+    if not values.size:
+        raise InfeasibleError(
+            f"the search grid holds no {spec.count} instants spaced {spacing!r} "
+            f"in the window {spec.window!r}; widen the window"
+        )
+    coarse_prefixes = {()}  # the fine pass's prefixes of coarse rows
+
+    def in_boxes(prefix: tuple, start: int, size: int) -> np.ndarray:
+        depth = len(prefix)
+        near = np.all(np.abs(kept[:, :depth] - prefix) <= BOX, axis=1)
+        mask = np.zeros(size, bool)
+        for center in kept[near, depth].tolist():
+            mask[max(center - BOX - start, 0) : max(center + BOX + 1 - start, 0)] = True
+        if prefix in coarse_prefixes:
+            if depth == head - 1:
+                mask[::COARSE] = False  # the coarse pass evaluated these rows
+            else:
+                on_coarse = np.flatnonzero(mask[::COARSE]) * COARSE
+                coarse_prefixes.update(prefix + (start + k,) for k in on_coarse.tolist())
+        return mask
+
+    fine = _grid_blocks(lo, hi, spacing, step, head, tail, in_boxes)
+    values, _, rows = keep_best(fine, values, kept, rows)
+    best_obj, refined = float(values[0]), rows[0].tolist()
+
     refine_step = step
     for _ in range(3):
         refine_step /= 4.0

@@ -28,7 +28,7 @@ from nusamp import (
 from nusamp import Tolerances, numerics, scheduler
 from nusamp.cli import load_system_document, main
 from nusamp.numerics import column_normalized_sigma_ratio
-from conftest import count_calls
+from conftest import count_calls, random_minimal_system
 
 RNG = np.random.default_rng(55)
 
@@ -137,6 +137,66 @@ def reference_grid(lo, hi, spacing, head, tail):
 
     explore([lo])
     return found
+
+
+def exhaustive_search(system, spec):
+    """The search as it was before its coarse-to-fine grid: every grid row,
+    the first maximum winning, then the same three refinement passes; None
+    when the grid holds no row."""
+    modes = system.modes
+    lo, hi = spec.window
+    spacing = spec.min_spacing
+    head = min(system.n, spec.count)
+    tail = spec.count - head
+    blocks = scheduler._grid_blocks(lo, hi, spacing, spacing / 4.0, head, tail)
+    rows = np.concatenate([np.empty((0, head)), *blocks])
+    if not len(rows):
+        return None
+    values = schedule_conditioning(modes, rows)
+    k = int(np.argmax(values))
+    best_obj, refined = float(values[k]), rows[k].tolist()
+    refine_step = spacing / 4.0
+    for _ in range(3):
+        refine_step /= 4.0
+        for i in range(1, head):
+            lower = refined[i - 1] + spacing
+            upper = hi - (head - 1 - i + tail) * spacing
+            if i + 1 < head:
+                upper = min(upper, refined[i + 1] - spacing)
+            for _ in range(8):
+                rows = np.array([refined, refined])
+                rows[:, i] += (-refine_step, refine_step)
+                rows = rows[(lower <= rows[:, i]) & (rows[:, i] <= upper)]
+                if not len(rows):
+                    break
+                winner = None
+                for row, value in zip(rows.tolist(), schedule_conditioning(modes, rows).tolist()):
+                    if value > best_obj:
+                        best_obj, winner = value, row[i]
+                if winner is None:
+                    break
+                refined[i] = winner
+    for _ in range(tail):
+        refined.append(refined[-1] + spacing)
+    return tuple(refined), best_obj
+
+
+def random_search_specs(count):
+    """Seeded (system, spec) pairs: orders 2-4, n or n+1 instants, windows
+    from tight to several spacings of slack, starting near and far from 0."""
+    rng = np.random.default_rng(1414)
+    cases = []
+    for i in range(count):
+        n = 2 + i % 3
+        system = random_minimal_system(rng, n)
+        instants = n + (i // 3) % 2
+        spacing = float(rng.uniform(0.15, 0.6))
+        slack = rng.uniform(0.0, 0.5) if i % 2 else rng.uniform(2.0, 7.0)
+        lo = (0.0, -3.7, 1e3, 1e6)[(i // 6) % 4]
+        window = (lo, lo + ((instants - 1) + slack) * spacing)
+        spec = ScheduleSearchSpec(window=window, count=instants, min_spacing=spacing)
+        cases.append(pytest.param(system, spec, id=f"o{n}-c{instants}-lo{lo:g}-{i}"))
+    return cases
 
 
 class TestForbiddenInstants:
@@ -501,6 +561,42 @@ class TestSuggestSchedule:
         assert schedule.instants == (0.0, 0.2, 0.4)
         assert calls["schedule_conditioning"] == 1
 
+    def test_order4_spec_evaluates_few_rows(self, monkeypatch):
+        # The exhaustive grid sent 147,521 rows through the kernel here.
+        rows = []
+        original = scheduler.schedule_conditioning
+
+        def counted(modes, schedules):
+            rows.append(len(schedules))
+            return original(modes, schedules)
+
+        monkeypatch.setattr(scheduler, "schedule_conditioning", counted)
+        spec = ScheduleSearchSpec(window=(0.0, 4.0), count=4, min_spacing=0.15)
+        _, objective = suggest_schedule(ORDER4, spec)
+        assert sum(rows) <= 6000
+        assert math.isclose(objective, 0.09558228680206358, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("lo, width", [(1e5, 0.1), (1e9, 0.1), (1e6, 0.3)])
+    def test_grid_without_a_row_names_the_window(self, rotation_system, lo, width):
+        # The window holds two instants width apart, but far from zero the
+        # grid's second instant rounds one step past it: the grid is empty.
+        spec = ScheduleSearchSpec(window=(lo, lo + width), count=2, min_spacing=width)
+        with pytest.raises(InfeasibleError) as info:
+            suggest_schedule(rotation_system, spec)
+        message = str(info.value)
+        assert f"window {spec.window!r}" in message and f"spaced {width!r}" in message
+
+    def test_grid_without_a_row_is_one_cli_error(self, tmp_path):
+        path = tmp_path / "rotation.json"
+        path.write_text('{"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0]}')
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["suggest", str(path), "--window", "1e5,100000.1", "--count", "2",
+                "--min-spacing", "0.1"]
+        assert main(argv, out=out, err=err) == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: the search grid holds no 2 instants")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
     def test_count_below_order(self, rotation_system):
         spec = ScheduleSearchSpec(window=(0.0, 2.0), count=1, min_spacing=0.1)
         with pytest.raises(InfeasibleError, match="below the system order"):
@@ -566,6 +662,42 @@ class TestSuggestSchedule:
         schedule, achieved = suggest_schedule(oscillator(-0.3, 1.0), spec)
         assert schedule.instants == instants
         assert achieved == 1.0
+
+
+class TestCoarseToFine:
+    """The coarse-to-fine search against the exhaustive grid it replaced."""
+
+    @pytest.mark.parametrize("system, spec", random_search_specs(72))
+    def test_matches_the_exhaustive_search(self, system, spec):
+        expected = exhaustive_search(system, spec)
+        if expected is None:
+            # Far from zero a tight window can leave the grid without a row.
+            with pytest.raises(InfeasibleError, match="the search grid holds no"):
+                suggest_schedule(system, spec)
+            return
+        schedule, objective = suggest_schedule(system, spec)
+        assert (schedule.instants, objective) == expected
+
+    @pytest.mark.parametrize("system", [oscillator(-0.3, 1.0), ORDER3])
+    def test_matches_far_from_zero(self, system):
+        # At 1e15 every addition of the step rounds to a multiple of 0.125.
+        spec = ScheduleSearchSpec(window=(1e15, 1e15 + 10.0), count=3, min_spacing=1.2)
+        schedule, objective = suggest_schedule(system, spec)
+        assert (schedule.instants, objective) == exhaustive_search(system, spec)
+
+    def test_grid_rows_are_evaluated_once(self, monkeypatch):
+        batches = []
+        original = scheduler.schedule_conditioning
+
+        def recorded(modes, schedules):
+            batches.append(np.array(schedules))
+            return original(modes, schedules)
+
+        monkeypatch.setattr(scheduler, "schedule_conditioning", recorded)
+        spec = ScheduleSearchSpec(window=(0.0, 3.5), count=4, min_spacing=0.4)
+        suggest_schedule(ORDER4, spec)
+        grid = np.concatenate([batch for batch in batches if len(batch) > 2])
+        assert len(np.unique(grid, axis=0)) == len(grid)
 
 
 class TestBatchedGrid:
