@@ -41,6 +41,29 @@ KEEP = 8  # coarse rows kept, around which the fine pass searches
 BOX = 4  # half-width of the fine pass's box, in grid steps on every instant
 
 
+def _finite(name: str, value, pair: bool = False):
+    """``value`` as a finite float, or with ``pair`` as a tuple (lo, hi) of
+    two; anything else, a bool included, raises InfeasibleError naming
+    ``name``."""
+
+    def real(item) -> float:
+        if isinstance(item, numbers.Real) and not isinstance(item, bool):
+            try:
+                return float(item)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        return math.nan
+
+    try:
+        items = tuple(map(real, value if pair else (value,)))
+    except TypeError:  # a pair that is not iterable
+        items = ()
+    if len(items) != (2 if pair else 1) or not all(map(math.isfinite, items)):
+        shape = ": a pair (lo, hi)" if pair else ""
+        raise InfeasibleError(f"{name} must be finite and real{shape}, got {value!r}")
+    return items if pair else items[0]
+
+
 @dataclass(frozen=True)
 class ForbiddenSet:
     """Singular sampling instants t0 + k*pi/b of an oscillatory order-2 system.
@@ -71,25 +94,27 @@ class ScheduleSearchSpec:
     min_spacing: float
 
     def __post_init__(self):
-        lo, hi = (float(self.window[0]), float(self.window[1]))
-        if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+        lo, hi = _finite("window", self.window, pair=True)
+        if hi <= lo:
             raise InfeasibleError(f"window {self.window!r} is not a proper interval")
+        if not math.isfinite(hi - lo):
+            raise InfeasibleError(f"window {self.window!r} is too wide: its length overflows")
         if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
             raise InfeasibleError(f"count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise InfeasibleError("count must be at least 1")
         if self.count > MAX_SCHEDULE_INSTANTS:
             raise InfeasibleError(f"count {self.count} is above the limit {MAX_SCHEDULE_INSTANTS}")
-        if not np.isfinite(self.min_spacing) or self.min_spacing <= 0.0:
-            raise InfeasibleError(
-                f"min_spacing must be positive and finite, got {self.min_spacing!r}"
-            )
-        if hi - lo < (self.count - 1) * self.min_spacing:
+        spacing = _finite("min_spacing", self.min_spacing)
+        if spacing <= 0.0:
+            raise InfeasibleError(f"min_spacing must be positive, got {self.min_spacing!r}")
+        if hi - lo < (self.count - 1) * spacing:
             raise InfeasibleError(
                 f"window of length {hi - lo:g} cannot hold {self.count} instants "
-                f"spaced at least {self.min_spacing:g}"
+                f"spaced at least {spacing:g}"
             )
         object.__setattr__(self, "window", (lo, hi))
+        object.__setattr__(self, "min_spacing", spacing)
 
 
 @dataclass(frozen=True)
@@ -143,11 +168,8 @@ def forbidden_instants_order2(system: Realization, t0: float, window) -> Forbidd
     frequency = _oscillatory_frequency(modes)
     period = math.pi / frequency
 
-    lo, hi = sorted((float(window[0]), float(window[1])))
-    if not all(np.isfinite((t0, lo, hi))):
-        raise InfeasibleError(
-            f"t0 and the window bounds must be finite, got t0={t0!r}, window={window!r}"
-        )
+    t0 = _finite("t0", t0)
+    lo, hi = sorted(_finite("window", window, pair=True))
     # A few float spacings at the query's largest magnitude absorb the
     # rounding of t0 + k*period at the window ends.
     scale = max(abs(t0), abs(lo), abs(hi))
@@ -209,7 +231,8 @@ def validate_uniform(system: Realization, interval: float, horizon: int = 10) ->
     report's own; larger multiples are probed one at a time, up to the first
     failing one.  ``horizon`` must be an integer in 1..MAX_UNIFORM_HORIZON.
     """
-    if interval <= 0.0 or not np.isfinite(interval):
+    interval = _finite("interval", interval)
+    if interval <= 0.0:
         raise InfeasibleError(f"sampling interval must be positive, got {interval!r}")
     if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
         raise InfeasibleError(f"horizon must be an integer, got {horizon!r}")
@@ -230,7 +253,7 @@ def validate_uniform(system: Realization, interval: float, horizon: int = 10) ->
             first_failing = j
             break
     return UniformValidation(
-        interval=float(interval),
+        interval=interval,
         report=report,
         passes=report.reachable,
         first_failing_multiple=first_failing,
@@ -242,28 +265,32 @@ def _uniform_schedule(interval: float, n: int) -> SamplingSchedule:
     return SamplingSchedule(tuple(i * interval for i in range(n)))
 
 
-def _grid_blocks(lo: float, hi: float, spacing: float, step: float, head: int, tail: int,
-                 allowed=None):
-    """Yield the search grid as arrays of rows of ``head`` instants.
+def _chain_starts(after, lo: float, spacing: float, step: float) -> np.ndarray:
+    """Lattice index k of the first grid point ``lo + k * step`` at least
+    ``spacing`` past each instant of ``after``, as int64."""
+    return np.ceil((after + spacing - lo) / step - 1e-12).astype(np.int64)
 
-    Rows come in lexicographic order.  The first instant is ``lo``; each
-    later one starts at the first point of the grid ``lo + k * step`` at
-    least ``spacing`` past its predecessor and advances by repeated
-    addition of ``step``, leaving room for the instants after it.  Every
-    level but the last is enumerated per prefix; the last is one array per
-    prefix.  A chain depends only on its start index k and its depth, so
-    each is built once.
 
-    ``allowed(prefix, start, size)``, when given, filters every level: it
-    masks the ``size`` points of a chain, whose lattice indices k run from
-    ``start``, by the lattice indices of the prefix (``()`` for the first
-    instant), and is called on a prefix before any of its extensions.  The
-    blocks then come as (lattice indices, rows) pairs.
+def _grid_rows(lo: float, hi: float, spacing: float, step: float, head: int, tail: int,
+               chains: dict, stride: int = 1, boxes=None):
+    """The search grid's rows of ``head`` instants as (lattice indices, rows).
+
+    The first instant is ``lo``; each later one starts at the first point of
+    the grid ``lo + k * step`` at least ``spacing`` past its predecessor and
+    advances by repeated addition of ``step``, leaving room for the instants
+    after it.  A chain depends only on its start index k and its depth, so
+    each is built once into ``chains``, a memo the passes of one search
+    share.  The rows grow a level at a time as whole arrays: one expression
+    gives every row's chain start, and the new instants are gathered from
+    the distinct chains by offset.
+
+    ``stride`` keeps every stride-th point of each chain, counted from its
+    start.  ``boxes``, lattice-index rows of ``head`` instants, keeps instead
+    the points within BOX steps of a box row on every instant.  Either way
+    the rows come in lexicographic order, each once.
     """
-    chains = {}
 
-    def chain(after: float, depth: int):
-        start = math.ceil((after + spacing - lo) / step - 1e-12)
+    def chain(start: int, depth: int) -> np.ndarray:
         if (start, depth) not in chains:
             remaining = head - depth - 1 + tail
             first = lo + start * step
@@ -279,52 +306,57 @@ def _grid_blocks(lo: float, hi: float, spacing: float, step: float, head: int, t
                 increments[0] = values[-1]
                 values = np.concatenate((values, np.cumsum(increments)[1:]))
             chains[start, depth] = values[values <= bound]
-        return start, chains[start, depth]
+        return chains[start, depth]
 
-    def level(indices: tuple, prefix: tuple):
-        start, values = chain(prefix[-1], len(prefix)) if prefix else (0, np.array([lo]))
-        if allowed is None:
-            return start + np.arange(values.size), values
-        mask = allowed(indices, start, values.size)
-        return start + np.flatnonzero(mask), values[mask]
+    # A box row owns the rows grown inside its box; rows of several owners
+    # are merged at the end.
+    owners = 1 if boxes is None else len(boxes)
+    owner = np.arange(owners)
+    indices = np.zeros((owners, 1), np.int64)
+    rows = np.full((owners, 1), lo)
+    for depth in range(1, head):
+        starts = _chain_starts(rows[:, -1], lo, spacing, step)
+        distinct, which = np.unique(starts, return_inverse=True)
+        table = [chain(start, depth) for start in distinct.tolist()]
+        sizes = np.array([points.size for points in table], np.int64)
+        first, last = np.zeros(len(rows), np.int64), sizes[which] - 1
+        if boxes is not None:
+            centers = boxes[owner, depth] - starts
+            first, last = np.maximum(centers - BOX, 0), np.minimum(centers + BOX, last)
+        counts = np.maximum((last - first) // stride + 1, 0)
+        parent = np.repeat(np.arange(len(rows)), counts)
+        rank = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        offsets = first[parent] + stride * rank
+        at = (np.cumsum(sizes) - sizes)[which[parent]] + offsets
+        indices = np.column_stack((indices[parent], starts[parent] + offsets))
+        # A single chain, the first level's, may hold millions of points:
+        # gather from it in place.
+        flat = table[0] if len(table) == 1 else np.concatenate((np.empty(0), *table))
+        rows = np.column_stack((rows[parent], flat[at]))
+        owner = owner[parent]
+    if owners > 1:
+        # The mixed-radix codes of the lattice indices sort as the rows do;
+        # the grid guard keeps their range far inside int64.
+        codes = np.zeros(len(indices), np.int64)
+        for column in indices.T:
+            codes = codes * (int(column.max(initial=0)) + 1) + column
+        _, once = np.unique(codes, return_index=True)
+        indices, rows = indices[once], rows[once]
+    return indices, rows
 
-    prefixes = [((), ())]
-    for _ in range(head - 1):
-        prefixes = [
-            (indices + (k,), prefix + (t,))
-            for indices, prefix in prefixes
-            for k, t in zip(*(part.tolist() for part in level(indices, prefix)))
-        ]
-    for indices, prefix in prefixes:
-        last_indices, last = level(indices, prefix)
-        block = np.empty((last.size, head))
-        block[:, :-1] = prefix
-        block[:, -1] = last
-        if allowed is None:
-            yield block
-            continue
-        index_block = np.empty((last.size, head), int)
-        index_block[:, :-1] = indices
-        index_block[:, -1] = last_indices
-        yield index_block, block
+
+def _conditioning(modes: ModeSet, rows: np.ndarray) -> np.ndarray:
+    """``schedule_conditioning`` of every row, SEARCH_CHUNK rows per call."""
+    chunks = range(0, len(rows), SEARCH_CHUNK)
+    return np.concatenate(
+        [np.empty(0), *(schedule_conditioning(modes, rows[k : k + SEARCH_CHUNK]) for k in chunks)]
+    )
 
 
-def _chunks(blocks, size: int):
-    """Regroup a stream of (lattice indices, rows) block pairs into pairs of
-    ``size`` rows; only the last pair may be shorter."""
-    pending, count = [], 0
-    for block in blocks:
-        pending.append(block)
-        count += len(block[1])
-        if count < size:
-            continue
-        indices, rows = (np.concatenate(part) for part in zip(*pending))
-        full = count - count % size
-        for start in range(0, full, size):
-            yield indices[start : start + size], rows[start : start + size]
-        pending, count = [(indices[full:], rows[full:])], count - full
-    if count:
-        yield tuple(np.concatenate(part) for part in zip(*pending))
+def _best_first(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Order of the rows by value, best first, a tie going to the
+    lexicographically lowest row and then to the earlier one."""
+    return np.lexsort((*rows.T[::-1], -values))
 
 
 def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
@@ -334,16 +366,19 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     then three coordinate-refinement passes with shrinking step.  The coarse
     pass evaluates every COARSE-th point of each instant's chain and keeps
     the KEEP best rows; the fine pass evaluates the other grid rows within
-    BOX lattice steps of a kept row on every instant.  The best row of both
-    passes wins, a tie going to the lexicographically lowest, so the result
-    is the exhaustive grid search's whenever its winner lies in a box; a
-    refinement probe replaces the winner only when strictly better.  Grid
-    rows go in chunks of ``SEARCH_CHUNK``, each refinement step's (at most
-    two) probes together, each one stacked ``schedule_conditioning`` call.
-    Returns (schedule, achieved sigma ratio), or raises InfeasibleError when
-    the grid holds no row or that ratio does not exceed the singularity
-    tolerance.  The realization must be minimal; only its mode set is
-    computed, never the modal decomposition.
+    BOX lattice steps of a kept row on every instant.  Each pass builds its
+    rows a level at a time as index and instant arrays, evaluates them
+    ``SEARCH_CHUNK`` rows per stacked ``schedule_conditioning`` call and
+    ranks them with one sort.  The best row of both passes wins, a tie going
+    to the lexicographically lowest, so the result is the exhaustive grid
+    search's whenever its winner lies in a box.  The refinement stays
+    sequential on purpose: each step probes around the winner of the step
+    before, so only its (at most two) probes share a call, and a probe
+    replaces the winner only when strictly better.  Returns (schedule,
+    achieved sigma ratio), or raises InfeasibleError when the grid holds no
+    row or that ratio does not exceed the singularity tolerance.  The
+    realization must be minimal; only its mode set is computed, never the
+    modal decomposition.
 
     The objective depends only on instant differences, so the first instant
     is pinned to the window start without loss of generality.
@@ -372,45 +407,27 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
             "search grid too large; increase min_spacing or shrink the window"
         )
 
-    def keep_best(blocks, values=np.empty(0), kept=np.empty((0, head), int),
-                  rows=np.empty((0, head))):
-        """The KEEP best (values, lattice indices, rows) of ``blocks`` and the
-        given ones, best first, a tie going to the lexicographically lowest."""
-        for chunk_indices, chunk_rows in _chunks(blocks, SEARCH_CHUNK):
-            values = np.concatenate((values, schedule_conditioning(modes, chunk_rows)))
-            kept, rows = np.concatenate((kept, chunk_indices)), np.concatenate((rows, chunk_rows))
-            order = np.lexsort((*rows.T[::-1], -values))[:KEEP]
-            values, kept, rows = values[order], kept[order], rows[order]
-        return values, kept, rows
-
+    chains = {}
     # Far from zero a chain may start a step late, so its coarse points are
     # counted from its start, not from lo.
-    values, kept, rows = keep_best(_grid_blocks(
-        lo, hi, spacing, step, head, tail, lambda _, start, size: np.arange(size) % COARSE == 0))
-    if not values.size:
+    indices, rows = _grid_rows(lo, hi, spacing, step, head, tail, chains, stride=COARSE)
+    if not len(rows):
         raise InfeasibleError(
             f"the search grid holds no {spec.count} instants spaced {spacing!r} "
             f"in the window {spec.window!r}; widen the window"
         )
-    coarse_prefixes = {()}  # the fine pass's prefixes of coarse rows
+    values = _conditioning(modes, rows)
+    best = _best_first(values, rows)[:KEEP]
+    values, rows = values[best], rows[best]
 
-    def in_boxes(prefix: tuple, start: int, size: int) -> np.ndarray:
-        depth = len(prefix)
-        near = np.all(np.abs(kept[:, :depth] - prefix) <= BOX, axis=1)
-        mask = np.zeros(size, bool)
-        for center in kept[near, depth].tolist():
-            mask[max(center - BOX - start, 0) : max(center + BOX + 1 - start, 0)] = True
-        if prefix in coarse_prefixes:
-            if depth == head - 1:
-                mask[::COARSE] = False  # the coarse pass evaluated these rows
-            else:
-                on_coarse = np.flatnonzero(mask[::COARSE]) * COARSE
-                coarse_prefixes.update(prefix + (start + k,) for k in on_coarse.tolist())
-        return mask
-
-    fine = _grid_blocks(lo, hi, spacing, step, head, tail, in_boxes)
-    values, _, rows = keep_best(fine, values, kept, rows)
-    best_obj, refined = float(values[0]), rows[0].tolist()
+    fine_indices, fine = _grid_rows(lo, hi, spacing, step, head, tail, chains, boxes=indices[best])
+    # The coarse pass evaluated the rows whose every offset is coarse.
+    offsets = fine_indices[:, 1:] - _chain_starts(fine[:, :-1], lo, spacing, step)
+    fine = fine[np.any(offsets % COARSE, axis=1)]
+    values = np.concatenate((values, _conditioning(modes, fine)))
+    rows = np.concatenate((rows, fine))
+    winner = _best_first(values, rows)[0]
+    best_obj, refined = float(values[winner]), rows[winner].tolist()
 
     refine_step = step
     for _ in range(3):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,22 +121,30 @@ def reference_forbidden(t0, window, period):
 
 def reference_grid(lo, hi, spacing, head, tail):
     """The search grid by scalar recursion, one candidate at a time."""
+    return [row for row, _, _ in reference_lattice(lo, hi, spacing, head, tail)]
+
+
+def reference_lattice(lo, hi, spacing, head, tail):
+    """The scalar grid as (row, lattice indices, offsets) triples; an
+    instant's offset counts the steps from the start of its chain."""
     step = spacing / 4.0
     found = []
 
-    def explore(prefix):
+    def explore(prefix, indices, offsets):
         depth = len(prefix)
         if depth == head:
-            found.append(tuple(prefix))
+            found.append((tuple(prefix), tuple(indices), tuple(offsets)))
             return
         remaining = head - depth - 1 + tail
         start = prefix[-1] + spacing
-        position = lo + math.ceil((start - lo) / step - 1e-12) * step
+        k = math.ceil((start - lo) / step - 1e-12)
+        position, offset = lo + k * step, 0
         while position <= hi - remaining * spacing + 1e-12:
-            explore(prefix + [position])
+            explore(prefix + [position], indices + [k + offset], offsets + [offset])
             position += step
+            offset += 1
 
-    explore([lo])
+    explore([lo], [0], [0])
     return found
 
 
@@ -148,8 +157,7 @@ def exhaustive_search(system, spec):
     spacing = spec.min_spacing
     head = min(system.n, spec.count)
     tail = spec.count - head
-    blocks = scheduler._grid_blocks(lo, hi, spacing, spacing / 4.0, head, tail)
-    rows = np.concatenate([np.empty((0, head)), *blocks])
+    _, rows = scheduler._grid_rows(lo, hi, spacing, spacing / 4.0, head, tail, {})
     if not len(rows):
         return None
     values = schedule_conditioning(modes, rows)
@@ -664,6 +672,59 @@ class TestSuggestSchedule:
         assert achieved == 1.0
 
 
+def search_spec_with(name, value):
+    arguments = {"window": (0.0, 2.0), "count": 2, "min_spacing": 0.1, name: value}
+    return ScheduleSearchSpec(**arguments)
+
+
+# Each scheduler input that takes a real number, set to one value.
+SCALAR_INPUTS = {
+    "min_spacing": lambda value: search_spec_with("min_spacing", value),
+    "t0": lambda value: forbidden_instants_order2(oscillator(0.0, 1.0), value, (0.0, 5.0)),
+    "interval": lambda value: validate_uniform(oscillator(0.0, 1.0), value),
+}
+# Each scheduler input that takes a window, set to one value.
+WINDOW_INPUTS = {
+    "spec": lambda window: search_spec_with("window", window),
+    "forbidden": lambda window: forbidden_instants_order2(oscillator(0.0, 1.0), 0.0, window),
+}
+
+
+class TestSchedulerInputs:
+    """Malformed numbers and windows raise one InfeasibleError naming the
+    argument, never a bare exception and never a silent cut."""
+
+    @pytest.mark.parametrize("call", WINDOW_INPUTS)
+    @pytest.mark.parametrize(
+        "window",
+        [(0.0, 1.0, 2.0), (0,), ("a", 1), (0, 10**400), 5.0],
+        ids=["three-bounds", "one-bound", "not-a-number", "beyond-float-range", "not-a-pair"],
+    )
+    def test_malformed_window(self, call, window):
+        message = f"window must be finite and real: a pair (lo, hi), got {window!r}"
+        with pytest.raises(InfeasibleError, match=re.escape(message)):
+            WINDOW_INPUTS[call](window)
+
+    def test_window_whose_length_overflows(self):
+        with pytest.raises(InfeasibleError, match="its length overflows"):
+            search_spec_with("window", (-1e308, 1e308))
+
+    @pytest.mark.parametrize("name", SCALAR_INPUTS)
+    @pytest.mark.parametrize(
+        "value", [True, "x", 1 + 1j, 10**400], ids=["bool", "string", "complex", "beyond-float-range"]
+    )
+    def test_malformed_number(self, name, value):
+        message = f"{name} must be finite and real, got {value!r}"
+        with pytest.raises(InfeasibleError, match=re.escape(message)):
+            SCALAR_INPUTS[name](value)
+
+    def test_numbers_are_stored_as_floats(self):
+        spec = ScheduleSearchSpec(window=[np.int64(0), 2], count=2, min_spacing=np.float32(0.5))
+        assert spec.window == (0.0, 2.0) and type(spec.min_spacing) is float
+        assert type(validate_uniform(oscillator(0.0, 1.0), 1).interval) is float
+        assert forbidden_instants_order2(oscillator(0.0, 1.0), 0, [7, 0]).base_instant == 0.0
+
+
 class TestCoarseToFine:
     """The coarse-to-fine search against the exhaustive grid it replaced."""
 
@@ -700,6 +761,71 @@ class TestCoarseToFine:
         assert len(np.unique(grid, axis=0)) == len(grid)
 
 
+class TestPassRowSets:
+    """The rows each grid pass sends through the kernel, against sets built
+    from the scalar grid."""
+
+    @pytest.mark.parametrize(
+        "system, window, count, spacing",
+        [
+            (oscillator(-0.3, 1.0), (0.0, 2.5), 3, 0.07),
+            (ORDER3, (0.0, 2.2), 4, 0.2),
+            (ORDER4, (0.0, 3.5), 4, 0.4),
+            (oscillator(-0.3, 1.0), (1e6, 1e6 + 3.1), 2, 0.3),
+            (ORDER3, (1e6, 1e6 + 2.3), 3, 0.35),
+            (ORDER3, (1e15, 1e15 + 10.0), 3, 1.2),
+            (ORDER4, (1e15, 1e15 + 12.0), 4, 1.5),
+        ]
+        + [
+            (random_minimal_system(np.random.default_rng(1500 + i), n), (lo, lo + width), n, 0.3)
+            for i, (n, lo, width) in enumerate(
+                [(2, -3.7, 2.9), (3, 0.0, 2.2), (3, 1e6, 1.9), (4, 1e3, 1.6), (4, 1e15, 2.4)]
+            )
+        ],
+    )
+    def test_coarse_and_fine_rows(self, monkeypatch, system, window, count, spacing):
+        passes = []
+        original = scheduler._conditioning
+
+        def recorded(modes, rows):
+            passes.append(rows.tolist())
+            return original(modes, rows)
+
+        monkeypatch.setattr(scheduler, "_conditioning", recorded)
+        suggest_schedule(system, ScheduleSearchSpec(window, count, spacing))
+        head = min(system.n, count)
+        grid = reference_lattice(*window, spacing, head, count - head)
+        coarse = [(row, k) for row, k, offsets in grid if not any(o % scheduler.COARSE for o in offsets)]
+        assert len(passes) == 2
+        assert passes[0] == [list(row) for row, _ in coarse]
+
+        values = schedule_conditioning(system.modes, np.array([row for row, _ in coarse]))
+        # Best first, a tie going to the lowest row and then the earlier one.
+        best = sorted(range(len(coarse)), key=lambda i: (-values[i], coarse[i][0]))
+        kept = [coarse[i][1] for i in best[: scheduler.KEEP]]
+        fine = [
+            list(row)
+            for row, k, offsets in grid
+            if any(o % scheduler.COARSE for o in offsets)
+            and any(max(abs(a - b) for a, b in zip(k, box)) <= scheduler.BOX for box in kept)
+        ]
+        assert passes[1] == fine
+
+    @pytest.mark.parametrize(
+        "system, spec",
+        [
+            (ORDER4, ScheduleSearchSpec((0.0, 3.5), 4, 0.4)),
+            (oscillator(-0.3, 1.0), ScheduleSearchSpec((1e6, 1e6 + 2.5), 3, 0.07)),
+        ],
+    )
+    def test_result_does_not_depend_on_the_chunk_size(self, monkeypatch, system, spec):
+        expected = suggest_schedule(system, spec)
+        for size in (1, 7, 10**6):
+            monkeypatch.setattr(scheduler, "SEARCH_CHUNK", size)
+            schedule, objective = suggest_schedule(system, spec)
+            assert (schedule.instants, objective) == (expected[0].instants, expected[1])
+
+
 class TestBatchedGrid:
     @pytest.mark.parametrize(
         "lo, hi, spacing, head, tail",
@@ -715,11 +841,10 @@ class TestBatchedGrid:
         ],
     )
     def test_grid_matches_scalar_enumeration(self, lo, hi, spacing, head, tail):
-        from nusamp.scheduler import _grid_blocks
+        from nusamp.scheduler import _grid_rows
 
-        blocks = list(_grid_blocks(lo, hi, spacing, spacing / 4.0, head, tail))
-        rows = [tuple(row) for block in blocks for row in block.tolist()]
-        assert rows == reference_grid(lo, hi, spacing, head, tail)
+        _, rows = _grid_rows(lo, hi, spacing, spacing / 4.0, head, tail, {})
+        assert [tuple(row) for row in rows.tolist()] == reference_grid(lo, hi, spacing, head, tail)
 
     @pytest.mark.parametrize(
         "system, lo, hi, spacing, tail",
@@ -729,11 +854,10 @@ class TestBatchedGrid:
         ],
     )
     def test_batched_kernel_equals_scalar(self, system, lo, hi, spacing, tail):
-        from nusamp.scheduler import _grid_blocks
+        from nusamp.scheduler import _grid_rows
 
         modes = system.modes
-        blocks = _grid_blocks(lo, hi, spacing, spacing / 4.0, system.n, tail)
-        rows = np.concatenate(list(blocks))
+        _, rows = _grid_rows(lo, hi, spacing, spacing / 4.0, system.n, tail, {})
         assert len(rows) > 100
         batched = column_normalized_sigma_ratio(
             mode_matrix(modes, rows[:, -1:] - rows[:, ::-1])
