@@ -36,7 +36,7 @@ SEARCH_CHUNK = 256
 
 GUARD_SECTIONS = 16  # guard-band bracket sections per batched round
 
-COARSE = 4  # the coarse search pass takes every COARSE-th point of each chain
+COARSE = 4  # the coarse search pass takes every COARSE-th grid point of each instant
 KEEP = 8  # coarse rows kept, around which the fine pass searches
 BOX = 4  # half-width of the fine pass's box, in grid steps on every instant
 
@@ -265,92 +265,61 @@ def _uniform_schedule(interval: float, n: int) -> SamplingSchedule:
     return SamplingSchedule(tuple(i * interval for i in range(n)))
 
 
-def _chain_starts(after, lo: float, spacing: float, step: float) -> np.ndarray:
-    """Lattice index k of the first grid point ``lo + k * step`` at least
-    ``spacing`` past each instant of ``after``, as int64."""
-    return np.ceil((after + spacing - lo) / step - 1e-12).astype(np.int64)
+def _window_end(lo: float, hi: float, spacing: float, unit: float) -> int:
+    """The largest lattice index m with ``lo + m * unit <= hi``, by bisection:
+    the computed instant never decreases as m grows.  The bracket spans four
+    times the window, or MAX_GRID_CANDIDATES spacings when that is less, so a
+    window too wide to count gets an end that no grid guard lets through."""
+    low, high = 0, 1024 * math.ceil(min((hi - lo) / spacing, MAX_GRID_CANDIDATES)) + 4
+    while high - low > 1:
+        middle = (low + high) // 2
+        if lo + middle * unit <= hi:
+            low = middle
+        else:
+            high = middle
+    return low
 
 
-def _grid_rows(lo: float, hi: float, spacing: float, step: float, head: int, tail: int,
-               chains: dict, stride: int = 1, boxes=None):
-    """The search grid's rows of ``head`` instants as (lattice indices, rows).
-
-    The first instant is ``lo``; each later one starts at the first point of
-    the grid ``lo + k * step`` at least ``spacing`` past its predecessor and
-    advances by repeated addition of ``step``, leaving room for the instants
-    after it.  A chain depends only on its start index k and its depth, so
-    each is built once into ``chains``, a memo the passes of one search
-    share.  The rows grow a level at a time as whole arrays: one expression
-    gives every row's chain start, and the new instants are gathered from
-    the distinct chains by offset.
-
-    ``stride`` keeps every stride-th point of each chain, counted from its
-    start.  ``boxes``, lattice-index rows of ``head`` instants, keeps instead
-    the points within BOX steps of a box row on every instant.  Either way
-    the rows come in lexicographic order, each once.
-    """
-
-    def chain(start: int, depth: int) -> np.ndarray:
-        if (start, depth) not in chains:
-            remaining = head - depth - 1 + tail
-            first = lo + start * step
-            bound = hi - remaining * spacing + 1e-12
-            # np.cumsum adds sequentially, so element k is exactly the float
-            # that k repeated ``+= step`` updates of ``first`` produce.
-            increments = np.full(max(2, math.floor((bound - first) / step) + 2), step)
-            increments[0] = first
-            values = np.cumsum(increments)
-            # Far from zero each addition rounds, and the chain can fall short
-            # of the estimate; continue it until it passes the bound or stalls.
-            while values[-1] <= bound and values[-1] + step > values[-1]:
-                increments[0] = values[-1]
-                values = np.concatenate((values, np.cumsum(increments)[1:]))
-            chains[start, depth] = values[values <= bound]
-        return chains[start, depth]
-
+def _grid_rows(last: int, head: int, stride: int = 1, boxes=None) -> np.ndarray:
+    """The search grid's rows of ``head`` instants as int64 indices in grid
+    steps, grown a level at a time: 0 first, each later index at least 4 (one
+    min_spacing) past its predecessor, the last at most ``last``.  ``stride``
+    keeps every stride-th index of a level, counted from its earliest.
+    ``boxes``, index rows of ``head`` instants, keeps instead the indices
+    within BOX steps of a box row on every instant.  Either way the rows come
+    in lexicographic order, each once."""
     # A box row owns the rows grown inside its box; rows of several owners
     # are merged at the end.
     owners = 1 if boxes is None else len(boxes)
     owner = np.arange(owners)
-    indices = np.zeros((owners, 1), np.int64)
-    rows = np.full((owners, 1), lo)
+    rows = np.zeros((owners, 1), np.int64)
     for depth in range(1, head):
-        starts = _chain_starts(rows[:, -1], lo, spacing, step)
-        distinct, which = np.unique(starts, return_inverse=True)
-        table = [chain(start, depth) for start in distinct.tolist()]
-        sizes = np.array([points.size for points in table], np.int64)
-        first, last = np.zeros(len(rows), np.int64), sizes[which] - 1
+        first = rows[:, -1] + 4
+        stop = last - 4 * (head - 1 - depth)
         if boxes is not None:
-            centers = boxes[owner, depth] - starts
-            first, last = np.maximum(centers - BOX, 0), np.minimum(centers + BOX, last)
-        counts = np.maximum((last - first) // stride + 1, 0)
+            centers = boxes[owner, depth]
+            first, stop = np.maximum(first, centers - BOX), np.minimum(stop, centers + BOX)
+        counts = np.maximum((stop - first) // stride + 1, 0)
         parent = np.repeat(np.arange(len(rows)), counts)
         rank = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        offsets = first[parent] + stride * rank
-        at = (np.cumsum(sizes) - sizes)[which[parent]] + offsets
-        indices = np.column_stack((indices[parent], starts[parent] + offsets))
-        # A single chain, the first level's, may hold millions of points:
-        # gather from it in place.
-        flat = table[0] if len(table) == 1 else np.concatenate((np.empty(0), *table))
-        rows = np.column_stack((rows[parent], flat[at]))
+        rows = np.column_stack((rows[parent], first[parent] + stride * rank))
         owner = owner[parent]
     if owners > 1:
-        # The mixed-radix codes of the lattice indices sort as the rows do;
-        # the grid guard keeps their range far inside int64.
-        codes = np.zeros(len(indices), np.int64)
-        for column in indices.T:
+        # The mixed-radix codes of the rows sort as the rows do; the grid
+        # guard keeps their range far inside int64.
+        codes = np.zeros(len(rows), np.int64)
+        for column in rows.T:
             codes = codes * (int(column.max(initial=0)) + 1) + column
-        _, once = np.unique(codes, return_index=True)
-        indices, rows = indices[once], rows[once]
-    return indices, rows
+        rows = rows[np.unique(codes, return_index=True)[1]]
+    return rows
 
 
-def _conditioning(modes: ModeSet, rows: np.ndarray) -> np.ndarray:
-    """``schedule_conditioning`` of every row, SEARCH_CHUNK rows per call."""
+def _conditioning(modes: ModeSet, rows: np.ndarray, lo: float, unit: float) -> np.ndarray:
+    """``schedule_conditioning`` of the instants ``lo + rows * unit`` of every
+    lattice row, SEARCH_CHUNK rows per call."""
     chunks = range(0, len(rows), SEARCH_CHUNK)
-    return np.concatenate(
-        [np.empty(0), *(schedule_conditioning(modes, rows[k : k + SEARCH_CHUNK]) for k in chunks)]
-    )
+    values = (schedule_conditioning(modes, lo + rows[k : k + SEARCH_CHUNK] * unit) for k in chunks)
+    return np.concatenate([np.empty(0), *values])
 
 
 def _best_first(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -359,27 +328,63 @@ def _best_first(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.lexsort((*rows.T[::-1], -values))
 
 
+def _crowded(spec: ScheduleSearchSpec) -> InfeasibleError:
+    return InfeasibleError(
+        f"the search grid holds no {spec.count} instants spaced {spec.min_spacing!r} "
+        f"in the window {spec.window!r}; widen the window"
+    )
+
+
+def _meet_spec(instants: list, spec: ScheduleSearchSpec) -> list:
+    """The instants moved until they meet the spec as computed in floats.
+
+    The later instant of a gap below min_spacing rises, the last instant is
+    clamped to the window end, and walking back the earlier instant of a gap
+    still short falls; a first instant pushed below the window start raises
+    InfeasibleError.  A move goes to the instant min_spacing from its
+    neighbour, or else a float step of the instant or of min_spacing,
+    whichever is coarser, so that each move changes the computed gap.
+    """
+    lo, hi = spec.window
+    spacing = spec.min_spacing
+    step = math.ulp(spacing)
+    instants = list(instants)
+    for i in range(1, len(instants)):
+        while instants[i] - instants[i - 1] < spacing:
+            up = math.nextafter(instants[i], math.inf)
+            instants[i] = max(up, instants[i] + step, instants[i - 1] + spacing)
+    instants[-1] = min(instants[-1], hi)
+    for i in range(len(instants) - 1, 0, -1):
+        while instants[i] - instants[i - 1] < spacing:
+            down = math.nextafter(instants[i - 1], -math.inf)
+            instants[i - 1] = min(down, instants[i - 1] - step, instants[i] - spacing)
+    if instants[0] < lo:
+        raise _crowded(spec)
+    return instants
+
+
 def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     """Search the window for the best-conditioned feasible schedule.
 
-    Deterministic coarse-to-fine search of the grid of step min_spacing / 4,
-    then three coordinate-refinement passes with shrinking step.  The coarse
-    pass evaluates every COARSE-th point of each instant's chain and keeps
-    the KEEP best rows; the fine pass evaluates the other grid rows within
-    BOX lattice steps of a kept row on every instant.  Each pass builds its
-    rows a level at a time as index and instant arrays, evaluates them
-    ``SEARCH_CHUNK`` rows per stacked ``schedule_conditioning`` call and
-    ranks them with one sort.  The best row of both passes wins, a tie going
-    to the lexicographically lowest, so the result is the exhaustive grid
-    search's whenever its winner lies in a box.  The refinement stays
-    sequential on purpose: each step probes around the winner of the step
-    before, so only its (at most two) probes share a call, and a probe
-    replaces the winner only when strictly better.  Returns (schedule,
-    achieved sigma ratio), or raises InfeasibleError when the grid holds no
-    row or that ratio does not exceed the singularity tolerance.  The
-    realization must be minimal; only its mode set is computed, never the
-    modal decomposition.
+    The search runs on one integer lattice: index m is the instant
+    ``lo + m * unit`` with ``unit = min_spacing / 256``, exact as a division
+    by a power of two.  Instants 256 indices apart are min_spacing apart, and
+    m is in the window when ``lo + m * unit <= hi``.  The grid takes every
+    64th index.  Its coarse pass evaluates every COARSE-th grid point of each
+    instant past its earliest and keeps the KEEP best rows; the fine pass
+    evaluates the other grid rows within BOX grid steps of a kept row on
+    every instant.  The best row of both passes wins, a tie going to the
+    lexicographically lowest, so the winner is the exhaustive grid search's
+    whenever it lies in a box.  Each pass evaluates ``SEARCH_CHUNK`` rows per
+    stacked ``schedule_conditioning`` call.  Three refinement passes then
+    probe one instant at a time 16, 4 and 1 units either way, sequentially
+    on purpose: a probe replaces the winner only when strictly better.
 
+    The returned schedule meets the spec as computed in floats (see
+    ``_meet_spec``).  Returns (schedule, achieved sigma ratio), or raises
+    InfeasibleError when the lattice holds no such schedule or that ratio
+    does not exceed the singularity tolerance.  The realization must be
+    minimal; only its mode set is computed, never the modal decomposition.
     The objective depends only on instant differences, so the first instant
     is pinned to the window start without loss of generality.
     """
@@ -393,69 +398,57 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
         )
 
     lo, hi = spec.window
-    spacing = spec.min_spacing
-    head = min(n, spec.count)
-    tail = spec.count - head
+    unit = spec.min_spacing / 256.0
+    end = _window_end(lo, hi, spec.min_spacing, unit)
     # Instants beyond the first n never move the objective; they are packed
-    # at minimal spacing, so the head must leave room for them.
-    head_limit = hi - tail * spacing
-
-    step = spacing / 4.0
-    grid_len = int(math.floor((head_limit - lo) / step)) + 1
-    if head > 1 and grid_len ** (head - 1) > MAX_GRID_CANDIDATES:
+    # at minimal spacing, so the first n must leave room for them.
+    tail = spec.count - n
+    last = (end - 256 * tail) // 64
+    if (last + 1) ** (n - 1) > MAX_GRID_CANDIDATES:
         raise InfeasibleError(
             "search grid too large; increase min_spacing or shrink the window"
         )
 
-    chains = {}
-    # Far from zero a chain may start a step late, so its coarse points are
-    # counted from its start, not from lo.
-    indices, rows = _grid_rows(lo, hi, spacing, step, head, tail, chains, stride=COARSE)
+    rows = _grid_rows(last, n, stride=COARSE)
     if not len(rows):
-        raise InfeasibleError(
-            f"the search grid holds no {spec.count} instants spaced {spacing!r} "
-            f"in the window {spec.window!r}; widen the window"
-        )
-    values = _conditioning(modes, rows)
+        raise _crowded(spec)
+    values = _conditioning(modes, rows, lo, 64 * unit)
     best = _best_first(values, rows)[:KEEP]
     values, rows = values[best], rows[best]
 
-    fine_indices, fine = _grid_rows(lo, hi, spacing, step, head, tail, chains, boxes=indices[best])
+    fine = _grid_rows(last, n, boxes=rows)
     # The coarse pass evaluated the rows whose every offset is coarse.
-    offsets = fine_indices[:, 1:] - _chain_starts(fine[:, :-1], lo, spacing, step)
-    fine = fine[np.any(offsets % COARSE, axis=1)]
-    values = np.concatenate((values, _conditioning(modes, fine)))
+    fine = fine[np.any((np.diff(fine, axis=1) - 4) % COARSE, axis=1)]
+    values = np.concatenate((values, _conditioning(modes, fine, lo, 64 * unit)))
     rows = np.concatenate((rows, fine))
     winner = _best_first(values, rows)[0]
-    best_obj, refined = float(values[winner]), rows[winner].tolist()
+    best_obj, refined = float(values[winner]), (64 * rows[winner]).tolist()
 
-    refine_step = step
-    for _ in range(3):
-        refine_step /= 4.0
-        for i in range(1, head):
-            lower = refined[i - 1] + spacing
-            upper = hi - (head - 1 - i + tail) * spacing
-            if i + 1 < head:
-                upper = min(upper, refined[i + 1] - spacing)
+    for refine_step in (16, 4, 1):
+        for i in range(1, n):
+            lower = refined[i - 1] + 256
+            upper = refined[i + 1] - 256 if i + 1 < n else end - 256 * tail
             for _ in range(8):
                 # Minus probe first: the strict > keeps the earlier of two ties.
-                rows = np.array([refined, refined])
-                rows[:, i] += (-refine_step, refine_step)
-                rows = rows[(lower <= rows[:, i]) & (rows[:, i] <= upper)]
-                if not len(rows):
+                probes = np.array([refined, refined])
+                probes[:, i] += (-refine_step, refine_step)
+                probes = probes[(lower <= probes[:, i]) & (probes[:, i] <= upper)]
+                if not len(probes):
                     break
+                values = schedule_conditioning(modes, lo + probes * unit)
                 winner = None
-                for row, value in zip(rows.tolist(), schedule_conditioning(modes, rows).tolist()):
+                for row, value in zip(probes.tolist(), values.tolist()):
                     if value > best_obj:
                         best_obj, winner = value, row[i]
                 if winner is None:
                     break
                 refined[i] = winner
 
-    instants = list(refined)
-    for _ in range(tail):
-        instants.append(instants[-1] + spacing)
-    schedule = SamplingSchedule(tuple(instants))
+    indices = refined + [refined[-1] + 256 * j for j in range(1, tail + 1)]
+    instants = [lo + m * unit for m in indices]
+    schedule = SamplingSchedule(tuple(_meet_spec(instants, spec)))
+    if list(schedule.instants) != instants:
+        best_obj = schedule_conditioning(modes, schedule)
     if best_obj <= system.tolerances.singularity:
         raise InfeasibleError(
             f"no schedule in the window clears the singularity tolerance "

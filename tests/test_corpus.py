@@ -118,6 +118,26 @@ def test_corpus_run(case):
     assert_same_text(err, case["stderr"], "stderr")
 
 
+SUGGESTED = [
+    case for case in RECORDED if case["argv"][0] == "suggest" and _is_json(case["argv"]) and case["stdout"]
+]
+
+
+@pytest.mark.parametrize("case", SUGGESTED, ids=[case["name"] for case in SUGGESTED])
+def test_recorded_suggestion_meets_its_spec(case):
+    argv = case["argv"]
+
+    def option(name):
+        return argv[argv.index(name) + 1]
+
+    lo, hi = map(float, option("--window").split(","))
+    spacing = float(option("--min-spacing"))
+    instants = json.loads(case["stdout"])["schedule"]
+    assert len(instants) == int(option("--count"))
+    assert lo <= instants[0] and instants[-1] <= hi, instants
+    assert all(b - a >= spacing for a, b in zip(instants, instants[1:])), instants
+
+
 def test_corpus_covers_every_subcommand_and_tolerance_flag():
     argvs = [case["argv"] for case in RECORDED]
     for command in ("analyze", "forbidden", "suggest", "deadbeat", "reconstruct", "uniform"):

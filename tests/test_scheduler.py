@@ -1,6 +1,7 @@
 """Forbidden instants, uniform-interval validation and schedule search."""
 
 import io
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -119,74 +120,101 @@ def reference_forbidden(t0, window, period):
     return tuple(points)
 
 
+def reference_end(lo, hi, spacing):
+    """The last index m of the search lattice with lo + m * spacing / 256
+    <= hi, by a scan one index at a time."""
+    unit = spacing / 256.0
+    end = 0
+    while lo + (end + 1) * unit <= hi:
+        end += 1
+    return end
+
+
 def reference_grid(lo, hi, spacing, head, tail):
-    """The search grid by scalar recursion, one candidate at a time."""
-    return [row for row, _, _ in reference_lattice(lo, hi, spacing, head, tail)]
+    """The search grid's rows, in grid steps of 64 lattice units, by plain
+    enumeration: 0 first, gaps of at least 4 (one spacing), and room left at
+    the window end for ``tail`` more instants; in lexicographic order."""
+    last = (reference_end(lo, hi, spacing) - 256 * tail) // 64
+    return [
+        (0, *rest)
+        for rest in itertools.combinations(range(4, last + 1), head - 1)
+        if all(b - a >= 4 for a, b in zip((0, *rest), rest))
+    ]
 
 
-def reference_lattice(lo, hi, spacing, head, tail):
-    """The scalar grid as (row, lattice indices, offsets) triples; an
-    instant's offset counts the steps from the start of its chain."""
-    step = spacing / 4.0
-    found = []
+def lattice_instants(lo, spacing, rows):
+    """The instants lo + m * spacing / 256 of lattice-unit index rows."""
+    return lo + np.asarray(rows) * (spacing / 256.0)
 
-    def explore(prefix, indices, offsets):
-        depth = len(prefix)
-        if depth == head:
-            found.append((tuple(prefix), tuple(indices), tuple(offsets)))
-            return
-        remaining = head - depth - 1 + tail
-        start = prefix[-1] + spacing
-        k = math.ceil((start - lo) / step - 1e-12)
-        position, offset = lo + k * step, 0
-        while position <= hi - remaining * spacing + 1e-12:
-            explore(prefix + [position], indices + [k + offset], offsets + [offset])
-            position += step
-            offset += 1
 
-    explore([lo], [0], [0])
-    return found
+def meet_spec(instants, lo, hi, spacing):
+    """The instants moved as the search's final check moves them, or None
+    when the first one falls below lo."""
+    t = list(instants)
+    for i in range(1, len(t)):
+        while t[i] - t[i - 1] < spacing:
+            t[i] = max(math.nextafter(t[i], math.inf), t[i] + math.ulp(spacing),
+                       t[i - 1] + spacing)
+    t[-1] = min(t[-1], hi)
+    for i in reversed(range(1, len(t))):
+        while t[i] - t[i - 1] < spacing:
+            t[i - 1] = min(math.nextafter(t[i - 1], -math.inf), t[i - 1] - math.ulp(spacing),
+                           t[i] - spacing)
+    return t if t[0] >= lo else None
 
 
 def exhaustive_search(system, spec):
     """The search as it was before its coarse-to-fine grid: every grid row,
-    the first maximum winning, then the same three refinement passes; None
-    when the grid holds no row."""
-    modes = system.modes
+    the first maximum winning, then the same three refinement passes on the
+    lattice and the final check."""
+    modes, n = system.modes, system.n
     lo, hi = spec.window
     spacing = spec.min_spacing
-    head = min(system.n, spec.count)
-    tail = spec.count - head
-    _, rows = scheduler._grid_rows(lo, hi, spacing, spacing / 4.0, head, tail, {})
-    if not len(rows):
-        return None
-    values = schedule_conditioning(modes, rows)
+    tail = spec.count - n
+    grid = 64 * np.array(reference_grid(lo, hi, spacing, n, tail))
+    values = schedule_conditioning(modes, lattice_instants(lo, spacing, grid))
     k = int(np.argmax(values))
-    best_obj, refined = float(values[k]), rows[k].tolist()
-    refine_step = spacing / 4.0
-    for _ in range(3):
-        refine_step /= 4.0
-        for i in range(1, head):
-            lower = refined[i - 1] + spacing
-            upper = hi - (head - 1 - i + tail) * spacing
-            if i + 1 < head:
-                upper = min(upper, refined[i + 1] - spacing)
+    best_obj, refined = float(values[k]), grid[k].tolist()
+    end = reference_end(lo, hi, spacing)
+    for step in (16, 4, 1):
+        for i in range(1, n):
+            lower = refined[i - 1] + 256
+            upper = refined[i + 1] - 256 if i + 1 < n else end - 256 * tail
             for _ in range(8):
-                rows = np.array([refined, refined])
-                rows[:, i] += (-refine_step, refine_step)
-                rows = rows[(lower <= rows[:, i]) & (rows[:, i] <= upper)]
-                if not len(rows):
-                    break
+                probes = [m for m in (refined[i] - step, refined[i] + step) if lower <= m <= upper]
+                rows = [refined[:i] + [m] + refined[i + 1 :] for m in probes]
                 winner = None
-                for row, value in zip(rows.tolist(), schedule_conditioning(modes, rows).tolist()):
+                for m, row in zip(probes, rows):
+                    value = schedule_conditioning(modes, lattice_instants(lo, spacing, row))
                     if value > best_obj:
-                        best_obj, winner = value, row[i]
+                        best_obj, winner = value, m
                 if winner is None:
                     break
                 refined[i] = winner
-    for _ in range(tail):
-        refined.append(refined[-1] + spacing)
-    return tuple(refined), best_obj
+    indices = refined + [refined[-1] + 256 * j for j in range(1, tail + 1)]
+    instants = lattice_instants(lo, spacing, indices).tolist()
+    checked = meet_spec(instants, lo, hi, spacing)
+    if checked != instants:
+        best_obj = schedule_conditioning(modes, SamplingSchedule(tuple(checked)))
+    return tuple(checked), best_obj
+
+
+def assert_meets_spec(system, spec, result):
+    """The search's contract, in floats: the instants lie in the window, no
+    computed gap is below min_spacing, and the reported objective is the
+    kernel's on the returned schedule, bit for bit."""
+    schedule, objective = result
+    t = schedule.instants
+    lo, hi = spec.window
+    assert len(t) == spec.count
+    assert lo <= t[0] and t[-1] <= hi, (spec, t)
+    assert all(b - a >= spec.min_spacing for a, b in zip(t, t[1:])), (spec, t)
+    assert objective == schedule_conditioning(system.modes, schedule)
+
+
+# A window that holds two instants 1.5 apart in floats, (lo, hi) itself,
+# but no lattice row: lo + 1.5 rounds one float step past hi.
+LATTICE_GAP_WINDOW = (3 * 2.0**-53, 1.5 + 2.0**-52)
 
 
 def random_search_specs(count):
@@ -535,16 +563,22 @@ class TestSuggestSchedule:
         assert spec.count == 2
 
     def test_step_lost_in_rounding(self, rotation_system):
-        # ulp(1e16) is 2, so a grid step of 0.25 leaves the instants equal
+        # ulp(1e16) is 2, so the grid step of 0.25 is lost in rounding and
+        # lattice rows collapse onto equal instants; the result still meets
+        # its spec.
         spec = ScheduleSearchSpec(window=(1e16, 1e16 + 8.0), count=2, min_spacing=1.0)
-        with pytest.raises(DimensionError, match="strictly increasing"):
-            suggest_schedule(rotation_system, spec)
+        result = suggest_schedule(rotation_system, spec)
+        assert_meets_spec(rotation_system, spec, result)
+        assert result[0].instants == (1e16, 1e16 + 8.0)
 
     def test_stalled_step_terminates(self, rotation_system):
-        # 1e16 + 4 plus a step of 1 rounds back to itself: the chain stalls
+        # 1e16 + 4 plus a refinement step of 1/64 rounds back to itself, so
+        # a probe can land on the instant it left; the search still ends,
+        # and its result meets its spec.
         spec = ScheduleSearchSpec(window=(1e16, 1e16 + 64.0), count=2, min_spacing=4.0)
-        schedule, _ = suggest_schedule(rotation_system, spec)
-        assert schedule.instants == (1e16, 1e16 + 4.0)
+        result = suggest_schedule(rotation_system, spec)
+        assert_meets_spec(rotation_system, spec, result)
+        assert result[0].instants == (1e16, 1e16 + 36.0)
 
     def test_count_above_the_limit_is_refused_at_once(self, tmp_path, monkeypatch):
         limit = scheduler.MAX_SCHEDULE_INSTANTS
@@ -585,33 +619,62 @@ class TestSuggestSchedule:
         assert math.isclose(objective, 0.09558228680206358, rel_tol=1e-13)
 
     @pytest.mark.parametrize("lo, width", [(1e5, 0.1), (1e9, 0.1), (1e6, 0.3)])
-    def test_grid_without_a_row_names_the_window(self, rotation_system, lo, width):
-        # The window holds two instants width apart, but far from zero the
-        # grid's second instant rounds one step past it: the grid is empty.
+    def test_tight_window_far_from_zero_is_answered(self, rotation_system, lo, width):
+        # The window holds two instants width apart, and so does the
+        # lattice: its row (0, 256) ends exactly at the window end.
         spec = ScheduleSearchSpec(window=(lo, lo + width), count=2, min_spacing=width)
+        result = suggest_schedule(rotation_system, spec)
+        assert_meets_spec(rotation_system, spec, result)
+        assert result[0].instants == spec.window
+
+    def test_grid_without_a_row_names_the_window(self, rotation_system):
+        spec = ScheduleSearchSpec(window=LATTICE_GAP_WINDOW, count=2, min_spacing=1.5)
         with pytest.raises(InfeasibleError) as info:
             suggest_schedule(rotation_system, spec)
         message = str(info.value)
-        assert f"window {spec.window!r}" in message and f"spaced {width!r}" in message
+        assert f"window {spec.window!r}" in message and "spaced 1.5" in message
 
     def test_grid_without_a_row_is_one_cli_error(self, tmp_path):
         path = tmp_path / "rotation.json"
         path.write_text('{"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0]}')
         out, err = io.StringIO(), io.StringIO()
-        argv = ["suggest", str(path), "--window", "1e5,100000.1", "--count", "2",
-                "--min-spacing", "0.1"]
+        window = ",".join(map(repr, LATTICE_GAP_WINDOW))
+        argv = ["suggest", str(path), "--window", window, "--count", "2", "--min-spacing", "1.5"]
         assert main(argv, out=out, err=err) == 1
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: the search grid holds no 2 instants")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+    def test_window_too_wide_to_count_is_too_large(self, rotation_system, tmp_path):
+        # The window spans ~4e310 grid steps: the count overflows a float.
+        spec = ScheduleSearchSpec(window=(0.0, 1e300), count=2, min_spacing=1e-10)
+        with pytest.raises(InfeasibleError, match="search grid too large"):
+            suggest_schedule(rotation_system, spec)
+        path = tmp_path / "rotation.json"
+        path.write_text('{"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0]}')
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["suggest", str(path), "--window", "0,1e300", "--count", "2", "--min-spacing", "1e-10"]
+        assert main(argv, out=out, err=err) == 1
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            "error: search grid too large; increase min_spacing or shrink the window\n"
+        )
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_window_too_wide_to_count_has_one_row(self, scalar_system, count):
+        # At order 1 the grid is the single row (lo,), however wide the window.
+        spec = ScheduleSearchSpec(window=(0.0, 1e300), count=count, min_spacing=1e-300)
+        result = suggest_schedule(scalar_system, spec)
+        assert_meets_spec(scalar_system, spec, result)
+        assert result[0].instants == tuple(k * 1e-300 for k in range(count))
 
     def test_count_below_order(self, rotation_system):
         spec = ScheduleSearchSpec(window=(0.0, 2.0), count=1, min_spacing=0.1)
         with pytest.raises(InfeasibleError, match="below the system order"):
             suggest_schedule(rotation_system, spec)
 
-    # Results recorded with the one-candidate-at-a-time search the grid
-    # kernel replaced; the batched search must reproduce them bit for bit.
+    # Results pinned bit for bit, each inside its window; the objectives
+    # move by a few ulps between BLAS kernels.
     @pytest.mark.parametrize(
         "system, window, count, spacing, instants, objective",
         [
@@ -624,25 +687,25 @@ class TestSuggestSchedule:
             (
                 oscillator(-0.3, 1.0),
                 (0.0, 2.5), 3, 0.07,
-                (0.0, 1.448671875000001, 1.518671875000001),
+                (0.0, 1.448671875, 1.5186718750000001),
                 0.6360064067364166,
             ),
             (
                 Realization([[0.0, 0.0], [0.0, -1.0]], [1.0, 1.0], [1.0, 1.0]),
                 (0.0, 1.0), 2, 0.1,
-                (0.0, 1.0000000000000004),
+                (0.0, 1.0),
                 0.21988684450667884,
             ),
             (
                 ORDER3,
                 (0.0, 2.2), 4, 0.2,
-                (0.0, 1.0539062500000003, 2.0000000000000004, 2.2000000000000006),
+                (0.0, 1.05390625, 2.0, 2.2),
                 0.09505088044419804,
             ),
             (
                 ORDER4,
                 (0.0, 3.5), 4, 0.4,
-                (0.0, 1.3062500000000001, 2.731250000000001, 3.5000000000000004),
+                (0.0, 1.3062500000000001, 2.73125, 3.5),
                 0.06892079089455981,
             ),
         ],
@@ -651,8 +714,7 @@ class TestSuggestSchedule:
         spec = ScheduleSearchSpec(window=window, count=count, min_spacing=spacing)
         schedule, achieved = suggest_schedule(system, spec)
         assert schedule.instants == instants
-        assert achieved == schedule_conditioning(system.modes, schedule)
-        # The recorded objective moves by a few ulps between BLAS kernels.
+        assert_meets_spec(system, spec, (schedule, achieved))
         assert math.isclose(achieved, objective, rel_tol=1e-13)
 
     @pytest.mark.parametrize(
@@ -670,6 +732,72 @@ class TestSuggestSchedule:
         schedule, achieved = suggest_schedule(oscillator(-0.3, 1.0), spec)
         assert schedule.instants == instants
         assert achieved == 1.0
+
+
+def contract_specs(count, rng, tight=False):
+    """Seeded (system, spec) pairs at orders 1-4, n to n+2 instants, windows
+    of a few spacings or (``tight``) of exactly count - 1 spacings give or
+    take three float steps, starting at 0, -3.7, 1e3, 1e6 and 1e12."""
+    for i in range(count):
+        n = 1 + i % 4
+        system = random_minimal_system(rng, n)
+        instants = n + int(rng.integers(0, 3))
+        spacing = float(rng.uniform(0.1, 0.6))
+        lo = (0.0, -3.7, 1e3, 1e6, 1e12)[(i // 4) % 5]
+        hi = lo + (instants - 1 + (0.0 if tight else rng.uniform(0.0, 5.0))) * spacing
+        steps = int(rng.integers(-3, 4)) if tight else 0
+        for _ in range(abs(steps)):
+            hi = math.nextafter(hi, math.copysign(math.inf, steps))
+        try:
+            yield system, ScheduleSearchSpec(window=(lo, hi), count=instants, min_spacing=spacing)
+        except InfeasibleError:
+            pass  # the window is below count - 1 spacings as computed
+
+
+class TestSearchContract:
+    """Every suggested schedule meets its spec as computed in floats."""
+
+    def test_results_meet_their_spec(self):
+        specs = list(contract_specs(240, np.random.default_rng(1616)))
+        assert len(specs) == 240
+        for system, spec in specs:
+            assert_meets_spec(system, spec, suggest_schedule(system, spec))
+
+    def test_tight_windows_are_met_or_refused(self):
+        # A window tight to the last float step may hold no such schedule:
+        # it is refused with the window named, never answered out of spec.
+        outcomes = set()
+        for system, spec in contract_specs(240, np.random.default_rng(1617), tight=True):
+            try:
+                result = suggest_schedule(system, spec)
+            except InfeasibleError as exc:
+                assert f"in the window {spec.window!r}" in str(exc)
+                outcomes.add("refused")
+                continue
+            assert_meets_spec(system, spec, result)
+            outcomes.add("met")
+        assert outcomes == {"met", "refused"}
+
+    @pytest.mark.parametrize(
+        "window, instants, moved",
+        [
+            ((0.0, 1.0), [0.1, 0.4], [0.1, 0.4]),
+            # 0.7 - 0.4 is 0.29999999999999993: the later instant rises
+            ((0.0, 1.0), [0.4, 0.7], [0.4, 0.7000000000000001]),
+            # ... unless that leaves the window: the earlier ones fall instead
+            ((0.0, 0.7), [0.1, 0.4, 0.7], [0.09999999999999995, 0.39999999999999997, 0.7]),
+            ((0.1, 0.7), [0.1, 0.4, 0.7], None),
+            # a float step of -5e-17 is ~1e-32: the move is one of 0.3's
+            ((-1.0, 1.0), [-0.3, -5e-17], [-0.3, 5.511151231257828e-18]),
+        ],
+    )
+    def test_final_check_moves(self, window, instants, moved):
+        spec = ScheduleSearchSpec(window=window, count=len(instants), min_spacing=0.3)
+        if moved is None:
+            with pytest.raises(InfeasibleError, match="the search grid holds no 3 instants"):
+                scheduler._meet_spec(instants, spec)
+        else:
+            assert scheduler._meet_spec(instants, spec) == moved
 
 
 def search_spec_with(name, value):
@@ -730,18 +858,12 @@ class TestCoarseToFine:
 
     @pytest.mark.parametrize("system, spec", random_search_specs(72))
     def test_matches_the_exhaustive_search(self, system, spec):
-        expected = exhaustive_search(system, spec)
-        if expected is None:
-            # Far from zero a tight window can leave the grid without a row.
-            with pytest.raises(InfeasibleError, match="the search grid holds no"):
-                suggest_schedule(system, spec)
-            return
         schedule, objective = suggest_schedule(system, spec)
-        assert (schedule.instants, objective) == expected
+        assert (schedule.instants, objective) == exhaustive_search(system, spec)
 
     @pytest.mark.parametrize("system", [oscillator(-0.3, 1.0), ORDER3])
     def test_matches_far_from_zero(self, system):
-        # At 1e15 every addition of the step rounds to a multiple of 0.125.
+        # At 1e15 the instants round to multiples of 0.125, ten lattice units.
         spec = ScheduleSearchSpec(window=(1e15, 1e15 + 10.0), count=3, min_spacing=1.2)
         schedule, objective = suggest_schedule(system, spec)
         assert (schedule.instants, objective) == exhaustive_search(system, spec)
@@ -762,8 +884,8 @@ class TestCoarseToFine:
 
 
 class TestPassRowSets:
-    """The rows each grid pass sends through the kernel, against sets built
-    from the scalar grid."""
+    """The index rows each grid pass sends through the kernel, against sets
+    built from the enumerated grid."""
 
     @pytest.mark.parametrize(
         "system, window, count, spacing",
@@ -787,27 +909,31 @@ class TestPassRowSets:
         passes = []
         original = scheduler._conditioning
 
-        def recorded(modes, rows):
-            passes.append(rows.tolist())
-            return original(modes, rows)
+        def recorded(modes, rows, lo, unit):
+            passes.append([tuple(row) for row in rows.tolist()])
+            return original(modes, rows, lo, unit)
 
         monkeypatch.setattr(scheduler, "_conditioning", recorded)
         suggest_schedule(system, ScheduleSearchSpec(window, count, spacing))
-        head = min(system.n, count)
-        grid = reference_lattice(*window, spacing, head, count - head)
-        coarse = [(row, k) for row, k, offsets in grid if not any(o % scheduler.COARSE for o in offsets)]
-        assert len(passes) == 2
-        assert passes[0] == [list(row) for row, _ in coarse]
+        grid = reference_grid(*window, spacing, system.n, count - system.n)
 
-        values = schedule_conditioning(system.modes, np.array([row for row, _ in coarse]))
+        def coarse(row):
+            # Every instant an exact multiple of COARSE grid steps past its earliest.
+            return all((b - a - 4) % scheduler.COARSE == 0 for a, b in zip(row, row[1:]))
+
+        assert len(passes) == 2
+        assert passes[0] == [row for row in grid if coarse(row)]
+
+        instants = lattice_instants(window[0], spacing, 64 * np.array(passes[0]))
+        values = schedule_conditioning(system.modes, instants)
         # Best first, a tie going to the lowest row and then the earlier one.
-        best = sorted(range(len(coarse)), key=lambda i: (-values[i], coarse[i][0]))
-        kept = [coarse[i][1] for i in best[: scheduler.KEEP]]
+        best = sorted(range(len(passes[0])), key=lambda i: (-values[i], passes[0][i]))
+        kept = [passes[0][i] for i in best[: scheduler.KEEP]]
         fine = [
-            list(row)
-            for row, k, offsets in grid
-            if any(o % scheduler.COARSE for o in offsets)
-            and any(max(abs(a - b) for a, b in zip(k, box)) <= scheduler.BOX for box in kept)
+            row
+            for row in grid
+            if not coarse(row)
+            and any(max(abs(a - b) for a, b in zip(row, box)) <= scheduler.BOX for box in kept)
         ]
         assert passes[1] == fine
 
@@ -841,9 +967,10 @@ class TestBatchedGrid:
         ],
     )
     def test_grid_matches_scalar_enumeration(self, lo, hi, spacing, head, tail):
-        from nusamp.scheduler import _grid_rows
-
-        _, rows = _grid_rows(lo, hi, spacing, spacing / 4.0, head, tail, {})
+        end = scheduler._window_end(lo, hi, spacing, spacing / 256.0)
+        assert end == reference_end(lo, hi, spacing)
+        rows = scheduler._grid_rows((end - 256 * tail) // 64, head)
+        assert rows.dtype == np.int64
         assert [tuple(row) for row in rows.tolist()] == reference_grid(lo, hi, spacing, head, tail)
 
     @pytest.mark.parametrize(
@@ -854,10 +981,9 @@ class TestBatchedGrid:
         ],
     )
     def test_batched_kernel_equals_scalar(self, system, lo, hi, spacing, tail):
-        from nusamp.scheduler import _grid_rows
-
         modes = system.modes
-        _, rows = _grid_rows(lo, hi, spacing, spacing / 4.0, system.n, tail, {})
+        grid = reference_grid(lo, hi, spacing, system.n, tail)
+        rows = lattice_instants(lo, spacing, 64 * np.array(grid))
         assert len(rows) > 100
         batched = column_normalized_sigma_ratio(
             mode_matrix(modes, rows[:, -1:] - rows[:, ::-1])
