@@ -59,6 +59,7 @@ class Tolerances:
 
 # Entry magnitudes beyond this are treated as overflow even when still finite.
 OVERFLOW_LIMIT = 1e300
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the finite normal floats
 
 
 class RankResult(NamedTuple):
@@ -221,7 +222,19 @@ def numeric_rank(matrix, rank_tol: float = Tolerances.rank) -> RankResult:
 
 
 def _unit_columns(m: np.ndarray) -> np.ndarray:
-    """``m`` with its nonzero columns (axis -2) scaled to unit np.linalg.norm, computed inline."""
+    """``m`` with its nonzero columns (axis -2) scaled to unit np.linalg.norm, computed inline.
+
+    A column whose sum of squares is not a finite normal number (entries
+    past ~1e154, or so small that the squares underflow) is first divided by
+    its largest magnitude; every other column keeps its bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.add.reduce((m.conj() * m).real, axis=-2, keepdims=True)
+    if _TINY <= np.minimum.reduce(squares, None) and np.maximum.reduce(squares, None) <= _HUGE:
+        return m / np.sqrt(squares)
+    peaks = np.abs(m).max(axis=-2, keepdims=True)
+    lost = ~((squares >= _TINY) & (squares <= _HUGE)) & (peaks > 0.0)
+    m = m / np.where(lost, peaks, 1.0)
     norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-2, keepdims=True))
     return m / np.where(norms > 0.0, norms, 1.0)
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict, schedule_conditioning
-from .errors import InfeasibleError, NotApplicableError, UnsupportedOrderError
+from .errors import InfeasibleError, NotApplicableError, NumericRangeError, UnsupportedOrderError
 from .system_model import ModeSet, Realization, require_minimal
 
 # Guard so a careless search spec cannot ask for an astronomically large grid.
@@ -35,6 +37,10 @@ FORBIDDEN_SPACING_MARGIN = 16
 SEARCH_CHUNK = 256
 
 GUARD_SECTIONS = 16  # guard-band bracket sections per batched round
+# The guard band of each realization, sectioned on its first forbidden query.
+# Keyed by the object itself (Realization equality is identity), so a
+# replaced copy or a realization built from the same matrices has its own.
+_GUARD_BANDS = weakref.WeakKeyDictionary()
 
 COARSE = 4  # the coarse search pass takes every COARSE-th grid point of each instant
 KEEP = 8  # coarse rows kept, around which the fine pass searches
@@ -154,8 +160,10 @@ def forbidden_instants_order2(system: Realization, t0: float, window) -> Forbidd
     exactly when ``b * (t1 - t0)`` is an integer multiple of pi, b being the
     imaginary part of the eigenvalue pair.  Damping (the real part) only
     stretches the mode-space vectors and never changes this set.  Only the
-    mode set is needed, so minimality is not checked; the guard band is
-    sectioned against the singularity tolerance on the separation alone.  A
+    mode set is needed, so minimality is not checked.  The guard band is
+    sectioned against the singularity tolerance on the separation alone, so
+    it is computed once per realization, on its first query, and every
+    later query reads it back.  A
     non-finite t0 or window bound raises InfeasibleError, as does a window
     too far from t0 to count, holding more than MAX_FORBIDDEN_INSTANTS of
     them, or holding any so far from zero that the period is not above
@@ -194,7 +202,9 @@ def forbidden_instants_order2(system: Realization, t0: float, window) -> Forbidd
     points = t0 + (k_first + np.arange(count + 1)) * period
     points = points[(points >= lo - slack) & (points <= hi + slack)]
 
-    guard = _guard_band(modes, period, system.tolerances.singularity)
+    guard = _GUARD_BANDS.get(system)
+    if guard is None:
+        guard = _GUARD_BANDS[system] = _guard_band(modes, period, system.tolerances.singularity)
     return ForbiddenSet(float(t0), period, tuple(points.tolist()), guard)
 
 
@@ -228,8 +238,10 @@ def validate_uniform(system: Realization, interval: float, horizon: int = 10) ->
     reports the first one whose sigma ratio is at or below the singularity
     tolerance, which for an oscillatory order-2 system flags the smallest
     multiple of T hitting a forbidden separation.  The j = 1 ratio is the
-    report's own; larger multiples are probed one at a time, up to the first
-    failing one.  ``horizon`` must be an integer in 1..MAX_UNIFORM_HORIZON.
+    report's own; larger multiples are evaluated in stacked blocks (see
+    ``_first_failing_multiple``), with the first failing multiple and every
+    error those of a scan one multiple at a time.  ``horizon`` must be an
+    integer in 1..MAX_UNIFORM_HORIZON.
     """
     interval = _finite("interval", interval)
     if interval <= 0.0:
@@ -240,18 +252,12 @@ def validate_uniform(system: Realization, interval: float, horizon: int = 10) ->
         raise InfeasibleError("horizon must be at least 1")
     if horizon > MAX_UNIFORM_HORIZON:
         raise InfeasibleError(f"horizon {horizon} is above the limit {MAX_UNIFORM_HORIZON}")
-    n = system.n
-    report = joint_verdict(system, _uniform_schedule(interval, n))
-    first_failing = None
-    # Sequential on purpose: a multiple past the first failing one may
-    # overflow the mode matrix, so it is never evaluated.
-    for j in range(1, horizon + 1):
-        ratio = report.sigma_ratio
-        if j > 1:
-            ratio = schedule_conditioning(system.modes, _uniform_schedule(j * interval, n))
-        if ratio <= system.tolerances.singularity:
-            first_failing = j
-            break
+    report = joint_verdict(system, _uniform_schedule(interval, system.n))
+    tol = system.tolerances.singularity
+    if report.sigma_ratio <= tol:
+        first_failing = 1
+    else:
+        first_failing = _first_failing_multiple(system.modes, interval, int(horizon), tol)
     return UniformValidation(
         interval=interval,
         report=report,
@@ -259,6 +265,42 @@ def validate_uniform(system: Realization, interval: float, horizon: int = 10) ->
         first_failing_multiple=first_failing,
         first_failing_interval=None if first_failing is None else first_failing * interval,
     )
+
+
+def _first_failing_multiple(modes: ModeSet, interval: float, horizon: int, tol: float):
+    """The first j in 2..horizon whose uniform schedule at j*interval has a
+    sigma ratio at or below ``tol``, or None.
+
+    Blocks of 16, 32, ... multiples, each at most SEARCH_CHUNK, go through one
+    stacked ``schedule_conditioning`` call each, on the rows
+    ``arange(n) * (j * interval)``: the floats of ``_uniform_schedule``.  A
+    block with a non-finite instant, or whose call raises, is rescanned one
+    multiple at a time up to its first failing one: a multiple past that
+    may overflow the mode matrix, so only this scan says which error, if
+    any, the sequential scan meets first.
+    """
+    n = modes.n
+    start, size = 2, min(16, SEARCH_CHUNK)
+    while start <= horizon:
+        multiples = np.arange(start, min(start + size, horizon + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.arange(n) * (multiples[:, None] * interval)
+        ratios = None
+        if np.isfinite(rows).all():
+            try:
+                ratios = schedule_conditioning(modes, rows)
+            except (NumericRangeError, np.linalg.LinAlgError):
+                pass  # the rescan below meets the sequential scan's error
+        if ratios is None:
+            for j in multiples.tolist():
+                if schedule_conditioning(modes, _uniform_schedule(j * interval, n)) <= tol:
+                    return j
+        else:
+            failing = np.flatnonzero(ratios <= tol)
+            if failing.size:
+                return int(multiples[failing[0]])
+        start, size = start + size, min(2 * size, SEARCH_CHUNK)
+    return None
 
 
 def _uniform_schedule(interval: float, n: int) -> SamplingSchedule:
@@ -338,12 +380,15 @@ def _crowded(spec: ScheduleSearchSpec) -> InfeasibleError:
 def _meet_spec(instants: list, spec: ScheduleSearchSpec) -> list:
     """The instants moved until they meet the spec as computed in floats.
 
-    The later instant of a gap below min_spacing rises, the last instant is
-    clamped to the window end, and walking back the earlier instant of a gap
-    still short falls; a first instant pushed below the window start raises
-    InfeasibleError.  A move goes to the instant min_spacing from its
-    neighbour, or else a float step of the instant or of min_spacing,
-    whichever is coarser, so that each move changes the computed gap.
+    The later instant of a gap below min_spacing rises, to the instant
+    min_spacing from its neighbour or else a float step of the instant or of
+    min_spacing, whichever is coarser, so that each move changes the
+    computed gap.  Then the last instant is clamped to the window end, and
+    walking back the earlier instant of a gap still short falls to the
+    latest float that clears it.  A walk that moves the first instant is the
+    greedy one from the window end, which bounds every schedule ending in
+    the window from above, so a first instant pushed below the window start,
+    which raises InfeasibleError, proves that no schedule meets the spec.
     """
     lo, hi = spec.window
     spacing = spec.min_spacing
@@ -355,12 +400,60 @@ def _meet_spec(instants: list, spec: ScheduleSearchSpec) -> list:
             instants[i] = max(up, instants[i] + step, instants[i - 1] + spacing)
     instants[-1] = min(instants[-1], hi)
     for i in range(len(instants) - 1, 0, -1):
-        while instants[i] - instants[i - 1] < spacing:
-            down = math.nextafter(instants[i - 1], -math.inf)
-            instants[i - 1] = min(down, instants[i - 1] - step, instants[i] - spacing)
+        if instants[i] - instants[i - 1] < spacing:
+            instants[i - 1] = _latest_clearing(instants[i], spacing)
     if instants[0] < lo:
         raise _crowded(spec)
     return instants
+
+
+def _float_key(x: float) -> int:
+    """An integer that orders the floats as their values do, one per float
+    (-0.0 and 0.0 share 0)."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _key_float(key: int) -> float:
+    value = struct.unpack("<d", struct.pack("<q", abs(key)))[0]
+    return value if key >= 0 else -value
+
+
+_KEY_MIN, _KEY_MAX = _float_key(-math.inf), _float_key(math.inf)
+
+
+def _latest_clearing(later: float, spacing: float) -> float:
+    """The latest float x with ``later - x >= spacing``.
+
+    The computed gap never grows with x, so the floats that clear it come
+    first in the float order, from -inf on.  In the keys of ``_float_key``,
+    a bracket grows away from ``later - spacing`` by doubling strides until
+    the test changes, and bisection closes it: a few gap evaluations when
+    the answer lies near that guess, about 130 at most.
+    """
+
+    def clears(key: int) -> bool:
+        return later - _key_float(key) >= spacing
+
+    low = high = _float_key(later - spacing)
+    stride = 1
+    if clears(low):
+        high = min(low + 1, _KEY_MAX)
+        while clears(high):
+            low, stride = high, 2 * stride
+            high = min(low + stride, _KEY_MAX)
+    else:
+        low = max(high - 1, _KEY_MIN)
+        while not clears(low):
+            high, stride = low, 2 * stride
+            low = max(high - stride, _KEY_MIN)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if clears(middle):
+            low = middle
+        else:
+            high = middle
+    return _key_float(low)
 
 
 def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):

@@ -11,13 +11,18 @@ from nusamp import (
     AnalysisError,
     DimensionError,
     NumericRangeError,
+    Realization,
+    SamplingSchedule,
     ToleranceError,
     Tolerances,
     eig_clustered,
     expm,
     in_range,
+    joint_verdict,
     numeric_rank,
 )
+from nusamp import numerics
+from nusamp.numerics import column_normalized_sigma_ratio
 
 RNG = np.random.default_rng(20240811)
 
@@ -379,6 +384,55 @@ class TestInRange:
         check = in_range(np.zeros((2, 2)), [3.0, 4.0])
         assert not check.contained
         assert check.residual == pytest.approx(5.0)
+
+
+class TestColumnNormalization:
+    """Columns whose squared norm leaves the normal floats are normalized
+    too, with no warning, and every other column keeps its bits."""
+
+    @pytest.mark.parametrize(
+        "system, t",
+        [
+            # e^400 ~ 5e173: its square overflows, and the column became zero.
+            (Realization(np.diag([1.0, -1.0]), [1.0, 1.0], [1.0, 1.0]), 400.0),
+            (Realization(np.diag([1.0, -1.0]), [1.0, 1.0], [1.0, 1.0]), 350.0),
+            # e^-400 ~ 2e-174: its square underflows to 0, and the column
+            # was left unscaled; e^-360 squares to a subnormal.
+            (Realization([[-400.0, 1.0], [0.0, -400.0]], [0.0, 1.0], [1.0, 0.0]), 1.0),
+            (Realization([[-400.0, 1.0], [0.0, -400.0]], [0.0, 1.0], [1.0, 0.0]), 0.9),
+        ],
+    )
+    def test_extreme_columns_give_the_identity(self, system, t):
+        # Both normalized mode matrices are the identity up to 1e-156.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = joint_verdict(system, SamplingSchedule((0.0, t)))
+        assert report.sigma_ratio == pytest.approx(1.0, rel=1e-12)
+        assert report.reachable
+
+    @pytest.mark.parametrize("extreme", [1e200, 1e-170, 1e-160, 1e308])
+    def test_other_columns_keep_their_bits(self, extreme):
+        normal = RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3))
+        odd = normal.copy()
+        odd[:, 1] *= extreme
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = numerics._unit_columns(odd)
+        plain = numerics._unit_columns(normal)
+        assert np.array_equal(scaled[:, [0, 2]], plain[:, [0, 2]])
+        assert np.allclose(scaled[:, 1], plain[:, 1], rtol=1e-14, atol=0.0)
+        assert column_normalized_sigma_ratio(odd) == pytest.approx(
+            column_normalized_sigma_ratio(normal), rel=1e-12
+        )
+
+    def test_zero_and_stacked_columns(self):
+        stack = np.zeros((2, 2, 2))
+        stack[0] = [[1.0, 0.0], [1e-200, 0.0]]
+        stack[1] = np.eye(2)
+        assert np.array_equal(
+            numerics._unit_columns(stack), [[[1.0, 0.0], [1e-200, 0.0]], np.eye(2)]
+        )
+        assert column_normalized_sigma_ratio(stack).tolist() == [0.0, 1.0]
 
 
 class TestTolerances:

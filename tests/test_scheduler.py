@@ -147,6 +147,38 @@ def lattice_instants(lo, spacing, rows):
     return lo + np.asarray(rows) * (spacing / 256.0)
 
 
+def latest_clearing(later, spacing):
+    """The latest float x with ``later - x >= spacing``, by plain bisection
+    over the bit patterns of all floats from -inf up to ``later``."""
+
+    def key(x):
+        bits = int(np.float64(x).view(np.int64))
+        return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+    def value(k):
+        x = float(np.int64(abs(k)).view(np.float64))
+        return x if k >= 0 else -x
+
+    low, high = key(-math.inf), key(later)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if later - value(middle) >= spacing:
+            low = middle
+        else:
+            high = middle
+    return value(low)
+
+
+def greedy_from_end(hi, count, spacing):
+    """The latest schedule of ``count`` instants ending at hi with no
+    computed gap below spacing: each instant the latest float that clears
+    the next one."""
+    t = [hi]
+    for _ in range(count - 1):
+        t.insert(0, latest_clearing(t[0], spacing))
+    return t
+
+
 def meet_spec(instants, lo, hi, spacing):
     """The instants moved as the search's final check moves them, or None
     when the first one falls below lo."""
@@ -157,9 +189,8 @@ def meet_spec(instants, lo, hi, spacing):
                        t[i - 1] + spacing)
     t[-1] = min(t[-1], hi)
     for i in reversed(range(1, len(t))):
-        while t[i] - t[i - 1] < spacing:
-            t[i - 1] = min(math.nextafter(t[i - 1], -math.inf), t[i - 1] - math.ulp(spacing),
-                           t[i] - spacing)
+        if t[i] - t[i - 1] < spacing:
+            t[i - 1] = latest_clearing(t[i], spacing)
     return t if t[0] >= lo else None
 
 
@@ -368,12 +399,39 @@ class TestForbiddenInstants:
 
     @pytest.mark.parametrize("system", [oscillator(0.0, 1.0), oscillator(-0.3, 1.0)])
     def test_guard_band_depends_on_the_separation_only(self, system):
+        # Each query runs on a copy of its own, so each sections its band.
         bands = {
-            forbidden_instants_order2(system, t0, (0.0, 1.0)).guard_band
+            forbidden_instants_order2(replace(system), t0, (0.0, 1.0)).guard_band
             for t0 in (0.0, 0.25, 7.3, 1e15, 1e300)
         }
         assert len(bands) == 1
         assert 0.0 < bands.pop() < 1e-8
+
+    def test_guard_band_is_sectioned_once_per_realization(self, monkeypatch):
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        system = oscillator(-0.3, 1.0)
+        first = forbidden_instants_order2(system, 0.0, (0.0, 10.0))
+        assert calls["schedule_conditioning"] >= 1
+        calls.clear()
+        second = forbidden_instants_order2(system, 5.5, (-3.0, 40.0))
+        assert not calls
+        assert second.guard_band == first.guard_band
+        assert second.forbidden != first.forbidden
+
+    def test_other_realizations_section_their_own_guard_band(self, monkeypatch):
+        system = oscillator(0.0, 1.0)
+        band = forbidden_instants_order2(system, 0.0, (0.0, 1.0)).guard_band
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        # A replaced tolerance moves the band; equal matrices give it again.
+        loose = replace(system, tolerances=Tolerances(singularity=1e-3))
+        same = Realization(system.A, system.b, system.c)
+        bands = [forbidden_instants_order2(other, 0.0, (0.0, 1.0)).guard_band for other in (loose, same)]
+        assert calls["schedule_conditioning"] >= 2
+        assert bands[0] > band and bands[1] == band
+        calls.clear()
+        for other in (loose, same, system):
+            forbidden_instants_order2(other, 0.0, (0.0, 1.0))
+        assert not calls
 
     def test_sectioning_stops_when_the_bracket_closes(self, rotation_system, monkeypatch):
         # Just below the quarter-period ratio the guard band is the whole
@@ -497,6 +555,139 @@ class TestValidateUniform:
         result = validate_uniform(system, 1.0)
         assert not result.passes
         assert result.first_failing_multiple == 1
+
+
+def sequential_uniform(system, interval, horizon):
+    """validate_uniform's report and first failing multiple by the scan one
+    multiple at a time, or the error that scan raises first."""
+    n, tol = system.n, system.tolerances.singularity
+
+    def uniform(step):
+        return SamplingSchedule(tuple(i * step for i in range(n)))
+
+    try:
+        report = joint_verdict(system, uniform(interval))
+        for j in range(1, horizon + 1):
+            ratio = report.sigma_ratio
+            if j > 1:
+                ratio = schedule_conditioning(system.modes, uniform(j * interval))
+            if ratio <= tol:
+                return report, j
+        return report, None
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def uniform_scan_cases():
+    """Seeded realizations of orders 1-12, stable and unstable, at intervals
+    from fine to huge, with horizons on and around the stacked blocks'
+    boundaries (2 + 16 + 32 + ... multiples)."""
+    rng = np.random.default_rng(1717)
+    horizons = (1, 2, 17, 18, 49, 50, 113, 241, 497, 600)
+    cases = []
+    for i in range(48):
+        n = 1 + i % 12
+        system = random_minimal_system(rng, n)
+        if i % 3 == 1:
+            system = Realization(-system.A, system.b, system.c)
+        interval = float(10.0 ** rng.uniform(-3.0, 0.5)) if i % 8 else float(10.0 ** rng.uniform(300, 306))
+        cases.append(pytest.param(system, interval, horizons[i % len(horizons)], id=f"o{n}-{i}"))
+    # Oscillators pass long scans; 1e307 overflows the instants at j = 18.
+    for a, b, interval in [(0.0, 1.0, 1.0), (-0.01, 2.0, 0.37), (0.05, 0.7, 1.0),
+                           (80.0, 1.0, 0.37), (0.0, 1.0, 1e307)]:
+        cases.append(pytest.param(oscillator(a, b), interval, 600, id=f"osc-{a}-{b}-{interval:g}"))
+    cases.append(pytest.param(GROWING_PAIR, GROWING_PAIR_INTERVAL, 600, id="growing-pair"))
+    cases.append(pytest.param(SADDLE, 10.0, 600, id="saddle"))
+    return cases
+
+
+# Modes 1 and -1: the normalized mode matrix stays near the identity while
+# its entries grow, until e^(j*10) overflows at j = 71.
+SADDLE = Realization(np.diag([1.0, -1.0]), [1.0, 1.0], [1.0, 1.0])
+# Modes 10 and +-j at T = 11*pi/100: the multiple 100 is a forbidden
+# separation, and from 103 on e^(10 * 2jT) overflows the mode matrix.
+GROWING_PAIR = Realization(
+    [[10.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]
+)
+GROWING_PAIR_INTERVAL = 11 * math.pi / 100
+
+
+class TestStackedUniformScan:
+    """The stacked scan gives the sequential scan's result and errors."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10**6])
+    @pytest.mark.parametrize("system, interval, horizon", uniform_scan_cases())
+    def test_matches_the_sequential_scan(self, monkeypatch, chunk, system, interval, horizon):
+        monkeypatch.setattr(scheduler, "SEARCH_CHUNK", chunk)
+        expected = sequential_uniform(system, interval, horizon)
+        try:
+            result = validate_uniform(system, interval, horizon)
+        except Exception as exc:
+            assert (type(exc), str(exc)) == expected
+            return
+        assert (result.report, result.first_failing_multiple) == expected
+        assert result.passes == result.report.reachable
+
+    def test_cases_reach_every_outcome(self):
+        outcomes = set()
+        for case in uniform_scan_cases():
+            system, interval, horizon = case.values
+            expected = sequential_uniform(system, interval, horizon)
+            if isinstance(expected[0], type):
+                outcomes.add(expected[0].__name__)
+            elif expected[1] is None:
+                outcomes.add("passes")
+            else:
+                outcomes.add("first" if expected[1] == 1 else "late" if expected[1] > 17 else "early")
+        assert outcomes == {"passes", "first", "early", "late", "DimensionError", "NumericRangeError"}
+
+    def test_a_block_that_raises_is_rescanned(self, monkeypatch):
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        # Blocks 2-17 and 18-49 pass; block 50-113 overflows past the
+        # failing 100, so 50..100 are rescanned one at a time.
+        result = validate_uniform(GROWING_PAIR, GROWING_PAIR_INTERVAL, horizon=600)
+        assert result.first_failing_multiple == 100
+        assert calls["schedule_conditioning"] == 3 + 51
+        # Nothing fails before the overflow: the scan raises its error.
+        with pytest.raises(NumericRangeError, match="mode matrix overflowed"):
+            validate_uniform(SADDLE, 10.0, horizon=600)
+        assert validate_uniform(SADDLE, 10.0, horizon=70).first_failing_multiple is None
+
+    def test_long_horizon_takes_few_calls(self, rotation_system, monkeypatch):
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        result = validate_uniform(rotation_system, 1.0, horizon=scheduler.MAX_UNIFORM_HORIZON)
+        assert result.first_failing_multiple is None
+        # 16, 32, ..., 256 multiples per call: 43 calls for 9,999 multiples.
+        assert calls["schedule_conditioning"] == 43
+
+    def test_default_horizon_takes_one_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_conditioning")])
+        validate_uniform(oscillator(-0.1, 1.0), 0.3)
+        assert calls["schedule_conditioning"] == 1
+
+
+class TestUniformMeetsForbidden:
+    """Order-2 oscillators sampled at T = (p/q) * period, period = pi / b
+    from forbidden_instants_order2: the multiple j*T is a forbidden
+    separation exactly when q / gcd(p, q) divides j."""
+
+    def test_first_failing_multiple_is_the_reduced_denominator(self):
+        rng = np.random.default_rng(1718)
+        checked = 0
+        for i in range(120):
+            a = (0.0, -0.02, -0.1)[i % 3]
+            system = oscillator(a, float(rng.uniform(1.0, 3.0)))
+            period = forbidden_instants_order2(system, 0.0, (0.0, 1.0)).period
+            q = int(rng.integers(1, 13))
+            p = int(rng.integers(1, 2 * q + 1))
+            result = validate_uniform(system, p / q * period, horizon=10)
+            expected = q // math.gcd(p, q)
+            if expected <= 10:
+                assert result.first_failing_multiple == expected, (a, p, q)
+                checked += 1
+            elif a == 0.0:
+                assert result.first_failing_multiple is None, (p, q)
+        assert checked >= 60
 
 
 class TestSuggestSchedule:
@@ -772,11 +963,25 @@ class TestSearchContract:
                 result = suggest_schedule(system, spec)
             except InfeasibleError as exc:
                 assert f"in the window {spec.window!r}" in str(exc)
+                # Refused only when no schedule ends in the window: the
+                # latest one ending at hi starts below lo.
+                lo, hi = spec.window
+                assert greedy_from_end(hi, spec.count, spec.min_spacing)[0] < lo, spec
                 outcomes.add("refused")
                 continue
             assert_meets_spec(system, spec, result)
             outcomes.add("met")
         assert outcomes == {"met", "refused"}
+
+    def test_walk_back_takes_the_latest_clearing_float(self):
+        rng = np.random.default_rng(1719)
+        for _ in range(400):
+            spacing = float(10.0 ** rng.uniform(-3.0, 3.0))
+            base = float(rng.choice([0.0, -3.7, 1e3, 1e12, -1e15]))
+            later = base + float(rng.uniform(-2.0, 2.0)) * spacing
+            latest = scheduler._latest_clearing(later, spacing)
+            assert latest == latest_clearing(later, spacing), (later, spacing)
+            assert later - latest >= spacing > later - math.nextafter(latest, math.inf)
 
     @pytest.mark.parametrize(
         "window, instants, moved",
@@ -784,11 +989,15 @@ class TestSearchContract:
             ((0.0, 1.0), [0.1, 0.4], [0.1, 0.4]),
             # 0.7 - 0.4 is 0.29999999999999993: the later instant rises
             ((0.0, 1.0), [0.4, 0.7], [0.4, 0.7000000000000001]),
-            # ... unless that leaves the window: the earlier ones fall instead
-            ((0.0, 0.7), [0.1, 0.4, 0.7], [0.09999999999999995, 0.39999999999999997, 0.7]),
+            # ... unless that leaves the window: the earlier ones fall instead,
+            # each to the latest float that clears its gap
+            ((0.0, 0.7), [0.1, 0.4, 0.7], [0.09999999999999999, 0.39999999999999997, 0.7]),
             ((0.1, 0.7), [0.1, 0.4, 0.7], None),
             # a float step of -5e-17 is ~1e-32: the move is one of 0.3's
             ((-1.0, 1.0), [-0.3, -5e-17], [-0.3, 5.511151231257828e-18]),
+            # near zero the latest float clearing 0.3 lies ~1e16 float steps
+            # of its own below 5e-17: found by bisection, not stepped to
+            ((-1.0, 0.3), [5e-17, 0.4], [2.775557561562891e-17, 0.3]),
         ],
     )
     def test_final_check_moves(self, window, instants, moved):
