@@ -43,7 +43,8 @@ from .experiments import (
 )
 from .numerics import Tolerances
 from .oracle import controllable_direct, cross_validate
-from .scheduler import MAX_SCHEDULE_INSTANTS, MAX_UNIFORM_HORIZON, ScheduleSearchSpec
+from .scheduler import DEFAULT_UNIFORM_HORIZON, MAX_SCHEDULE_INSTANTS, MAX_UNIFORM_HORIZON
+from .scheduler import ScheduleSearchSpec
 from .scheduler import forbidden_instants_order2, suggest_schedule, validate_uniform
 from .system_model import Realization
 
@@ -75,12 +76,10 @@ def _field_floats(raw, name: str, expected: int) -> list:
         )
     values = []
     for k, item in enumerate(raw):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SystemDocumentError(f"field {name}: entry {k} is not a number")
-        try:
-            values.append(float(item))
-        except OverflowError:  # an integer beyond the float range
-            values.append(np.inf)
+        error = SystemDocumentError(f"field {name}: entry {k} is not a number")
+        values.append(numerics.as_real(item, error))
+        if not isinstance(values[-1], float):
+            raise error
     if not all(np.isfinite(values)):
         raise SystemDocumentError(f"field {name}: entries must be finite")
     return values
@@ -427,8 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "uniform", _cmd_uniform, "validate a uniform sampling interval")
     p.add_argument("--interval", type=float, required=True, help="sampling interval T")
-    p.add_argument("--horizon", type=int, default=10,
-                   help=f"largest multiple of T to scan (at most {MAX_UNIFORM_HORIZON})")
+    p.add_argument("--horizon", type=int, default=DEFAULT_UNIFORM_HORIZON,
+                   help=f"largest multiple of T to scan (default {DEFAULT_UNIFORM_HORIZON}, "
+                   f"at most {MAX_UNIFORM_HORIZON})")
 
     return parser
 

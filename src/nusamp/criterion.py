@@ -26,7 +26,7 @@ verdict and its residual attached to the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -37,18 +37,19 @@ from .system_model import ModalDecomposition, ModeSet, Realization
 
 @dataclass(frozen=True)
 class SamplingSchedule:
-    """Strictly increasing sampling instants, in seconds."""
+    """Strictly increasing finite instants in seconds, a tuple of floats."""
 
     instants: tuple
 
     def __post_init__(self):
-        try:
-            instants = tuple(float(t) for t in self.instants)
-        except (TypeError, ValueError) as exc:
-            raise DimensionError(f"schedule instants must be real numbers: {exc}") from exc
+        error = DimensionError("schedule instants must be a sequence of real numbers")
+        instants = numerics.as_real(self.instants, error)
+        if isinstance(instants, float) or instants.ndim != 1:
+            raise error
+        instants = tuple(instants.tolist())
         if len(instants) < 1:
             raise DimensionError("a schedule needs at least one instant")
-        if not all(np.isfinite(instants)):
+        if not all(map(isfinite, instants)):
             raise DimensionError("schedule instants must be finite")
         if any(b <= a for a, b in zip(instants, instants[1:])):
             raise DimensionError("schedule instants must be strictly increasing")
@@ -58,8 +59,12 @@ class SamplingSchedule:
         return len(self.instants)
 
     def shifted(self, delta: float) -> "SamplingSchedule":
-        """The same schedule translated by delta."""
-        return SamplingSchedule(tuple(t + delta for t in self.instants))
+        """The same schedule translated by delta, a finite real number."""
+        error = DimensionError(f"shift delta must be a finite real number, got {delta!r}")
+        shift = numerics.as_real(delta, error)
+        if not (isinstance(shift, float) and isfinite(shift)):
+            raise error
+        return SamplingSchedule(tuple(t + shift for t in self.instants))
 
 
 @dataclass(frozen=True)

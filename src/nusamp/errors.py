@@ -2,7 +2,8 @@
 
 
 class AnalysisError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; the message names
+    the argument, field, tolerance or rank test at fault."""
 
 
 class DimensionError(AnalysisError):
@@ -18,10 +19,7 @@ class NumericRangeError(AnalysisError):
 
 
 class ToleranceError(AnalysisError):
-    """A tolerance is not a positive finite number.
-
-    The message names the offending tolerance.
-    """
+    """A tolerance is not a positive finite number."""
 
 
 class ConvergenceError(AnalysisError):
@@ -29,10 +27,7 @@ class ConvergenceError(AnalysisError):
 
 
 class MinimalityError(AnalysisError):
-    """The realization is not minimal.
-
-    The message names which continuous-time rank test failed.
-    """
+    """The realization is not minimal in continuous time."""
 
 
 class InsufficientScheduleError(AnalysisError):
@@ -59,7 +54,4 @@ class InfeasibleError(AnalysisError):
 
 
 class SystemDocumentError(AnalysisError):
-    """A system-definition document failed validation.
-
-    The message names the offending field.
-    """
+    """A system-definition document failed validation."""

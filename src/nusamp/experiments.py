@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict
-from .errors import InsufficientScheduleError, SingularScheduleError
+from .errors import DimensionError, InsufficientScheduleError, SingularScheduleError
 from .system_model import Realization, _state_vector
 
 
@@ -125,9 +125,9 @@ def deadbeat_inputs(
     The schedule carries the n input instants; ``t_final`` is the evaluation
     instant after them (default: ``default_final_time(schedule)``).  A
     schedule failing the joint criterion raises SingularScheduleError with
-    the report attached; non-finite states raise DimensionError, and a
-    ``t_final`` that is not finite or not beyond the last input instant
-    raises ValueError.
+    the report attached.  Non-finite states, and a ``t_final`` that is not
+    a finite real number beyond the last input instant, raise
+    DimensionError.
     """
     n = realization.n
     t = schedule.instants
@@ -138,15 +138,19 @@ def deadbeat_inputs(
     _require_regular(realization, schedule, "deadbeat inputs do not exist")
     if t_final is None:
         t_final = default_final_time(schedule)
-    if not np.isfinite(t_final):
-        raise ValueError(f"t_final must be finite, got {t_final}")
-    if t_final <= t[-1]:
-        raise ValueError("t_final must lie beyond the last input instant")
+    error = DimensionError(f"t_final must be a real number, got {t_final!r}")
+    final = numerics.as_real(t_final, error)
+    if not isinstance(final, float):
+        raise error
+    if not np.isfinite(final):
+        raise DimensionError(f"t_final must be finite, got {final}")
+    if final <= t[-1]:
+        raise DimensionError("t_final must lie beyond the last input instant")
 
     x0 = _state_vector(x0, n, "x0")
     x_target = _state_vector(x_target, n, "x_target")
     # One exponential per input instant; the first also carries x0.
-    steps = numerics.expm(realization.A, [t_final - ti for ti in t])
+    steps = numerics.expm(realization.A, [final - ti for ti in t])
     rhs = x_target - steps[0] @ x0
     return np.linalg.solve((steps @ realization.b).T, rhs)
 

@@ -44,22 +44,49 @@ class Tolerances:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            number = math.nan
-            if isinstance(value, numbers.Real) and not isinstance(value, bool):
-                try:
-                    number = float(value)
-                except OverflowError:  # an integer beyond the float range
-                    number = math.inf
-            if not (math.isfinite(number) and number > 0.0):
-                raise ToleranceError(
-                    f"tolerance {field.name} must be a positive finite number, got {value!r}"
-                )
+            error = ToleranceError(
+                f"tolerance {field.name} must be a positive finite number, got {value!r}"
+            )
+            number = as_real(value, error)
+            if not (isinstance(number, float) and math.isfinite(number) and number > 0.0):
+                raise error
             object.__setattr__(self, field.name, number)
 
 
 # Entry magnitudes beyond this are treated as overflow even when still finite.
 OVERFLOW_LIMIT = 1e300
-_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the finite normal floats
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)  # the finite normal floats
+
+
+def as_real(values, error):
+    """``values`` as floats: a number gives a float, an array or a nested
+    sequence of numbers a new float ndarray.  The one rule for real inputs:
+    each entry must be a ``numbers.Real`` that is not a bool, else the
+    exception ``error`` is raised; an integer beyond the float range becomes
+    +-inf.  Finiteness, shape and sign are left to the caller."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float)
+    try:
+        entries = np.array(values, dtype=object)
+    except ValueError:  # a ragged sequence
+        raise error from None
+    kinds = set(map(type, entries.ravel().tolist()))
+    if not all(t in (float, int) or issubclass(t, numbers.Real) and t is not bool for t in kinds):
+        raise error
+    try:
+        floats = entries.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        with np.errstate(over="ignore"):  # a float32 sees _HUGE as inf: same order
+            big = [math.inf if x > _HUGE else -math.inf if x < -_HUGE else x for x in entries.flat]
+        floats = np.array(big).reshape(entries.shape)
+    return floats if floats.ndim else float(floats)
+
+
+def as_integer(value, error) -> int:
+    """``value`` as an int if it is a ``numbers.Integral`` but no bool, else raise ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error
+    return int(value)
 
 
 class RankResult(NamedTuple):
@@ -108,13 +135,13 @@ def expm(matrix, t=1.0) -> np.ndarray:
     diagonal matrix is exponentiated entry by entry.  No eigendecomposition
     is involved, so this path and the modal one can cross-check each other.
 
-    Raises NumericRangeError for a non-finite time, a scaled norm that
-    overflows, or a result beyond OVERFLOW_LIMIT.
+    Raises NumericRangeError for a time that is not a finite real, a scaled
+    norm that overflows, or a result beyond OVERFLOW_LIMIT.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expm needs a square matrix, got shape {m.shape}")
-    times = np.asarray(t, dtype=float)
+    times = np.asarray(as_real(t, NumericRangeError("expm needs real times")))
     if times.ndim > 1:
         raise DimensionError(f"expm takes a scalar or a 1-D array of times, got shape {times.shape}")
     ts = times.reshape(-1)
@@ -222,7 +249,8 @@ def numeric_rank(matrix, rank_tol: float = Tolerances.rank) -> RankResult:
 
 
 def _unit_columns(m: np.ndarray) -> np.ndarray:
-    """``m`` with its nonzero columns (axis -2) scaled to unit np.linalg.norm, computed inline.
+    """``m`` with its nonzero columns (axis -2) scaled to unit 2-norm, the
+    norms computed inline rather than by ``np.linalg.norm``.
 
     A column whose sum of squares is not a finite normal number (entries
     past ~1e154, or so small that the squares underflow) is first divided by

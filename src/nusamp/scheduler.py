@@ -10,21 +10,23 @@ the best-conditioned mode matrix.
 from __future__ import annotations
 
 import math
-import numbers
-import struct
+import sys
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict, schedule_conditioning
-from .errors import InfeasibleError, NotApplicableError, NumericRangeError, UnsupportedOrderError
+from .errors import DimensionError, InfeasibleError, NotApplicableError, NumericRangeError
+from .errors import UnsupportedOrderError
 from .system_model import ModeSet, Realization, require_minimal
 
 # Guard so a careless search spec cannot ask for an astronomically large grid.
 MAX_GRID_CANDIDATES = 2_000_000
 MAX_FORBIDDEN_INSTANTS = 100_000  # the same guard for one forbidden-instant window
 MAX_UNIFORM_HORIZON = 10_000  # and for the multiples one uniform validation scans
+DEFAULT_UNIFORM_HORIZON = 10  # the multiples it scans when not told
 MAX_SCHEDULE_INSTANTS = 100_000  # and for the instants one schedule search returns
 # A forbidden-instant period must span more than this many float spacings at
 # the query's largest magnitude; below it t0 + k*period rounds to repeated or
@@ -49,25 +51,26 @@ BOX = 4  # half-width of the fine pass's box, in grid steps on every instant
 
 def _finite(name: str, value, pair: bool = False):
     """``value`` as a finite float, or with ``pair`` as a tuple (lo, hi) of
-    two; anything else, a bool included, raises InfeasibleError naming
-    ``name``."""
+    two; anything else (see ``numerics.as_real``) raises InfeasibleError
+    naming ``name``."""
 
-    def real(item) -> float:
-        if isinstance(item, numbers.Real) and not isinstance(item, bool):
-            try:
-                return float(item)
-            except OverflowError:  # an integer beyond the float range
-                pass
-        return math.nan
+    shape = ": a pair (lo, hi)" if pair else ""
+    error = InfeasibleError(f"{name} must be finite and real{shape}, got {value!r}")
+    number = numerics.as_real(value, error)
+    shaped = np.shape(number) == (2,) if pair else isinstance(number, float)
+    if not (shaped and np.isfinite(number).all()):
+        raise error
+    return tuple(number.tolist()) if pair else number
 
-    try:
-        items = tuple(map(real, value if pair else (value,)))
-    except TypeError:  # a pair that is not iterable
-        items = ()
-    if len(items) != (2 if pair else 1) or not all(map(math.isfinite, items)):
-        shape = ": a pair (lo, hi)" if pair else ""
-        raise InfeasibleError(f"{name} must be finite and real{shape}, got {value!r}")
-    return items if pair else items[0]
+
+def _count(name: str, value, limit: int) -> int:
+    """``value`` as an int in 1..limit, or InfeasibleError naming ``name``."""
+    count = numerics.as_integer(value, InfeasibleError(f"{name} must be an integer, got {value!r}"))
+    if count < 1:
+        raise InfeasibleError(f"{name} must be at least 1")
+    if count > limit:
+        raise InfeasibleError(f"{name} {count} is above the limit {limit}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -105,21 +108,17 @@ class ScheduleSearchSpec:
             raise InfeasibleError(f"window {self.window!r} is not a proper interval")
         if not math.isfinite(hi - lo):
             raise InfeasibleError(f"window {self.window!r} is too wide: its length overflows")
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
-            raise InfeasibleError(f"count must be an integer, got {self.count!r}")
-        if self.count < 1:
-            raise InfeasibleError("count must be at least 1")
-        if self.count > MAX_SCHEDULE_INSTANTS:
-            raise InfeasibleError(f"count {self.count} is above the limit {MAX_SCHEDULE_INSTANTS}")
+        count = _count("count", self.count, MAX_SCHEDULE_INSTANTS)
         spacing = _finite("min_spacing", self.min_spacing)
         if spacing <= 0.0:
             raise InfeasibleError(f"min_spacing must be positive, got {self.min_spacing!r}")
-        if hi - lo < (self.count - 1) * spacing:
+        if hi - lo < (count - 1) * spacing:
             raise InfeasibleError(
-                f"window of length {hi - lo:g} cannot hold {self.count} instants "
+                f"window of length {hi - lo:g} cannot hold {count} instants "
                 f"spaced at least {spacing:g}"
             )
         object.__setattr__(self, "window", (lo, hi))
+        object.__setattr__(self, "count", count)
         object.__setattr__(self, "min_spacing", spacing)
 
 
@@ -231,7 +230,9 @@ def _guard_band(modes: ModeSet, period: float, tol: float) -> float:
     return float(high)
 
 
-def validate_uniform(system: Realization, interval: float, horizon: int = 10) -> UniformValidation:
+def validate_uniform(
+    system: Realization, interval: float, horizon: int = DEFAULT_UNIFORM_HORIZON
+) -> UniformValidation:
     """Joint verdict of the uniform schedule {0, T, ..., (n-1) T}.
 
     Also scans the subsampled intervals j*T for j up to ``horizon`` and
@@ -240,24 +241,22 @@ def validate_uniform(system: Realization, interval: float, horizon: int = 10) ->
     multiple of T hitting a forbidden separation.  The j = 1 ratio is the
     report's own; larger multiples are evaluated in stacked blocks (see
     ``_first_failing_multiple``), with the first failing multiple and every
-    error those of a scan one multiple at a time.  ``horizon`` must be an
-    integer in 1..MAX_UNIFORM_HORIZON.
+    error, which names the multiple and the interval, those of a scan one
+    multiple at a time.  ``horizon`` must be an integer in 1..MAX_UNIFORM_HORIZON.
     """
     interval = _finite("interval", interval)
     if interval <= 0.0:
         raise InfeasibleError(f"sampling interval must be positive, got {interval!r}")
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise InfeasibleError(f"horizon must be an integer, got {horizon!r}")
-    if horizon < 1:
-        raise InfeasibleError("horizon must be at least 1")
-    if horizon > MAX_UNIFORM_HORIZON:
-        raise InfeasibleError(f"horizon {horizon} is above the limit {MAX_UNIFORM_HORIZON}")
-    report = joint_verdict(system, _uniform_schedule(interval, system.n))
+    horizon = _count("horizon", horizon, MAX_UNIFORM_HORIZON)
+    try:
+        report = joint_verdict(system, _uniform_schedule(interval, system.n))
+    except (DimensionError, NumericRangeError) as exc:
+        raise _at_multiple(exc, 1, interval) from exc
     tol = system.tolerances.singularity
     if report.sigma_ratio <= tol:
         first_failing = 1
     else:
-        first_failing = _first_failing_multiple(system.modes, interval, int(horizon), tol)
+        first_failing = _first_failing_multiple(system.modes, interval, horizon, tol)
     return UniformValidation(
         interval=interval,
         report=report,
@@ -293,7 +292,11 @@ def _first_failing_multiple(modes: ModeSet, interval: float, horizon: int, tol: 
                 pass  # the rescan below meets the sequential scan's error
         if ratios is None:
             for j in multiples.tolist():
-                if schedule_conditioning(modes, _uniform_schedule(j * interval, n)) <= tol:
+                try:
+                    ratio = schedule_conditioning(modes, _uniform_schedule(j * interval, n))
+                except (DimensionError, NumericRangeError) as exc:
+                    raise _at_multiple(exc, j, interval) from exc
+                if ratio <= tol:
                     return j
         else:
             failing = np.flatnonzero(ratios <= tol)
@@ -305,6 +308,11 @@ def _first_failing_multiple(modes: ModeSet, interval: float, horizon: int, tol: 
 
 def _uniform_schedule(interval: float, n: int) -> SamplingSchedule:
     return SamplingSchedule(tuple(i * interval for i in range(n)))
+
+
+def _at_multiple(exc: Exception, j: int, interval: float) -> Exception:
+    """``exc`` again, naming the multiple and interval of the schedule that raised it."""
+    return type(exc)(f"uniform schedule at multiple {j} of interval {interval!r}: {exc}")
 
 
 def _window_end(lo: float, hi: float, spacing: float, unit: float) -> int:
@@ -407,53 +415,24 @@ def _meet_spec(instants: list, spec: ScheduleSearchSpec) -> list:
     return instants
 
 
-def _float_key(x: float) -> int:
-    """An integer that orders the floats as their values do, one per float
-    (-0.0 and 0.0 share 0)."""
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _key_float(key: int) -> float:
-    value = struct.unpack("<d", struct.pack("<q", abs(key)))[0]
-    return value if key >= 0 else -value
-
-
-_KEY_MIN, _KEY_MAX = _float_key(-math.inf), _float_key(math.inf)
-
-
 def _latest_clearing(later: float, spacing: float) -> float:
-    """The latest float x with ``later - x >= spacing``.
+    """The latest float x with ``later - x >= spacing`` as computed in floats.
 
-    The computed gap never grows with x, so the floats that clear it come
-    first in the float order, from -inf on.  In the keys of ``_float_key``,
-    a bracket grows away from ``later - spacing`` by doubling strides until
-    the test changes, and bisection closes it: a few gap evaluations when
-    the answer lies near that guess, about 130 at most.
+    The computed gap is spacing or more exactly when the true one reaches
+    the midpoint between spacing and the float below it, the midpoint itself
+    counting when it rounds to spacing (ties go to even).  So x is the
+    latest float below, or at, ``later`` minus that midpoint, found in
+    rationals.
     """
-
-    def clears(key: int) -> bool:
-        return later - _key_float(key) >= spacing
-
-    low = high = _float_key(later - spacing)
-    stride = 1
-    if clears(low):
-        high = min(low + 1, _KEY_MAX)
-        while clears(high):
-            low, stride = high, 2 * stride
-            high = min(low + stride, _KEY_MAX)
-    else:
-        low = max(high - 1, _KEY_MIN)
-        while not clears(low):
-            high, stride = low, 2 * stride
-            low = max(high - stride, _KEY_MIN)
-    while high - low > 1:
-        middle = (low + high) // 2
-        if clears(middle):
-            low = middle
-        else:
-            high = middle
-    return _key_float(low)
+    from fractions import Fraction  # imported here: this walk-back rarely runs
+    midpoint = (Fraction(math.nextafter(spacing, -math.inf)) + Fraction(spacing)) / 2
+    bound = Fraction(later) - midpoint
+    if bound < -sys.float_info.max:
+        return -math.inf
+    x = float(bound)
+    if x > bound or (x == bound and float(midpoint) != spacing):
+        x = math.nextafter(x, -math.inf)
+    return x
 
 
 def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):

@@ -38,19 +38,10 @@ from .errors import UnsupportedOrderError
 ILL_CONDITIONED_BASIS = 1e-10
 
 
-def _real_array(values, name: str) -> np.ndarray:
-    """A float copy of ``values``; complex or non-numeric entries raise."""
-    try:
-        if np.iscomplexobj(values):  # a cast would drop the imaginary part
-            raise DimensionError(f"{name} must be a real array")
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionError(f"{name} must be a real array: {exc}") from exc
-
-
 def _state_vector(values, n: int, name: str) -> np.ndarray:
-    """``values`` as a finite real vector of n entries, or DimensionError."""
-    v = _real_array(values, name).reshape(-1)
+    """``values`` as a new finite real vector of n entries, or DimensionError."""
+    v = np.asarray(numerics.as_real(values, DimensionError(f"{name} must be a real array")))
+    v = v.reshape(-1)
     if v.shape[0] != n:
         raise DimensionError(f"{name} has {v.shape[0]} entries, expected {n}")
     if not np.all(np.isfinite(v)):
@@ -63,7 +54,7 @@ class Realization:
     """Continuous-time SISO triple (A, b, c) of order n, with the tolerances
     of its analyses.
 
-    A, b and c are read-only copies of the arguments.  The
+    A, b and c are read-only float copies (``numerics.as_real``).  The
     eigendecomposition, the minimality report, the mode set and the modal
     decomposition are computed on first use, at most once each, and shared
     by every analysis the realization is passed to; the mode set clusters
@@ -83,7 +74,7 @@ class Realization:
     def __post_init__(self):
         if not isinstance(self.tolerances, numerics.Tolerances):
             raise ToleranceError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
-        A = _real_array(self.A, "A")
+        A = np.asarray(numerics.as_real(self.A, DimensionError("A must be a real array")))
         if not np.all(np.isfinite(A)):
             raise DimensionError("A contains non-finite entries")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:

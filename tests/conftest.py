@@ -10,12 +10,31 @@ package.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from nusamp import Realization, SamplingSchedule, check_minimal
+
+# Values no real input accepts: refused by the one rule for real numbers
+# (numerics.as_real), or made a non-finite float the caller then refuses.
+BAD_REALS = [
+    pytest.param(True, id="bool"),
+    pytest.param("1", id="string"),
+    pytest.param(1 + 1j, id="complex"),
+    pytest.param(None, id="none"),
+    pytest.param(10**400, id="beyond-float-range"),
+    pytest.param(math.nan, id="nan"),
+    pytest.param(math.inf, id="inf"),
+]
+# Numbers every real input accepts and stores as a float.
+GOOD_REALS = [
+    pytest.param(np.int64(3), id="numpy-int"),
+    pytest.param(np.float32(0.5), id="numpy-float32"),
+    pytest.param(3, id="int"),
+]
 
 
 @pytest.fixture

@@ -191,6 +191,9 @@ class TestDocumentParsing:
         ("[1, 2]", "document root must be a JSON object"),
         (json.dumps(dict(ROTATION, A=1)), "field A: expected a list of numbers"),
         (json.dumps(dict(ROTATION, b=[1, "x"])), "field b: entry 1 is not a number"),
+        (json.dumps(dict(ROTATION, b=[1, True])), "field b: entry 1 is not a number"),
+        (json.dumps(dict(ROTATION, c=[None, 1])), "field c: entry 0 is not a number"),
+        (json.dumps(dict(ROTATION, A=[0, -1, [1], 0])), "field A: entry 2 is not a number"),
         (json.dumps(dict(ROTATION, schedule=[])), "field schedule: expected a non-empty list"),
         (json.dumps(dict(ROTATION, tolerances=[1e-9])), "field tolerances: expected an object"),
         (None, "cannot read "),

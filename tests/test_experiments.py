@@ -18,7 +18,7 @@ from nusamp import (
     simulate_zoh,
 )
 from nusamp.numerics import expm, numeric_rank
-from conftest import random_minimal_system, random_schedule
+from conftest import BAD_REALS, random_minimal_system, random_schedule
 
 RNG = np.random.default_rng(9001)
 
@@ -121,7 +121,7 @@ class TestDeadbeat:
     @pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf])
     def test_non_finite_final_time_rejected(self, rotation_system, t_final):
         schedule = SamplingSchedule((0.0, 1.0))
-        with pytest.raises(ValueError, match="t_final must be finite"):
+        with pytest.raises(DimensionError, match="t_final must be finite"):
             deadbeat_inputs(rotation_system, schedule, [1.0, 0.0], [0.0, 1.0], t_final)
 
     def test_random_closure(self):
@@ -189,7 +189,14 @@ class TestReconstruct:
             )
 
 
-@pytest.mark.parametrize("bad", [np.array([1j, 0.0]), ["a", 0.0]], ids=["complex", "string"])
+@pytest.mark.parametrize(
+    "bad",
+    [pytest.param([param.values[0], 0.0], id=param.id) for param in BAD_REALS]
+    + [
+        pytest.param(np.array([1j, 0.0]), id="complex-array"),
+        pytest.param(np.array([True, False]), id="bool-array"),
+    ],
+)
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -203,8 +210,11 @@ class TestReconstruct:
     ids=["controllable_direct", "deadbeat_x0", "deadbeat_target", "impulse_inputs", "zoh_x0", "reconstruct"],
 )
 def test_vector_inputs_must_be_real(rotation_system, call, name, bad):
-    # A cast to float would drop the imaginary part or fail inside numpy.
-    with pytest.raises(DimensionError, match=f"^{name} must be a real array"):
+    # A cast to float would drop the imaginary part, read a bool or a string
+    # as a number, or fail inside numpy.  Real entries beyond the float range
+    # become infinite, which the finiteness check refuses.
+    problem = "finite" if all(type(x) in (int, float) for x in bad) else "a real array"
+    with pytest.raises(DimensionError, match=f"^{name} must be {problem}"):
         call(rotation_system, bad)
 
 

@@ -1,6 +1,7 @@
 """Kernel tests: matrix exponential, clustered eigenvalues, rank, membership."""
 
 import inspect
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from nusamp import (
     SamplingSchedule,
     ToleranceError,
     Tolerances,
+    deadbeat_inputs,
     eig_clustered,
     expm,
     in_range,
@@ -23,6 +25,7 @@ from nusamp import (
 )
 from nusamp import numerics
 from nusamp.numerics import column_normalized_sigma_ratio
+from conftest import BAD_REALS, GOOD_REALS
 
 RNG = np.random.default_rng(20240811)
 
@@ -456,3 +459,78 @@ class TestTolerances:
 
     def test_accepts_positive_numbers(self):
         assert Tolerances(singularity=1e-3, cluster=np.float64(1e-5), rank=1, residual=0.5).rank == 1
+
+
+ROTATION_A = [[0.0, -1.0], [1.0, 0.0]]
+
+
+def deadbeat_until(t_final):
+    system = Realization(ROTATION_A, [1.0, 0.0], [1.0, 0.0])
+    schedule = SamplingSchedule((0.0, 0.25))
+    return deadbeat_inputs(system, schedule, [1.0, 0.0], [0.0, 1.0], t_final)
+
+
+# The real inputs outside the scheduler and the vector arguments: a call
+# setting the input (or one entry of it) to a value, the error class and the
+# start of the message that names the input, and what the call stored of the
+# value (None: the result must equal that of the call with float(value)).
+REAL_INPUTS = {
+    "Tolerances": (lambda v: Tolerances(rank=v), ToleranceError, "tolerance rank",
+                   lambda r: r.rank),
+    "SamplingSchedule": (lambda v: SamplingSchedule((0.0, v)), DimensionError,
+                         "schedule instants", lambda r: r.instants[1]),
+    "shifted": (lambda v: SamplingSchedule((0.0, 1.0)).shifted(v), DimensionError,
+                "shift delta", lambda r: r.instants[0]),
+    "expm": (lambda v: expm(np.array(ROTATION_A), v), NumericRangeError, "expm needs", None),
+    "t_final": (deadbeat_until, DimensionError, "t_final", None),
+    "A": (lambda v: Realization([[0.0, -1.0], [1.0, v]], [1.0, 0.0], [1.0, 0.0]),
+          DimensionError, "A ", lambda r: r.A[1, 1]),
+    "b": (lambda v: Realization(ROTATION_A, [1.0, v], [1.0, 0.0]), DimensionError, "b ",
+          lambda r: r.b[1]),
+    "c": (lambda v: Realization(ROTATION_A, [1.0, 0.0], [1.0, v]), DimensionError, "c ",
+          lambda r: r.c[1]),
+}
+
+
+class TestRealInputs:
+    """One rule for every real input (``numerics.as_real``): a bool, a
+    string, a complex number or None raises the input's own package error,
+    naming it, as does an integer beyond the float range, NaN or infinity;
+    numpy and Python integers and floats are stored as floats."""
+
+    # t_final=None asks for the default final time.
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            pytest.param(name, *bad.values, id=f"{name}-{bad.id}")
+            for name in REAL_INPUTS
+            for bad in BAD_REALS
+            if not (name == "t_final" and bad.values == (None,))
+        ],
+    )
+    def test_refused(self, name, value):
+        call, error, words, _ = REAL_INPUTS[name]
+        with pytest.raises(error, match="^" + re.escape(words)):
+            call(value)
+
+    @pytest.mark.parametrize("value", GOOD_REALS)
+    @pytest.mark.parametrize("name", REAL_INPUTS)
+    def test_accepted_as_float(self, name, value):
+        call, _, _, stored = REAL_INPUTS[name]
+        if stored is None:
+            assert np.array_equal(call(value), call(float(value)))
+        else:
+            number = stored(call(value))
+            assert type(number) in (float, np.float64) and number == float(value)
+
+    def test_arrays(self):
+        error = AnalysisError("refused")
+        converted = numerics.as_real(np.arange(4, dtype=np.int32).reshape(2, 2), error)
+        assert converted.dtype == float and converted.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        nested = numerics.as_real([[1, np.float32(0.5)], (np.int64(2), 10**400)], error)
+        assert nested.tolist() == [[1.0, 0.5], [2.0, np.inf]]
+        assert numerics.as_real(-(10**400), error) == -np.inf
+        for bad in (np.array([True]), np.array([1j]), np.array(["1"]), [[1.0, 2.0], [3.0]],
+                    [1.0, [2.0]], [np.float64(1.0), np.bool_(True)]):
+            with pytest.raises(AnalysisError, match="refused"):
+                numerics.as_real(bad, error)

@@ -30,7 +30,7 @@ from nusamp import (
 from nusamp import Tolerances, numerics, scheduler
 from nusamp.cli import load_system_document, main
 from nusamp.numerics import column_normalized_sigma_ratio
-from conftest import count_calls, random_minimal_system
+from conftest import BAD_REALS, GOOD_REALS, count_calls, random_minimal_system
 
 RNG = np.random.default_rng(55)
 
@@ -559,12 +559,14 @@ class TestValidateUniform:
 
 def sequential_uniform(system, interval, horizon):
     """validate_uniform's report and first failing multiple by the scan one
-    multiple at a time, or the error that scan raises first."""
+    multiple at a time, or the class and message of the error that scan
+    raises first, which names the multiple and the interval."""
     n, tol = system.n, system.tolerances.singularity
 
     def uniform(step):
         return SamplingSchedule(tuple(i * step for i in range(n)))
 
+    j = 1
     try:
         report = joint_verdict(system, uniform(interval))
         for j in range(1, horizon + 1):
@@ -575,7 +577,7 @@ def sequential_uniform(system, interval, horizon):
                 return report, j
         return report, None
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc), f"uniform schedule at multiple {j} of interval {interval!r}: {exc}"
 
 
 def uniform_scan_cases():
@@ -1019,6 +1021,9 @@ SCALAR_INPUTS = {
     "min_spacing": lambda value: search_spec_with("min_spacing", value),
     "t0": lambda value: forbidden_instants_order2(oscillator(0.0, 1.0), value, (0.0, 5.0)),
     "interval": lambda value: validate_uniform(oscillator(0.0, 1.0), value),
+    # The integers: an over-range one is above the limit, not infinite.
+    "count": lambda value: search_spec_with("count", value),
+    "horizon": lambda value: validate_uniform(oscillator(0.0, 1.0), 1.0, value),
 }
 # Each scheduler input that takes a window, set to one value.
 WINDOW_INPUTS = {
@@ -1047,19 +1052,31 @@ class TestSchedulerInputs:
             search_spec_with("window", (-1e308, 1e308))
 
     @pytest.mark.parametrize("name", SCALAR_INPUTS)
-    @pytest.mark.parametrize(
-        "value", [True, "x", 1 + 1j, 10**400], ids=["bool", "string", "complex", "beyond-float-range"]
-    )
+    @pytest.mark.parametrize("value", BAD_REALS)
     def test_malformed_number(self, name, value):
         message = f"{name} must be finite and real, got {value!r}"
+        if name in ("count", "horizon"):
+            message = f"{name} must be an integer, got {value!r}"
+            if value == 10**400:
+                message = f"{name} {value} is above the limit"
         with pytest.raises(InfeasibleError, match=re.escape(message)):
             SCALAR_INPUTS[name](value)
 
     def test_numbers_are_stored_as_floats(self):
-        spec = ScheduleSearchSpec(window=[np.int64(0), 2], count=2, min_spacing=np.float32(0.5))
-        assert spec.window == (0.0, 2.0) and type(spec.min_spacing) is float
-        assert type(validate_uniform(oscillator(0.0, 1.0), 1).interval) is float
-        assert forbidden_instants_order2(oscillator(0.0, 1.0), 0, [7, 0]).base_instant == 0.0
+        for param in GOOD_REALS:
+            (value,) = param.values
+            spec = ScheduleSearchSpec(window=[np.int64(0), 20], count=2, min_spacing=value)
+            assert spec.window == (0.0, 20.0) and type(spec.min_spacing) is float
+            assert spec.min_spacing == float(value)
+            assert type(validate_uniform(oscillator(0.0, 1.0), value).interval) is float
+            forbidden = forbidden_instants_order2(oscillator(0.0, 1.0), value, [7, 0])
+            assert type(forbidden.base_instant) is float
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.int32(2), 2], ids=["int64", "int32", "int"])
+    def test_integers_are_stored_as_ints(self, value):
+        spec = ScheduleSearchSpec(window=(0.0, 2.0), count=value, min_spacing=0.5)
+        assert type(spec.count) is int and spec.count == 2
+        assert validate_uniform(oscillator(0.0, 1.0), np.pi / 2, value).first_failing_multiple == 2
 
 
 class TestCoarseToFine:
