@@ -44,8 +44,7 @@ from .experiments import (
 from .numerics import Tolerances
 from .oracle import controllable_direct, cross_validate
 from .scheduler import DEFAULT_UNIFORM_HORIZON, MAX_SCHEDULE_INSTANTS, MAX_UNIFORM_HORIZON
-from .scheduler import ScheduleSearchSpec
-from .scheduler import forbidden_instants_order2, suggest_schedule, validate_uniform
+from .scheduler import ScheduleSearchSpec, forbidden_instants_order2, suggest_schedule, validate_uniform
 from .system_model import Realization
 
 EXIT_OK = 0
@@ -74,12 +73,10 @@ def _field_floats(raw, name: str, expected: int) -> list:
         raise SystemDocumentError(
             f"field {name}: expected {expected} entries, found {len(raw)}"
         )
-    values = []
-    for k, item in enumerate(raw):
-        error = SystemDocumentError(f"field {name}: entry {k} is not a number")
-        values.append(numerics.as_real(item, error))
-        if not isinstance(values[-1], float):
-            raise error
+    values = [
+        numerics.as_float(item, lambda: SystemDocumentError(f"field {name}: entry {k} is not a number"))
+        for k, item in enumerate(raw)
+    ]
     if not all(np.isfinite(values)):
         raise SystemDocumentError(f"field {name}: entries must be finite")
     return values

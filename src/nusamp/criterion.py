@@ -42,11 +42,11 @@ class SamplingSchedule:
     instants: tuple
 
     def __post_init__(self):
-        error = DimensionError("schedule instants must be a sequence of real numbers")
-        instants = numerics.as_real(self.instants, error)
-        if isinstance(instants, float) or instants.ndim != 1:
-            raise error
-        instants = tuple(instants.tolist())
+        error = lambda: DimensionError("schedule instants must be a sequence of real numbers")
+        try:
+            instants = tuple(numerics.as_float(t, error) for t in self.instants)
+        except TypeError:  # not iterable
+            raise error() from None
         if len(instants) < 1:
             raise DimensionError("a schedule needs at least one instant")
         if not all(map(isfinite, instants)):
@@ -60,10 +60,10 @@ class SamplingSchedule:
 
     def shifted(self, delta: float) -> "SamplingSchedule":
         """The same schedule translated by delta, a finite real number."""
-        error = DimensionError(f"shift delta must be a finite real number, got {delta!r}")
-        shift = numerics.as_real(delta, error)
-        if not (isinstance(shift, float) and isfinite(shift)):
-            raise error
+        error = lambda: DimensionError(f"shift delta must be a finite real number, got {delta!r}")
+        shift = numerics.as_float(delta, error)
+        if not isfinite(shift):
+            raise error()
         return SamplingSchedule(tuple(t + shift for t in self.instants))
 
 

@@ -138,10 +138,9 @@ def deadbeat_inputs(
     _require_regular(realization, schedule, "deadbeat inputs do not exist")
     if t_final is None:
         t_final = default_final_time(schedule)
-    error = DimensionError(f"t_final must be a real number, got {t_final!r}")
-    final = numerics.as_real(t_final, error)
-    if not isinstance(final, float):
-        raise error
+    final = numerics.as_float(
+        t_final, lambda: DimensionError(f"t_final must be a real number, got {t_final!r}")
+    )
     if not np.isfinite(final):
         raise DimensionError(f"t_final must be finite, got {final}")
     if final <= t[-1]:

@@ -44,48 +44,53 @@ class Tolerances:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            error = ToleranceError(
+            error = lambda: ToleranceError(
                 f"tolerance {field.name} must be a positive finite number, got {value!r}"
             )
-            number = as_real(value, error)
-            if not (isinstance(number, float) and math.isfinite(number) and number > 0.0):
-                raise error
+            number = as_float(value, error)
+            if not (math.isfinite(number) and number > 0.0):
+                raise error()
             object.__setattr__(self, field.name, number)
 
 
 # Entry magnitudes beyond this are treated as overflow even when still finite.
 OVERFLOW_LIMIT = 1e300
-_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)  # the finite normal floats
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the finite normal floats
 
 
-def as_real(values, error):
-    """``values`` as floats: a number gives a float, an array or a nested
-    sequence of numbers a new float ndarray.  The one rule for real inputs:
-    each entry must be a ``numbers.Real`` that is not a bool, else the
-    exception ``error`` is raised; an integer beyond the float range becomes
-    +-inf.  Finiteness, shape and sign are left to the caller."""
+def as_float(value, error) -> float:
+    """``value`` as a float.  The one rule for real inputs: a number must be
+    a ``numbers.Real`` that is not a bool (or a 0-d array of one), else
+    ``error()`` is raised; an integer beyond the float range becomes +-inf.
+    Finiteness, shape and sign are left to the caller."""
+    if type(value) is float:
+        return value
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error()
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def as_real(values, error) -> np.ndarray:
+    """``values``, a number, an array or a nested sequence of numbers, as a
+    new float ndarray, each entry by ``as_float``'s rule."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return values.astype(float)
     try:
         entries = np.array(values, dtype=object)
     except ValueError:  # a ragged sequence
-        raise error from None
-    kinds = set(map(type, entries.ravel().tolist()))
-    if not all(t in (float, int) or issubclass(t, numbers.Real) and t is not bool for t in kinds):
-        raise error
-    try:
-        floats = entries.astype(float)
-    except OverflowError:  # an integer beyond the float range
-        with np.errstate(over="ignore"):  # a float32 sees _HUGE as inf: same order
-            big = [math.inf if x > _HUGE else -math.inf if x < -_HUGE else x for x in entries.flat]
-        floats = np.array(big).reshape(entries.shape)
-    return floats if floats.ndim else float(floats)
+        raise error() from None
+    return np.array([as_float(x, error) for x in entries.flat]).reshape(entries.shape)
 
 
 def as_integer(value, error) -> int:
-    """``value`` as an int if it is a ``numbers.Integral`` but no bool, else raise ``error``."""
+    """``value`` as an int if it is a ``numbers.Integral`` but no bool, else raise ``error()``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error
+        raise error()
     return int(value)
 
 
@@ -141,7 +146,7 @@ def expm(matrix, t=1.0) -> np.ndarray:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expm needs a square matrix, got shape {m.shape}")
-    times = np.asarray(as_real(t, NumericRangeError("expm needs real times")))
+    times = as_real(t, lambda: NumericRangeError("expm needs real times"))
     if times.ndim > 1:
         raise DimensionError(f"expm takes a scalar or a 1-D array of times, got shape {times.shape}")
     ts = times.reshape(-1)

@@ -10,7 +10,7 @@ the best-conditioned mode matrix.
 from __future__ import annotations
 
 import math
-import sys
+import struct
 import weakref
 from dataclasses import dataclass
 
@@ -51,21 +51,24 @@ BOX = 4  # half-width of the fine pass's box, in grid steps on every instant
 
 def _finite(name: str, value, pair: bool = False):
     """``value`` as a finite float, or with ``pair`` as a tuple (lo, hi) of
-    two; anything else (see ``numerics.as_real``) raises InfeasibleError
+    two; anything else (see ``numerics.as_float``) raises InfeasibleError
     naming ``name``."""
 
     shape = ": a pair (lo, hi)" if pair else ""
-    error = InfeasibleError(f"{name} must be finite and real{shape}, got {value!r}")
-    number = numerics.as_real(value, error)
-    shaped = np.shape(number) == (2,) if pair else isinstance(number, float)
-    if not (shaped and np.isfinite(number).all()):
-        raise error
-    return tuple(number.tolist()) if pair else number
+    error = lambda: InfeasibleError(f"{name} must be finite and real{shape}, got {value!r}")
+    try:
+        items = tuple(numerics.as_float(item, error) for item in (value if pair else (value,)))
+    except TypeError:  # a pair that is not iterable
+        items = ()
+    if len(items) != (2 if pair else 1) or not all(map(math.isfinite, items)):
+        raise error()
+    return items if pair else items[0]
 
 
 def _count(name: str, value, limit: int) -> int:
     """``value`` as an int in 1..limit, or InfeasibleError naming ``name``."""
-    count = numerics.as_integer(value, InfeasibleError(f"{name} must be an integer, got {value!r}"))
+    error = lambda: InfeasibleError(f"{name} must be an integer, got {value!r}")
+    count = numerics.as_integer(value, error)
     if count < 1:
         raise InfeasibleError(f"{name} must be at least 1")
     if count > limit:
@@ -415,24 +418,53 @@ def _meet_spec(instants: list, spec: ScheduleSearchSpec) -> list:
     return instants
 
 
-def _latest_clearing(later: float, spacing: float) -> float:
-    """The latest float x with ``later - x >= spacing`` as computed in floats.
+def _float_key(x: float) -> int:
+    """An integer that orders the floats as their values do, one per float
+    (-0.0 and 0.0 share 0)."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
-    The computed gap is spacing or more exactly when the true one reaches
-    the midpoint between spacing and the float below it, the midpoint itself
-    counting when it rounds to spacing (ties go to even).  So x is the
-    latest float below, or at, ``later`` minus that midpoint, found in
-    rationals.
+
+def _key_float(key: int) -> float:
+    value = struct.unpack("<d", struct.pack("<q", abs(key)))[0]
+    return value if key >= 0 else -value
+
+
+_KEY_MIN, _KEY_MAX = _float_key(-math.inf), _float_key(math.inf)
+
+
+def _latest_clearing(later: float, spacing: float) -> float:
+    """The latest float x with ``later - x >= spacing``.
+
+    The computed gap never grows with x, so the floats that clear it come
+    first in the float order, from -inf on.  In the keys of ``_float_key``,
+    a bracket grows away from ``later - spacing`` by doubling strides until
+    the test changes, and bisection closes it: a few gap evaluations when
+    the answer lies near that guess, about 130 at most.
     """
-    from fractions import Fraction  # imported here: this walk-back rarely runs
-    midpoint = (Fraction(math.nextafter(spacing, -math.inf)) + Fraction(spacing)) / 2
-    bound = Fraction(later) - midpoint
-    if bound < -sys.float_info.max:
-        return -math.inf
-    x = float(bound)
-    if x > bound or (x == bound and float(midpoint) != spacing):
-        x = math.nextafter(x, -math.inf)
-    return x
+
+    def clears(key: int) -> bool:
+        return later - _key_float(key) >= spacing
+
+    low = high = _float_key(later - spacing)
+    stride = 1
+    if clears(low):
+        high = min(low + 1, _KEY_MAX)
+        while clears(high):
+            low, stride = high, 2 * stride
+            high = min(low + stride, _KEY_MAX)
+    else:
+        low = max(high - 1, _KEY_MIN)
+        while not clears(low):
+            high, stride = low, 2 * stride
+            low = max(high - stride, _KEY_MIN)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if clears(middle):
+            low = middle
+        else:
+            high = middle
+    return _key_float(low)
 
 
 def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):

@@ -40,8 +40,7 @@ ILL_CONDITIONED_BASIS = 1e-10
 
 def _state_vector(values, n: int, name: str) -> np.ndarray:
     """``values`` as a new finite real vector of n entries, or DimensionError."""
-    v = np.asarray(numerics.as_real(values, DimensionError(f"{name} must be a real array")))
-    v = v.reshape(-1)
+    v = numerics.as_real(values, lambda: DimensionError(f"{name} must be a real array")).reshape(-1)
     if v.shape[0] != n:
         raise DimensionError(f"{name} has {v.shape[0]} entries, expected {n}")
     if not np.all(np.isfinite(v)):
@@ -74,7 +73,7 @@ class Realization:
     def __post_init__(self):
         if not isinstance(self.tolerances, numerics.Tolerances):
             raise ToleranceError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
-        A = np.asarray(numerics.as_real(self.A, DimensionError("A must be a real array")))
+        A = numerics.as_real(self.A, lambda: DimensionError("A must be a real array"))
         if not np.all(np.isfinite(A)):
             raise DimensionError("A contains non-finite entries")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:

@@ -19,7 +19,7 @@ import pytest
 from nusamp import Realization, SamplingSchedule, check_minimal
 
 # Values no real input accepts: refused by the one rule for real numbers
-# (numerics.as_real), or made a non-finite float the caller then refuses.
+# (numerics.as_float), or made a non-finite float the caller then refuses.
 BAD_REALS = [
     pytest.param(True, id="bool"),
     pytest.param("1", id="string"),
@@ -34,6 +34,7 @@ GOOD_REALS = [
     pytest.param(np.int64(3), id="numpy-int"),
     pytest.param(np.float32(0.5), id="numpy-float32"),
     pytest.param(3, id="int"),
+    pytest.param(np.array(3.0), id="0-d-array"),
 ]
 
 

@@ -493,7 +493,7 @@ REAL_INPUTS = {
 
 
 class TestRealInputs:
-    """One rule for every real input (``numerics.as_real``): a bool, a
+    """One rule for every real input (``numerics.as_float``): a bool, a
     string, a complex number or None raises the input's own package error,
     naming it, as does an integer beyond the float range, NaN or infinity;
     numpy and Python integers and floats are stored as floats."""
@@ -523,13 +523,27 @@ class TestRealInputs:
             number = stored(call(value))
             assert type(number) in (float, np.float64) and number == float(value)
 
+    def test_scalars(self):
+        def error():
+            return AnalysisError("refused")
+
+        for value, number in [(np.array(2), 2.0), (np.float32(0.5), 0.5), (-(10**400), -np.inf)]:
+            converted = numerics.as_float(value, error)
+            assert type(converted) is float and converted == number
+        for bad in (np.array(True), np.bool_(True), np.array([1.0]), np.array(1j), [1.0]):
+            with pytest.raises(AnalysisError, match="refused"):
+                numerics.as_float(bad, error)
+
     def test_arrays(self):
-        error = AnalysisError("refused")
+        def error():
+            return AnalysisError("refused")
+
         converted = numerics.as_real(np.arange(4, dtype=np.int32).reshape(2, 2), error)
         assert converted.dtype == float and converted.tolist() == [[0.0, 1.0], [2.0, 3.0]]
         nested = numerics.as_real([[1, np.float32(0.5)], (np.int64(2), 10**400)], error)
         assert nested.tolist() == [[1.0, 0.5], [2.0, np.inf]]
-        assert numerics.as_real(-(10**400), error) == -np.inf
+        scalar = numerics.as_real(-(10**400), error)
+        assert type(scalar) is np.ndarray and scalar.shape == () and scalar == -np.inf
         for bad in (np.array([True]), np.array([1j]), np.array(["1"]), [[1.0, 2.0], [3.0]],
                     [1.0, [2.0]], [np.float64(1.0), np.bool_(True)]):
             with pytest.raises(AnalysisError, match="refused"):

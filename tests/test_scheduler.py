@@ -1068,9 +1068,10 @@ class TestSchedulerInputs:
             spec = ScheduleSearchSpec(window=[np.int64(0), 20], count=2, min_spacing=value)
             assert spec.window == (0.0, 20.0) and type(spec.min_spacing) is float
             assert spec.min_spacing == float(value)
-            assert type(validate_uniform(oscillator(0.0, 1.0), value).interval) is float
+            interval = validate_uniform(oscillator(0.0, 1.0), value).interval
+            assert type(interval) is float and interval == float(value)
             forbidden = forbidden_instants_order2(oscillator(0.0, 1.0), value, [7, 0])
-            assert type(forbidden.base_instant) is float
+            assert type(forbidden.base_instant) is float and forbidden.base_instant == float(value)
 
     @pytest.mark.parametrize("value", [np.int64(2), np.int32(2), 2], ids=["int64", "int32", "int"])
     def test_integers_are_stored_as_ints(self, value):
