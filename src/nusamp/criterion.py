@@ -122,21 +122,27 @@ def mode_matrix(modes: ModeSet, alphas) -> np.ndarray:
     leading axes are a batch of schedules, evaluated in one vectorized pass
     into shape (..., n, n).  Raises NumericRangeError when any entry of the
     batch overflows.
+
+    The eigenvalue and power arrays are the mode set's ``kernel``, built
+    once per mode set.  A mode set of simple clusters has only power 0, so
+    its matrices are ``exp(lam * alpha)`` with no power pass: ``alpha**0``
+    is exactly 1, and the product with it would change at most the sign of
+    a zero component.  A defective mode set multiplies by ``alpha**power``.
     """
     if isinstance(alphas, ShiftedIntervals):
         alphas = alphas.alpha
-    params = modes.mode_params()
-    n = len(params)
+    lams, powers, defective = modes.kernel
+    n = lams.size
     a = np.asarray(alphas, dtype=float)
     if a.ndim == 0 or a.shape[-1] != n:
         raise DimensionError(
             f"mode matrix needs {n} intervals for {n} modes, got shape {a.shape}"
         )
     a = a[..., None]
-    lams = np.array([lam for lam, _ in params], dtype=complex)
-    powers = np.array([p for _, p in params], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = (a**powers) * np.exp(lams * a)
+        matrix = np.exp(lams * a)
+        if defective:
+            matrix = (a**powers) * matrix
     if not np.all(np.isfinite(matrix)):
         raise NumericRangeError("mode matrix overflowed; shrink the schedule window")
     return matrix

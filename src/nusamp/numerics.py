@@ -80,11 +80,24 @@ def as_real(values, error) -> np.ndarray:
     new float ndarray, each entry by ``as_float``'s rule."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return values.astype(float)
+    if type(values) in (list, tuple) and all(type(x) is float for x in values):
+        return np.array(values, dtype=float)
     try:
         entries = np.array(values, dtype=object)
     except ValueError:  # a ragged sequence
         raise error() from None
     return np.array([as_float(x, error) for x in entries.flat]).reshape(entries.shape)
+
+
+def _numeric(values, name: str) -> np.ndarray:
+    """``values`` as an ndarray of integer, real or complex dtype; a bool,
+    string or object array raises DimensionError naming ``name``."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iufc":
+        raise DimensionError(
+            f"{name} must hold integer, real or complex numbers, got dtype {array.dtype}"
+        )
+    return array
 
 
 def as_integer(value, error) -> int:
@@ -140,10 +153,12 @@ def expm(matrix, t=1.0) -> np.ndarray:
     diagonal matrix is exponentiated entry by entry.  No eigendecomposition
     is involved, so this path and the modal one can cross-check each other.
 
-    Raises NumericRangeError for a time that is not a finite real, a scaled
-    norm that overflows, or a result beyond OVERFLOW_LIMIT.
+    Raises DimensionError for a matrix that is not square or not of
+    integer, real or complex dtype, and NumericRangeError for a time that is
+    not a finite real, a scaled norm that overflows, or a result beyond
+    OVERFLOW_LIMIT.
     """
-    m = np.asarray(matrix)
+    m = _numeric(matrix, "expm matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expm needs a square matrix, got shape {m.shape}")
     times = as_real(t, lambda: NumericRangeError("expm needs real times"))
@@ -244,8 +259,9 @@ def eig_clustered(values, cluster_tol: float = Tolerances.cluster):
 
 
 def numeric_rank(matrix, rank_tol: float = Tolerances.rank) -> RankResult:
-    """Rank = number of singular values above rank_tol * sigma_max."""
-    m = np.atleast_2d(np.asarray(matrix))
+    """Rank = number of singular values above rank_tol * sigma_max; a
+    matrix not of integer, real or complex dtype raises DimensionError."""
+    m = np.atleast_2d(_numeric(matrix, "numeric_rank matrix"))
     sigma = np.linalg.svd(m, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return RankResult(0, 0.0)
@@ -312,10 +328,11 @@ def in_range(
     matrix whose singular values exceed ``rank_tol * sigma_max``, so a span
     the rank test calls dependent covers only its numerical rank.  Membership
     holds when the residual of the projection onto it stays below
-    ``residual_tol * max(1, ||v||)``.
+    ``residual_tol * max(1, ||v||)``.  A matrix or vector that is not of
+    integer, real or complex dtype raises DimensionError naming it.
     """
-    m = np.atleast_2d(np.asarray(matrix))
-    v = np.asarray(vector).reshape(-1)
+    m = np.atleast_2d(_numeric(matrix, "in_range matrix"))
+    v = _numeric(vector, "in_range vector").reshape(-1)
     if v.shape[0] != m.shape[0]:
         raise DimensionError(
             f"in_range got a vector of length {v.shape[0]} for a matrix with {m.shape[0]} rows"

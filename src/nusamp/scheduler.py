@@ -215,7 +215,11 @@ def _guard_band(modes: ModeSet, period: float, tol: float) -> float:
     at most a quarter period, on the rows (0, period + offset); offset 0 is
     taken to fail.  Each round sections the bracket GUARD_SECTIONS ways in
     one call and keeps the section ending at the first passing offset; 15
-    rounds narrow it by 16**15 = 2**60, as 60 halvings would."""
+    rounds narrow it by 16**15 = 2**60, as 60 halvings would.  The result
+    equals a scalar bisection's only where the verdict is monotone in the
+    offset at a resolution of ``span * 2**-60``: near a crossing the
+    computed verdict can flip back and forth over a few hundred floats, and
+    the two then agree only where their probes happen to decide alike."""
     span = period / 4.0
     if schedule_conditioning(modes, np.array([0.0, period + span])) <= tol:
         return span
@@ -534,16 +538,16 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
             upper = refined[i + 1] - 256 if i + 1 < n else end - 256 * tail
             for _ in range(8):
                 # Minus probe first: the strict > keeps the earlier of two ties.
-                probes = np.array([refined, refined])
-                probes[:, i] += (-refine_step, refine_step)
-                probes = probes[(lower <= probes[:, i]) & (probes[:, i] <= upper)]
-                if not len(probes):
+                moves = [m for m in (refined[i] - refine_step, refined[i] + refine_step)
+                         if lower <= m <= upper]
+                if not moves:
                     break
+                probes = np.array([refined[:i] + [m] + refined[i + 1 :] for m in moves])
                 values = schedule_conditioning(modes, lo + probes * unit)
                 winner = None
-                for row, value in zip(probes.tolist(), values.tolist()):
+                for move, value in zip(moves, values.tolist()):
                     if value > best_obj:
-                        best_obj, winner = value, row[i]
+                        best_obj, winner = value, move
                 if winner is None:
                     break
                 refined[i] = winner

@@ -127,7 +127,8 @@ class ModeSet:
 
     Mode k (0-based) of the system is ``t**p * exp(lam*t)`` where
     ``(lam, p) = mode_params()[k]``; blocks follow the eigenvalue order and
-    powers ascend inside each block.
+    powers ascend inside each block.  ``kernel`` holds the same modes as the
+    arrays every mode-matrix evaluation reads, built once per mode set.
     """
 
     roots: tuple
@@ -143,6 +144,18 @@ class ModeSet:
     def mode_params(self):
         """(eigenvalue, power) pairs for the n ordered modes."""
         return tuple((lam, k) for lam, m in self.roots for k in range(m))
+
+    @functools.cached_property
+    def kernel(self) -> tuple:
+        """(eigenvalues, powers, defective) of the n ordered modes: a
+        read-only complex array, a read-only float array, and whether any
+        power is nonzero (a cluster of multiplicity above one)."""
+        params = self.mode_params()
+        lams = np.array([lam for lam, _ in params], dtype=complex)
+        powers = np.array([p for _, p in params], dtype=float)
+        lams.setflags(write=False)
+        powers.setflags(write=False)
+        return lams, powers, bool(powers.any())
 
 
 @dataclass(frozen=True)
@@ -295,9 +308,9 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     ])
     # One Jordan block per cluster: the eigenvalue on the diagonal, a unit
     # superdiagonal inside each block and zero between blocks.
-    params = modes.mode_params()
-    J = np.diag(np.array([lam for lam, _ in params], dtype=complex))
-    J += np.diag([float(power > 0) for _, power in params[1:]], 1)
+    lams, powers, _ = modes.kernel
+    J = np.diag(lams)
+    J += np.diag((powers[1:] > 0).astype(float), 1)
 
     sigma_ratio = numerics.numeric_rank(basis).sigma_ratio
     warning = None

@@ -29,7 +29,7 @@ from nusamp import (
 )
 from nusamp.cli import SystemDocument, build_analysis
 from nusamp.numerics import column_normalized_sigma_ratio
-from conftest import random_minimal_system, random_orthogonal, random_schedule
+from conftest import count_calls, random_minimal_system, random_orthogonal, random_schedule
 
 RNG = np.random.default_rng(1101)
 
@@ -132,6 +132,77 @@ class TestModeMatrix:
             warnings.simplefilter("error")
             with pytest.raises(NumericRangeError):
                 mode_matrix(modes, np.array([0.0, 400.0]))
+
+    @pytest.mark.parametrize(
+        "n, defective", [(n, False) for n in range(1, 13)] + [(n, True) for n in range(2, 13)]
+    )
+    def test_equals_the_power_product(self, n, defective):
+        rng = np.random.default_rng(5300 + 20 * n + defective)
+        modes = _random_modes(rng, n, defective)
+        steps = rng.uniform(0.05, 1.0, size=(64, n - 1))
+        alphas = np.concatenate((np.zeros((64, 1)), np.cumsum(steps, axis=1)), axis=1)
+        matrix = mode_matrix(modes, alphas)
+        reference = _power_product(modes, alphas)
+        # A simple mode set skips the product with alpha**0 = 1, whose real
+        # part x - 0*y can differ from x only in the sign of a zero; adding
+        # 0.0 folds -0.0 into 0.0 and keeps every other float's bits.
+        assert np.array_equal((matrix + 0.0).view(np.uint64), (reference + 0.0).view(np.uint64))
+        if defective:
+            assert np.array_equal(matrix.view(np.uint64), reference.view(np.uint64))
+        ratios = column_normalized_sigma_ratio(matrix), column_normalized_sigma_ratio(reference)
+        assert np.array_equal(ratios[0].view(np.uint64), ratios[1].view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "roots", [((0.0, 1), (3.0, 1)), ((3.0, 2),)], ids=["simple", "defective"]
+    )
+    def test_an_overflowing_row_raises(self, roots):
+        rows = np.array([[0.0, 1.0], [0.0, 400.0], [0.0, 2.0]])
+        with pytest.raises(NumericRangeError, match="mode matrix overflowed"):
+            mode_matrix(ModeSet(roots), rows)
+
+    def test_kernel_arrays_are_built_once_per_mode_set(self, monkeypatch):
+        calls = count_calls(monkeypatch, [(ModeSet, "mode_params")])
+        modes = ModeSet(((-0.5, 2), (-0.3 - 1j, 1), (-0.3 + 1j, 1)))
+        mode_matrix(modes, [0.0, 0.5, 1.0, 2.0])
+        assert calls["mode_params"] == 1
+        calls.clear()
+        mode_matrix(modes, np.ones((3, 4)))
+        schedule_conditioning(modes, SamplingSchedule((0.0, 0.4, 1.1, 1.5)))
+        schedule_conditioning(modes, np.array([[0.0, 0.3, 0.9, 1.2], [0.0, 0.5, 1.0, 1.8]]))
+        assert not calls
+        lams, powers, defective = modes.kernel
+        assert not lams.flags.writeable and not powers.flags.writeable
+        assert defective and not ModeSet(((-0.5, 1), (-0.2, 1))).kernel[2]
+
+
+def _random_modes(rng, n: int, defective: bool) -> ModeSet:
+    """A mode set of order n: conjugate pairs and real eigenvalues, a quarter
+    of them damped far enough that some entries underflow to zero.  With
+    ``defective`` the first cluster has multiplicity min(n, 3)."""
+    roots = []
+    remaining = n
+    if defective:
+        roots.append((complex(rng.normal()), min(n, 3)))
+        remaining -= min(n, 3)
+    while remaining:
+        real = rng.normal() if rng.random() < 0.75 else -300.0 * abs(rng.normal())
+        if remaining >= 2 and rng.random() < 0.6:
+            imag = 3.0 * abs(rng.normal())
+            roots += [(complex(real, -imag), 1), (complex(real, imag), 1)]
+            remaining -= 2
+        else:
+            roots.append((complex(real), 1))
+            remaining -= 1
+    return ModeSet(tuple(roots))
+
+
+def _power_product(modes: ModeSet, alphas) -> np.ndarray:
+    """The mode matrices as ``alpha**power * exp(lam * alpha)`` for every mode."""
+    params = modes.mode_params()
+    lams = np.array([lam for lam, _ in params], dtype=complex)
+    powers = np.array([p for _, p in params], dtype=float)
+    a = np.asarray(alphas, dtype=float)[..., None]
+    return (a**powers) * np.exp(lams * a)
 
 
 class TestFactorN1:

@@ -548,3 +548,56 @@ class TestRealInputs:
                     [1.0, [2.0]], [np.float64(1.0), np.bool_(True)]):
             with pytest.raises(AnalysisError, match="refused"):
                 numerics.as_real(bad, error)
+
+    def test_flat_float_sequences(self):
+        # A list or tuple of exact floats takes one np.array call; the
+        # result equals the per-entry conversion, bit for bit.
+        def error():
+            return AnalysisError("refused")
+
+        for values in [(0.0, 1.5, -2.25), [1e308, 5e-324, -0.0], (), [0.1]]:
+            converted = numerics.as_real(values, error)
+            expected = np.array([numerics.as_float(x, error) for x in values], dtype=float)
+            assert converted.dtype == float and converted.shape == (len(values),)
+            assert np.array_equal(converted.view(np.uint64), expected.view(np.uint64))
+        mixed = numerics.as_real((0.5, 10**400, np.float64(2.0)), error)
+        assert mixed.tolist() == [0.5, np.inf, 2.0]
+        for bad in ([1.0, True], (1.0, "2"), [1.0, 1j], (1.0, None), [1.0, [2.0]]):
+            with pytest.raises(AnalysisError, match="refused"):
+                numerics.as_real(bad, error)
+
+
+BAD_MATRICES = [
+    pytest.param(np.eye(2, dtype=bool), id="bool"),
+    pytest.param([["1", "0"], ["0", "1"]], id="string"),
+    pytest.param(np.array([[1.0, None], [None, 1.0]]), id="object"),
+]
+
+
+class TestMatrixInputs:
+    """``expm``, ``in_range`` and ``numeric_rank`` take integer, real or
+    complex arrays; any other dtype raises DimensionError naming the
+    argument."""
+
+    @pytest.mark.parametrize("value", BAD_MATRICES)
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (expm, "expm matrix"),
+            (numeric_rank, "numeric_rank matrix"),
+            (lambda m: in_range(m, [1.0, 0.0]), "in_range matrix"),
+            (lambda m: in_range(np.eye(2), np.asarray(m)[0]), "in_range vector"),
+        ],
+        ids=["expm", "numeric_rank", "in_range-matrix", "in_range-vector"],
+    )
+    def test_refused(self, call, name, value):
+        with pytest.raises(DimensionError, match=f"^{name} must hold integer, real or complex"):
+            call(value)
+
+    def test_integer_and_complex_accepted(self):
+        rotation = np.array([[0, -1], [1, 0]])
+        assert np.array_equal(expm(rotation, 0.5), expm(rotation.astype(float), 0.5))
+        assert expm(1j * rotation, 0.5).dtype == complex
+        assert numeric_rank(np.eye(3, dtype=np.int32)).rank == 3
+        assert numeric_rank(np.array([[1.0, 1j], [1j, -1.0]])).rank == 1
+        assert in_range(np.eye(2, dtype=complex), [1, 0]).contained

@@ -811,6 +811,25 @@ class TestSuggestSchedule:
         assert sum(rows) <= 6000
         assert math.isclose(objective, 0.09558228680206358, rel_tol=1e-13)
 
+    def test_order4_spec_kernel_calls_are_pinned(self, monkeypatch):
+        # Recorded before the refinement built its probes from index lists:
+        # 19 chunks of the two grid passes (4,599 rows), then 42 refinement
+        # calls of one or two probes each.
+        rows = []
+        original = scheduler.schedule_conditioning
+
+        def counted(modes, schedules):
+            rows.append(len(schedules))
+            return original(modes, schedules)
+
+        monkeypatch.setattr(scheduler, "schedule_conditioning", counted)
+        spec = ScheduleSearchSpec(window=(0.0, 4.0), count=4, min_spacing=0.15)
+        schedule, _ = suggest_schedule(ORDER4, spec)
+        assert len(rows) == 61
+        assert sum(rows[:19]) == 4599 and all(count in (1, 2) for count in rows[19:])
+        assert sum(rows[19:]) == 81
+        assert schedule.instants == (0.0, 1.6546874999999999, 3.1048828125, 3.999609375)
+
     @pytest.mark.parametrize("lo, width", [(1e5, 0.1), (1e9, 0.1), (1e6, 0.3)])
     def test_tight_window_far_from_zero_is_answered(self, rotation_system, lo, width):
         # The window holds two instants width apart, and so does the
