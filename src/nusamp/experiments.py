@@ -34,6 +34,21 @@ class Trajectory:
     outputs: np.ndarray
 
 
+def _propagate(realization: Realization, schedule: SamplingSchedule, inputs, x0, matrix, step):
+    """The trajectory of ``x = step(E, x, u_i)`` over the intervals, E being
+    exp(matrix * dt) from one batched call; the state starts at x0 (default
+    zero) and one input acts per instant except the last."""
+    u = _state_vector(inputs, len(schedule) - 1, "inputs")
+    t = schedule.instants
+    x = np.zeros(realization.n) if x0 is None else _state_vector(x0, realization.n, "x0")
+    states = [x]
+    for transition, u_i in zip(numerics.expm(matrix, np.diff(t)), u):
+        x = step(transition, x, u_i)
+        states.append(x)
+    states = np.array(states)
+    return Trajectory(t, states, states @ realization.c)
+
+
 def simulate_impulse(
     realization: Realization,
     schedule: SamplingSchedule,
@@ -41,34 +56,8 @@ def simulate_impulse(
     x0=None,
 ) -> Trajectory:
     """Propagate impulse inputs: one weight per instant except the last."""
-    u = _state_vector(inputs, len(schedule) - 1, "inputs")
-    t = schedule.instants
-    x = (
-        np.zeros(realization.n)
-        if x0 is None
-        else _state_vector(x0, realization.n, "x0")
-    )
-    states = [x]
-    for step, u_i in zip(numerics.expm(realization.A, np.diff(t)), u):
-        x = step @ (x + realization.b * u_i)
-        states.append(x)
-    states = np.array(states)
-    return Trajectory(t, states, states @ realization.c)
-
-
-def _zoh_steps(realization: Realization, dts):
-    """ZOH transition pairs (exp(A dt), integral of exp(A s) ds times b).
-
-    For each interval dt both come out of one exponential of the
-    (n+1)-square block matrix [[A, b], [0, 0]] scaled by dt; all intervals
-    share one batched call.  Returns the stacks (k, n, n) and (k, n).
-    """
-    n = realization.n
-    augmented = np.zeros((n + 1, n + 1))
-    augmented[:n, :n] = realization.A
-    augmented[:n, n] = realization.b
-    transition = numerics.expm(augmented, dts)
-    return transition[:, :n, :n], transition[:, :n, n]
+    step = lambda e, x, u: e @ (x + realization.b * u)
+    return _propagate(realization, schedule, inputs, x0, realization.A, step)
 
 
 def simulate_zoh(
@@ -77,20 +66,15 @@ def simulate_zoh(
     inputs,
     x0=None,
 ) -> Trajectory:
-    """Propagate with the input held constant over each interval."""
-    u = _state_vector(inputs, len(schedule) - 1, "inputs")
-    t = schedule.instants
-    x = (
-        np.zeros(realization.n)
-        if x0 is None
-        else _state_vector(x0, realization.n, "x0")
-    )
-    states = [x]
-    for step, forced, u_i in zip(*_zoh_steps(realization, np.diff(t)), u):
-        x = step @ x + forced * u_i
-        states.append(x)
-    states = np.array(states)
-    return Trajectory(t, states, states @ realization.c)
+    """Propagate with the input held constant over each interval: the
+    exponential of [[A, b], [0, 0]] times dt holds exp(A dt) in its leading
+    n x n block and the integral of exp(A s) b over dt in its last column."""
+    n = realization.n
+    augmented = np.zeros((n + 1, n + 1))
+    augmented[:n, :n] = realization.A
+    augmented[:n, n] = realization.b
+    step = lambda e, x, u: e[:n, :n] @ x + e[:n, n] * u
+    return _propagate(realization, schedule, inputs, x0, augmented, step)
 
 
 def _require_regular(

@@ -182,14 +182,9 @@ def expm(matrix, t=1.0) -> np.ndarray:
             squarings = np.ceil(np.log2(np.maximum(norms, _THETA13) / _THETA13)).astype(int)
             scale = np.ldexp(ts, -squarings)[:, None, None]
             result = _pade13(scale * m)
-            # Square back the times scaled more than k times; when that is
-            # all of them, without copying the stack through an index.
-            for k in range(squarings.max(initial=0)):
-                if squarings.min() > k:
-                    result = result @ result
-                else:
-                    pick = squarings > k
-                    result[pick] = result[pick] @ result[pick]
+            for k in range(squarings.max(initial=0)):  # square back times scaled more than k times
+                pick = squarings > k
+                result[pick] = result[pick] @ result[pick]
     if not np.abs(result).max(initial=0.0) <= OVERFLOW_LIMIT:
         raise NumericRangeError(
             f"matrix exponential overflowed for t={t!r} (entries beyond {OVERFLOW_LIMIT:g})"
@@ -300,11 +295,7 @@ def column_normalized_sigma_ratio(matrix) -> float | np.ndarray:
     an array of shape (...).  A single 2-D matrix gives a float.
     """
     m = np.asarray(matrix)
-    if m.ndim < 2:
-        m = np.atleast_2d(m)
     sigma = np.linalg.svd(_unit_columns(m), compute_uv=False)
-    if sigma.shape[-1] == 0:
-        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     # Singular values are sorted and nonnegative: a zero sigma_max means a
     # zero matrix, whose ratio is 0, so divide it by 1 instead; adding the
     # boolean leaves every nonzero sigma_max exact.  Indexing the transpose

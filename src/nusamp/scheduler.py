@@ -322,19 +322,31 @@ def _at_multiple(exc: Exception, j: int, interval: float) -> Exception:
     return type(exc)(f"uniform schedule at multiple {j} of interval {interval!r}: {exc}")
 
 
-def _window_end(lo: float, hi: float, spacing: float, unit: float) -> int:
-    """The largest lattice index m with ``lo + m * unit <= hi``, by bisection:
-    the computed instant never decreases as m grows.  The bracket spans four
-    times the window, or MAX_GRID_CANDIDATES spacings when that is less, so a
-    window too wide to count gets an end that no grid guard lets through."""
-    low, high = 0, 1024 * math.ceil(min((hi - lo) / spacing, MAX_GRID_CANDIDATES)) + 4
+def _last_true(test, low: int, high: int) -> int:
+    """The largest k in [low, high) with ``test(k)``, for a test that holds
+    at ``low`` and, once false, stays false as k grows.  Strides double up
+    from ``low`` until the test fails or would reach ``high``, and bisection
+    closes the bracket: about 2 log2(k - low) tests, never one at ``high``."""
+    stride = 1
+    while low + stride < high and test(low + stride):
+        low, stride = low + stride, 2 * stride
+    high = min(low + stride, high)
     while high - low > 1:
         middle = (low + high) // 2
-        if lo + middle * unit <= hi:
+        if test(middle):
             low = middle
         else:
             high = middle
     return low
+
+
+def _window_end(lo: float, hi: float, spacing: float, unit: float) -> int:
+    """The largest lattice index m with ``lo + m * unit <= hi``: the computed
+    instant never decreases as m grows.  The search stops below four times
+    the window, or MAX_GRID_CANDIDATES spacings when that is less, so a
+    window too wide to count gets an end that no grid guard lets through."""
+    high = 1024 * math.ceil(min((hi - lo) / spacing, MAX_GRID_CANDIDATES)) + 4
+    return _last_true(lambda m: lo + m * unit <= hi, 0, high)
 
 
 def _grid_rows(last: int, head: int, stride: int = 1, boxes=None) -> np.ndarray:
@@ -434,41 +446,23 @@ def _key_float(key: int) -> float:
     return value if key >= 0 else -value
 
 
-_KEY_MIN, _KEY_MAX = _float_key(-math.inf), _float_key(math.inf)
-
-
 def _latest_clearing(later: float, spacing: float) -> float:
     """The latest float x with ``later - x >= spacing``.
 
-    The computed gap never grows with x, so the floats that clear it come
-    first in the float order, from -inf on.  In the keys of ``_float_key``,
-    a bracket grows away from ``later - spacing`` by doubling strides until
-    the test changes, and bisection closes it: a few gap evaluations when
-    the answer lies near that guess, about 130 at most.
+    The computed gap never grows with x.  A guess g = ``later - spacing``
+    that does not clear was rounded up, since a g at or below the exact
+    difference has an exact gap of at least ``spacing``, which rounding
+    keeps.  Rounded to nearest, the exact difference then lies at or above
+    the float below g, so that float clears by the same argument and is
+    the answer.  Otherwise ``_last_true`` searches upward from g over the
+    keys of ``_float_key``, up to +inf, which never clears: a few gap
+    evaluations when the answer lies near g, about 130 at most.
     """
-
-    def clears(key: int) -> bool:
-        return later - _key_float(key) >= spacing
-
-    low = high = _float_key(later - spacing)
-    stride = 1
-    if clears(low):
-        high = min(low + 1, _KEY_MAX)
-        while clears(high):
-            low, stride = high, 2 * stride
-            high = min(low + stride, _KEY_MAX)
-    else:
-        low = max(high - 1, _KEY_MIN)
-        while not clears(low):
-            high, stride = low, 2 * stride
-            low = max(high - stride, _KEY_MIN)
-    while high - low > 1:
-        middle = (low + high) // 2
-        if clears(middle):
-            low = middle
-        else:
-            high = middle
-    return _key_float(low)
+    guess = later - spacing
+    if later - guess < spacing:
+        return math.nextafter(guess, -math.inf)
+    clears = lambda key: later - _key_float(key) >= spacing
+    return _key_float(_last_true(clears, _float_key(guess), _float_key(math.inf)))
 
 
 def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):

@@ -587,6 +587,12 @@ class TestModuleEntryPoints:
         assert done.stderr.startswith("error:")
         assert "nothing.json" in done.stderr
 
+    def test_parser_exits_become_return_codes(self, capsys):
+        assert main(["analyze", "system.json", "--no-such-flag"]) == EXIT_USAGE
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: nusamp")
+
     def test_module_run_prints_what_main_prints(self):
         argv = ["analyze", str(CORPUS / "order4.json"), "--format", "json"]
         done = _python("-m", "nusamp", *argv)

@@ -17,7 +17,8 @@ Exit codes, keys, booleans, integers and strings must match exactly; floats
 match to a relative 1e-9 with an absolute floor of 1e-12, so a BLAS that
 rounds differently does not fail the test.  Text output and stderr are
 compared the same way, number by number.  No recorded sigma ratio lies in the
-ambiguity band [1e-11, 1e-7], where the verdict could flip on such rounding.
+ambiguity band (``AMBIGUITY_BAND`` of conftest.py), where the verdict could
+flip on such rounding.
 
 The recorded outputs pin the tolerance routing: the singularity tolerance
 decides the verdict and truncates the rank of every span, and the residual
@@ -38,12 +39,12 @@ from pathlib import Path
 import pytest
 
 from nusamp.cli import main
+from conftest import AMBIGUITY_BAND
 
 CORPUS = Path(__file__).parent / "corpus"
 RUNS = CORPUS / "runs.json"
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
-AMBIGUITY_BAND = (1e-11, 1e-7)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 

@@ -453,6 +453,25 @@ class TestForbiddenInstants:
         assert abs(result.guard_band - reference) <= span * 2.0**-59
         assert 0.0 < result.guard_band <= span
 
+    def test_guard_band_ends_on_the_first_passing_float(self):
+        # Sectioning stops on a failing and a passing probe whose offsets are
+        # closer than half a float spacing at the period, so the band ends on
+        # a passing separation whose float predecessor fails, whatever the
+        # last bits of the sigma ratio.  Only the heavily damped pair fails
+        # over the whole quarter period.
+        whole_quarter = []
+        for param in guard_systems():
+            (system,) = param.values
+            result = forbidden_instants_order2(system, 0.0, (0.0, 1.0))
+            if result.guard_band == result.period / 4.0:
+                whole_quarter.append(param.id)
+                continue
+            end = result.period + result.guard_band
+            rows = np.array([[0.0, end], [0.0, math.nextafter(end, -math.inf)]])
+            passes = schedule_conditioning(system.modes, rows) > system.tolerances.singularity
+            assert passes.tolist() == [True, False], param.id
+        assert whole_quarter == ["-1.0-0.3-0.001"]
+
     @pytest.mark.parametrize("system", guard_systems())
     def test_failing_offsets_start_the_quarter_period(self, system):
         # The sectioning is exact when the failing offsets form one interval
@@ -750,6 +769,15 @@ class TestSuggestSchedule:
         ]:
             with pytest.raises(InfeasibleError):
                 ScheduleSearchSpec(window=window, count=count, min_spacing=spacing)
+
+    def test_no_schedule_clears_a_tolerance_above_the_best_ratio(self, rotation_system):
+        # Two instants of the rotation have sigma ratio 1 only a quarter turn
+        # apart; the best lattice row in (0, 2) reaches 0.9999.
+        system = replace(rotation_system, tolerances=Tolerances(singularity=0.99999))
+        spec = ScheduleSearchSpec(window=(0.0, 2.0), count=2, min_spacing=0.05)
+        message = "no schedule in the window clears the singularity tolerance (best sigma ratio 9.999e-01)"
+        with pytest.raises(InfeasibleError, match=re.escape(message)):
+            suggest_schedule(system, spec)
 
     def test_numpy_integer_count(self):
         spec = ScheduleSearchSpec(window=(0.0, 2.0), count=np.int64(2), min_spacing=0.1)
@@ -1065,6 +1093,12 @@ class TestSchedulerInputs:
         message = f"window must be finite and real: a pair (lo, hi), got {window!r}"
         with pytest.raises(InfeasibleError, match=re.escape(message)):
             WINDOW_INPUTS[call](window)
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.0, -0.5])
+    def test_min_spacing_must_be_positive(self, spacing):
+        message = f"min_spacing must be positive, got {spacing!r}"
+        with pytest.raises(InfeasibleError, match=re.escape(message)):
+            ScheduleSearchSpec(window=(0.0, 2.0), count=2, min_spacing=spacing)
 
     def test_window_whose_length_overflows(self):
         with pytest.raises(InfeasibleError, match="its length overflows"):

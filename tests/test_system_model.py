@@ -62,6 +62,10 @@ class TestRealization:
             with pytest.raises(DimensionError, match=f"^{name} must be a real array$"):
                 Realization(**arrays)
 
+    def test_rejects_ragged_matrix(self):
+        with pytest.raises(DimensionError, match="^A must be a real array$"):
+            Realization([np.zeros((2, 2)), np.zeros((2, 3))], [1.0, 0.0], [1.0, 0.0])
+
     def test_order_cap(self):
         n = 13
         with pytest.raises(UnsupportedOrderError):
