@@ -18,6 +18,7 @@ import numpy as np
 
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict, schedule_conditioning
+from .criterion import schedule_screen
 from .errors import DimensionError, InfeasibleError, NotApplicableError, NumericRangeError
 from .errors import UnsupportedOrderError
 from .system_model import ModeSet, Realization, require_minimal
@@ -383,12 +384,36 @@ def _grid_rows(last: int, head: int, stride: int = 1, boxes=None) -> np.ndarray:
     return rows
 
 
+def _chunks(rows: np.ndarray, lo: float, unit: float):
+    """The instants ``lo + rows * unit`` of the lattice rows, SEARCH_CHUNK
+    rows at a time."""
+    return (lo + rows[k : k + SEARCH_CHUNK] * unit for k in range(0, len(rows), SEARCH_CHUNK))
+
+
 def _conditioning(modes: ModeSet, rows: np.ndarray, lo: float, unit: float) -> np.ndarray:
-    """``schedule_conditioning`` of the instants ``lo + rows * unit`` of every
-    lattice row, SEARCH_CHUNK rows per call."""
-    chunks = range(0, len(rows), SEARCH_CHUNK)
-    values = (schedule_conditioning(modes, lo + rows[k : k + SEARCH_CHUNK] * unit) for k in chunks)
+    """``schedule_conditioning`` of every lattice row, one call per chunk."""
+    values = (schedule_conditioning(modes, chunk) for chunk in _chunks(rows, lo, unit))
     return np.concatenate([np.empty(0), *values])
+
+
+def _screened(
+    modes: ModeSet, rows: np.ndarray, lo: float, unit: float, rank: int, floor: float = -math.inf
+) -> np.ndarray:
+    """The lattice rows that ``schedule_screen`` cannot rule out of the cut.
+
+    Every row's sigma ratio lies within ``bound`` of its ``estimate``.  The
+    cut is the rank-th largest lower bound ``estimate - bound``, or ``floor``
+    when that is higher: at least ``rank`` rows have a sigma ratio at or
+    above it.  So a row whose sigma ratio reaches the rank-th best of
+    ``rows``, or ``floor``, has ``estimate + bound`` at or above the cut and
+    is returned, the rows keeping their order.
+    """
+    screens = (schedule_screen(modes, chunk) for chunk in _chunks(rows, lo, unit))
+    estimate, bound = np.concatenate([np.empty((2, 0)), *screens], axis=1)
+    cut = floor
+    if len(rows) >= rank:
+        cut = max(cut, np.partition(estimate - bound, -rank)[-rank])
+    return rows[estimate + bound >= cut]
 
 
 def _best_first(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -477,8 +502,12 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     evaluates the other grid rows within BOX grid steps of a kept row on
     every instant.  The best row of both passes wins, a tie going to the
     lexicographically lowest, so the winner is the exhaustive grid search's
-    whenever it lies in a box.  Each pass evaluates ``SEARCH_CHUNK`` rows per
-    stacked ``schedule_conditioning`` call.  Three refinement passes then
+    whenever it lies in a box.  Each pass screens its rows, ``SEARCH_CHUNK``
+    per ``schedule_screen`` call, and sends through ``schedule_conditioning``
+    only those whose error bound lets them reach the pass's cut (see
+    ``_screened``): the KEEP-th best value for the coarse pass, the best for
+    the fine pass.  The kept rows, the winner and its objective are those of
+    evaluating every row, bit for bit.  Three refinement passes then
     probe one instant at a time 16, 4 and 1 units either way, sequentially
     on purpose: a probe replaces the winner only when strictly better.
 
@@ -514,6 +543,7 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     rows = _grid_rows(last, n, stride=COARSE)
     if not len(rows):
         raise _crowded(spec)
+    rows = _screened(modes, rows, lo, 64 * unit, KEEP)
     values = _conditioning(modes, rows, lo, 64 * unit)
     best = _best_first(values, rows)[:KEEP]
     values, rows = values[best], rows[best]
@@ -521,6 +551,8 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     fine = _grid_rows(last, n, boxes=rows)
     # The coarse pass evaluated the rows whose every offset is coarse.
     fine = fine[np.any((np.diff(fine, axis=1) - 4) % COARSE, axis=1)]
+    # A fine row that wins or ties reaches the best kept value.
+    fine = _screened(modes, fine, lo, 64 * unit, 1, float(values.max()))
     values = np.concatenate((values, _conditioning(modes, fine, lo, 64 * unit)))
     rows = np.concatenate((rows, fine))
     winner = _best_first(values, rows)[0]

@@ -1,5 +1,6 @@
 """Shifted intervals, mode matrix, determinant factorization, joint verdict."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from nusamp import (
     shifted_intervals,
 )
 from nusamp.cli import SystemDocument, build_analysis
+from nusamp.criterion import schedule_screen
 from nusamp.numerics import column_normalized_sigma_ratio
 from conftest import (
     AMBIGUITY_BAND, count_calls, random_minimal_system, random_orthogonal, random_schedule
@@ -209,6 +211,89 @@ def _power_product(modes: ModeSet, alphas) -> np.ndarray:
     powers = np.array([p for _, p in params], dtype=float)
     a = np.asarray(alphas, dtype=float)[..., None]
     return (a**powers) * np.exp(lams * a)
+
+
+def _screen_modes(rng, n: int) -> ModeSet:
+    """A mode set of order n: real clusters of multiplicity 1-3 and conjugate
+    pairs of multiplicity 1-2.  One simple cluster in five is damped far
+    enough that some entries underflow to zero; a defective one never is,
+    since a power column that normalizes from subnormal entries makes the
+    SVD fail (see TestScheduleScreen)."""
+    roots, remaining = [], n
+    while remaining:
+        pair = remaining >= 2 and rng.random() < 0.5
+        size = min(int(rng.integers(1, 3 if pair else 4)), remaining // 2 if pair else remaining)
+        real = rng.normal()
+        if size == 1 and rng.random() < 0.2:
+            real = -300.0 * (0.5 + abs(real))
+        if pair:
+            imag = 0.1 + 3.0 * abs(rng.normal())
+            roots += [(complex(real, imag), size), (complex(real, -imag), size)]
+        else:
+            roots.append((complex(real), size))
+        remaining -= 2 * size if pair else size
+    return ModeSet(tuple(roots))
+
+
+def _screen_rows(rng, n: int, kind: str) -> np.ndarray:
+    """256 increasing rows of n instants with gaps in [0.05, 1): as drawn
+    ("random"), with one gap of 1e-9 to 1e-2 ("gap"), or moved to 1e6
+    ("far"), where the gaps round to multiples of ulp(1e6)."""
+    gaps = rng.uniform(0.05, 1.0, size=(256, n))
+    gaps[:, 0] = 0.0
+    if kind == "gap" and n > 1:
+        gaps[np.arange(256), rng.integers(1, n, size=256)] = 10.0 ** rng.uniform(-9, -2, size=256)
+    return (1e6 if kind == "far" else 0.0) + np.cumsum(gaps, axis=1)
+
+
+class TestScheduleScreen:
+    """The Gram screen of schedule search: its estimate of the sigma ratio
+    lies within its bound of ``schedule_conditioning`` on every row."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_estimate_is_within_its_bound(self, n):
+        rng = np.random.default_rng(2100 + n)
+        for _ in range(4):
+            modes = _screen_modes(rng, n)
+            for kind in ("random", "gap", "far"):
+                rows = _screen_rows(rng, n, kind)
+                estimate, bound = schedule_screen(modes, rows)
+                ratio = schedule_conditioning(modes, rows)
+                assert np.all(np.abs(estimate - ratio) <= bound), (modes, kind)
+
+    def test_sets_reach_defects_pairs_and_underflow(self):
+        rng = np.random.default_rng(2101)
+        roots = [root for _ in range(40) for root in _screen_modes(rng, 6).roots]
+        assert any(m > 1 and lam.imag == 0.0 for lam, m in roots)
+        assert any(m > 1 and lam.imag != 0.0 for lam, m in roots)
+        assert any(lam.real < -100.0 for lam, _ in roots)
+
+    def test_rows_the_bound_cannot_cover_are_confirmed(self):
+        # A defective cluster at -800: at interval 1 its power-1 column
+        # underflows to zero, and the estimate is 0.  A defective pair at
+        # -8 +- 1j leaves its power-1 columns subnormal at intervals of 90-91:
+        # normalizing them overflows, and the SVD fails, as would eigvalsh on
+        # their Gram matrix; the row gets an infinite bound instead.
+        single = ModeSet(((complex(-800.0), 2),))
+        pair = ModeSet(((complex(-8.0, 1.0), 2), (complex(-8.0, -1.0), 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert schedule_screen(single, [0.0, 1.0]).tolist() == [0.0, math.inf]
+            assert schedule_conditioning(single, [0.0, 1.0]) == 0.0
+            rows = np.arange(4) * np.array([[90.0], [91.0]])
+            assert schedule_screen(pair, rows).tolist() == [[0.0, 0.0], [math.inf, math.inf]]
+            for row in rows:
+                with pytest.raises(np.linalg.LinAlgError):
+                    schedule_conditioning(pair, row)
+        estimate, bound = schedule_screen(single, [0.0, 0.1])
+        assert abs(estimate - schedule_conditioning(single, [0.0, 0.1])) <= bound < 1e-12
+
+    def test_shape_and_range_errors_are_the_kernels(self):
+        modes = ModeSet(((0.0, 1), (3.0, 1)))
+        assert schedule_screen(modes, np.zeros((5, 7, 3))).shape == (2, 5, 7)
+        with pytest.raises(InsufficientScheduleError):
+            schedule_screen(modes, [0.0])
+        with pytest.raises(NumericRangeError):
+            schedule_screen(modes, [[0.0, 1.0], [0.0, 300.0]])
 
 
 class TestFactorN1:

@@ -27,7 +27,7 @@ from nusamp import (
     suggest_schedule,
     validate_uniform,
 )
-from nusamp import Tolerances, numerics, scheduler
+from nusamp import Tolerances, criterion, numerics, scheduler
 from nusamp.cli import load_system_document, main
 from nusamp.numerics import column_normalized_sigma_ratio
 from conftest import BAD_REALS, GOOD_REALS, count_calls, random_minimal_system
@@ -840,22 +840,29 @@ class TestSuggestSchedule:
         assert math.isclose(objective, 0.09558228680206358, rel_tol=1e-13)
 
     def test_order4_spec_kernel_calls_are_pinned(self, monkeypatch):
-        # Recorded before the refinement built its probes from index lists:
-        # 19 chunks of the two grid passes (4,599 rows), then 42 refinement
-        # calls of one or two probes each.
-        rows = []
-        original = scheduler.schedule_conditioning
+        # The two grid passes screen 4,599 rows in 19 chunks, 11 coarse and
+        # 8 fine, and send 8 coarse rows and 1 fine row through the SVD, one
+        # call each; 42 refinement calls of one or two probes follow.
+        screened, rows = [], []
+        screen, original = scheduler.schedule_screen, scheduler.schedule_conditioning
+
+        def counted_screen(modes, schedules):
+            screened.append(len(schedules))
+            return screen(modes, schedules)
 
         def counted(modes, schedules):
             rows.append(len(schedules))
             return original(modes, schedules)
 
+        monkeypatch.setattr(scheduler, "schedule_screen", counted_screen)
         monkeypatch.setattr(scheduler, "schedule_conditioning", counted)
         spec = ScheduleSearchSpec(window=(0.0, 4.0), count=4, min_spacing=0.15)
         schedule, _ = suggest_schedule(ORDER4, spec)
-        assert len(rows) == 61
-        assert sum(rows[:19]) == 4599 and all(count in (1, 2) for count in rows[19:])
-        assert sum(rows[19:]) == 81
+        assert screened == [256] * 10 + [40] + [256] * 7 + [207]
+        assert sum(screened) == 4599
+        assert rows[:2] == [8, 1]
+        assert len(rows) == 44 and all(count in (1, 2) for count in rows[2:])
+        assert sum(rows[2:]) == 81
         assert schedule.instants == (0.0, 1.6546874999999999, 3.1048828125, 3.999609375)
 
     @pytest.mark.parametrize("lo, width", [(1e5, 0.1), (1e9, 0.1), (1e6, 0.3)])
@@ -962,12 +969,20 @@ class TestSuggestSchedule:
         [((0.0, 2.0), 3, 0.1, (0.0, 0.1, 0.2)), ((0.5, 30.0), 2, 0.01, (0.5, 0.51))],
     )
     def test_ties_keep_the_lowest_schedule(self, monkeypatch, window, count, spacing, instants):
-        # A constant objective makes every candidate tie, in every chunk.
+        # A constant objective makes every candidate tie, in every chunk; a
+        # constant screen estimate lets every grid row through to it.
         def constant(matrix):
             matrix = np.asarray(matrix)
             return np.ones(matrix.shape[:-2]) if matrix.ndim > 2 else 1.0
 
+        screen = scheduler.schedule_screen
+
+        def level(modes, schedules):
+            estimate, bound = screen(modes, schedules)
+            return np.stack((np.ones_like(estimate), bound))
+
         monkeypatch.setattr(numerics, "column_normalized_sigma_ratio", constant)
+        monkeypatch.setattr(scheduler, "schedule_screen", level)
         spec = ScheduleSearchSpec(window=window, count=count, min_spacing=spacing)
         schedule, achieved = suggest_schedule(oscillator(-0.3, 1.0), spec)
         assert schedule.instants == instants
@@ -1149,23 +1164,32 @@ class TestCoarseToFine:
         assert (schedule.instants, objective) == exhaustive_search(system, spec)
 
     def test_grid_rows_are_evaluated_once(self, monkeypatch):
-        batches = []
-        original = scheduler.schedule_conditioning
+        # Each grid row is screened exactly once, and sent through the SVD
+        # at most once.
+        screened, confirmed = [], []
+        screen, conditioning = scheduler.schedule_screen, scheduler._conditioning
 
-        def recorded(modes, schedules):
-            batches.append(np.array(schedules))
-            return original(modes, schedules)
+        def recorded_screen(modes, schedules):
+            screened.append(np.array(schedules))
+            return screen(modes, schedules)
 
-        monkeypatch.setattr(scheduler, "schedule_conditioning", recorded)
+        def recorded_conditioning(modes, rows, lo, unit):
+            confirmed.append(lo + rows * unit)
+            return conditioning(modes, rows, lo, unit)
+
+        monkeypatch.setattr(scheduler, "schedule_screen", recorded_screen)
+        monkeypatch.setattr(scheduler, "_conditioning", recorded_conditioning)
         spec = ScheduleSearchSpec(window=(0.0, 3.5), count=4, min_spacing=0.4)
         suggest_schedule(ORDER4, spec)
-        grid = np.concatenate([batch for batch in batches if len(batch) > 2])
+        grid, svd = np.concatenate(screened), np.concatenate(confirmed)
         assert len(np.unique(grid, axis=0)) == len(grid)
+        assert len(np.unique(svd, axis=0)) == len(svd) < len(grid)
+        assert len(np.unique(np.concatenate((grid, svd)), axis=0)) == len(grid)
 
 
 class TestPassRowSets:
-    """The index rows each grid pass sends through the kernel, against sets
-    built from the enumerated grid."""
+    """The index rows each grid pass screens, against sets built from the
+    enumerated grid."""
 
     @pytest.mark.parametrize(
         "system, window, count, spacing",
@@ -1187,13 +1211,13 @@ class TestPassRowSets:
     )
     def test_coarse_and_fine_rows(self, monkeypatch, system, window, count, spacing):
         passes = []
-        original = scheduler._conditioning
+        original = scheduler._screened
 
-        def recorded(modes, rows, lo, unit):
+        def recorded(modes, rows, *cut):
             passes.append([tuple(row) for row in rows.tolist()])
-            return original(modes, rows, lo, unit)
+            return original(modes, rows, *cut)
 
-        monkeypatch.setattr(scheduler, "_conditioning", recorded)
+        monkeypatch.setattr(scheduler, "_screened", recorded)
         suggest_schedule(system, ScheduleSearchSpec(window, count, spacing))
         grid = reference_grid(*window, spacing, system.n, count - system.n)
 
@@ -1230,6 +1254,93 @@ class TestPassRowSets:
             monkeypatch.setattr(scheduler, "SEARCH_CHUNK", size)
             schedule, objective = suggest_schedule(system, spec)
             assert (schedule.instants, objective) == (expected[0].instants, expected[1])
+
+
+def screen_search_specs(count):
+    """Seeded (system, spec) pairs at orders 1-6, every third with defective
+    clusters allowed: n to n+2 instants, spacings log-uniform in 0.003-0.6,
+    windows of up to 4 (orders 1-3) or 1.5 spacings of slack, starting at 0,
+    -3.7, 1e3 and 1e6.  Tight windows take the best ratio to 1e-6 and below."""
+    rng = np.random.default_rng(2121)
+    for i in range(count):
+        n = 1 + i % 6
+        system = random_minimal_system(rng, n, allow_defective=i % 3 == 0)
+        instants = n + int(rng.integers(0, 3))
+        spacing = float(10.0 ** rng.uniform(math.log10(0.003), math.log10(0.6)))
+        slack = rng.uniform(0.0, 4.0 if n <= 3 else 1.5)
+        lo = (0.0, -3.7, 1e3, 1e6)[(i // 6) % 4]
+        try:
+            window = (lo, lo + (instants - 1 + slack) * spacing)
+            yield system, ScheduleSearchSpec(window=window, count=instants, min_spacing=spacing)
+        except InfeasibleError:
+            pass  # the window is below count - 1 spacings as computed
+
+
+def search_outcome(system, spec):
+    """The instants and objective in hex, or the type and message of the error."""
+    try:
+        schedule, objective = suggest_schedule(system, spec)
+    except (InfeasibleError, NumericRangeError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return [t.hex() for t in schedule.instants], objective.hex()
+
+
+# A defective cluster at -800: at spacing 1 its power-1 column underflows to
+# zero on every grid row, so the screen sees g = 0 and the search is refused;
+# at spacing 0.3 some rows normalize to non-finite entries and the SVD fails.
+FAR_DAMPED = Realization([[-800.0, 1.0], [0.0, -800.0]], [0.0, 1.0], [1.0, 0.0])
+# A defective pair at -8 +- 1j, whose power-1 columns are subnormal at
+# intervals near 90: there eigvalsh would fail too, on the Gram matrix of
+# the non-finite entries, with a message of its own.
+DAMPED_PAIR = Realization(
+    [[-8.0, -1.0, 1.0, 0.0], [1.0, -8.0, 0.0, 1.0], [0.0, 0.0, -8.0, -1.0], [0.0, 0.0, 1.0, -8.0]],
+    [0.0, 0.0, 1.0, 1.0],
+    [1.0, 1.0, 0.0, 0.0],
+)
+
+
+def unscreened(monkeypatch, how):
+    """Send every grid row through the SVD: by an infinite screen bound, or
+    by skipping the screen, the search's path before it had one."""
+    if how == "infinite-bound":
+        monkeypatch.setattr(criterion, "SCREEN_BOUND", math.inf)
+    else:
+        monkeypatch.setattr(scheduler, "_screened", lambda modes, rows, *cut: rows)
+
+
+class TestScreenedSearch:
+    """The screen changes only which grid rows reach the SVD; the search must
+    return what it returns when every row does, bit for bit."""
+
+    @pytest.mark.parametrize("how", ["infinite-bound", "no-screen"])
+    def test_equals_the_unscreened_search(self, monkeypatch, how):
+        cases = list(screen_search_specs(240))
+        screened = [search_outcome(*case) for case in cases]
+        unscreened(monkeypatch, how)
+        assert [search_outcome(*case) for case in cases] == screened
+        ratios = [float.fromhex(obj) for head, obj in screened if isinstance(head, list)]
+        assert len(cases) >= 200 and len(ratios) >= 150
+        assert sum(1e-9 < ratio < 1e-6 for ratio in ratios) >= 5
+        assert any(head is InfeasibleError for head, _ in screened)
+
+    @pytest.mark.parametrize("how", ["infinite-bound", "no-screen"])
+    @pytest.mark.parametrize(
+        "system, spec, error",
+        [
+            (FAR_DAMPED, ScheduleSearchSpec((0.0, 3.0), 2, 1.0), "best sigma ratio 0.000e+00"),
+            (FAR_DAMPED, ScheduleSearchSpec((0.0, 2.0), 2, 0.3), "SVD did not converge"),
+            (DAMPED_PAIR, ScheduleSearchSpec((0.0, 300.0), 4, 80.0), "best sigma ratio 0.000e+00"),
+            (DAMPED_PAIR, ScheduleSearchSpec((0.0, 275.0), 4, 90.0), "SVD did not converge"),
+        ],
+    )
+    def test_far_damped_cluster_equals_the_unscreened_search(
+        self, monkeypatch, how, system, spec, error
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            screened = search_outcome(system, spec)
+            unscreened(monkeypatch, how)
+            assert search_outcome(system, spec) == screened
+        assert error in screened[1]
 
 
 class TestBatchedGrid:
