@@ -222,24 +222,19 @@ def schedule_screen(modes: ModeSet, schedules) -> np.ndarray:
     keeps the singular values.  The estimate is ``g = sqrt(w_min / w_max)``
     over the eigenvalues w of the Gram matrix R^T R, at about half the cost
     of the SVD.  w_min carries an absolute error of order eps * w_max, so
-    the bound, ``SCREEN_BOUND * n**2 * eps * (1 + 1/g)``, grows as g falls.
-    A g that is not finite, or a row that normalizes to a non-finite entry
-    (on which the SVD fails), is given g = 0 and an infinite bound.  Shape
-    and range errors are those of ``schedule_conditioning``.
+    the bound, ``SCREEN_BOUND * n**2 * eps * (1 + 1/g)``, grows as g falls,
+    to infinity at g = 0.  Row 0 is at alpha = 0, so a power-0 column is
+    never zero, trace(R^T R) >= 1 and g is finite.  Shape and range errors
+    are those of ``schedule_conditioning``.
     """
     n = modes.n
     imag = modes.kernel[0].imag
     alphas = _alpha_rows(np.asarray(schedules, dtype=float), n)
     unit = numerics._unit_columns(mode_matrix(modes, alphas))
     real = np.where(imag < 0.0, unit.imag, unit.real) * np.where(imag == 0.0, 1.0, np.sqrt(2.0))
-    gram = np.swapaxes(real, -1, -2) @ real
-    # eigvalsh can fail on such a row with an error of its own; a zero Gram
-    # matrix gives it g = 0, so the search sends it on to the SVD.
-    gram[~np.isfinite(gram).all(axis=(-2, -1))] = 0.0
-    w = np.linalg.eigvalsh(gram)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        estimate = np.sqrt(np.maximum(w[..., 0], 0.0) / w[..., -1])
-        estimate = np.where(np.isfinite(estimate), estimate, 0.0)
+    w = np.linalg.eigvalsh(np.swapaxes(real, -1, -2) @ real)
+    estimate = np.sqrt(np.maximum(w[..., 0], 0.0) / w[..., -1])
+    with np.errstate(divide="ignore"):
         bound = SCREEN_BOUND * n**2 * _EPS * (1.0 + 1.0 / estimate)
     return np.stack((estimate, bound))
 

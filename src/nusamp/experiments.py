@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict
-from .errors import DimensionError, InsufficientScheduleError, SingularScheduleError
+from .errors import DimensionError, InsufficientScheduleError, NumericRangeError, SingularScheduleError
 from .system_model import Realization, _state_vector
 
 
@@ -89,6 +89,19 @@ def _require_regular(
         )
 
 
+def _solve(matrix: np.ndarray, rhs: np.ndarray, operation: str) -> np.ndarray:
+    """``np.linalg.solve(matrix, rhs)``; NumericRangeError naming ``operation``
+    when the solve fails or is not finite, as when a regular schedule's
+    sampled exponentials underflow (the verdict is scale-free)."""
+    try:
+        solution = np.linalg.solve(matrix, rhs)
+        if np.isfinite(solution).all():
+            return solution
+    except np.linalg.LinAlgError:
+        pass
+    raise NumericRangeError(f"{operation} left the floating-point range on a regular schedule")
+
+
 def default_final_time(schedule: SamplingSchedule) -> float:
     """Deadbeat evaluation instant: last instant plus the mean spacing, or
     plus one second for a single instant."""
@@ -111,7 +124,7 @@ def deadbeat_inputs(
     schedule failing the joint criterion raises SingularScheduleError with
     the report attached.  Non-finite states, and a ``t_final`` that is not
     a finite real number beyond the last input instant, raise
-    DimensionError.
+    DimensionError; weights the solve cannot give finite, NumericRangeError.
     """
     n = realization.n
     t = schedule.instants
@@ -135,7 +148,7 @@ def deadbeat_inputs(
     # One exponential per input instant; the first also carries x0.
     steps = numerics.expm(realization.A, [final - ti for ti in t])
     rhs = x_target - steps[0] @ x0
-    return np.linalg.solve((steps @ realization.b).T, rhs)
+    return _solve((steps @ realization.b).T, rhs, "deadbeat design")
 
 
 def reconstruct_state(
@@ -144,7 +157,8 @@ def reconstruct_state(
     """Recover x(0) from n free-response outputs y(t_i) = c exp(A t_i) x(0).
 
     A schedule failing the joint criterion raises SingularScheduleError with
-    the report attached; non-finite outputs raise DimensionError.
+    the report attached; non-finite outputs raise DimensionError, and a
+    state the solve cannot give finite, NumericRangeError.
     """
     n = realization.n
     t = schedule.instants
@@ -155,7 +169,7 @@ def reconstruct_state(
     y = _state_vector(outputs, n, "outputs")
     _require_regular(realization, schedule, "outputs do not determine the state")
     rows = realization.c @ numerics.expm(realization.A, t)
-    return np.linalg.solve(rows, y)
+    return _solve(rows, y, "state reconstruction")
 
 
 def classify_case(report: CriterionReport) -> str | None:

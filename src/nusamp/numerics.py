@@ -268,17 +268,19 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
     """``m`` with its nonzero columns (axis -2) scaled to unit 2-norm, the
     norms computed inline rather than by ``np.linalg.norm``.
 
-    A column whose sum of squares is not a finite normal number (entries
-    past ~1e154, or so small that the squares underflow) is first divided by
-    its largest magnitude; every other column keeps its bits.
+    Total on finite input; real input stays real.  A column whose sum of
+    squares is not a normal float (an entry past ~1e154, or all below
+    ~1e-154) is first multiplied by the power of two that puts its peak in
+    [0.5, 1), as two exact factors since a subnormal peak needs up to
+    2**1073; every other column keeps its bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         squares = np.add.reduce((m.conj() * m).real, axis=-2, keepdims=True)
     if _TINY <= np.minimum.reduce(squares, None) and np.maximum.reduce(squares, None) <= _HUGE:
         return m / np.sqrt(squares)
-    peaks = np.abs(m).max(axis=-2, keepdims=True)
-    lost = ~((squares >= _TINY) & (squares <= _HUGE)) & (peaks > 0.0)
-    m = m / np.where(lost, peaks, 1.0)
+    lost = ~((squares >= _TINY) & (squares <= _HUGE))
+    shift = -np.frexp(np.abs(m).max(axis=-2, keepdims=True))[1]
+    m = np.where(lost, m * np.ldexp(1.0, shift // 2) * np.ldexp(1.0, shift - shift // 2), m)
     norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-2, keepdims=True))
     return m / np.where(norms > 0.0, norms, 1.0)
 

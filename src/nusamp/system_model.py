@@ -191,28 +191,16 @@ class ModalDecomposition:
     conditioning_warning: str | None = None
 
 
-def controllability_matrix(realization: Realization) -> np.ndarray:
-    """Kalman controllability matrix [b, Ab, ..., A^(n-1) b]."""
-    cols = [realization.b]
-    for _ in range(realization.n - 1):
-        cols.append(realization.A @ cols[-1])
-    return np.column_stack(cols)
-
-
-def observability_matrix(realization: Realization) -> np.ndarray:
-    """Kalman observability matrix [c; cA; ...; cA^(n-1)]."""
-    rows = [realization.c]
-    for _ in range(realization.n - 1):
-        rows.append(rows[-1] @ realization.A)
-    return np.vstack(rows)
-
-
 def check_minimal(realization: Realization) -> MinimalityReport:
-    """Rank-test both Kalman matrices at the bundle's ``rank`` tolerance."""
-    rank_tol = realization.tolerances.rank
-    ctrb = numerics.numeric_rank(controllability_matrix(realization), rank_tol)
-    obsv = numerics.numeric_rank(observability_matrix(realization), rank_tol)
-    n = realization.n
+    """Rank-test both Kalman matrices, [b, Ab, ..., A^(n-1) b] and
+    [c; cA; ...; cA^(n-1)], at the bundle's ``rank`` tolerance."""
+    A, n, rank_tol = realization.A, realization.n, realization.tolerances.rank
+    cols, rows = [realization.b], [realization.c]
+    for _ in range(n - 1):
+        cols.append(A @ cols[-1])
+        rows.append(rows[-1] @ A)
+    ctrb = numerics.numeric_rank(np.column_stack(cols), rank_tol)
+    obsv = numerics.numeric_rank(np.vstack(rows), rank_tol)
     return MinimalityReport(ctrb.rank == n, obsv.rank == n, ctrb, obsv)
 
 

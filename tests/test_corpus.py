@@ -1,10 +1,11 @@
 """Golden corpus: every subcommand's output on a fixed set of system documents.
 
-``tests/corpus/*.json`` holds thirteen system documents: order 1, the rotation
+``tests/corpus/*.json`` holds fourteen system documents: order 1, the rotation
 and its damped form, a diagonal order 3, a defective order 3 in modal form,
 orders 4 and 8, a non-minimal system, one with a ``tolerances`` record, a
 nearly uncontrollable one, a nearly defective one, the rotation without a
-schedule, and one whose ``tolerances`` record has an unknown key.
+schedule, one whose ``tolerances`` record has an unknown key, and a defective
+cluster at -800 whose sampled exponentials are subnormal.
 ``tests/corpus/runs.json`` lists the command lines run on them, each with the
 exit code, stdout and stderr the CLI produced.  Together the runs cover every
 subcommand in both formats, each of ``--tol``, ``--cluster-tol``,

@@ -6,6 +6,7 @@ import pytest
 from nusamp import (
     DimensionError,
     InsufficientScheduleError,
+    NumericRangeError,
     Realization,
     SamplingSchedule,
     SingularScheduleError,
@@ -200,6 +201,26 @@ class TestReconstruct:
             assert np.linalg.norm(recovered - truth) <= 1e-6 * max(
                 1.0, np.linalg.norm(truth)
             )
+
+
+@pytest.mark.parametrize(
+    "system, instants",
+    [
+        # exp(-720) is subnormal and exp(-800) is zero: the solves lose the
+        # state although the schedule is regular, and are refused.
+        (Realization([[-800.0]], [1.0], [1.0]), (0.9,)),
+        (Realization([[-800.0, 1.0], [0.0, -800.0]], [0.0, 1.0], [1.0, 0.0]), (0.0, 0.9)),
+    ],
+    ids=["order1", "defective"],
+)
+def test_solves_out_of_float_range_are_refused(system, instants):
+    schedule = SamplingSchedule(instants)
+    assert joint_verdict(system, schedule).sigma_ratio == 1.0
+    n = system.n
+    with pytest.raises(NumericRangeError, match="^deadbeat design left the floating-point range"):
+        deadbeat_inputs(system, schedule, [0.0] * n, [1.0] * n)
+    with pytest.raises(NumericRangeError, match="^state reconstruction left the floating-point range"):
+        reconstruct_state(system, schedule, [1.0] * n)
 
 
 @pytest.mark.parametrize(

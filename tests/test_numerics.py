@@ -413,20 +413,32 @@ class TestColumnNormalization:
         assert report.sigma_ratio == pytest.approx(1.0, rel=1e-12)
         assert report.reachable
 
-    @pytest.mark.parametrize("extreme", [1e200, 1e-170, 1e-160, 1e308])
+    @pytest.mark.parametrize("extreme", [1e200, 1e-170, 1e-160, 1e308, 1e-310, 1e-320])
     def test_other_columns_keep_their_bits(self, extreme):
-        normal = RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3))
-        odd = normal.copy()
-        odd[:, 1] *= extreme
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            scaled = numerics._unit_columns(odd)
-        plain = numerics._unit_columns(normal)
-        assert np.array_equal(scaled[:, [0, 2]], plain[:, [0, 2]])
-        assert np.allclose(scaled[:, 1], plain[:, 1], rtol=1e-14, atol=0.0)
-        assert column_normalized_sigma_ratio(odd) == pytest.approx(
-            column_normalized_sigma_ratio(normal), rel=1e-12
-        )
+        exponent = -np.frexp(extreme)[1]
+        complex_normal = RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3))
+        for normal in (complex_normal, RNG.normal(size=(3, 3))):
+            odd = normal.copy()
+            odd[:, 1] *= extreme
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = numerics._unit_columns(odd)
+            plain = numerics._unit_columns(normal)
+            assert scaled.dtype == normal.dtype
+            assert np.array_equal(scaled[:, [0, 2]], plain[:, [0, 2]])
+            # A subnormal column keeps only the bits it has; scaled back by a
+            # power of two, which is exact, it normalizes to the same floats.
+            back = odd.copy()
+            back[:, 1] = back[:, 1] * 2.0 ** (exponent // 2) * 2.0 ** (exponent - exponent // 2)
+            assert np.array_equal(scaled[:, 1], numerics._unit_columns(back)[:, 1])
+            assert column_normalized_sigma_ratio(odd) == pytest.approx(
+                column_normalized_sigma_ratio(back), rel=1e-12
+            )
+            if extreme > 1e-300:
+                assert np.allclose(scaled[:, 1], plain[:, 1], rtol=1e-14, atol=0.0)
+                assert column_normalized_sigma_ratio(odd) == pytest.approx(
+                    column_normalized_sigma_ratio(normal), rel=1e-12
+                )
 
     def test_zero_and_stacked_columns(self):
         stack = np.zeros((2, 2, 2))
