@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_NOT_MINIMAL = 3
+_TOLERANCE_FIELDS = tuple(field.name for field in fields(Tolerances))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +130,7 @@ def parse_system_document(text: str) -> SystemDocument:
         record = raw["tolerances"]
         if not isinstance(record, dict):
             raise SystemDocumentError("field tolerances: expected an object")
-        names = [field.name for field in fields(Tolerances)]
-        for key in names:
+        for key in _TOLERANCE_FIELDS:
             if key in record:
                 try:
                     tolerances = replace(tolerances, **{key: record[key]})
@@ -136,7 +138,7 @@ def parse_system_document(text: str) -> SystemDocument:
                     raise SystemDocumentError(
                         f"field tolerances.{key}: must be a positive number"
                     ) from exc
-        unknown = set(record) - set(names)
+        unknown = set(record) - set(_TOLERANCE_FIELDS)
         if unknown:
             raise SystemDocumentError(
                 f"field tolerances.{sorted(unknown)[0]}: unknown field"
@@ -203,18 +205,51 @@ def _criterion_entry(report: CriterionReport) -> dict:
     return entry
 
 
+# The number of systems whose keys or realizations _remembered holds.
+_MEMO_SYSTEMS = 16
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _remembered(realization: Realization) -> Realization:
+    """An equal realization that was analysed before, else ``realization``.
+
+    Systems are keyed by content: the bytes of A, b and c and the
+    tolerances, plus A's memory layout, which moves the last bits of what
+    LAPACK computes from it.  A system's first analysis records only its
+    key, so a stream of distinct systems keeps no realization.  Its second
+    keeps the realization, and every later analysis of the system reuses it
+    with the facts it has computed.  Past _MEMO_SYSTEMS systems, the least
+    recently analysed is dropped.
+    """
+    A = realization.A
+    key = (A.shape, A.strides, A.tobytes(), realization.b.tobytes(), realization.c.tobytes(),
+           realization.tolerances)
+    with _memo_lock:
+        if key not in _memo:
+            _memo[key] = None
+            if len(_memo) > _MEMO_SYSTEMS:
+                _memo.popitem(last=False)
+            return realization
+        _memo.move_to_end(key)
+        if _memo[key] is None:
+            _memo[key] = realization
+        return _memo[key]
+
+
 def build_analysis(document: SystemDocument, schedule: SamplingSchedule, tolerances: Tolerances) -> dict:
     """Full pipeline: minimality, modes, criterion, oracle cross-check.
 
-    Returns a JSON-serializable dict; the text rendering is derived from the
-    same dict so the two forms cannot diverge.
+    A system analysed again reuses the facts of its earlier analyses (see
+    ``_remembered``).  Returns a JSON-serializable dict; the text rendering
+    is derived from the same dict so the two forms cannot diverge.
     """
-    realization = Realization(document.A, document.b, document.c, tolerances)
+    realization = _remembered(Realization(document.A, document.b, document.c, tolerances))
     minimality = realization.minimality
     result = {
         "system": {"order": realization.n},
         "schedule": list(schedule.instants),
-        "tolerances": asdict(tolerances),
+        "tolerances": {name: getattr(tolerances, name) for name in _TOLERANCE_FIELDS},
         "minimality": {
             "controllable_ct": minimality.controllable_ct,
             "observable_ct": minimality.observable_ct,
@@ -246,8 +281,11 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
     }
     if not oracle.agrees_with_criterion:
         result["warnings"].append(
-            "criterion and direct rank test disagree; the schedule sits near "
-            "the tolerance boundary"
+            "criterion and direct rank test disagree: "
+            f"mode-matrix sigma ratio {oracle.criterion.sigma_ratio:.6g}, "
+            f"direct reachability sigma ratio {oracle.reachability_sigma_ratio:.6g}, "
+            f"direct observability sigma ratio {oracle.observability_sigma_ratio:.6g}, "
+            f"singularity tolerance {tolerances.singularity:.6g}"
         )
 
     if document.x0 is not None and oracle.criterion.controllable is not None:
@@ -328,7 +366,7 @@ def render_text(result: dict) -> str:
 
 def _tolerances_from_args(document: SystemDocument, args) -> Tolerances:
     """The document's tolerances with every tolerance flag that was set."""
-    flags = {field.name: getattr(args, field.name) for field in fields(Tolerances)}
+    flags = {name: getattr(args, name) for name in _TOLERANCE_FIELDS}
     return replace(document.tolerances, **{k: v for k, v in flags.items() if v is not None})
 
 

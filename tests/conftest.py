@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nusamp import Realization, SamplingSchedule, check_minimal
+from nusamp import Realization, SamplingSchedule, check_minimal, cli
 
 # Sigma ratios in this band sit close enough to the singularity tolerance that
 # the verdict can flip on rounding (a BLAS that rounds differently, or the
@@ -41,6 +41,12 @@ GOOD_REALS = [
     pytest.param(3, id="int"),
     pytest.param(np.array(3.0), id="0-d-array"),
 ]
+
+
+@pytest.fixture(autouse=True)
+def _empty_analysis_memo():
+    """Every test starts with ``cli.build_analysis`` holding no earlier system."""
+    cli._memo.clear()
 
 
 @pytest.fixture

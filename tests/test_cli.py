@@ -24,7 +24,7 @@ from nusamp.cli import (
     main,
     parse_system_document,
 )
-from conftest import count_calls
+from conftest import build_system, count_calls, random_schedule
 
 PI_16 = "3.141592653589793"
 CORPUS = Path(__file__).parent / "corpus"
@@ -368,8 +368,9 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert "agreement no" in out
         assert out.endswith(
-            "warning: criterion and direct rank test disagree; the schedule sits near "
-            "the tolerance boundary\n"
+            "warning: criterion and direct rank test disagree: mode-matrix sigma ratio "
+            "0.0353566, direct reachability sigma ratio 0.020695, direct observability "
+            "sigma ratio 0.00775749, singularity tolerance 0.01\n"
         )
         assert err == ""
 
@@ -389,6 +390,126 @@ class TestAnalyze:
         criterion = json.loads(raw)["criterion"]
         full_det = criterion["full_determinant"]["abs"]
         assert criterion["factorization_residual"] <= 1e-8 * max(1.0, full_det)
+
+
+def _rotation_document(**changes) -> SystemDocument:
+    entries = {
+        "order": 2,
+        "A": np.array([[0.0, -1.0], [1.0, 0.0]]),
+        "b": np.array([1.0, 0.5]),
+        "c": np.array([1.0, 0.0]),
+        **changes,
+    }
+    return SystemDocument(**entries)
+
+
+def _scalar_document(k: int) -> SystemDocument:
+    return SystemDocument(order=1, A=np.array([[-1.0 - k]]), b=np.ones(1), c=np.ones(1))
+
+
+class TestAnalysisMemo:
+    """``build_analysis`` reuses the realization of a system it analyses again."""
+
+    SCHEDULE = SamplingSchedule((0.0, 1.0))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return count_calls(monkeypatch, [
+            (system_model, "check_minimal"),
+            (system_model, "modal_decompose"),
+            (system_model.numerics, "eig_clustered"),
+            (np.linalg, "eig"),
+        ])
+
+    def test_third_analysis_computes_no_fact(self, calls):
+        document = _rotation_document()
+        first = build_analysis(document, self.SCHEDULE, Tolerances())
+        build_analysis(document, SamplingSchedule((0.0, 2.0)), Tolerances())
+        assert calls == {"check_minimal": 2, "modal_decompose": 2, "eig_clustered": 2, "eig": 2}
+        calls.clear()
+        # An equal document, not the same object, hits as well.
+        assert build_analysis(_rotation_document(), self.SCHEDULE, Tolerances()) == first
+        assert calls == {}
+
+    @pytest.mark.parametrize("document, tolerances", [
+        pytest.param(_rotation_document(), Tolerances(rank=1e-8), id="tolerance"),
+        pytest.param(_rotation_document(A=np.array([[0.0, -1.0], [1.0, 1e-3]])), Tolerances(), id="A"),
+        pytest.param(_rotation_document(b=np.array([1.0, 0.25])), Tolerances(), id="b"),
+        pytest.param(_rotation_document(c=np.array([1.0, 1e-3])), Tolerances(), id="c"),
+        pytest.param(_rotation_document(A=np.array([[-0.0, -1.0], [1.0, 0.0]])), Tolerances(),
+                     id="negative-zero"),
+        # Equal entries in another memory layout: LAPACK may round otherwise.
+        pytest.param(_rotation_document(A=np.asfortranarray([[0.0, -1.0], [1.0, 0.0]])),
+                     Tolerances(), id="fortran-order"),
+    ])
+    def test_a_changed_system_computes_fresh_facts(self, calls, document, tolerances):
+        for _ in range(2):
+            build_analysis(_rotation_document(), self.SCHEDULE, Tolerances())
+        calls.clear()
+        build_analysis(document, self.SCHEDULE, tolerances)
+        assert calls == {"check_minimal": 1, "modal_decompose": 1, "eig_clustered": 1, "eig": 1}
+
+    def test_first_sight_keeps_no_realization(self):
+        for k in range(2 * cli._MEMO_SYSTEMS):
+            build_analysis(_scalar_document(k), SamplingSchedule((0.0,)), Tolerances())
+        assert len(cli._memo) == cli._MEMO_SYSTEMS
+        assert not any(isinstance(kept, system_model.Realization) for kept in cli._memo.values())
+
+    def test_the_least_recently_analysed_system_is_dropped(self, calls):
+        schedule = SamplingSchedule((0.0,))
+        oldest, evicted = _scalar_document(0), _scalar_document(1)
+        for document in (oldest, oldest, evicted, evicted):
+            build_analysis(document, schedule, Tolerances())
+        for k in range(2, cli._MEMO_SYSTEMS):
+            build_analysis(_scalar_document(k), schedule, Tolerances())
+        # The memo is full; reusing the oldest makes the second the least recent.
+        calls.clear()
+        build_analysis(oldest, schedule, Tolerances())
+        assert calls == {}
+        build_analysis(_scalar_document(cli._MEMO_SYSTEMS), schedule, Tolerances())
+        calls.clear()
+        build_analysis(oldest, schedule, Tolerances())
+        assert calls == {}
+        build_analysis(evicted, schedule, Tolerances())
+        assert calls["check_minimal"] == 1
+
+    def test_reuse_is_byte_identical(self):
+        """A seeded sweep: each document is analysed three times among others,
+        and every report equals the same analysis on an empty memo."""
+        rng = np.random.default_rng(23)
+        # Coarse enough to move verdicts, so a memo that ignored the
+        # tolerances would change reports.
+        custom = Tolerances(singularity=1e-3, cluster=1e-3, rank=1e-3, residual=1e-6)
+        documents = []
+        for k in range(16):
+            n = 1 + k % 12
+            A, b, c = rng.normal(size=(n, n)) / np.sqrt(n), rng.normal(size=n), rng.normal(size=n)
+            if k % 5 == 4:
+                # A decoupled state the input never reaches: non-minimal.
+                A[-1, :], A[:, -1], b[-1] = 0.0, 0.0, 0.0
+            elif 2 <= n <= 6 and k % 3 == 0:
+                # A double eigenvalue at -0.5: one defective cluster.
+                structure = [(-0.5, 0.0, 2)] + [(0.4 * j - 1.0, 0.0, 1) for j in range(n - 2)]
+                system = build_system(rng, structure)
+                A, b, c = system.A, system.b, system.c
+            x0 = tuple(rng.normal(size=n)) if k % 4 == 1 else None
+            documents.append(SystemDocument(order=n, A=A, b=b, c=c, x0=x0))
+            if k % 2:
+                # The same system with other tolerances, analysed alongside.
+                documents.append(SystemDocument(order=n, A=A, b=b, c=c, x0=x0, tolerances=custom))
+        runs = []
+        for group in (documents[:8], documents[8:16], documents[16:]):
+            cli._memo.clear()
+            for _ in range(3):
+                for document in group:
+                    schedule = random_schedule(rng, document.order + int(rng.integers(2)))
+                    report = build_analysis(document, schedule, document.tolerances)
+                    runs.append((document, schedule, json.dumps(report)))
+            assert sum(kept is not None for kept in cli._memo.values()) == len(group)
+        assert any('"minimal": false' in report for _, _, report in runs)
+        for document, schedule, report in runs:
+            cli._memo.clear()
+            assert json.dumps(build_analysis(document, schedule, document.tolerances)) == report
 
 
 class TestForbidden:
