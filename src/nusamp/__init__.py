@@ -57,14 +57,6 @@ from .oracle import (
     cross_validate,
     reachability_matrix,
 )
-from .scheduler import (
-    ForbiddenSet,
-    ScheduleSearchSpec,
-    UniformValidation,
-    forbidden_instants_order2,
-    suggest_schedule,
-    validate_uniform,
-)
 from .system_model import (
     MinimalityReport,
     ModalDecomposition,
@@ -130,3 +122,28 @@ __all__ = [
     "suggest_schedule",
     "validate_uniform",
 ]
+
+# The schedule-search exports load nusamp.scheduler on first use, so that
+# importing the package (and the CLI's analyze path) never compiles it.
+_SCHEDULER_EXPORTS = frozenset({
+    "ForbiddenSet",
+    "ScheduleSearchSpec",
+    "UniformValidation",
+    "forbidden_instants_order2",
+    "suggest_schedule",
+    "validate_uniform",
+})
+
+
+def __getattr__(name):
+    # Read from the module on every access, never cached here, so that
+    # whatever is bound in nusamp.scheduler is what the package returns.
+    if name in _SCHEDULER_EXPORTS:
+        from . import scheduler
+
+        return getattr(scheduler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SCHEDULER_EXPORTS)

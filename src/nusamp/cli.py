@@ -12,6 +12,8 @@ A system document is a JSON object with the fields
 Stderr: a ``warning:`` line comes after every input has validated and before the analysis.
 Exit codes, from one table: 0 positive, 1 usage, parse or tolerance error,
 2 negative or not applicable, 3 non-minimal input system.
+The forbidden, suggest and uniform commands import ``nusamp.scheduler`` when
+they run, so that analyze never loads it.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from .experiments import (
 )
 from .numerics import Tolerances
 from .oracle import controllable_direct, cross_validate
-from .scheduler import DEFAULT_UNIFORM_HORIZON, MAX_SCHEDULE_INSTANTS, MAX_UNIFORM_HORIZON
-from .scheduler import ScheduleSearchSpec, forbidden_instants_order2, suggest_schedule, validate_uniform
 from .system_model import Realization
 
 EXIT_OK = 0
@@ -215,15 +215,14 @@ def _remembered(realization: Realization) -> Realization:
     """An equal realization that was analysed before, else ``realization``.
 
     Systems are keyed by content: the bytes of A, b and c and the
-    tolerances, plus A's memory layout, which moves the last bits of what
-    LAPACK computes from it.  A system's first analysis records only its
-    key, so a stream of distinct systems keeps no realization.  Its second
-    keeps the realization, and every later analysis of the system reuses it
-    with the facts it has computed.  Past _MEMO_SYSTEMS systems, the least
-    recently analysed is dropped.
+    tolerances.  A system's first analysis records only its key, so a
+    stream of distinct systems keeps no realization.  Its second keeps the
+    realization, and every later analysis of the system reuses it with the
+    facts it has computed.  Past _MEMO_SYSTEMS systems, the least recently
+    analysed is dropped.
     """
     A = realization.A
-    key = (A.shape, A.strides, A.tobytes(), realization.b.tobytes(), realization.c.tobytes(),
+    key = (A.shape, A.tobytes(), realization.b.tobytes(), realization.c.tobytes(),
            realization.tolerances)
     with _memo_lock:
         if key not in _memo:
@@ -445,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "suggest", _cmd_suggest, "search a window for a well-conditioned schedule")
     p.add_argument("--window", required=True, help="search window as 'lo,hi'")
     p.add_argument("--count", type=int, required=True,
-                   help=f"number of instants (at most {MAX_SCHEDULE_INSTANTS})")
+                   help=f"number of instants (at most {numerics.MAX_SCHEDULE_INSTANTS})")
     p.add_argument("--min-spacing", type=float, required=True, help="minimum spacing")
 
     p = _subcommand(sub, "deadbeat", _cmd_deadbeat, "n-step input sequence reaching a target state")
@@ -461,9 +460,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "uniform", _cmd_uniform, "validate a uniform sampling interval")
     p.add_argument("--interval", type=float, required=True, help="sampling interval T")
-    p.add_argument("--horizon", type=int, default=DEFAULT_UNIFORM_HORIZON,
-                   help=f"largest multiple of T to scan (default {DEFAULT_UNIFORM_HORIZON}, "
-                   f"at most {MAX_UNIFORM_HORIZON})")
+    p.add_argument("--horizon", type=int, default=numerics.DEFAULT_UNIFORM_HORIZON,
+                   help=f"largest multiple of T to scan (default {numerics.DEFAULT_UNIFORM_HORIZON}, "
+                   f"at most {numerics.MAX_UNIFORM_HORIZON})")
 
     return parser
 
@@ -487,6 +486,8 @@ def _forbidden_text(result: dict) -> str:
 
 
 def _cmd_forbidden(args, document, system, err):
+    from .scheduler import forbidden_instants_order2
+
     window = _window(args)
     forbidden = forbidden_instants_order2(system, args.t0, window)
     return {**asdict(forbidden), "window": list(window)}, _forbidden_text, EXIT_OK
@@ -500,6 +501,8 @@ def _suggest_text(result: dict) -> str:
 
 
 def _cmd_suggest(args, document, system, err):
+    from .scheduler import ScheduleSearchSpec, suggest_schedule
+
     spec = ScheduleSearchSpec(window=_window(args), count=args.count, min_spacing=args.min_spacing)
     schedule, objective = suggest_schedule(system, spec)
     result = {"schedule": list(schedule.instants), "sigma_ratio": objective}
@@ -569,6 +572,8 @@ def _uniform_text(result: dict) -> str:
 
 
 def _cmd_uniform(args, document, system, err):
+    from .scheduler import validate_uniform
+
     validation = validate_uniform(system, args.interval, args.horizon)
     result = {
         "interval": validation.interval,

@@ -17,6 +17,11 @@ import numpy as np
 from .errors import DimensionError, NumericRangeError, ToleranceError
 
 MAX_ORDER = 12
+# Size guards of the schedule-search module, defined here so that the CLI's
+# help text can quote them without loading that module.
+MAX_UNIFORM_HORIZON = 10_000  # the multiples one uniform validation scans
+DEFAULT_UNIFORM_HORIZON = 10  # the multiples it scans when not told
+MAX_SCHEDULE_INSTANTS = 100_000  # the instants one schedule search returns
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,10 @@ def as_float(value, error) -> float:
 
 def as_real(values, error) -> np.ndarray:
     """``values``, a number, an array or a nested sequence of numbers, as a
-    new float ndarray, each entry by ``as_float``'s rule."""
+    new C-ordered float ndarray, each entry by ``as_float``'s rule."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        return values.astype(float)
+        # C order whatever the input's layout: LAPACK's last bits follow it.
+        return values.astype(float, order="C")
     if type(values) in (list, tuple) and all(type(x) is float for x in values):
         return np.array(values, dtype=float)
     try:

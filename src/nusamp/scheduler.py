@@ -21,14 +21,12 @@ from .criterion import CriterionReport, SamplingSchedule, joint_verdict, schedul
 from .criterion import schedule_screen
 from .errors import DimensionError, InfeasibleError, NotApplicableError, NumericRangeError
 from .errors import UnsupportedOrderError
+from .numerics import DEFAULT_UNIFORM_HORIZON, MAX_SCHEDULE_INSTANTS, MAX_UNIFORM_HORIZON
 from .system_model import ModeSet, Realization, require_minimal
 
 # Guard so a careless search spec cannot ask for an astronomically large grid.
 MAX_GRID_CANDIDATES = 2_000_000
 MAX_FORBIDDEN_INSTANTS = 100_000  # the same guard for one forbidden-instant window
-MAX_UNIFORM_HORIZON = 10_000  # and for the multiples one uniform validation scans
-DEFAULT_UNIFORM_HORIZON = 10  # the multiples it scans when not told
-MAX_SCHEDULE_INSTANTS = 100_000  # and for the instants one schedule search returns
 # A forbidden-instant period must span more than this many float spacings at
 # the query's largest magnitude; below it t0 + k*period rounds to repeated or
 # unordered instants.
@@ -422,13 +420,6 @@ def _best_first(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.lexsort((*rows.T[::-1], -values))
 
 
-def _crowded(spec: ScheduleSearchSpec) -> InfeasibleError:
-    return InfeasibleError(
-        f"the search grid holds no {spec.count} instants spaced {spec.min_spacing!r} "
-        f"in the window {spec.window!r}; widen the window"
-    )
-
-
 def _meet_spec(instants: list, spec: ScheduleSearchSpec) -> list:
     """The instants moved until they meet the spec as computed in floats.
 
@@ -455,7 +446,10 @@ def _meet_spec(instants: list, spec: ScheduleSearchSpec) -> list:
         if instants[i] - instants[i - 1] < spacing:
             instants[i - 1] = _latest_clearing(instants[i], spacing)
     if instants[0] < lo:
-        raise _crowded(spec)
+        raise InfeasibleError(
+            f"the search grid holds no {spec.count} instants spaced {spacing!r} "
+            f"in the window {spec.window!r}; widen the window"
+        )
     return instants
 
 
@@ -512,10 +506,13 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     on purpose: a probe replaces the winner only when strictly better.
 
     The returned schedule meets the spec as computed in floats (see
-    ``_meet_spec``).  Returns (schedule, achieved sigma ratio), or raises
-    InfeasibleError when the lattice holds no such schedule or that ratio
-    does not exceed the singularity tolerance.  The realization must be
-    minimal; only its mode set is computed, never the modal decomposition.
+    ``_meet_spec``).  A window whose lattice holds no row may still hold a
+    schedule: the walk back from its end, on the instants min_spacing apart
+    from its start, then finds one.  Returns (schedule, achieved sigma
+    ratio), or raises InfeasibleError when no schedule meets the spec or
+    that ratio does not exceed the singularity tolerance.  The realization
+    must be minimal; only its mode set is computed, never the modal
+    decomposition.
     The objective depends only on instant differences, so the first instant
     is pinned to the window start without loss of generality.
     """
@@ -542,7 +539,9 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
 
     rows = _grid_rows(last, n, stride=COARSE)
     if not len(rows):
-        raise _crowded(spec)
+        start = [lo + k * spec.min_spacing for k in range(spec.count)]
+        schedule = SamplingSchedule(tuple(_meet_spec(start, spec)))
+        return _cleared(system, schedule, schedule_conditioning(modes, schedule))
     rows = _screened(modes, rows, lo, 64 * unit, KEEP)
     values = _conditioning(modes, rows, lo, 64 * unit)
     best = _best_first(values, rows)[:KEEP]
@@ -583,9 +582,15 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     schedule = SamplingSchedule(tuple(_meet_spec(instants, spec)))
     if list(schedule.instants) != instants:
         best_obj = schedule_conditioning(modes, schedule)
-    if best_obj <= system.tolerances.singularity:
+    return _cleared(system, schedule, best_obj)
+
+
+def _cleared(system: Realization, schedule: SamplingSchedule, objective: float):
+    """(schedule, objective), or InfeasibleError when the objective does not
+    exceed the singularity tolerance."""
+    if objective <= system.tolerances.singularity:
         raise InfeasibleError(
             f"no schedule in the window clears the singularity tolerance "
-            f"(best sigma ratio {best_obj:.3e})"
+            f"(best sigma ratio {objective:.3e})"
         )
-    return schedule, best_obj
+    return schedule, objective

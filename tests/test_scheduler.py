@@ -2,8 +2,10 @@
 
 import io
 import itertools
+import json
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -246,6 +248,10 @@ def assert_meets_spec(system, spec, result):
 # A window that holds two instants 1.5 apart in floats, (lo, hi) itself,
 # but no lattice row: lo + 1.5 rounds one float step past hi.
 LATTICE_GAP_WINDOW = (3 * 2.0**-53, 1.5 + 2.0**-52)
+# A window whose lattice holds no row of four instants 0.2 apart, nor does
+# any schedule: walked back from 0.9 at spacing 0.2, the first instant
+# falls below 0.3.
+CROWDED_WINDOW = (0.3, 0.9)
 
 
 def random_search_specs(count):
@@ -874,23 +880,47 @@ class TestSuggestSchedule:
         assert_meets_spec(rotation_system, spec, result)
         assert result[0].instants == spec.window
 
-    def test_grid_without_a_row_names_the_window(self, rotation_system):
-        spec = ScheduleSearchSpec(window=LATTICE_GAP_WINDOW, count=2, min_spacing=1.5)
+    def test_grid_without_a_row_names_the_window(self, rotation_system, monkeypatch):
+        spec = ScheduleSearchSpec(window=CROWDED_WINDOW, count=4, min_spacing=0.2)
+        assert greedy_from_end(0.9, 4, 0.2)[0] < 0.3
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_screen")])
         with pytest.raises(InfeasibleError) as info:
             suggest_schedule(rotation_system, spec)
+        assert calls == {}  # no lattice row to screen
         message = str(info.value)
-        assert f"window {spec.window!r}" in message and "spaced 1.5" in message
+        assert f"window {spec.window!r}" in message and "spaced 0.2" in message
 
     def test_grid_without_a_row_is_one_cli_error(self, tmp_path):
         path = tmp_path / "rotation.json"
         path.write_text('{"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0]}')
         out, err = io.StringIO(), io.StringIO()
-        window = ",".join(map(repr, LATTICE_GAP_WINDOW))
-        argv = ["suggest", str(path), "--window", window, "--count", "2", "--min-spacing", "1.5"]
+        window = ",".join(map(repr, CROWDED_WINDOW))
+        argv = ["suggest", str(path), "--window", window, "--count", "4", "--min-spacing", "0.2"]
         assert main(argv, out=out, err=err) == 1
         assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: the search grid holds no 2 instants")
+        assert err.getvalue().startswith("error: the search grid holds no 4 instants")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+    def test_grid_without_a_row_answers_a_window_that_holds_the_schedule(
+        self, rotation_system, monkeypatch
+    ):
+        spec = ScheduleSearchSpec(window=LATTICE_GAP_WINDOW, count=2, min_spacing=1.5)
+        calls = count_calls(monkeypatch, [(scheduler, "schedule_screen")])
+        result = suggest_schedule(rotation_system, spec)
+        assert calls == {}
+        assert_meets_spec(rotation_system, spec, result)
+        assert result[0].instants == LATTICE_GAP_WINDOW
+
+    def test_grid_without_a_row_answers_from_the_cli(self, tmp_path):
+        path = tmp_path / "rotation.json"
+        path.write_text('{"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0]}')
+        out, err = io.StringIO(), io.StringIO()
+        window = ",".join(map(repr, LATTICE_GAP_WINDOW))
+        argv = ["suggest", str(path), "--window", window, "--count", "2", "--min-spacing", "1.5",
+                "--format", "json"]
+        assert main(argv, out=out, err=err) == 0
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["schedule"] == list(LATTICE_GAP_WINDOW)
 
     def test_window_too_wide_to_count_is_too_large(self, rotation_system, tmp_path):
         # The window spans ~4e310 grid steps: the count overflows a float.
@@ -1036,6 +1066,38 @@ class TestSearchContract:
             assert_meets_spec(system, spec, result)
             outcomes.add("met")
         assert outcomes == {"met", "refused"}
+
+    def test_windows_without_a_lattice_row_are_met_or_refused_exactly(self):
+        # Windows of count - 1 spacings less up to three float steps whose
+        # lattice holds no row: the walk-back from the window end answers
+        # them, and refuses only when no schedule ends in the window.
+        rng = np.random.default_rng(1618)
+        outcomes = Counter()
+        for _ in range(4000):
+            n, count = int(rng.integers(2, 4)), int(rng.integers(2, 6))
+            spacing = float(rng.choice([0.1, 0.15, 0.2, 0.3, 0.7, 1.5]))
+            lo = float(rng.choice([3 * 2.0**-53, -0.3, 0.1, 0.3, 0.7, 1e3]))
+            hi = lo + (count - 1) * spacing
+            for _ in range(int(rng.integers(0, 4))):
+                hi = math.nextafter(hi, -math.inf)
+            if count < n or hi - lo < (count - 1) * spacing:
+                continue  # no spec: too few instants, or a window too short
+            if reference_grid(lo, hi, spacing, n, count - n):
+                continue
+            system = random_minimal_system(rng, n)
+            spec = ScheduleSearchSpec(window=(lo, hi), count=count, min_spacing=spacing)
+            try:
+                result = suggest_schedule(system, spec)
+            except InfeasibleError as exc:
+                assert f"in the window {spec.window!r}" in str(exc)
+                assert greedy_from_end(hi, count, spacing)[0] < lo, spec
+                outcomes["refused"] += 1
+                continue
+            assert_meets_spec(system, spec, result)
+            start = [lo + k * spacing for k in range(count)]
+            assert list(result[0].instants) == meet_spec(start, lo, hi, spacing)
+            outcomes["met"] += 1
+        assert outcomes["met"] >= 20 and outcomes["refused"] >= 20, outcomes
 
     def test_walk_back_takes_the_latest_clearing_float(self):
         rng = np.random.default_rng(1719)

@@ -99,6 +99,23 @@ class TestRealization:
         assert np.array_equal(dual.b, rotation_system.c)
         assert np.array_equal(dual.c, rotation_system.b)
 
+    def test_dual_facts_are_those_of_a_c_ordered_transpose(self):
+        # dual() hands over the transposed view of A; its realization is C
+        # ordered like any other, so LAPACK rounds its facts alike.
+        rng = np.random.default_rng(24)
+        for n in range(1, 13):
+            system = random_minimal_system(rng, n, allow_defective=n % 3 == 0)
+            dual, copy = system.dual(), Realization(system.A.T.copy(), system.c, system.b)
+            assert dual.A.flags.c_contiguous
+            assert all(np.array_equal(x, y) for x, y in zip(dual.eigen, copy.eigen)), n
+            assert dual.minimality == copy.minimality, n
+            ours, theirs = dual.decomposition, copy.decomposition
+            assert ours.modes == theirs.modes, n
+            for name in ("J", "B", "y0"):
+                assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), (n, name)
+            for name in ("basis_sigma_ratio", "reconstruction_residual", "conditioning_warning"):
+                assert getattr(ours, name) == getattr(theirs, name), (n, name)
+
     def test_dual_keeps_the_tolerances(self, rotation_system):
         strict = replace(rotation_system, tolerances=Tolerances(singularity=0.05))
         assert strict.dual().tolerances is strict.tolerances
