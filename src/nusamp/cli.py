@@ -19,6 +19,7 @@ they run, so that analyze never loads it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import threading
@@ -371,7 +372,7 @@ def _tolerances_from_args(document: SystemDocument, args) -> Tolerances:
 
 def _parse_floats(text: str, label: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
+        return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise SystemDocumentError(f"{label}: {exc}") from exc
 
@@ -604,7 +605,9 @@ def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        # argparse prints usage, errors and --help to the process streams.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -37,8 +37,7 @@ FORBIDDEN_SPACING_MARGIN = 16
 # complex mode matrices stay a few hundred kilobytes even at order 12.
 SEARCH_CHUNK = 256
 
-GUARD_SECTIONS = 16  # guard-band bracket sections per batched round
-# The guard band of each realization, sectioned on its first forbidden query.
+# The guard band of each realization, searched on its first forbidden query.
 # Keyed by the object itself (Realization equality is identity), so a
 # replaced copy or a realization built from the same matrices has its own.
 _GUARD_BANDS = weakref.WeakKeyDictionary()
@@ -161,11 +160,10 @@ def forbidden_instants_order2(system: Realization, t0: float, window) -> Forbidd
     exactly when ``b * (t1 - t0)`` is an integer multiple of pi, b being the
     imaginary part of the eigenvalue pair.  Damping (the real part) only
     stretches the mode-space vectors and never changes this set.  Only the
-    mode set is needed, so minimality is not checked.  The guard band is
-    sectioned against the singularity tolerance on the separation alone, so
-    it is computed once per realization, on its first query, and every
-    later query reads it back.  A
-    non-finite t0 or window bound raises InfeasibleError, as does a window
+    mode set is needed, so minimality is not checked.  The guard band
+    depends on the separation alone, so it is computed once per
+    realization, on its first query, and every later query reads it back.
+    A non-finite t0 or window bound raises InfeasibleError, as does a window
     too far from t0 to count, holding more than MAX_FORBIDDEN_INSTANTS of
     them, or holding any so far from zero that the period is not above
     FORBIDDEN_SPACING_MARGIN float spacings there.
@@ -211,29 +209,19 @@ def forbidden_instants_order2(system: Realization, t0: float, window) -> Forbidd
 
 def _guard_band(modes: ModeSet, period: float, tol: float) -> float:
     """Offset past the separation ``period`` where the verdict passes again,
-    at most a quarter period, on the rows (0, period + offset); offset 0 is
-    taken to fail.  Each round sections the bracket GUARD_SECTIONS ways in
-    one call and keeps the section ending at the first passing offset; 15
-    rounds narrow it by 16**15 = 2**60, as 60 halvings would.  The result
-    equals a scalar bisection's only where the verdict is monotone in the
-    offset at a resolution of ``span * 2**-60``: near a crossing the
-    computed verdict can flip back and forth over a few hundred floats, and
-    the two then agree only where their probes happen to decide alike."""
+    at most a quarter period, on the rows (0, period + offset); ``period``
+    is taken to fail.  ``_last_true`` searches the floats of the second
+    instant up to the quarter period, so ``period + offset`` is, exactly,
+    the first passing float after the last failing one the search reaches,
+    and the offset is exact too (Sterbenz).  Near a crossing the computed
+    verdict can flip back and forth over a few hundred floats; the search
+    then stops at one of those crossings."""
     span = period / 4.0
     if schedule_conditioning(modes, np.array([0.0, period + span])) <= tol:
         return span
-    low, high = 0.0, span
-    for _ in range(15):
-        offsets = np.linspace(low, high, GUARD_SECTIONS + 1)
-        offsets = offsets[(offsets > low) & (offsets < high)]
-        if offsets.size == 0:
-            break
-        rows = np.column_stack((np.zeros(offsets.size), period + offsets))
-        passes = np.concatenate(([False], schedule_conditioning(modes, rows) > tol, [True]))
-        bracket = np.concatenate(([low], offsets, [high]))
-        first = int(np.argmax(passes))
-        low, high = bracket[first - 1], bracket[first]
-    return float(high)
+    fails = lambda key: schedule_conditioning(modes, np.array([0.0, _key_float(key)])) <= tol
+    last = _last_true(fails, _float_key(period), _float_key(period + span))
+    return _key_float(last + 1) - period
 
 
 def validate_uniform(
@@ -244,7 +232,7 @@ def validate_uniform(
     Also scans the subsampled intervals j*T for j up to ``horizon`` and
     reports the first one whose sigma ratio is at or below the singularity
     tolerance, which for an oscillatory order-2 system flags the smallest
-    multiple of T hitting a forbidden separation.  The j = 1 ratio is the
+    multiple of T hitting a forbidden separation.  The j = 1 verdict is the
     report's own; larger multiples are evaluated in stacked blocks (see
     ``_first_failing_multiple``), with the first failing multiple and every
     error, which names the multiple and the interval, those of a scan one
@@ -259,7 +247,7 @@ def validate_uniform(
     except (DimensionError, NumericRangeError) as exc:
         raise _at_multiple(exc, 1, interval) from exc
     tol = system.tolerances.singularity
-    if report.sigma_ratio <= tol:
+    if not report.reachable:
         first_failing = 1
     else:
         first_failing = _first_failing_multiple(system.modes, interval, horizon, tol)
@@ -325,7 +313,9 @@ def _last_true(test, low: int, high: int) -> int:
     """The largest k in [low, high) with ``test(k)``, for a test that holds
     at ``low`` and, once false, stays false as k grows.  Strides double up
     from ``low`` until the test fails or would reach ``high``, and bisection
-    closes the bracket: about 2 log2(k - low) tests, never one at ``high``."""
+    closes the bracket: about 2 log2(k - low) tests, never one at ``high``.
+    Whatever the test, the k returned is ``low`` or holds it, and k + 1
+    fails it or is ``high``."""
     stride = 1
     while low + stride < high and test(low + stride):
         low, stride = low + stride, 2 * stride

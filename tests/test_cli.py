@@ -309,6 +309,12 @@ class TestAnalyze:
         code, _, _ = run_cli("analyze", str(path))
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("schedule", ["0,,1", "0,1,"])
+    def test_empty_schedule_field_exits_one(self, rotation_file, schedule):
+        code, out, err = run_cli("analyze", rotation_file, "--schedule", schedule)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --schedule: could not convert string to float: ''\n"
+
     def test_missing_schedule(self, rotation_file):
         code, _, err = run_cli("analyze", rotation_file)
         assert code == EXIT_USAGE
@@ -733,6 +739,15 @@ class TestModuleEntryPoints:
         assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
         assert main(["--help"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: nusamp")
+
+    def test_parser_writes_to_the_given_streams(self, capsys):
+        code, out, err = run_cli("analyze")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: nusamp analyze") and "required: system" in err
+        code, out, err = run_cli("--help")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: nusamp")
+        assert capsys.readouterr() == ("", "")
 
     def test_module_run_prints_what_main_prints(self):
         argv = ["analyze", str(CORPUS / "order4.json"), "--format", "json"]
