@@ -25,8 +25,9 @@ verdict and its residual attached to the report.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from math import factorial, isfinite
+from math import factorial, inf, isfinite
 
 import numpy as np
 
@@ -256,7 +257,8 @@ def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionR
     ``alpha_0 .. alpha_{n-1}``, a span truncated at the singularity
     tolerance and a membership judged by the residual tolerance.  A
     full-rank span holds every vector, so the pair holds whenever the
-    schedule is reachable.
+    schedule is reachable.  A mode matrix, determinant, N2 or factorization
+    residual beyond the floating-point range raises NumericRangeError.
     """
     decomposition = system.decomposition
     tolerances = system.tolerances
@@ -274,11 +276,19 @@ def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionR
     intervals = alphas.alpha if alphas.alpha_n is None else (*alphas.alpha, alphas.alpha_n)
     vectors = _mode_space_vectors(decomposition, intervals)
 
-    mode_det = complex(np.linalg.det(phi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mode_det = complex(np.linalg.det(phi))
+        full_det = complex(np.linalg.det(vectors[:n].T))
     n1 = factor_n1(modes)
-    n2 = factor_n2(decomposition)
-    full_det = complex(np.linalg.det(vectors[:n].T))
-    factorization_residual = abs(full_det - n1 * n2 * mode_det)
+    try:
+        n2 = factor_n2(decomposition)
+        factorization_residual = abs(full_det - n1 * n2 * mode_det)
+    except OverflowError:  # a power of y0, or a modulus, beyond the float range
+        factorization_residual = inf
+    if not all(map(cmath.isfinite, (mode_det, full_det, factorization_residual))):
+        raise NumericRangeError(
+            "determinant overflowed; shrink the schedule window or scale down b"
+        )
 
     controllable = constructible = None
     membership_residual = None

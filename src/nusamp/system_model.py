@@ -34,7 +34,8 @@ from . import numerics
 from .errors import ConvergenceError, DimensionError, MinimalityError, ToleranceError
 from .errors import UnsupportedOrderError
 
-# Basis matrices with sigma ratios below this get a conditioning warning.
+# Basis matrices with sigma ratios below this take y0 from least squares
+# rather than from a solve.
 ILL_CONDITIONED_BASIS = 1e-10
 
 
@@ -187,8 +188,6 @@ class ModalDecomposition:
     B: np.ndarray
     y0: np.ndarray
     basis_sigma_ratio: float
-    reconstruction_residual: float
-    conditioning_warning: str | None = None
 
 
 def check_minimal(realization: Realization) -> MinimalityReport:
@@ -240,11 +239,11 @@ def _jordan_chain(A: np.ndarray, lam: complex, size: int, rcond: float):
     shifted = A - lam * np.eye(A.shape[0])
     u, sigma, vh = np.linalg.svd(shifted)
     chain = [_canonical_phase(vh[-1:].conj().T)[:, 0]]
-    # The pseudo-inverse from the same SVD, as np.linalg.pinv cuts it.
+    # The pseudo-inverse from the same SVD, cut at rcond as numpy cuts it.
     kept = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > rcond * sigma[0])
-    pinv = (vh.conj().T * kept) @ u.conj().T
+    pseudo_inverse = (vh.conj().T * kept) @ u.conj().T
     for _ in range(size - 1):
-        chain.append(pinv @ chain[-1])
+        chain.append(pseudo_inverse @ chain[-1])
     return chain
 
 
@@ -257,13 +256,10 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     cluster runs ``_jordan_chain``.  The cluster list is exactly
     conjugate-closed (see ``numerics.eig_clustered``), so a cluster below
     the real axis takes the conjugate of its mirror's chain.  One solve
-    with B gives y0 and the B^-1 of the reconstruction residual
-    ``||A - B J B^-1|| / max(1, ||A||)``; y0 is then made exactly real on
-    real clusters and conjugate on mirrored ones, the symmetry it has in
-    exact arithmetic.  An ill-conditioned basis (sigma ratio below
-    ``ILL_CONDITIONED_BASIS``) falls back to least squares for y0 and the
-    pseudo-inverse for the residual, and attaches a warning to the result
-    instead of failing.
+    with B gives y0, or least squares when the basis is ill-conditioned
+    (sigma ratio below ``ILL_CONDITIONED_BASIS``); y0 is then made exactly
+    real on real clusters and conjugate on mirrored ones, the symmetry it
+    has in exact arithmetic.
 
     Minimality is not checked here: ``Realization.decomposition`` checks
     it first, and on a non-minimal realization the decomposition is only
@@ -301,28 +297,15 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     J += np.diag((powers[1:] > 0).astype(float), 1)
 
     sigma_ratio = numerics.numeric_rank(basis).sigma_ratio
-    warning = None
+    b = realization.b.astype(complex)
     if sigma_ratio < ILL_CONDITIONED_BASIS:
-        warning = (
-            f"modal basis is ill conditioned (sigma ratio {sigma_ratio:.3e}); "
-            "y0 computed by least squares"
-        )
-        y0, *_ = np.linalg.lstsq(basis, realization.b.astype(complex), rcond=None)
-        inverse = np.linalg.pinv(basis)
+        y0, *_ = np.linalg.lstsq(basis, b, rcond=None)
     else:
-        # One solve with the right-hand sides [b, I] gives y0 and B^-1.
-        rhs = np.eye(len(basis), len(basis) + 1, 1, dtype=complex)
-        rhs[:, 0] = realization.b
-        solved = np.linalg.solve(basis, rhs)
-        y0, inverse = solved[:, 0], solved[:, 1:]
+        y0 = np.linalg.solve(basis, b)
     # conj(B) is B with the mirrored blocks swapped (up to rounding), so the
     # y0 of a real b has the same symmetry; impose it exactly, which leaves
     # N2 real up to the rounding of its own product.
     starts = list(itertools.accumulate((m for _, m in roots), initial=0))
     swap = [starts[k] + p for k in mirror for p in range(roots[k][1])]
     y0 = (y0 + y0[swap].conj()) / 2
-    residual = float(
-        np.linalg.norm(realization.A - basis @ J @ inverse)
-        / max(1.0, float(np.linalg.norm(realization.A)))
-    )
-    return ModalDecomposition(modes, J, basis, y0, sigma_ratio, residual, warning)
+    return ModalDecomposition(modes, J, basis, y0, sigma_ratio)

@@ -386,7 +386,7 @@ class TestAnalyze:
         A = [[-1.0, 1e4], [0.0, -1.0 + 1e-6]]
         system = system_model.Realization(A, [0.3, 1.0], [1.0, 0.7])
         assert system.minimality.minimal
-        assert system.decomposition.conditioning_warning is not None
+        assert system.decomposition.basis_sigma_ratio < system_model.ILL_CONDITIONED_BASIS
         path = tmp_path / "ill.json"
         path.write_text(json.dumps(
             {"order": 2, "A": [x for row in A for x in row], "b": [0.3, 1], "c": [1, 0.7]}
@@ -661,6 +661,40 @@ class TestDeadbeatAndReconstruct:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: outputs must be finite\n"
+
+
+class TestDeterminantOverflow:
+    """A determinant beyond the float range is one error line, exit 1."""
+
+    @pytest.fixture
+    def growing_file(self, tmp_path):
+        path = tmp_path / "growing.json"
+        path.write_text(json.dumps(
+            {"order": 3, "A": [1, 0, 0, 0, 2, 0, 0, 0, 3], "b": [1, 1, 1], "c": [1, 1, 1]}
+        ))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--schedule", "0,60,197"],
+        ["analyze", "--schedule", "0,60,170", "--format", "json"],
+        ["deadbeat", "--schedule", "0,60,197", "--x0", "0,0,0", "--target", "1,1,1"],
+        ["reconstruct", "--schedule", "0,60,197", "--outputs", "1,1,1"],
+    ])
+    def test_exits_one_with_an_error_line(self, growing_file, argv):
+        command, *flags = argv
+        code, out, err = run_cli(command, growing_file, *flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: determinant overflowed; shrink the schedule window or scale down b\n"
+
+    def test_uniform_names_the_multiple(self, growing_file):
+        code, out, err = run_cli("uniform", growing_file, "--interval", "100")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: uniform schedule at multiple 1 of interval 100.0: "
+            "determinant overflowed; shrink the schedule window or scale down b\n"
+        )
 
 
 class TestWarningOrder:

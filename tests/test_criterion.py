@@ -313,7 +313,6 @@ def _decomposition_with_y0(modes: ModeSet, y0) -> ModalDecomposition:
         B=np.eye(n, dtype=complex),
         y0=np.asarray(y0, dtype=complex),
         basis_sigma_ratio=1.0,
-        reconstruction_residual=0.0,
     )
 
 
@@ -387,6 +386,21 @@ class TestJointVerdict:
             assert calls == {"expm": 1}
             assert report.controllable is not None
             assert report.full_det == full_determinant(decomposition, report.alphas)
+
+    @pytest.mark.parametrize("instants", [(0.0, 60.0, 197.0), (0.0, 60.0, 170.0)])
+    def test_determinant_overflow_raises(self, instants):
+        # The mode matrix stays finite, but a determinant does not: at 197
+        # the residual's modulus overflows, at 170 full_det is inf + nan j.
+        # No RuntimeWarning may escape (pyproject turns them into errors).
+        system = Realization(np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(NumericRangeError, match="determinant overflowed"):
+            joint_verdict(system, SamplingSchedule(instants))
+
+    def test_n2_overflow_raises(self):
+        # y0 of a huge b makes the defective block's y_last**2 overflow.
+        system = Realization([[-1.0, 1.0], [0.0, -1.0]], [1e200, 1e200], [1.0, 0.0])
+        with pytest.raises(NumericRangeError, match="determinant overflowed"):
+            joint_verdict(system, SamplingSchedule((0.0, 1.0)))
 
     def test_rotation_quarter_turn(self, rotation_system):
         report = joint_verdict(rotation_system, SamplingSchedule((0.0, np.pi / 2)))

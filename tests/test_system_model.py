@@ -1,6 +1,6 @@
 """Realization validation, minimality, mode sets and the modal decomposition."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -113,8 +113,7 @@ class TestRealization:
             assert ours.modes == theirs.modes, n
             for name in ("J", "B", "y0"):
                 assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), (n, name)
-            for name in ("basis_sigma_ratio", "reconstruction_residual", "conditioning_warning"):
-                assert getattr(ours, name) == getattr(theirs, name), (n, name)
+            assert ours.basis_sigma_ratio == theirs.basis_sigma_ratio, n
 
     def test_dual_keeps_the_tolerances(self, rotation_system):
         strict = replace(rotation_system, tolerances=Tolerances(singularity=0.05))
@@ -233,6 +232,10 @@ class TestModalDecompose:
         assert decomposition.J == pytest.approx(np.array([[-1.0]]))
         assert abs(decomposition.y0[0]) == pytest.approx(1.0)
 
+    def test_decomposition_holds_only_its_facts(self):
+        names = [f.name for f in fields(ModalDecomposition)]
+        assert names == ["modes", "J", "B", "y0", "basis_sigma_ratio"]
+
     def test_rotation_y0(self, rotation_system):
         decomposition = modal_decompose(rotation_system)
         assert np.allclose(
@@ -248,11 +251,26 @@ class TestModalDecompose:
         assert abs(decomposition.y0[0]) < 1e-12  # the -1 mode is unexcited
 
     def test_reconstruction_invariant(self):
-        for _ in range(30):
-            n = int(RNG.integers(1, 5))
-            system = random_minimal_system(RNG, n, allow_defective=True)
-            decomposition = modal_decompose(system)
-            assert decomposition.reconstruction_residual <= 1e-8
+        # A = B J B^-1 and B y0 = b, recomputed from J, B and y0 at every
+        # supported order.  A draw whose Kalman matrices are too ill
+        # conditioned for the generator is drawn again.
+        rng = np.random.default_rng(26)
+        defective = 0
+        for n in range(1, 13):
+            for _ in range(3):
+                while True:
+                    try:
+                        system = random_minimal_system(rng, n, allow_defective=True)
+                        break
+                    except AssertionError:
+                        pass
+                d = modal_decompose(system)
+                defective += d.modes.kernel[2]
+                residual = np.linalg.norm(system.A - d.B @ d.J @ np.linalg.inv(d.B))
+                assert residual <= 1e-8 * max(1.0, np.linalg.norm(system.A)), n
+                misfit = np.linalg.norm(d.B @ d.y0 - system.b)
+                assert misfit <= 1e-8 * max(1.0, np.linalg.norm(system.b)), n
+        assert defective >= 20
 
     def test_jordan_chain_structure(self):
         # exact Jordan block: B should reproduce A = B J B^-1 with unit
