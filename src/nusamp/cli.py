@@ -513,7 +513,7 @@ def _cmd_suggest(args, document, system, err):
 def _relative_residual(actual, expected) -> float:
     """Re-simulation residual: |actual - expected| / max(1, |expected|)."""
     expected = np.asarray(expected)
-    return float(np.linalg.norm(actual - expected) / max(1.0, float(np.linalg.norm(expected))))
+    return numerics.vector_norm(actual - expected) / max(1.0, numerics.vector_norm(expected))
 
 
 def _deadbeat_text(result: dict) -> str:

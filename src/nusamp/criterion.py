@@ -119,10 +119,9 @@ def _alpha_rows(t: np.ndarray, n: int) -> np.ndarray:
 def mode_matrix(modes: ModeSet, alphas) -> np.ndarray:
     """Mode matrices: entry (..., m, i) = mode_i(alpha[..., m]).
 
-    ``alphas`` is a ShiftedIntervals or an array of shape (..., n); any
-    leading axes are a batch of schedules, evaluated in one vectorized pass
-    into shape (..., n, n).  Raises NumericRangeError when any entry of the
-    batch overflows.
+    ``alphas`` is an array of shape (..., n); any leading axes are a batch
+    of schedules, evaluated in one vectorized pass into shape (..., n, n).
+    Raises NumericRangeError when any entry of the batch overflows.
 
     The eigenvalue and power arrays are the mode set's ``kernel``, built
     once per mode set.  A mode set of simple clusters has only power 0, so
@@ -130,8 +129,6 @@ def mode_matrix(modes: ModeSet, alphas) -> np.ndarray:
     is exactly 1, and the product with it would change at most the sign of
     a zero component.  A defective mode set multiplies by ``alpha**power``.
     """
-    if isinstance(alphas, ShiftedIntervals):
-        alphas = alphas.alpha
     lams, powers, defective = modes.kernel
     n = lams.size
     a = np.asarray(alphas, dtype=float)
@@ -150,11 +147,10 @@ def mode_matrix(modes: ModeSet, alphas) -> np.ndarray:
 
 
 def factor_n1(modes: ModeSet) -> float:
-    """Product over blocks of 1/0! ... 1/(m-1)!; always positive."""
+    """Product over the modes of 1/p! at power p; always positive."""
     value = 1.0
-    for _, m in modes.roots:
-        for k in range(m):
-            value /= factorial(k)
+    for p in modes.kernel[1].tolist():
+        value /= factorial(int(p))
     return value
 
 
@@ -266,7 +262,7 @@ def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionR
     n = system.n
     alphas = shifted_intervals(schedule, n)
 
-    phi = mode_matrix(modes, alphas)
+    phi = mode_matrix(modes, alphas.alpha)
     sigma_ratio = numerics.column_normalized_sigma_ratio(phi)
     verdict = sigma_ratio > tolerances.singularity
 

@@ -315,6 +315,22 @@ def column_normalized_sigma_ratio(matrix) -> float | np.ndarray:
     return float(ratio) if m.ndim == 2 else ratio
 
 
+def vector_norm(vector) -> float:
+    """2-norm of a vector, finite whenever the norm itself is.
+
+    A vector with an entry past 2**500, whose squares could overflow, is
+    first scaled by the power of two that puts its peak in [0.5, 1), and
+    its norm scaled back by two exact factors; every other vector gets the
+    bits of ``np.linalg.norm``.
+    """
+    v = np.asarray(vector)
+    peak = float(np.abs(v).max(initial=0.0))
+    if peak <= 2.0**500:
+        return float(np.linalg.norm(v))
+    shift = math.frexp(peak)[1]
+    return float(np.linalg.norm(v * 2.0**-shift)) * 2.0 ** (shift // 2) * 2.0 ** (shift - shift // 2)
+
+
 def in_range(
     matrix,
     vector,
@@ -338,6 +354,6 @@ def in_range(
         )
     u, sigma, _ = np.linalg.svd(_unit_columns(m), full_matrices=False)
     basis = u[:, sigma > rank_tol * sigma.max(initial=0.0)]
-    residual = float(np.linalg.norm(v - basis @ (basis.conj().T @ v)))
-    threshold = residual_tol * max(1.0, float(np.linalg.norm(v)))
+    residual = vector_norm(v - basis @ (basis.conj().T @ v))
+    threshold = residual_tol * max(1.0, vector_norm(v))
     return RangeCheck(residual <= threshold, residual)

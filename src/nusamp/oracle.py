@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict
-from .errors import InsufficientScheduleError
+from .errors import InsufficientScheduleError, NumericRangeError
 from .system_model import Realization, _state_vector
 
 
@@ -77,6 +77,18 @@ def _exponentials(realization: Realization, schedule: SamplingSchedule, final: b
     return numerics.expm(realization.A, times), reference
 
 
+def _sampled(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The sampled product ``left @ right``; NumericRangeError when an entry
+    leaves the float range (a large b, c or x0 on a growing mode)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = left @ right
+    if not np.isfinite(product).all():
+        raise NumericRangeError(
+            "sampled product overflowed; shrink the schedule window or scale down b, c or x0"
+        )
+    return product
+
+
 def reachability_matrix(
     realization: Realization, schedule: SamplingSchedule
 ) -> ReachabilityMatrixResult:
@@ -89,7 +101,7 @@ def reachability_matrix(
     as in ``cross_validate``.
     """
     stack, reference = _exponentials(realization, schedule)
-    G = (stack @ realization.b).T
+    G = _sampled(stack, realization.b).T
     rank = numerics.numeric_rank(G, realization.tolerances.singularity)
     return ReachabilityMatrixResult(G, rank, reference)
 
@@ -107,10 +119,10 @@ def controllable_direct(realization: Realization, schedule: SamplingSchedule, x0
     n = realization.n
     x0 = _state_vector(x0, n, "x0")
     stack, _ = _exponentials(realization, schedule, final=True)
-    target = stack[n] @ x0
+    target = _sampled(stack[n], x0)
     tolerances = realization.tolerances
     return numerics.in_range(
-        (stack[:n] @ realization.b).T, target, tolerances.residual, tolerances.singularity
+        _sampled(stack[:n], realization.b).T, target, tolerances.residual, tolerances.singularity
     ).contained
 
 
@@ -127,8 +139,8 @@ def cross_validate(realization: Realization, schedule: SamplingSchedule) -> Orac
     report = joint_verdict(realization, schedule)
     tol = realization.tolerances.singularity
     stack, _ = _exponentials(realization, schedule)
-    reach = numerics.numeric_rank((stack @ realization.b).T, tol)
-    obs = numerics.numeric_rank((realization.c @ stack).T, tol)
+    reach = numerics.numeric_rank(_sampled(stack, realization.b).T, tol)
+    obs = numerics.numeric_rank(_sampled(realization.c, stack).T, tol)
     n = realization.n
     reachable = reach.rank == n
     observable = obs.rank == n

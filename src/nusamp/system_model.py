@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +128,10 @@ class ModeSet:
     """Clustered eigenvalues with multiplicities, in canonical order.
 
     Mode k (0-based) of the system is ``t**p * exp(lam*t)`` where
-    ``(lam, p) = mode_params()[k]``; blocks follow the eigenvalue order and
-    powers ascend inside each block.  ``kernel`` holds the same modes as the
-    arrays every mode-matrix evaluation reads, built once per mode set.
+    ``(lam, p) = (kernel[0][k], kernel[1][k])``; blocks follow the
+    eigenvalue order and powers ascend inside each block.  ``kernel`` holds
+    the modes as the arrays every mode-matrix evaluation reads, built once
+    per mode set.
     """
 
     roots: tuple
@@ -142,18 +144,13 @@ class ModeSet:
     def r(self) -> int:
         return len(self.roots)
 
-    def mode_params(self):
-        """(eigenvalue, power) pairs for the n ordered modes."""
-        return tuple((lam, k) for lam, m in self.roots for k in range(m))
-
     @functools.cached_property
     def kernel(self) -> tuple:
         """(eigenvalues, powers, defective) of the n ordered modes: a
         read-only complex array, a read-only float array, and whether any
         power is nonzero (a cluster of multiplicity above one)."""
-        params = self.mode_params()
-        lams = np.array([lam for lam, _ in params], dtype=complex)
-        powers = np.array([p for _, p in params], dtype=float)
+        lams = np.array([lam for lam, m in self.roots for _ in range(m)], dtype=complex)
+        powers = np.array([k for _, m in self.roots for k in range(m)], dtype=float)
         lams.setflags(write=False)
         powers.setflags(write=False)
         return lams, powers, bool(powers.any())
@@ -190,16 +187,33 @@ class ModalDecomposition:
     basis_sigma_ratio: float
 
 
+def _unit_peak(m: np.ndarray) -> np.ndarray:
+    """``m`` times the power of two that puts its peak magnitude in [0.5, 1)."""
+    return np.ldexp(m, -math.frexp(abs(m).max())[1])
+
+
 def check_minimal(realization: Realization) -> MinimalityReport:
     """Rank-test both Kalman matrices, [b, Ab, ..., A^(n-1) b] and
-    [c; cA; ...; cA^(n-1)], at the bundle's ``rank`` tolerance."""
-    A, n, rank_tol = realization.A, realization.n, realization.tolerances.rank
-    cols, rows = [realization.b], [realization.c]
+    [c; cA; ...; cA^(n-1)], at the bundle's ``rank`` tolerance.
+
+    Column k of [b, Ab, ...] scales like s**k under A -> sA, a change of
+    time unit, so each Kalman matrix is judged with its columns (rows) at
+    unit norm: the report of (sA, b, c) is that of (A, b, c) up to
+    rounding, and bit for bit when s is a power of two.  A, b and c are
+    first scaled by the powers of two that put their peaks in [0.5, 1), so
+    the products cannot overflow.
+    """
+    n, rank_tol = realization.n, realization.tolerances.rank
+    A, b, c = (_unit_peak(m) for m in (realization.A, realization.b, realization.c))
+    cols, rows = [b], [c]
     for _ in range(n - 1):
         cols.append(A @ cols[-1])
         rows.append(rows[-1] @ A)
-    ctrb = numerics.numeric_rank(np.column_stack(cols), rank_tol)
-    obsv = numerics.numeric_rank(np.vstack(rows), rank_tol)
+    # Columns 0..n-1 are the controllability matrix, n..2n-1 the transposed
+    # observability matrix, which has the same singular values.
+    unit = numerics._unit_columns(np.array(cols + rows).T)
+    ctrb = numerics.numeric_rank(unit[:, :n], rank_tol)
+    obsv = numerics.numeric_rank(unit[:, n:], rank_tol)
     return MinimalityReport(ctrb.rank == n, obsv.rank == n, ctrb, obsv)
 
 

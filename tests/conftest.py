@@ -10,6 +10,7 @@ package.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import Counter
 
@@ -191,8 +192,13 @@ def build_system(rng: np.random.Generator, structure, *, transform: bool = True)
 def random_minimal_system(
     rng: np.random.Generator, n: int, *, allow_defective: bool = False, transform: bool = True
 ) -> Realization:
-    structure = random_eigen_structure(rng, n, allow_defective=allow_defective)
-    return build_system(rng, structure, transform=transform)
+    """Minimal order-n realization; a structure on which ``build_system``
+    gives up (a crowded defective spectrum) is replaced by a new draw."""
+    for _ in range(50):
+        structure = random_eigen_structure(rng, n, allow_defective=allow_defective)
+        with contextlib.suppress(AssertionError):
+            return build_system(rng, structure, transform=transform)
+    raise AssertionError(f"could not draw a minimal order-{n} system")
 
 
 def random_schedule(

@@ -697,6 +697,57 @@ class TestDeterminantOverflow:
         )
 
 
+class TestTimeUnit:
+    def test_rescaled_order8_keeps_its_analysis(self, tmp_path):
+        # (A, t) -> (10 A, t / 10) is the same sampled system in another
+        # time unit, so minimality and the verdict statistic stay.
+        document = json.loads((CORPUS / "order8.json").read_text())
+        document["A"] = [10.0 * a for a in document["A"]]
+        document["schedule"] = [t / 10.0 for t in document["schedule"]]
+        path = tmp_path / "order8-rescaled.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli("analyze", str(path), "--format", "json")
+        _, base, _ = run_cli("analyze", str(CORPUS / "order8.json"), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        report, base = json.loads(out), json.loads(base)
+        assert report["minimality"]["minimal"]
+        assert report["criterion"]["sigma_ratio"] == pytest.approx(
+            base["criterion"]["sigma_ratio"], rel=1e-9
+        )
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestFloatRange:
+    """Products and norms beyond the float range: stdout is empty or one
+    strict JSON document, stderr empty or one error line, and no
+    RuntimeWarning escapes (pyproject makes them errors)."""
+
+    @pytest.mark.parametrize("document, argv, exit_code", [
+        ({"order": 2, "A": [-1, 0, -1, 1], "b": [1, 1], "c": [1, 1e300]},
+         ["analyze", "--schedule", "0,100"], EXIT_USAGE),
+        ({"order": 3, "A": [3, 1, 0, 0.6, 0, -1, 0, -1.9, 1.9], "b": [1.7, 1.8, 1.4],
+          "c": [1.6, 1.2, 2]},
+         ["deadbeat", "--schedule", "0,5,120", "--x0", "1,1,1", "--target", "0,0,0"], EXIT_OK),
+        ({"order": 1, "A": [-2], "b": [1e300], "c": [1]},
+         ["analyze", "--schedule", "0,1"], EXIT_OK),
+        ({"order": 3, "A": [-1, -1, 0, 0, 1e300, 0, 0, -1, -2], "b": [1, 1, 1], "c": [1, 1, 1]},
+         ["analyze", "--schedule", "0,1,2"], EXIT_NOT_MINIMAL),
+    ], ids=["c-1e300", "deadbeat-replay", "b-1e300", "A-1e300"])
+    def test_json_reports_stay_finite(self, tmp_path, document, argv, exit_code):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(document))
+        command, *flags = argv
+        code, out, err = run_cli(command, str(path), *flags, "--format", "json")
+        assert code == exit_code
+        if out:
+            json.loads(out, parse_constant=_refuse_constant)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+        assert bool(out) != bool(err)
+
+
 class TestWarningOrder:
     """A warning line comes only after every input has validated, and before
     the analysis runs."""

@@ -1,7 +1,9 @@
 """Shifted intervals, mode matrix, determinant factorization, joint verdict."""
 
+import functools
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -96,7 +98,7 @@ class TestScheduleConditioning:
 
     def test_same_intervals_as_shifted_intervals(self):
         schedule = SamplingSchedule((0.1, 0.7, 1.9, 2.2))
-        matrix = mode_matrix(self.MODES, shifted_intervals(schedule, 3))
+        matrix = mode_matrix(self.MODES, shifted_intervals(schedule, 3).alpha)
         assert schedule_conditioning(self.MODES, schedule) == column_normalized_sigma_ratio(matrix)
 
     def test_too_few_instants(self):
@@ -112,27 +114,27 @@ class TestModeMatrix:
         # canonical order puts -1 before 0, so modes are (exp(-t), 1)
         modes = ModeSet(((-1.0, 1), (0.0, 1)))
         alphas = shifted_intervals(SamplingSchedule((0.0, 1.0)), 2)
-        matrix = mode_matrix(modes, alphas)
+        matrix = mode_matrix(modes, alphas.alpha)
         assert np.allclose(matrix, [[1.0, 1.0], [np.exp(-1.0), 1.0]])
         assert abs(np.linalg.det(matrix)) == pytest.approx(1.0 - np.exp(-1.0))
 
     def test_conjugate_pair_singular_at_pi(self):
         modes = ModeSet(((-1j, 1), (1j, 1)))
         alphas = shifted_intervals(SamplingSchedule((0.0, np.pi)), 2)
-        matrix = mode_matrix(modes, alphas)
+        matrix = mode_matrix(modes, alphas.alpha)
         assert np.allclose(matrix, [[1.0, 1.0], [-1.0, -1.0]])
 
     def test_jordan_modes(self):
         modes = ModeSet(((-1.0, 2),))
         alphas = shifted_intervals(SamplingSchedule((0.0, 1.0)), 2)
-        matrix = mode_matrix(modes, alphas)
+        matrix = mode_matrix(modes, alphas.alpha)
         assert np.allclose(matrix, [[1.0, 0.0], [np.exp(-1.0), np.exp(-1.0)]])
         assert np.linalg.det(matrix) == pytest.approx(np.exp(-1.0))
 
     def test_size_mismatch(self):
         modes = ModeSet(((-1.0, 1),))
         with pytest.raises(DimensionError):
-            mode_matrix(modes, shifted_intervals(SamplingSchedule((0.0, 1.0)), 2))
+            mode_matrix(modes, shifted_intervals(SamplingSchedule((0.0, 1.0)), 2).alpha)
 
     def test_overflow_raises_without_warnings(self):
         modes = ModeSet(((0.0, 1), (3.0, 1)))
@@ -169,10 +171,19 @@ class TestModeMatrix:
             mode_matrix(ModeSet(roots), rows)
 
     def test_kernel_arrays_are_built_once_per_mode_set(self, monkeypatch):
-        calls = count_calls(monkeypatch, [(ModeSet, "mode_params")])
+        calls = Counter()
+        build = ModeSet.kernel.func
+
+        def counted(modes):
+            calls["kernel"] += 1
+            return build(modes)
+
+        kernel = functools.cached_property(counted)
+        kernel.__set_name__(ModeSet, "kernel")
+        monkeypatch.setattr(ModeSet, "kernel", kernel)
         modes = ModeSet(((-0.5, 2), (-0.3 - 1j, 1), (-0.3 + 1j, 1)))
         mode_matrix(modes, [0.0, 0.5, 1.0, 2.0])
-        assert calls["mode_params"] == 1
+        assert calls["kernel"] == 1
         calls.clear()
         mode_matrix(modes, np.ones((3, 4)))
         schedule_conditioning(modes, SamplingSchedule((0.0, 0.4, 1.1, 1.5)))
@@ -206,7 +217,7 @@ def _random_modes(rng, n: int, defective: bool) -> ModeSet:
 
 def _power_product(modes: ModeSet, alphas) -> np.ndarray:
     """The mode matrices as ``alpha**power * exp(lam * alpha)`` for every mode."""
-    params = modes.mode_params()
+    params = [(lam, p) for lam, m in modes.roots for p in range(m)]
     lams = np.array([lam for lam, _ in params], dtype=complex)
     powers = np.array([p for _, p in params], dtype=float)
     a = np.asarray(alphas, dtype=float)[..., None]

@@ -1,6 +1,9 @@
 """Realization validation, minimality, mode sets and the modal decomposition."""
 
+import json
+import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,8 @@ from conftest import (
 )
 
 RNG = np.random.default_rng(7)
+CORPUS = Path(__file__).parent / "corpus"
+CORPUS_SYSTEMS = sorted(path.stem for path in CORPUS.glob("*.json") if path.stem != "runs")
 
 
 class TestRealization:
@@ -176,18 +181,62 @@ class TestCheckMinimal:
             )
             assert check_minimal(transformed).minimal == check_minimal(system).minimal
 
+    @pytest.mark.parametrize("name", CORPUS_SYSTEMS)
+    def test_corpus_reports_do_not_depend_on_the_time_unit(self, name):
+        document = json.loads((CORPUS / f"{name}.json").read_text())
+        n = document["order"]
+        A = np.reshape(document["A"], (n, n))
+        _assert_time_unit_free(Realization(A, document["b"], document["c"]))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_reports_do_not_depend_on_the_time_unit(self, n):
+        rng = np.random.default_rng([2727, n])
+        for k in range(10):
+            _assert_time_unit_free(random_minimal_system(rng, n, allow_defective=k % 2 == 1))
+
+
+def _assert_time_unit_free(system: Realization):
+    """(sA, b, c) is (A, b, c) in another time unit: the same flags, and
+    the report's bits when s is a power of two.  Other factors round A's
+    entries, which moves a sigma ratio, sigma_min / sigma_max, by about
+    n * eps absolute: up to 1e-10 relative near the draws' 1e-6 floor."""
+    report = check_minimal(system)
+    ratios = lambda r: (r.controllability_rank.sigma_ratio, r.observability_rank.sigma_ratio)
+    for s in (1e-30, 1e-3, 0.1, 3.7, 10.0, 1e3, 1e40):
+        scaled = check_minimal(Realization(system.A * s, system.b, system.c))
+        assert (scaled.controllable_ct, scaled.observable_ct) == (
+            report.controllable_ct, report.observable_ct
+        ), s
+        for got, want in zip(ratios(scaled), ratios(report)):
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-14), s
+    for k in (-100, -7, -1, 1, 5, 60, 100):
+        assert check_minimal(Realization(system.A * 2.0**k, system.b, system.c)) == report, k
+
+
+class TestRandomMinimalSystem:
+    def test_crowded_defective_spectra_draw_a_new_structure(self):
+        # 18 of these 120 draws exhaust the vector draws on their first
+        # eigenvalue structure.
+        for seed in (26, 1, 2):
+            rng = np.random.default_rng(seed)
+            for n in range(9, 13):
+                for _ in range(10):
+                    assert check_minimal(random_minimal_system(rng, n, allow_defective=True)).minimal
+
 
 class TestModeSet:
     def test_diag(self, diag_system):
         modes = diag_system.modes
         assert modes.roots == ((-1.0, 1), (0.0, 1))
-        assert modes.mode_params() == ((-1.0, 0), (0.0, 0))
+        lams, powers, _ = modes.kernel
+        assert lams.tolist() == [-1.0, 0.0] and powers.tolist() == [0.0, 0.0]
 
     def test_jordan_block(self):
         system = Realization([[-1.0, 1.0], [0.0, -1.0]], [0.0, 1.0], [1.0, 0.0])
         modes = system.modes
         assert modes.roots == ((-1.0, 2),)
-        assert modes.mode_params() == ((-1.0, 0), (-1.0, 1))
+        lams, powers, _ = modes.kernel
+        assert lams.tolist() == [-1.0, -1.0] and powers.tolist() == [0.0, 1.0]
 
     def test_rotation(self, rotation_system):
         modes = rotation_system.modes
