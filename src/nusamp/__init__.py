@@ -21,7 +21,6 @@ from .criterion import (
 )
 from .errors import (
     AnalysisError,
-    ConvergenceError,
     DimensionError,
     InfeasibleError,
     InsufficientScheduleError,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",
-    "ConvergenceError",
     "CriterionReport",
     "DimensionError",
     "ForbiddenSet",

@@ -510,10 +510,13 @@ def _cmd_suggest(args, document, system, err):
     return result, _suggest_text, EXIT_OK
 
 
-def _relative_residual(actual, expected) -> float:
-    """Re-simulation residual: |actual - expected| / max(1, |expected|)."""
-    expected = np.asarray(expected)
-    return numerics.vector_norm(actual - expected) / max(1.0, numerics.vector_norm(expected))
+def _relative_residual(actual, expected, terms=lambda: ()) -> float:
+    """Re-simulation residual |actual - expected| / max(1, |expected|, sum of |t| over
+    terms()), the summands of the re-simulated value (none by default)."""
+    norm = numerics.vector_norm
+    parts = lambda: (norm(actual - np.asarray(expected)), sum(map(norm, terms())))
+    error, scale = numerics.finite(parts, "re-simulation overflowed")
+    return error / max(1.0, norm(expected), scale)
 
 
 def _deadbeat_text(result: dict) -> str:
@@ -531,10 +534,12 @@ def _cmd_deadbeat(args, document, system, err):
     t_final = args.final_time if args.final_time is not None else default_final_time(schedule)
     inputs = deadbeat_inputs(system, schedule, x0, target, t_final=t_final)
     check = simulate_impulse(system, SamplingSchedule(schedule.instants + (t_final,)), inputs, x0)
+    steps = numerics.expm(system.A, [t_final - t for t in schedule.instants])
+    terms = lambda: (steps[0] @ x0, *(inputs[:, None] * (steps @ system.b)))
     result = {
         "inputs": [float(u) for u in inputs],
         "final_time": t_final,
-        "resimulation_residual": _relative_residual(check.states[-1], target),
+        "resimulation_residual": _relative_residual(check.states[-1], target, terms),
     }
     return result, _deadbeat_text, EXIT_OK
 
@@ -550,7 +555,8 @@ def _cmd_reconstruct(args, document, system, err):
     outputs = _parse_floats(args.outputs, "--outputs")
     schedule, _ = _schedule(document, args, err)
     x0 = reconstruct_state(system, schedule, outputs)
-    resim = system.c @ numerics.expm(system.A, schedule.instants) @ x0
+    stack = numerics.expm(system.A, schedule.instants)
+    resim = numerics.finite(lambda: system.c @ stack @ x0, "reconstruction re-simulation overflowed")
     result = {
         "x0": [float(v) for v in x0],
         "resimulation_residual": _relative_residual(resim, outputs),

@@ -25,14 +25,13 @@ verdict and its residual attached to the report.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from math import factorial, inf, isfinite
+from math import factorial, isfinite
 
 import numpy as np
 
 from . import numerics
-from .errors import DimensionError, InsufficientScheduleError, NumericRangeError
+from .errors import DimensionError, InsufficientScheduleError
 from .system_model import ModalDecomposition, ModeSet, Realization
 
 
@@ -137,13 +136,10 @@ def mode_matrix(modes: ModeSet, alphas) -> np.ndarray:
             f"mode matrix needs {n} intervals for {n} modes, got shape {a.shape}"
         )
     a = a[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = np.exp(lams * a)
-        if defective:
-            matrix = (a**powers) * matrix
-    if not np.all(np.isfinite(matrix)):
-        raise NumericRangeError("mode matrix overflowed; shrink the schedule window")
-    return matrix
+    return numerics.finite(
+        lambda: (a**powers) * np.exp(lams * a) if defective else np.exp(lams * a),
+        "mode matrix overflowed; shrink the schedule window",
+    )
 
 
 def factor_n1(modes: ModeSet) -> float:
@@ -173,13 +169,15 @@ def factor_n2(decomposition: ModalDecomposition) -> complex:
 
 
 def full_determinant(decomposition: ModalDecomposition, alphas: ShiftedIntervals) -> complex:
-    """det of the matrix whose m-th column is exp(J alpha_m) y0."""
+    """det of the matrix whose m-th column is exp(J alpha_m) y0, under the range rule."""
     n = decomposition.J.shape[0]
     if len(alphas.alpha) != n:
         raise DimensionError(
             f"full determinant needs {n} intervals, got {len(alphas.alpha)}"
         )
-    return complex(np.linalg.det(_mode_space_vectors(decomposition, alphas.alpha).T))
+    vectors = _mode_space_vectors(decomposition, alphas.alpha)
+    message = "determinant overflowed; shrink the schedule window or scale down b"
+    return numerics.finite(lambda: complex(np.linalg.det(vectors.T)), message)
 
 
 def schedule_conditioning(modes: ModeSet, schedules) -> float | np.ndarray:
@@ -238,7 +236,8 @@ def schedule_screen(modes: ModeSet, schedules) -> np.ndarray:
 
 def _mode_space_vectors(decomposition: ModalDecomposition, alphas) -> np.ndarray:
     """Rows exp(J alpha_k) y0, one per interval, from one batched expm."""
-    return numerics.expm(decomposition.J, alphas) @ decomposition.y0
+    message = "mode-space vectors overflowed; shrink the schedule window or scale down b"
+    return numerics.finite(lambda: numerics.expm(decomposition.J, alphas) @ decomposition.y0, message)
 
 
 def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionReport:
@@ -253,8 +252,8 @@ def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionR
     ``alpha_0 .. alpha_{n-1}``, a span truncated at the singularity
     tolerance and a membership judged by the residual tolerance.  A
     full-rank span holds every vector, so the pair holds whenever the
-    schedule is reachable.  A mode matrix, determinant, N2 or factorization
-    residual beyond the floating-point range raises NumericRangeError.
+    schedule is reachable.  A mode matrix, mode-space vector, determinant, N2
+    or residual that is not finite raises NumericRangeError (``numerics.finite``).
     """
     decomposition = system.decomposition
     tolerances = system.tolerances
@@ -271,20 +270,16 @@ def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionR
     # factorization identity keeps its strength.
     intervals = alphas.alpha if alphas.alpha_n is None else (*alphas.alpha, alphas.alpha_n)
     vectors = _mode_space_vectors(decomposition, intervals)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        mode_det = complex(np.linalg.det(phi))
-        full_det = complex(np.linalg.det(vectors[:n].T))
     n1 = factor_n1(modes)
-    try:
+
+    def determinants():
+        mode_det, full_det = complex(np.linalg.det(phi)), complex(np.linalg.det(vectors[:n].T))
         n2 = factor_n2(decomposition)
-        factorization_residual = abs(full_det - n1 * n2 * mode_det)
-    except OverflowError:  # a power of y0, or a modulus, beyond the float range
-        factorization_residual = inf
-    if not all(map(cmath.isfinite, (mode_det, full_det, factorization_residual))):
-        raise NumericRangeError(
-            "determinant overflowed; shrink the schedule window or scale down b"
-        )
+        return mode_det, full_det, n2, abs(full_det - n1 * n2 * mode_det)
+
+    mode_det, full_det, n2, factorization_residual = numerics.finite(
+        determinants, "determinant overflowed; shrink the schedule window or scale down b"
+    )
 
     controllable = constructible = None
     membership_residual = None

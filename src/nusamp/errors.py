@@ -2,8 +2,9 @@
 
 
 class AnalysisError(Exception):
-    """Base class for every error raised by this package; the message names
-    the argument, field, tolerance or rank test at fault."""
+    """Base class for every error this package raises but a LAPACK failure, which
+    stays ``numpy.linalg.LinAlgError``; the message names the argument, field,
+    tolerance or rank test at fault."""
 
 
 class DimensionError(AnalysisError):
@@ -20,10 +21,6 @@ class NumericRangeError(AnalysisError):
 
 class ToleranceError(AnalysisError):
     """A tolerance is not a positive finite number."""
-
-
-class ConvergenceError(AnalysisError):
-    """An iterative numerical routine failed to converge."""
 
 
 class MinimalityError(AnalysisError):

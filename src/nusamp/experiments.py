@@ -37,16 +37,21 @@ class Trajectory:
 def _propagate(realization: Realization, schedule: SamplingSchedule, inputs, x0, matrix, step):
     """The trajectory of ``x = step(E, x, u_i)`` over the intervals, E being
     exp(matrix * dt) from one batched call; the state starts at x0 (default
-    zero) and one input acts per instant except the last."""
+    zero), one input acts per instant except the last, and states and outputs
+    follow the range rule."""
     u = _state_vector(inputs, len(schedule) - 1, "inputs")
     t = schedule.instants
-    x = np.zeros(realization.n) if x0 is None else _state_vector(x0, realization.n, "x0")
-    states = [x]
-    for transition, u_i in zip(numerics.expm(matrix, np.diff(t)), u):
-        x = step(transition, x, u_i)
-        states.append(x)
-    states = np.array(states)
-    return Trajectory(t, states, states @ realization.c)
+    states = [np.zeros(realization.n) if x0 is None else _state_vector(x0, realization.n, "x0")]
+    transitions = numerics.expm(matrix, np.diff(t))
+
+    def trajectory():
+        for transition, u_i in zip(transitions, u):
+            states.append(step(transition, states[-1], u_i))
+        array = np.array(states)
+        return array, array @ realization.c
+
+    message = "simulation overflowed; shorten the schedule or scale down x0 or the inputs"
+    return Trajectory(t, *numerics.finite(trajectory, message))
 
 
 def simulate_impulse(
@@ -89,17 +94,15 @@ def _require_regular(
         )
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray, operation: str) -> np.ndarray:
-    """``np.linalg.solve(matrix, rhs)``; NumericRangeError naming ``operation``
-    when the solve fails or is not finite, as when a regular schedule's
-    sampled exponentials underflow (the verdict is scale-free)."""
+def _solve(system, operation: str) -> np.ndarray:
+    """x with ``matrix @ x = rhs`` for ``(matrix, rhs) = system()``; NumericRangeError naming
+    ``operation`` when a product or x is not finite or the solve fails, as when a regular
+    schedule's sampled exponentials underflow (the verdict is scale-free)."""
+    message = f"{operation} left the floating-point range on a regular schedule"
     try:
-        solution = np.linalg.solve(matrix, rhs)
-        if np.isfinite(solution).all():
-            return solution
+        return numerics.finite(lambda: np.linalg.solve(*numerics.finite(system, message)), message)
     except np.linalg.LinAlgError:
-        pass
-    raise NumericRangeError(f"{operation} left the floating-point range on a regular schedule")
+        raise NumericRangeError(message) from None
 
 
 def default_final_time(schedule: SamplingSchedule) -> float:
@@ -147,8 +150,7 @@ def deadbeat_inputs(
     x_target = _state_vector(x_target, n, "x_target")
     # One exponential per input instant; the first also carries x0.
     steps = numerics.expm(realization.A, [final - ti for ti in t])
-    rhs = x_target - steps[0] @ x0
-    return _solve((steps @ realization.b).T, rhs, "deadbeat design")
+    return _solve(lambda: ((steps @ realization.b).T, x_target - steps[0] @ x0), "deadbeat design")
 
 
 def reconstruct_state(
@@ -168,8 +170,7 @@ def reconstruct_state(
         )
     y = _state_vector(outputs, n, "outputs")
     _require_regular(realization, schedule, "outputs do not determine the state")
-    rows = realization.c @ numerics.expm(realization.A, t)
-    return _solve(rows, y, "state reconstruction")
+    return _solve(lambda: (realization.c @ numerics.expm(realization.A, t), y), "state reconstruction")
 
 
 def classify_case(report: CriterionReport) -> str | None:

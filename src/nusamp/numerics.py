@@ -6,6 +6,7 @@ All functions are pure; nothing here keeps state.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import numbers
@@ -58,8 +59,6 @@ class Tolerances:
             object.__setattr__(self, field.name, number)
 
 
-# Entry magnitudes beyond this are treated as overflow even when still finite.
-OVERFLOW_LIMIT = 1e300
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the finite normal floats
 
 
@@ -113,6 +112,22 @@ def as_integer(value, error) -> int:
     return int(value)
 
 
+def finite(compute, message: str):
+    """``compute()`` if every number in it (an array, a number or a tuple of them) is
+    finite, else NumericRangeError(message): the one float-range rule.  numpy's overflow
+    and invalid warnings are off inside; Python's OverflowError (a complex power, a huge
+    modulus) counts as non-finite.  A fixed ``message`` costs nothing; an array repr would."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = compute()
+        parts = value if type(value) is tuple else (value,)
+        if all(np.isfinite(p).all() if isinstance(p, np.ndarray) else cmath.isfinite(p) for p in parts):
+            return value
+    except OverflowError:
+        pass
+    raise NumericRangeError(message)
+
+
 class RankResult(NamedTuple):
     """Numerical rank plus the sigma_min/sigma_max diagnostic ratio."""
 
@@ -161,8 +176,8 @@ def expm(matrix, t=1.0) -> np.ndarray:
 
     Raises DimensionError for a matrix that is not square or not of
     integer, real or complex dtype, and NumericRangeError for a time that is
-    not a finite real, a scaled norm that overflows, or a result beyond
-    OVERFLOW_LIMIT.
+    not a finite real, a scaled norm that overflows, or a result that is not
+    finite.
     """
     m = _numeric(matrix, "expm matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -191,10 +206,8 @@ def expm(matrix, t=1.0) -> np.ndarray:
             for k in range(squarings.max(initial=0)):  # square back times scaled more than k times
                 pick = squarings > k
                 result[pick] = result[pick] @ result[pick]
-    if not np.abs(result).max(initial=0.0) <= OVERFLOW_LIMIT:
-        raise NumericRangeError(
-            f"matrix exponential overflowed for t={t!r} (entries beyond {OVERFLOW_LIMIT:g})"
-        )
+    if not np.isfinite(result).all():
+        raise NumericRangeError(f"matrix exponential overflowed for t={t!r}")
     return result if times.ndim else result[0]
 
 
@@ -344,7 +357,8 @@ def in_range(
     the rank test calls dependent covers only its numerical rank.  Membership
     holds when the residual of the projection onto it stays below
     ``residual_tol * max(1, ||v||)``.  A matrix or vector that is not of
-    integer, real or complex dtype raises DimensionError naming it.
+    integer, real or complex dtype raises DimensionError naming it, and a
+    residual beyond the floating-point range NumericRangeError.
     """
     m = np.atleast_2d(_numeric(matrix, "in_range matrix"))
     v = _numeric(vector, "in_range vector").reshape(-1)
@@ -354,6 +368,7 @@ def in_range(
         )
     u, sigma, _ = np.linalg.svd(_unit_columns(m), full_matrices=False)
     basis = u[:, sigma > rank_tol * sigma.max(initial=0.0)]
-    residual = vector_norm(v - basis @ (basis.conj().T @ v))
+    projection = lambda: vector_norm(v - basis @ (basis.conj().T @ v))
+    residual = finite(projection, "membership residual overflowed; scale down b or x0")
     threshold = residual_tol * max(1.0, vector_norm(v))
     return RangeCheck(residual <= threshold, residual)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict
-from .errors import InsufficientScheduleError, NumericRangeError
+from .errors import InsufficientScheduleError
 from .system_model import Realization, _state_vector
 
 
@@ -80,13 +80,8 @@ def _exponentials(realization: Realization, schedule: SamplingSchedule, final: b
 def _sampled(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The sampled product ``left @ right``; NumericRangeError when an entry
     leaves the float range (a large b, c or x0 on a growing mode)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = left @ right
-    if not np.isfinite(product).all():
-        raise NumericRangeError(
-            "sampled product overflowed; shrink the schedule window or scale down b, c or x0"
-        )
-    return product
+    message = "sampled product overflowed; shrink the schedule window or scale down b, c or x0"
+    return numerics.finite(lambda: left @ right, message)
 
 
 def reachability_matrix(

@@ -276,15 +276,10 @@ def _first_failing_multiple(modes: ModeSet, interval: float, horizon: int, tol: 
     start, size = 2, min(16, SEARCH_CHUNK)
     while start <= horizon:
         multiples = np.arange(start, min(start + size, horizon + 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = np.arange(n) * (multiples[:, None] * interval)
-        ratios = None
-        if np.isfinite(rows).all():
-            try:
-                ratios = schedule_conditioning(modes, rows)
-            except (NumericRangeError, np.linalg.LinAlgError):
-                pass  # the rescan below meets the sequential scan's error
-        if ratios is None:
+        rows = lambda: np.arange(n) * (multiples[:, None] * interval)
+        try:
+            ratios = schedule_conditioning(modes, numerics.finite(rows, "uniform instants overflowed"))
+        except (NumericRangeError, np.linalg.LinAlgError):
             for j in multiples.tolist():
                 try:
                     ratio = schedule_conditioning(modes, _uniform_schedule(j * interval, n))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import ConvergenceError, DimensionError, MinimalityError, ToleranceError
+from .errors import DimensionError, MinimalityError, ToleranceError
 from .errors import UnsupportedOrderError
 
 # Basis matrices with sigma ratios below this take y0 from least squares
@@ -104,10 +104,7 @@ class Realization:
     @functools.cached_property
     def eigen(self):
         """(eigenvalues, eigenvectors) of A from one ``np.linalg.eig``."""
-        try:
-            return np.linalg.eig(self.A)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+        return np.linalg.eig(self.A)
 
     @functools.cached_property
     def minimality(self) -> MinimalityReport:

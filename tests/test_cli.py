@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -662,6 +663,22 @@ class TestDeadbeatAndReconstruct:
         assert out == ""
         assert err == "error: outputs must be finite\n"
 
+    @pytest.mark.parametrize("document, flags, bound", [
+        # An exact design on a huge x0: the residual is relative to the terms
+        # that sum to the final state, not to the zero target alone.
+        ({"order": 2, "A": [1, 0, 0, 2], "b": [1, 1], "c": [1, 1]},
+         ["--schedule", "0,1", "--x0", "1e300,1e300", "--target", "0,0"], 1e-15),
+        # exp(700) ~ 1e304 stays in range: the design answers.
+        ({"order": 2, "A": [0.5, -3, 3, 0.5], "b": [1, 0], "c": [1, 1]},
+         ["--schedule", "0,1", "--x0", "1,1", "--target", "0,0", "--final-time", "1400"], 1e-11),
+    ], ids=["x0-1e300", "final-time-1400"])
+    def test_deadbeat_residual_is_relative_to_the_terms(self, tmp_path, document, flags, bound):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli("deadbeat", str(path), *flags, "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["resimulation_residual"] < bound
+
 
 class TestDeterminantOverflow:
     """A determinant beyond the float range is one error line, exit 1."""
@@ -746,6 +763,19 @@ class TestFloatRange:
             json.loads(out, parse_constant=_refuse_constant)
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
         assert bool(out) != bool(err)
+
+    def test_mode_space_overflow_is_one_error_line(self, tmp_path):
+        # exp(690) * 1e10 leaves the range in the mode-space vectors, before
+        # the oracle's sampled product; no RuntimeWarning may come first.
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"order": 1, "A": [1], "b": [1e10], "c": [1]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("analyze", str(path), "--schedule", "0,690", "--format", "json")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: mode-space vectors overflowed; shrink the schedule window or scale down b\n"
+        )
 
 
 class TestWarningOrder:

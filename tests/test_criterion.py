@@ -18,6 +18,7 @@ from nusamp import (
     NumericRangeError,
     Realization,
     SamplingSchedule,
+    ShiftedIntervals,
     Tolerances,
     classify_case,
     controllable_direct,
@@ -406,6 +407,17 @@ class TestJointVerdict:
         system = Realization(np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(NumericRangeError, match="determinant overflowed"):
             joint_verdict(system, SamplingSchedule(instants))
+
+    def test_mode_space_overflow_raises(self):
+        # e^690 stays in range but e^690 * 1e10 does not: the membership
+        # vector used to give controllable=True with a NaN residual.
+        system = Realization([[1.0]], [1e10], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match="^mode-space vectors overflowed"):
+                joint_verdict(system, SamplingSchedule((0.0, 690.0)))
+            with pytest.raises(NumericRangeError, match="^mode-space vectors overflowed"):
+                full_determinant(system.decomposition, ShiftedIntervals((690.0,)))
 
     def test_n2_overflow_raises(self):
         # y0 of a huge b makes the defective block's y_last**2 overflow.

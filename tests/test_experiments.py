@@ -1,5 +1,7 @@
 """Simulation, deadbeat design, state reconstruction and case taxonomy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,33 @@ def test_solves_out_of_float_range_are_refused(system, instants):
         deadbeat_inputs(system, schedule, [0.0] * n, [1.0] * n)
     with pytest.raises(NumericRangeError, match="^state reconstruction left the floating-point range"):
         reconstruct_state(system, schedule, [1.0] * n)
+
+
+GROWING = Realization(np.diag([1.0, 2.0]), [1.0, 1.0], [1.0, 1.0])
+UNIT = Realization([[1.0]], [1.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # Products that used to leave the range with a RuntimeWarning.
+        (lambda: simulate_impulse(UNIT, SamplingSchedule((0.0, 10.0)), [1.0], x0=[1e305]),
+         "^simulation overflowed"),
+        (lambda: simulate_zoh(UNIT, SamplingSchedule((0.0, 10.0, 20.0)), [1e300, 1e300]),
+         "^simulation overflowed"),
+        (lambda: deadbeat_inputs(GROWING, SamplingSchedule((0.0, 1.0)), [1e307, 1e307], [0.0, 0.0]),
+         "^deadbeat design left the floating-point range"),
+        (lambda: reconstruct_state(
+            Realization(GROWING.A, GROWING.b, [1e308, 1e308]), SamplingSchedule((0.0, 1.0)), [1.0, 1.0]
+        ), "^state reconstruction left the floating-point range"),
+    ],
+    ids=["impulse", "zoh", "deadbeat", "reconstruct"],
+)
+def test_products_beyond_the_float_range_raise_without_warnings(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericRangeError, match=message):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Kernel tests: matrix exponential, clustered eigenvalues, rank, membership."""
 
 import inspect
+import math
 import re
 import warnings
 
@@ -144,6 +145,31 @@ class TestExpm:
             warnings.simplefilter("error")
             with pytest.raises(NumericRangeError):
                 expm(np.array(matrix), t)
+
+    def test_finite_result_below_the_float_maximum(self):
+        # e^700 ~ 1.01e304 is finite; only a non-finite result is an error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = expm(np.array([[700.0]]), 1.0)
+        assert result[0, 0] == pytest.approx(math.exp(700.0), rel=1e-13)
+
+
+class TestFinite:
+    @pytest.mark.parametrize("compute", [
+        lambda: np.array([1e300]) * 1e10,
+        lambda: (1.0, complex(1e308, 0.0) * 10.0),
+        lambda: complex(1e200, 1e200) ** 2,  # Python's own OverflowError
+        lambda: np.array([np.inf]) - np.inf,
+    ], ids=["array", "tuple", "complex-power", "invalid"])
+    def test_non_finite_raises_the_message(self, compute):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match="^product overflowed$"):
+                numerics.finite(compute, "product overflowed")
+
+    def test_finite_value_is_returned_as_is(self):
+        value = (np.array([1.0, 2.0]), 3 + 4j, 5.0)
+        assert numerics.finite(lambda: value, "unused") is value
 
 
 class TestEigClustered:
@@ -341,6 +367,15 @@ class TestInRange:
             m = RNG.normal(size=(rows, cols))
             x = RNG.normal(size=cols)
             assert in_range(m, m @ x).contained
+
+    def test_projection_beyond_the_float_range_raises(self):
+        # The projection coefficients of a vector near the float maximum
+        # overflow on a rotated span; the residual used to be NaN.
+        basis = np.linalg.qr(np.ones((4, 4)) + np.eye(4))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match="^membership residual overflowed"):
+                in_range(basis[:, :2], np.full(4, 1e308))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
