@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .criterion import CriterionReport, SamplingSchedule, joint_verdict
+from .criterion import CriterionReport, SamplingSchedule, joint_verdict, schedule_conditioning
 from .errors import DimensionError, InsufficientScheduleError, NumericRangeError, SingularScheduleError
 from .system_model import Realization, _state_vector
 
@@ -85,22 +85,29 @@ def simulate_zoh(
 def _require_regular(
     realization: Realization, schedule: SamplingSchedule, consequence: str
 ) -> None:
-    """Raise SingularScheduleError, with the report, unless the joint test passes."""
+    """Raise SingularScheduleError, with the report, unless the joint test passes.
+
+    A regular schedule returns on ``schedule_conditioning``, the bits ``joint_verdict``
+    compares, after the decomposition's minimality check: the report is built only to refuse.
+    """
+    modes = realization.decomposition.modes
+    if schedule_conditioning(modes, schedule) > realization.tolerances.singularity:
+        return
     report = joint_verdict(realization, schedule)
-    if not report.reachable:
-        raise SingularScheduleError(
-            f"schedule is singular (sigma ratio {report.sigma_ratio:.3e}); {consequence}",
-            report=report,
-        )
+    raise SingularScheduleError(
+        f"schedule is singular (sigma ratio {report.sigma_ratio:.3e}); {consequence}",
+        report=report,
+    )
 
 
 def _solve(system, operation: str) -> np.ndarray:
     """x with ``matrix @ x = rhs`` for ``(matrix, rhs) = system()``; NumericRangeError naming
-    ``operation`` when a product or x is not finite or the solve fails, as when a regular
-    schedule's sampled exponentials underflow (the verdict is scale-free)."""
+    ``operation`` when the matrix, rhs or x is not finite (one guard) or the solve fails, as
+    when a regular schedule's sampled exponentials underflow (the verdict is scale-free)."""
     message = f"{operation} left the floating-point range on a regular schedule"
+    solved = lambda matrix, rhs: (matrix, rhs, np.linalg.solve(matrix, rhs))
     try:
-        return numerics.finite(lambda: np.linalg.solve(*numerics.finite(system, message)), message)
+        return numerics.finite(lambda: solved(*system()), message)[2]
     except np.linalg.LinAlgError:
         raise NumericRangeError(message) from None
 
@@ -123,11 +130,12 @@ def deadbeat_inputs(
     """Impulse weights u_0..u_{n-1} driving x0 at t_0 to x_target at t_final.
 
     The schedule carries the n input instants; ``t_final`` is the evaluation
-    instant after them (default: ``default_final_time(schedule)``).  A
-    schedule failing the joint criterion raises SingularScheduleError with
-    the report attached.  Non-finite states, and a ``t_final`` that is not
-    a finite real number beyond the last input instant, raise
-    DimensionError; weights the solve cannot give finite, NumericRangeError.
+    instant after them (default: ``default_final_time(schedule)``).
+    Regularity is checked on the sigma ratio alone; the report is built only
+    to refuse, attached to the SingularScheduleError.  Non-finite states, and
+    a ``t_final`` that is not a finite real number beyond the last input
+    instant, raise DimensionError; weights the solve cannot give finite,
+    NumericRangeError.
     """
     n = realization.n
     t = schedule.instants
@@ -158,9 +166,10 @@ def reconstruct_state(
 ) -> np.ndarray:
     """Recover x(0) from n free-response outputs y(t_i) = c exp(A t_i) x(0).
 
-    A schedule failing the joint criterion raises SingularScheduleError with
-    the report attached; non-finite outputs raise DimensionError, and a
-    state the solve cannot give finite, NumericRangeError.
+    Regularity is checked on the sigma ratio alone, which b does not enter;
+    the report is built only to refuse, attached to the SingularScheduleError.
+    Non-finite outputs raise DimensionError, and a state the solve cannot
+    give finite, NumericRangeError.
     """
     n = realization.n
     t = schedule.instants

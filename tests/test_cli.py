@@ -777,6 +777,25 @@ class TestFloatRange:
             "error: mode-space vectors overflowed; shrink the schedule window or scale down b\n"
         )
 
+    def test_designs_answer_where_only_the_report_overflows(self, tmp_path):
+        # N2 = 1e330 leaves the range, so analyze refuses; deadbeat design and
+        # reconstruction check regularity with the sigma ratio and answer.
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(
+            {"order": 3, "A": [1, 0, 0, 0, 2, 0, 0, 0, 3], "b": [1e110] * 3, "c": [1, 1, 1]}
+        ))
+        schedule = ["--schedule", "0,1,2", "--format", "json"]
+        for command, flags in (
+            ("deadbeat", ["--x0", "1,1,1", "--target", "0,0,0"]),
+            ("reconstruct", ["--outputs", "1,2,3"]),
+        ):
+            code, out, err = run_cli(command, str(path), *schedule, *flags)
+            assert (code, err) == (EXIT_OK, ""), command
+            assert json.loads(out, parse_constant=_refuse_constant)["resimulation_residual"] < 1e-12
+        code, out, err = run_cli("analyze", str(path), *schedule)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestWarningOrder:
     """A warning line comes only after every input has validated, and before

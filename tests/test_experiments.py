@@ -1,5 +1,6 @@
 """Simulation, deadbeat design, state reconstruction and case taxonomy."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -21,8 +22,9 @@ from nusamp import (
     simulate_impulse,
     simulate_zoh,
 )
+from nusamp import experiments
 from nusamp.numerics import expm, numeric_rank
-from conftest import AMBIGUITY_BAND, BAD_REALS, random_minimal_system, random_schedule
+from conftest import AMBIGUITY_BAND, BAD_REALS, count_calls, random_minimal_system, random_schedule
 
 RNG = np.random.default_rng(9001)
 
@@ -279,6 +281,37 @@ def test_vector_inputs_must_be_real(rotation_system, call, name, bad):
     problem = "finite" if all(type(x) in (int, float) for x in bad) else "a real array"
     with pytest.raises(DimensionError, match=f"^{name} must be {problem}"):
         call(rotation_system, bad)
+
+
+DESIGNS = pytest.mark.parametrize("design", [
+    pytest.param(lambda system, schedule: deadbeat_inputs(system, schedule, [1.0, 0.0], [0.0, 1.0]),
+                 id="deadbeat"),
+    pytest.param(lambda system, schedule: reconstruct_state(system, schedule, [1.0, 0.0]), id="reconstruct"),
+])
+
+
+class TestRegularityGate:
+    """Deadbeat design and reconstruction read only the verdict: the joint
+    report is built only to refuse a singular schedule."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return count_calls(monkeypatch, [(experiments, "joint_verdict")])
+
+    @DESIGNS
+    def test_a_regular_schedule_builds_no_report(self, rotation_system, calls, design):
+        design(rotation_system, SamplingSchedule((0.0, 1.0)))
+        assert calls["joint_verdict"] == 0
+
+    @DESIGNS
+    def test_a_singular_schedule_carries_the_full_report(self, rotation_system, calls, design):
+        schedule = SamplingSchedule((0.0, np.pi))
+        with pytest.raises(SingularScheduleError) as info:
+            design(rotation_system, schedule)
+        assert calls["joint_verdict"] == 1
+        fresh = joint_verdict(rotation_system, schedule)
+        for field in dataclasses.fields(fresh):
+            assert getattr(info.value.report, field.name) == getattr(fresh, field.name), field.name
 
 
 def _zoh_input_matrix(system, schedule):

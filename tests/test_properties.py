@@ -6,6 +6,10 @@ raises one of the package's range, schedule or minimality errors (or numpy's
 The sweep draws minimal systems at orders 1-12, scales b, c or x0 by
 1e+-300, and stretches schedules until their exponentials leave the float
 range.
+
+Scaling b by a power of two is exact in floating point.  It leaves the
+verdict and reconstruction's solve unchanged and scales deadbeat weights by
+the inverse power, so both must follow such a scaling bit for bit.
 """
 
 from __future__ import annotations
@@ -118,3 +122,29 @@ def test_entry_points_return_finite_numbers_or_raise_a_range_error():
                 outcomes["finite"] += 1
     # The sweep reaches both sides of the range.
     assert min(outcomes.values()) > DRAWS, outcomes
+
+
+SCALE_DRAWS = 100
+POWERS = (1, -1, 64, -64, 400, -400)
+
+
+def test_deadbeat_and_reconstruction_follow_a_power_of_two_scaling_of_b():
+    rng = np.random.default_rng(29)
+    compared = 0
+    for k in range(SCALE_DRAWS):
+        n = 1 + k % 8
+        system = random_minimal_system(rng, n, allow_defective=k % 3 == 0)
+        schedule = random_schedule(rng, n)
+        x0, target, outputs = rng.uniform(-1.0, 1.0, (3, n))
+        try:
+            inputs = deadbeat_inputs(system, schedule, x0, target)
+            state = reconstruct_state(system, schedule, outputs)
+        except SingularScheduleError:
+            continue
+        for power in POWERS:
+            scaled = Realization(system.A, np.ldexp(system.b, power), system.c)
+            scaled_inputs = deadbeat_inputs(scaled, schedule, x0, target)
+            assert scaled_inputs.tobytes() == np.ldexp(inputs, -power).tobytes(), (k, power)
+            assert reconstruct_state(scaled, schedule, outputs).tobytes() == state.tobytes(), (k, power)
+            compared += 2
+    assert compared >= 0.9 * 2 * len(POWERS) * SCALE_DRAWS, compared
