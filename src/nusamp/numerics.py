@@ -36,10 +36,11 @@ class Tolerances:
     into multiplicity clusters; ``rank`` decides the continuous-time Kalman
     rank tests of ``check_minimal``; ``residual`` is the membership
     tolerance of the joint verdict's controllability test and of
-    ``controllable_direct``.  Analyses read each field from the bundle of
-    the realization they are given, and the kernels' keyword defaults from
-    this class, which holds the only defaults.  Each must be a positive
-    finite real (ToleranceError naming the field otherwise), stored as a float.
+    ``controllable_direct``, relative to the vector tested whatever its
+    scale.  Analyses read each field from the bundle of the realization
+    they are given, and the kernels' keyword defaults from this class,
+    which holds the only defaults.  Each must be a positive finite real
+    (ToleranceError naming the field otherwise), stored as a float.
     """
 
     singularity: float = 1e-9
@@ -283,15 +284,25 @@ def numeric_rank(matrix, rank_tol: float = Tolerances.rank) -> RankResult:
     return RankResult(rank, float(sigma[-1] / sigma[0]))
 
 
+def _pow2(x, k):
+    """``x * 2**k`` as two exact factors, k an int or int array in [-1073, 1024]."""
+    return x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+
+
+def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(m * 2**-k, k)``, k putting the peak in [0.5, 1); 0 for a zero or non-finite peak."""
+    k = math.frexp(float(np.abs(m).max(initial=0.0)))[1]
+    return _pow2(m, -k), k
+
+
 def _unit_columns(m: np.ndarray) -> np.ndarray:
     """``m`` with its nonzero columns (axis -2) scaled to unit 2-norm, the
     norms computed inline rather than by ``np.linalg.norm``.
 
     Total on finite input; real input stays real.  A column whose sum of
     squares is not a normal float (an entry past ~1e154, or all below
-    ~1e-154) is first multiplied by the power of two that puts its peak in
-    [0.5, 1), as two exact factors since a subnormal peak needs up to
-    2**1073; every other column keeps its bits.
+    ~1e-154) is first scaled by ``_pow2`` to a peak in [0.5, 1), a power of
+    two per column; every other column keeps its bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         squares = np.add.reduce((m.conj() * m).real, axis=-2, keepdims=True)
@@ -299,7 +310,7 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
         return m / np.sqrt(squares)
     lost = ~((squares >= _TINY) & (squares <= _HUGE))
     shift = -np.frexp(np.abs(m).max(axis=-2, keepdims=True))[1]
-    m = np.where(lost, m * np.ldexp(1.0, shift // 2) * np.ldexp(1.0, shift - shift // 2), m)
+    m = np.where(lost, _pow2(m, shift), m)
     norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-2, keepdims=True))
     return m / np.where(norms > 0.0, norms, 1.0)
 
@@ -329,19 +340,9 @@ def column_normalized_sigma_ratio(matrix) -> float | np.ndarray:
 
 
 def vector_norm(vector) -> float:
-    """2-norm of a vector, finite whenever the norm itself is.
-
-    A vector with an entry past 2**500, whose squares could overflow, is
-    first scaled by the power of two that puts its peak in [0.5, 1), and
-    its norm scaled back by two exact factors; every other vector gets the
-    bits of ``np.linalg.norm``.
-    """
-    v = np.asarray(vector)
-    peak = float(np.abs(v).max(initial=0.0))
-    if peak <= 2.0**500:
-        return float(np.linalg.norm(v))
-    shift = math.frexp(peak)[1]
-    return float(np.linalg.norm(v * 2.0**-shift)) * 2.0 ** (shift // 2) * 2.0 ** (shift - shift // 2)
+    """2-norm of a vector, finite whenever the norm is: ``_unit_peak``'s, scaled back."""
+    scaled, k = _unit_peak(np.asarray(vector))
+    return _pow2(float(np.linalg.norm(scaled)), k)
 
 
 def in_range(
@@ -355,8 +356,9 @@ def in_range(
     The span is that of the left singular vectors of the column-normalized
     matrix whose singular values exceed ``rank_tol * sigma_max``, so a span
     the rank test calls dependent covers only its numerical rank.  Membership
-    holds when the residual of the projection onto it stays below
-    ``residual_tol * max(1, ||v||)``.  A matrix or vector that is not of
+    holds when the residual of the projection onto it is at most
+    ``residual_tol * ||v||``, both taken on v scaled by ``_unit_peak``: the
+    test is relative at every magnitude.  A matrix or vector that is not of
     integer, real or complex dtype raises DimensionError naming it, and a
     residual beyond the floating-point range NumericRangeError.
     """
@@ -368,7 +370,11 @@ def in_range(
         )
     u, sigma, _ = np.linalg.svd(_unit_columns(m), full_matrices=False)
     basis = u[:, sigma > rank_tol * sigma.max(initial=0.0)]
-    projection = lambda: vector_norm(v - basis @ (basis.conj().T @ v))
-    residual = finite(projection, "membership residual overflowed; scale down b or x0")
-    threshold = residual_tol * max(1.0, vector_norm(v))
-    return RangeCheck(residual <= threshold, residual)
+    scaled, k = _unit_peak(v)
+
+    def residuals():  # of the scaled vector, and scaled back
+        residual = float(np.linalg.norm(scaled - basis @ (basis.conj().T @ scaled)))
+        return residual, _pow2(residual, k)
+
+    unit, residual = finite(residuals, "membership residual overflowed; scale down b or x0")
+    return RangeCheck(unit <= residual_tol * float(np.linalg.norm(scaled)), residual)

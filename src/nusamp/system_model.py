@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,11 +183,6 @@ class ModalDecomposition:
     basis_sigma_ratio: float
 
 
-def _unit_peak(m: np.ndarray) -> np.ndarray:
-    """``m`` times the power of two that puts its peak magnitude in [0.5, 1)."""
-    return np.ldexp(m, -math.frexp(abs(m).max())[1])
-
-
 def check_minimal(realization: Realization) -> MinimalityReport:
     """Rank-test both Kalman matrices, [b, Ab, ..., A^(n-1) b] and
     [c; cA; ...; cA^(n-1)], at the bundle's ``rank`` tolerance.
@@ -197,11 +191,10 @@ def check_minimal(realization: Realization) -> MinimalityReport:
     time unit, so each Kalman matrix is judged with its columns (rows) at
     unit norm: the report of (sA, b, c) is that of (A, b, c) up to
     rounding, and bit for bit when s is a power of two.  A, b and c are
-    first scaled by the powers of two that put their peaks in [0.5, 1), so
-    the products cannot overflow.
+    first scaled to a peak in [0.5, 1), so the products cannot overflow.
     """
     n, rank_tol = realization.n, realization.tolerances.rank
-    A, b, c = (_unit_peak(m) for m in (realization.A, realization.b, realization.c))
+    A, b, c = (numerics._unit_peak(m)[0] for m in (realization.A, realization.b, realization.c))
     cols, rows = [b], [c]
     for _ in range(n - 1):
         cols.append(A @ cols[-1])

@@ -360,6 +360,19 @@ class TestAnalyze:
         payload = json.loads(raw)
         assert payload["oracle"]["controllable_x0"] is False
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40], ids=["unit", "2**-40"])
+    def test_case_label_ignores_the_scale_of_b_and_x0(self, tmp_path, scale):
+        # At (0, pi, 4) the half turn leaves one direction and the third
+        # instant's vector lies 0.757 of its norm off it, at any scale.
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({**ROTATION, "b": [scale, 0], "x0": [0, scale]}))
+        code, raw, _ = run_cli("analyze", str(path), "--schedule", f"0,{PI_16},4", "--format", "json")
+        assert code == EXIT_NEGATIVE
+        payload = json.loads(raw)
+        assert payload["case"]["label"] == "c"
+        assert payload["criterion"]["controllable"] is False
+        assert payload["oracle"]["controllable_x0"] is False
+
     def test_oracle_agreement_in_report(self, diag_file):
         code, raw, _ = run_cli(
             "analyze", diag_file, "--schedule", "0,1", "--format", "json"

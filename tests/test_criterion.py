@@ -562,6 +562,19 @@ class TestControllabilityVerdict:
         loose_singularity = replace(rotation_system, tolerances=Tolerances(singularity=10.0))
         assert not joint_verdict(loose_singularity, schedule).controllable
 
+    def test_membership_ignores_the_scale_of_b(self, rotation_system):
+        # At (0, pi, 4) the third instant's mode-space vector lies 0.757 of
+        # its norm off the span; at b = 2**-40 that is a residual below 1,
+        # which must not pass for membership.
+        schedule = SamplingSchedule((0.0, np.pi, 4.0))
+        unit = joint_verdict(rotation_system, schedule)
+        scaled_b = Realization(rotation_system.A, [2.0**-40, 0.0], rotation_system.c)
+        scaled = joint_verdict(scaled_b, schedule)
+        for report in (unit, scaled):
+            assert not report.controllable and not report.constructible
+            assert classify_case(report) == "c"
+        assert scaled.membership_residual == 2.0**-40 * unit.membership_residual
+
     def test_reachable_implies_controllable(self):
         for _ in range(30):
             n = int(RNG.integers(1, 5))

@@ -368,14 +368,18 @@ class TestInRange:
             x = RNG.normal(size=cols)
             assert in_range(m, m @ x).contained
 
-    def test_projection_beyond_the_float_range_raises(self):
-        # The projection coefficients of a vector near the float maximum
-        # overflow on a rotated span; the residual used to be NaN.
+    def test_vector_near_the_float_maximum_answers(self):
+        # Membership is judged on the vector scaled to a unit peak, so a
+        # vector whose projection coefficients would overflow answers; only
+        # a residual that is itself beyond the float range is refused.
         basis = np.linalg.qr(np.ones((4, 4)) + np.eye(4))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            check = in_range(basis[:, :2], np.full(4, 1e308))
+            assert not check.contained
+            assert 1e307 < check.residual < 1e308
             with pytest.raises(NumericRangeError, match="^membership residual overflowed"):
-                in_range(basis[:, :2], np.full(4, 1e308))
+                in_range(basis[:, :1], [1.7e308, -1.7e308, 1.7e308, -1.7e308])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -422,6 +426,28 @@ class TestInRange:
         check = in_range(np.zeros((2, 2)), [3.0, 4.0])
         assert not check.contained
         assert check.residual == pytest.approx(5.0)
+
+
+class TestVectorNorm:
+    """Every vector is scaled to a unit peak before its squares are summed."""
+
+    def test_ordinary_vectors_keep_the_bits_of_numpy(self):
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            v = rng.normal(size=int(rng.integers(1, 13))) * 10.0 ** rng.uniform(-100, 100)
+            assert numerics.vector_norm(v) == float(np.linalg.norm(v))
+
+    @pytest.mark.parametrize("peak", [1e308, 1e200, 1e-200, 1e-310, 5e-324])
+    def test_norm_at_any_magnitude(self, peak):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numerics.vector_norm([peak, 0.0]) == peak
+            norm = numerics.vector_norm([peak, -peak, 1j * peak])
+        # A subnormal norm is exact only to the subnormal spacing, 5e-324.
+        assert norm == pytest.approx(math.sqrt(3) * peak, rel=1e-12, abs=5e-324)
+
+    def test_norm_beyond_the_float_range_is_inf(self):
+        assert numerics.vector_norm([1.7e308, 1.7e308]) == math.inf
 
 
 class TestColumnNormalization:

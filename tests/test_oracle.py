@@ -118,6 +118,11 @@ class TestControllableDirect:
         schedule = SamplingSchedule((0.0, np.pi, np.pi + 1.5))
         assert not controllable_direct(rotation_system, schedule, [0.0, 1.0])
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40], ids=["unit", "2**-40"])
+    def test_membership_ignores_the_scale_of_x0(self, rotation_system, scale):
+        schedule = SamplingSchedule((0.0, np.pi, 4.0))
+        assert not controllable_direct(rotation_system, schedule, [0.0, scale])
+
     def test_needs_extra_instant(self, rotation_system):
         with pytest.raises(InsufficientScheduleError):
             controllable_direct(rotation_system, SamplingSchedule((0.0, 1.0)), [1.0, 0.0])

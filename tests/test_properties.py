@@ -10,6 +10,10 @@ range.
 Scaling b by a power of two is exact in floating point.  It leaves the
 verdict and reconstruction's solve unchanged and scales deadbeat weights by
 the inverse power, so both must follow such a scaling bit for bit.
+
+Membership is relative to the vector tested at every magnitude, so a
+power-of-two scaling of that vector, or of b and x0, changes no membership
+decision and scales the range test's residual exactly.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ from nusamp import (
     Realization,
     SamplingSchedule,
     SingularScheduleError,
+    classify_case,
     cli,
     controllable_direct,
     cross_validate,
     deadbeat_inputs,
     full_determinant,
+    in_range,
     joint_verdict,
     reconstruct_state,
     shifted_intervals,
@@ -148,3 +154,66 @@ def test_deadbeat_and_reconstruction_follow_a_power_of_two_scaling_of_b():
             assert reconstruct_state(scaled, schedule, outputs).tobytes() == state.tobytes(), (k, power)
             compared += 2
     assert compared >= 0.9 * 2 * len(POWERS) * SCALE_DRAWS, compared
+
+
+MEMBERSHIP_POWERS = (1, -1, 40, -40, 400, -400)
+
+
+def _deficient_span(rng: np.random.Generator, n: int, complex_entries: bool):
+    """An n-row matrix of rank below n, real or complex, and a vector in its
+    span plus a random vector times 1e-15 to 1."""
+    def draw(*shape):
+        return rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_entries else 0.0)
+
+    rank, cols = int(rng.integers(0, n)), int(rng.integers(1, n + 1))
+    m = draw(n, rank) @ draw(rank, cols)
+    offset = 10.0 ** rng.choice([-15, -12, -9, -6, 0])
+    return m, m @ draw(cols) + offset * draw(n)
+
+
+def _singular_oscillator(rng: np.random.Generator, turns: int):
+    """A damped oscillator in a random basis, sampled at t1 - t0 = pi / omega,
+    where its schedule is singular, and at t2: a whole number of half turns
+    after t1 if ``turns`` > 0, else at random."""
+    sigma, omega = rng.uniform(-1.0, 0.2), rng.uniform(0.5, 3.0)
+    basis = rng.normal(size=(2, 2))
+    A = basis @ np.array([[sigma, -omega], [omega, sigma]]) @ np.linalg.inv(basis)
+    t0 = rng.uniform(-1.0, 1.0)
+    t1 = t0 + np.pi / omega
+    t2 = t1 + (turns * np.pi / omega if turns else rng.uniform(0.1, 4.0))
+    return A, SamplingSchedule((t0, t1, t2))
+
+
+def _memberships(system: Realization, schedule: SamplingSchedule, x0):
+    report = joint_verdict(system, schedule)
+    assert not report.reachable
+    return (
+        report.controllable,
+        report.constructible,
+        classify_case(report),
+        controllable_direct(system, schedule, x0),
+    )
+
+
+def test_membership_ignores_a_power_of_two_scaling():
+    rng = np.random.default_rng(30)
+    decisions = set()
+    for k in range(240):
+        m, v = _deficient_span(rng, 1 + k % 12, complex_entries=k % 2 == 1)
+        base = in_range(m, v)
+        decisions.add(base.contained)
+        for power in MEMBERSHIP_POWERS:
+            check = in_range(m, v * 2.0**power)
+            assert check.contained == base.contained, (k, power)
+            assert check.residual == base.residual * 2.0**power, (k, power)
+    labels = set()
+    for k in range(60):
+        A, schedule = _singular_oscillator(rng, turns=k % 3)
+        b, c, x0 = rng.normal(size=(3, 2))
+        base = _memberships(Realization(A, b, c), schedule, x0)
+        labels.add(base[2])
+        for power in MEMBERSHIP_POWERS:
+            scaled = Realization(A, b * 2.0**power, c)
+            assert _memberships(scaled, schedule, x0 * 2.0**power) == base, (k, power)
+    # Both outcomes of the range test, and cases b and c, are reached.
+    assert decisions == {True, False} and labels == {"b", "c"}, (decisions, labels)
