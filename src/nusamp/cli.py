@@ -267,7 +267,7 @@ def build_analysis(document: SystemDocument, schedule: SamplingSchedule, toleran
 
     result["modes"] = [
         {"eigenvalue": {"re": lam.real, "im": lam.imag}, "multiplicity": m}
-        for lam, m in realization.decomposition.modes.roots
+        for lam, m in realization.modes.roots
     ]
 
     oracle = cross_validate(realization, schedule)

@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics
 from .criterion import CriterionReport, SamplingSchedule, joint_verdict, schedule_conditioning
 from .errors import DimensionError, InsufficientScheduleError, NumericRangeError, SingularScheduleError
-from .system_model import Realization, _state_vector
+from .system_model import Realization, _state_vector, require_minimal
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +88,9 @@ def _require_regular(
     """Raise SingularScheduleError, with the report, unless the joint test passes.
 
     A regular schedule returns on ``schedule_conditioning``, the bits ``joint_verdict``
-    compares, after the decomposition's minimality check: the report is built only to refuse.
+    compares, after ``require_minimal``; only a refusal builds the decomposition and report.
     """
-    modes = realization.decomposition.modes
+    modes = require_minimal(realization)
     if schedule_conditioning(modes, schedule) > realization.tolerances.singularity:
         return
     report = joint_verdict(realization, schedule)
@@ -131,11 +131,11 @@ def deadbeat_inputs(
 
     The schedule carries the n input instants; ``t_final`` is the evaluation
     instant after them (default: ``default_final_time(schedule)``).
-    Regularity is checked on the sigma ratio alone; the report is built only
-    to refuse, attached to the SingularScheduleError.  Non-finite states, and
-    a ``t_final`` that is not a finite real number beyond the last input
-    instant, raise DimensionError; weights the solve cannot give finite,
-    NumericRangeError.
+    Non-finite states, and a ``t_final`` that is not a finite real number
+    beyond the last input instant, raise DimensionError before regularity
+    is checked, on the sigma ratio alone; the report is built only to
+    refuse, attached to the SingularScheduleError.  Weights the solve
+    cannot give finite raise NumericRangeError.
     """
     n = realization.n
     t = schedule.instants
@@ -143,7 +143,6 @@ def deadbeat_inputs(
         raise InsufficientScheduleError(
             f"deadbeat design needs exactly {n} input instants, got {len(t)}"
         )
-    _require_regular(realization, schedule, "deadbeat inputs do not exist")
     if t_final is None:
         t_final = default_final_time(schedule)
     final = numerics.as_float(
@@ -153,9 +152,9 @@ def deadbeat_inputs(
         raise DimensionError(f"t_final must be finite, got {final}")
     if final <= t[-1]:
         raise DimensionError("t_final must lie beyond the last input instant")
-
     x0 = _state_vector(x0, n, "x0")
     x_target = _state_vector(x_target, n, "x_target")
+    _require_regular(realization, schedule, "deadbeat inputs do not exist")
     # One exponential per input instant; the first also carries x0.
     steps = numerics.expm(realization.A, [final - ti for ti in t])
     return _solve(lambda: ((steps @ realization.b).T, x_target - steps[0] @ x0), "deadbeat design")
@@ -166,10 +165,10 @@ def reconstruct_state(
 ) -> np.ndarray:
     """Recover x(0) from n free-response outputs y(t_i) = c exp(A t_i) x(0).
 
-    Regularity is checked on the sigma ratio alone, which b does not enter;
-    the report is built only to refuse, attached to the SingularScheduleError.
-    Non-finite outputs raise DimensionError, and a state the solve cannot
-    give finite, NumericRangeError.
+    Non-finite outputs raise DimensionError before regularity is checked, on
+    the sigma ratio alone, which b does not enter; the report is built only
+    to refuse, attached to the SingularScheduleError.  A state the solve
+    cannot give finite raises NumericRangeError.
     """
     n = realization.n
     t = schedule.instants

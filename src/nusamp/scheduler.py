@@ -502,8 +502,7 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     is pinned to the window start without loss of generality.
     """
     n = system.n
-    require_minimal(system.minimality, n)
-    modes = system.modes
+    modes = require_minimal(system)
     if spec.count < n:
         raise InfeasibleError(
             f"count {spec.count} is below the system order {n}; "

@@ -115,7 +115,7 @@ class Realization:
 
     @functools.cached_property
     def decomposition(self) -> ModalDecomposition:
-        require_minimal(self.minimality, self.n)
+        require_minimal(self)
         return modal_decompose(self)
 
 
@@ -207,8 +207,9 @@ def check_minimal(realization: Realization) -> MinimalityReport:
     return MinimalityReport(ctrb.rank == n, obsv.rank == n, ctrb, obsv)
 
 
-def require_minimal(report: MinimalityReport, n: int) -> None:
-    """Raise MinimalityError naming each failed rank test of an order-n report."""
+def require_minimal(realization: Realization) -> ModeSet:
+    """The mode set of a minimal realization, else MinimalityError naming each failed rank test."""
+    report, n = realization.minimality, realization.n
     if not report.minimal:
         failed = []
         if not report.controllable_ct:
@@ -216,6 +217,7 @@ def require_minimal(report: MinimalityReport, n: int) -> None:
         if not report.observable_ct:
             failed.append(f"observability rank {report.observability_rank.rank} < {n}")
         raise MinimalityError("realization is not minimal: " + "; ".join(failed))
+    return realization.modes
 
 
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:

@@ -676,6 +676,24 @@ class TestDeadbeatAndReconstruct:
         assert out == ""
         assert err == "error: outputs must be finite\n"
 
+    @pytest.mark.parametrize("document, schedule, x0, outputs, messages", [
+        ("rotation.json", ["--schedule", "0," + PI_16], "1,nan", "1,nan",
+         ("x0 must be finite", "outputs must be finite")),
+        ("non_minimal.json", [], "1,0,0", "1,0,0",
+         ("x0 has 3 entries, expected 2", "outputs has 3 entries, expected 2")),
+    ], ids=["singular-schedule", "non-minimal"])
+    def test_malformed_arguments_exit_1_before_the_gates(self, document, schedule, x0, outputs, messages):
+        # Both designs check their arguments before regularity (a singular
+        # schedule exits 2) and minimality (a non-minimal system exits 3).
+        path = str(CORPUS / document)
+        runs = (
+            run_cli("deadbeat", path, *schedule, "--x0", x0, "--target", "0,1"),
+            run_cli("reconstruct", path, *schedule, "--outputs", outputs),
+        )
+        for (code, out, err), message in zip(runs, messages):
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.splitlines()[-1] == "error: " + message
+
     @pytest.mark.parametrize("document, flags, bound", [
         # An exact design on a huge x0: the residual is relative to the terms
         # that sum to the final state, not to the zero target alone.

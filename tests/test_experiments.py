@@ -9,6 +9,7 @@ import pytest
 from nusamp import (
     DimensionError,
     InsufficientScheduleError,
+    MinimalityError,
     NumericRangeError,
     Realization,
     SamplingSchedule,
@@ -291,8 +292,9 @@ DESIGNS = pytest.mark.parametrize("design", [
 
 
 class TestRegularityGate:
-    """Deadbeat design and reconstruction read only the verdict: the joint
-    report is built only to refuse a singular schedule."""
+    """Deadbeat design and reconstruction read only the mode set and the
+    verdict: the modal decomposition and the joint report are built only to
+    refuse a singular schedule."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -302,6 +304,29 @@ class TestRegularityGate:
     def test_a_regular_schedule_builds_no_report(self, rotation_system, calls, design):
         design(rotation_system, SamplingSchedule((0.0, 1.0)))
         assert calls["joint_verdict"] == 0
+        assert "decomposition" not in vars(rotation_system)
+        assert "modes" in vars(rotation_system)
+
+    def test_a_regular_schedule_builds_no_decomposition_at_any_order(self):
+        rng = np.random.default_rng(31)
+        regular = 0
+        for k in range(32):
+            n = 1 + k % 8
+            drawn = random_minimal_system(rng, n, allow_defective=k % 3 == 0)
+            schedule = random_schedule(rng, n)
+            x0, target, outputs = rng.uniform(-1.0, 1.0, (3, n))
+            for design in (
+                lambda system: deadbeat_inputs(system, schedule, x0, target),
+                lambda system: reconstruct_state(system, schedule, outputs),
+            ):
+                system = Realization(drawn.A, drawn.b, drawn.c)
+                try:
+                    design(system)
+                except SingularScheduleError:
+                    continue
+                assert "decomposition" not in vars(system), (k, n)
+                regular += 1
+        assert regular >= 60, regular
 
     @DESIGNS
     def test_a_singular_schedule_carries_the_full_report(self, rotation_system, calls, design):
@@ -309,9 +334,36 @@ class TestRegularityGate:
         with pytest.raises(SingularScheduleError) as info:
             design(rotation_system, schedule)
         assert calls["joint_verdict"] == 1
-        fresh = joint_verdict(rotation_system, schedule)
+        fresh = joint_verdict(Realization(rotation_system.A, rotation_system.b, rotation_system.c), schedule)
         for field in dataclasses.fields(fresh):
             assert getattr(info.value.report, field.name) == getattr(fresh, field.name), field.name
+
+    @DESIGNS
+    def test_a_non_minimal_realization_names_the_failed_rank_test(self, design):
+        system = Realization(np.diag([0.0, -1.0]), [1.0, 0.0], [1.0, 1.0])
+        message = "realization is not minimal: controllability rank 1 < 2"
+        with pytest.raises(MinimalityError) as info:
+            design(system, SamplingSchedule((0.0, 1.0)))
+        assert str(info.value) == message
+        assert "decomposition" not in vars(system)
+
+    @pytest.mark.parametrize("A, b, c, schedule", [
+        ([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0], [1.0, 0.0], (0.0, np.pi)),
+        (np.diag([0.0, -1.0]), [1.0, 0.0], [1.0, 1.0], (0.0, 1.0)),
+    ], ids=["singular", "non-minimal"])
+    @pytest.mark.parametrize("x0, target, t_final, message", [
+        ([1.0, np.nan], [0.0, 1.0], None, "x0 must be finite"),
+        ([1.0, 0.0, 0.0], [0.0, 1.0], None, "x0 has 3 entries, expected 2"),
+        ([1.0, 0.0], [np.inf, 1.0], None, "x_target must be finite"),
+        ([1.0, 0.0], [0.0, 1.0], np.nan, "t_final must be finite, got nan"),
+        ([1.0, 0.0], [0.0, 1.0], 0.5, "t_final must lie beyond the last input instant"),
+    ], ids=["x0-nan", "x0-length", "target-inf", "final-nan", "final-early"])
+    def test_deadbeat_arguments_are_checked_before_the_gate(
+        self, A, b, c, schedule, x0, target, t_final, message
+    ):
+        with pytest.raises(DimensionError) as info:
+            deadbeat_inputs(Realization(A, b, c), SamplingSchedule(schedule), x0, target, t_final)
+        assert str(info.value) == message
 
 
 def _zoh_input_matrix(system, schedule):

@@ -14,6 +14,14 @@ the inverse power, so both must follow such a scaling bit for bit.
 Membership is relative to the vector tested at every magnitude, so a
 power-of-two scaling of that vector, or of b and x0, changes no membership
 decision and scales the range test's residual exactly.
+
+Each tolerance controls exactly the tests it names: scaled by 1e-3 or 1e3,
+``residual`` moves only the membership decisions, ``singularity`` only the
+verdicts, the span-truncated membership and the warnings, and ``rank`` only
+the minimality flags (and, when ``minimal`` flips, the sections a
+non-minimal ``build_analysis`` document drops).  Besides generic systems
+the sweep draws oscillators near a singular schedule or near membership
+and systems near the minimality threshold, so every decision flips.
 """
 
 from __future__ import annotations
@@ -217,3 +225,113 @@ def test_membership_ignores_a_power_of_two_scaling():
             assert _memberships(scaled, schedule, x0 * 2.0**power) == base, (k, power)
     # Both outcomes of the range test, and cases b and c, are reached.
     assert decisions == {True, False} and labels == {"b", "c"}, (decisions, labels)
+
+
+def _leaves(value, path=()):
+    """(path, value) for every entry of a nested dict; lists are leaves."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    else:
+        yield path, value
+
+
+def _changed(base: dict, other: dict) -> set:
+    """The paths whose entry differs between two documents, or is in one only."""
+    ours, theirs = dict(_leaves(base)), dict(_leaves(other))
+    missing = object()
+    return {
+        path for path in ours.keys() | theirs.keys()
+        if ours.get(path, missing) != theirs.get(path, missing)
+    }
+
+
+# The fields each tolerance may move, besides its own ``tolerances`` entry; a
+# path is covered when one of its prefixes is listed.
+MEMBERSHIP = {
+    ("criterion", "controllable"), ("criterion", "constructible"), ("oracle", "controllable_x0"),
+    ("case", "label"),
+}
+ROUTES = {
+    "residual": MEMBERSHIP,
+    "singularity": MEMBERSHIP | {
+        ("criterion", "reachable"), ("criterion", "observable"), ("criterion", "membership_residual"),
+        ("oracle", "reachable"), ("oracle", "observable"), ("oracle", "agrees_with_criterion"),
+        ("warnings",),
+    },
+    "rank": {("minimality", name) for name in ("controllable_ct", "observable_ct", "minimal")},
+}
+# What a non-minimal document drops, or a document that turns minimal gains.
+NON_MINIMAL_DROPS = {("modes",), ("criterion",), ("oracle",), ("case",), ("warnings",)}
+ROUTING_DRAWS = 96
+
+
+def _oscillator(rng: np.random.Generator, first: float, last: float):
+    """A damped oscillator in a random basis, on t0, t1 = t0 + (1 + first) pi / omega
+    and t2 = t1 + last pi / omega: singular at first = 0, and then with t2 in the span
+    of the first two instants' mode-space vectors when last is a whole number."""
+    sigma, omega = rng.uniform(-1.0, 0.2), rng.uniform(0.5, 3.0)
+    basis = rng.normal(size=(2, 2))
+    A = basis @ np.array([[sigma, -omega], [omega, sigma]]) @ np.linalg.inv(basis)
+    t0 = rng.uniform(-1.0, 1.0)
+    t1 = t0 + (1.0 + first) * np.pi / omega
+    b, c = rng.normal(size=(2, 2))
+    return Realization(A, b, c), SamplingSchedule((t0, t1, t1 + last * np.pi / omega))
+
+
+def _nearly_non_minimal(rng: np.random.Generator, n: int):
+    """An order-n system with one real mode, beyond the others, excited (even n)
+    or seen (odd n) with weight 1e-11 to 1e-7, in a random orthogonal basis."""
+    inner = random_minimal_system(rng, n - 1)
+    lam = float(np.max(np.linalg.eigvals(inner.A).real)) + rng.uniform(0.3, 1.0)
+    A = np.zeros((n, n))
+    A[:-1, :-1], A[-1, -1] = inner.A, lam
+    weak = 10.0 ** rng.uniform(-11.0, -7.0)
+    b = np.append(inner.b, weak if n % 2 == 0 else 1.0)
+    c = np.append(inner.c, 1.0 if n % 2 == 0 else weak)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return Realization(q @ A @ q.T, q @ b, c @ q.T), random_schedule(rng, n + 1)
+
+
+def _routing_draw(rng: np.random.Generator, k: int):
+    """A system and an n+1-instant schedule: a generic one at orders 1-12, an
+    oscillator near a singular schedule or near membership, or a system near
+    the minimality threshold."""
+    kind, n = k % 4, 1 + k // 4 % 12
+    if kind == 0:
+        return random_minimal_system(rng, n, allow_defective=k % 3 == 0), random_schedule(rng, n + 1)
+    if kind == 1:
+        first = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0)
+        return _oscillator(rng, first, rng.uniform(0.1, 2.0))
+    if kind == 2:
+        return _oscillator(rng, 0.0, int(rng.integers(1, 3)) + 10.0 ** rng.uniform(-12.0, -6.0))
+    return _nearly_non_minimal(rng, max(n, 2))
+
+
+def test_each_tolerance_changes_only_the_fields_it_names():
+    rng = np.random.default_rng(31)
+    moved = {name: set() for name in ROUTES}
+    for k in range(ROUTING_DRAWS):
+        system, schedule = _routing_draw(rng, k)
+        x0 = tuple(rng.uniform(-1.0, 1.0, system.n))
+        document = cli.SystemDocument(order=system.n, A=system.A, b=system.b, c=system.c, x0=x0)
+        default = cli.Tolerances()
+        base = cli.build_analysis(document, schedule, default)
+        for name, routed in ROUTES.items():
+            for factor in (1e-3, 1e3):
+                tolerances = dataclasses.replace(default, **{name: getattr(default, name) * factor})
+                scaled = cli.build_analysis(document, schedule, tolerances)
+                changed = _changed(base, scaled) - {("tolerances", name)}
+                allowed = routed
+                if base["minimality"]["minimal"] != scaled["minimality"]["minimal"]:
+                    allowed = routed | NON_MINIMAL_DROPS
+                stray = {
+                    path for path in changed
+                    if not any(path[:i] in allowed for i in range(1, len(path) + 1))
+                }
+                assert not stray, (k, name, factor, sorted(stray))
+                moved[name] |= changed
+    # Each tolerance flips the decision it names somewhere in the sweep.
+    assert ("criterion", "controllable") in moved["residual"], moved
+    assert ("criterion", "reachable") in moved["singularity"], moved
+    assert ("minimality", "minimal") in moved["rank"], moved

@@ -598,7 +598,7 @@ class TestPreparedSystem:
         with pytest.raises(MinimalityError) as lazy:
             system.decomposition
         with pytest.raises(MinimalityError) as direct:
-            require_minimal(check_minimal(system), system.n)
+            require_minimal(system)
         assert str(lazy.value) == str(direct.value)
         assert str(lazy.value) == "realization is not minimal: controllability rank 1 < 2"
         assert not system.minimality.minimal
