@@ -135,6 +135,12 @@ def mode_matrix(modes: ModeSet, alphas) -> np.ndarray:
         raise DimensionError(
             f"mode matrix needs {n} intervals for {n} modes, got shape {a.shape}"
         )
+    return _columns(lams, powers, defective, a)
+
+
+def _columns(lams: np.ndarray, powers: np.ndarray, defective: bool, a: np.ndarray) -> np.ndarray:
+    """Entry (..., m, i) = ``a[..., m]**powers[i] * exp(lams[i] * a[..., m])``,
+    the power product only when ``defective``, under the range rule."""
     a = a[..., None]
     return numerics.finite(
         lambda: (a**powers) * np.exp(lams * a) if defective else np.exp(lams * a),
@@ -209,12 +215,16 @@ def schedule_screen(modes: ModeSet, schedules) -> np.ndarray:
     estimates first, so that ``estimate, bound = schedule_screen(...)``.
 
     Schedule search ranks its grid rows with it and runs the SVD only on the
-    rows whose bound lets them make its cut.  The mode matrix is built and
-    column-normalized as for the sigma ratio, then taken to its real form R:
-    a conjugate pair of columns (u, conj u) becomes (sqrt(2) Re u,
-    sqrt(2) Im conj u).  The mode set of a real A is exactly conjugate-closed
-    (``numerics.eig_clustered``), so this is a unitary change of basis that
-    keeps the singular values.  The estimate is ``g = sqrt(w_min / w_max)``
+    rows whose bound lets them make its cut.  It takes the column-normalized
+    mode matrix of the sigma ratio to its real form R: a conjugate pair of
+    columns (u, conj u) becomes (sqrt(2) Re u, sqrt(2) Im conj u).  The mode
+    set of a real A is exactly conjugate-closed (``numerics.eig_clustered``),
+    so this is a unitary change of basis that keeps the singular values; a
+    set that is not raises DimensionError.  Only the modes on or above the
+    real axis are evaluated and normalized: in floats the column of
+    conj(lam) is exactly the conjugate of that of lam, so R reads each lower
+    column from its mate's (``ModeSet.real_form_gather``), negated, with the
+    bits of the full matrix.  The estimate is ``g = sqrt(w_min / w_max)``
     over the eigenvalues w of the Gram matrix R^T R, at about half the cost
     of the SVD.  w_min carries an absolute error of order eps * w_max, so
     the bound, ``SCREEN_BOUND * n**2 * eps * (1 + 1/g)``, grows as g falls,
@@ -223,15 +233,20 @@ def schedule_screen(modes: ModeSet, schedules) -> np.ndarray:
     are those of ``schedule_conditioning``.
     """
     n = modes.n
-    imag = modes.kernel[0].imag
-    alphas = _alpha_rows(np.asarray(schedules, dtype=float), n)
-    unit = numerics._unit_columns(mode_matrix(modes, alphas))
-    real = np.where(imag < 0.0, unit.imag, unit.real) * np.where(imag == 0.0, 1.0, np.sqrt(2.0))
+    real = _real_form(modes, _alpha_rows(np.asarray(schedules, dtype=float), n))
     w = np.linalg.eigvalsh(np.swapaxes(real, -1, -2) @ real)
     estimate = np.sqrt(np.maximum(w[..., 0], 0.0) / w[..., -1])
     with np.errstate(divide="ignore"):
         bound = SCREEN_BOUND * n**2 * _EPS * (1.0 + 1.0 / estimate)
     return np.stack((estimate, bound))
+
+
+def _real_form(modes: ModeSet, alphas: np.ndarray) -> np.ndarray:
+    """The real form R of the column-normalized mode matrices at ``alphas``,
+    shape (..., n, n), evaluating only the modes on or above the real axis."""
+    lams, powers, columns, factors = modes.real_form_gather
+    unit = numerics._unit_columns(_columns(lams, powers, modes.kernel[2], alphas))
+    return unit.view(float)[..., columns] * factors
 
 
 def _mode_space_vectors(decomposition: ModalDecomposition, alphas) -> np.ndarray:
@@ -273,7 +288,7 @@ def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionR
     n1 = factor_n1(modes)
 
     def determinants():
-        mode_det, full_det = complex(np.linalg.det(phi)), complex(np.linalg.det(vectors[:n].T))
+        mode_det, full_det = map(complex, np.linalg.det(np.array((phi, vectors[:n].T))))
         n2 = factor_n2(decomposition)
         return mode_det, full_det, n2, abs(full_det - n1 * n2 * mode_det)
 

@@ -265,9 +265,12 @@ def eig_clustered(values, cluster_tol: float = Tolerances.cluster):
         members.setdefault(label, []).append(index)
     clusters = []
     for label, group in members.items():
-        value = complex(points[group[0]]) if len(group) == 1 else complex(np.mean(values[group]))
-        if value.imag and values[group].imag.min() <= 0.0 <= values[group].imag.max():
-            value = complex(value.real)
+        if len(group) == 1:
+            value = complex(points[group[0]])
+        else:
+            value = complex(np.mean(values[group]))
+            if value.imag and values[group].imag.min() <= 0.0 <= values[group].imag.max():
+                value = complex(value.real)
         clusters.append((value, len(group), label))
     clusters.sort(key=lambda c: (c[0].real, c[0].imag, c[2]))
     return [(value, count) for value, count, _ in clusters]
@@ -277,7 +280,17 @@ def numeric_rank(matrix, rank_tol: float = Tolerances.rank) -> RankResult:
     """Rank = number of singular values above rank_tol * sigma_max; a
     matrix not of integer, real or complex dtype raises DimensionError."""
     m = np.atleast_2d(_numeric(matrix, "numeric_rank matrix"))
-    sigma = np.linalg.svd(m, compute_uv=False)
+    return _rank(np.linalg.svd(m, compute_uv=False), rank_tol)
+
+
+def numeric_ranks(matrices, rank_tol: float = Tolerances.rank) -> list[RankResult]:
+    """``numeric_rank`` of each of a sequence of same-shape real or complex
+    matrices, from one stacked SVD: the bits of one call per matrix."""
+    return [_rank(sigma, rank_tol) for sigma in np.linalg.svd(np.array(matrices), compute_uv=False)]
+
+
+def _rank(sigma: np.ndarray, rank_tol: float) -> RankResult:
+    """The RankResult of the descending singular values ``sigma``."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return RankResult(0, 0.0)
     rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))

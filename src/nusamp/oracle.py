@@ -134,8 +134,9 @@ def cross_validate(realization: Realization, schedule: SamplingSchedule) -> Orac
     report = joint_verdict(realization, schedule)
     tol = realization.tolerances.singularity
     stack, _ = _exponentials(realization, schedule)
-    reach = numerics.numeric_rank(_sampled(stack, realization.b).T, tol)
-    obs = numerics.numeric_rank(_sampled(realization.c, stack).T, tol)
+    reach, obs = numerics.numeric_ranks(
+        (_sampled(stack, realization.b).T, _sampled(realization.c, stack).T), tol
+    )
     n = realization.n
     reachable = reach.rank == n
     observable = obs.rank == n

@@ -151,6 +151,47 @@ class ModeSet:
         powers.setflags(write=False)
         return lams, powers, bool(powers.any())
 
+    @functools.cached_property
+    def mates(self) -> np.ndarray:
+        """Index of each mode's conjugate mate among the n ordered modes, a
+        read-only int array: an involution on a mode set of distinct
+        clusters, each real mode its own mate and a defective pair matched
+        power by power.  A cluster whose exact conjugate, at the same
+        multiplicity, is not in the set raises DimensionError."""
+        starts = list(itertools.accumulate((m for _, m in self.roots), initial=0))
+        mates = []
+        for lam, m in self.roots:
+            try:
+                k = self.roots.index((lam.conjugate(), m))
+            except ValueError:
+                raise DimensionError(
+                    f"mode set is not conjugate-closed: {lam} (multiplicity {m}) has no conjugate"
+                ) from None
+            mates += range(starts[k], starts[k] + m)
+        mates = np.array(mates, dtype=np.intp)
+        mates.setflags(write=False)
+        return mates
+
+    @functools.cached_property
+    def real_form_gather(self) -> tuple:
+        """How the real form of a mode matrix reads its columns from those of
+        the modes on or above the real axis: their eigenvalues and powers,
+        and for each of the n modes an index into the float view of their
+        complex columns (2j + 1 is the imaginary part of column j) and a
+        factor.  A real mode reads its real part times 1, a mode above the
+        axis its real part times sqrt(2), and a mode below it the imaginary
+        part of its mate's column times -sqrt(2).  Read-only arrays; a set
+        that is not conjugate-closed raises DimensionError (``mates``)."""
+        lams, powers, _ = self.kernel
+        lower = lams.imag < 0.0
+        position = np.cumsum(~lower) - 1  # of each upper mode among them
+        columns = 2 * position[np.where(lower, self.mates, np.arange(self.n))] + lower
+        factors = np.where(lams.imag == 0.0, 1.0, np.where(lower, -np.sqrt(2.0), np.sqrt(2.0)))
+        arrays = lams[~lower], powers[~lower], columns, factors
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
+
 
 @dataclass(frozen=True)
 class MinimalityReport:
@@ -202,8 +243,7 @@ def check_minimal(realization: Realization) -> MinimalityReport:
     # Columns 0..n-1 are the controllability matrix, n..2n-1 the transposed
     # observability matrix, which has the same singular values.
     unit = numerics._unit_columns(np.array(cols + rows).T)
-    ctrb = numerics.numeric_rank(unit[:, :n], rank_tol)
-    obsv = numerics.numeric_rank(unit[:, n:], rank_tol)
+    ctrb, obsv = numerics.numeric_ranks((unit[:, :n], unit[:, n:]), rank_tol)
     return MinimalityReport(ctrb.rank == n, obsv.rank == n, ctrb, obsv)
 
 
@@ -260,12 +300,12 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     simple cluster holds its eigenvalue exactly as returned, so it takes
     that eigenvalue's eigenvector, in canonical phase.  Only a defective
     cluster runs ``_jordan_chain``.  The cluster list is exactly
-    conjugate-closed (see ``numerics.eig_clustered``), so a cluster below
-    the real axis takes the conjugate of its mirror's chain.  One solve
-    with B gives y0, or least squares when the basis is ill-conditioned
-    (sigma ratio below ``ILL_CONDITIONED_BASIS``); y0 is then made exactly
-    real on real clusters and conjugate on mirrored ones, the symmetry it
-    has in exact arithmetic.
+    conjugate-closed (see ``numerics.eig_clustered``), so a mode below the
+    real axis takes the conjugate of its mate's column (``ModeSet.mates``).
+    One solve with B gives y0, or least squares when the basis is
+    ill-conditioned (sigma ratio below ``ILL_CONDITIONED_BASIS``); y0 is
+    then made exactly real on real modes and conjugate between mates, the
+    symmetry it has in exact arithmetic.
 
     Minimality is not checked here: ``Realization.decomposition`` checks
     it first, and on a non-minimal realization the decomposition is only
@@ -273,28 +313,23 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     ``cluster`` tolerance also cuts the Jordan chains' pseudo-inverse.
     """
     modes = realization.modes
-    roots = modes.roots
     values, vectors = realization.eigen
     vectors = _canonical_phase(vectors.astype(complex, copy=False))
     points = values.tolist()
 
-    # The clusters of a real A are exactly conjugate-closed (eig_clustered):
-    # mirror[j] is the conjugate of cluster j, j itself when real.
-    mirror = [roots.index((lam.conjugate(), m)) for lam, m in roots]
-    chains = {}
-    for j, (lam, m) in enumerate(roots):
+    columns = []
+    for lam, m in modes.roots:
         if lam.imag < 0.0:
-            continue
-        if m > 1:
-            chains[j] = _jordan_chain(
+            columns += [None] * m  # the conjugates of the mates' columns, below
+        elif m > 1:
+            columns += _jordan_chain(
                 realization.A.astype(complex), lam, m, realization.tolerances.cluster
             )
         else:
-            chains[j] = [vectors[:, points.index(lam)]]
-
+            columns.append(vectors[:, points.index(lam)])
+    mates = modes.mates
     basis = np.column_stack([
-        v for j, k in enumerate(mirror)
-        for v in (chains[j] if j in chains else np.conj(chains[k]))
+        columns[k].conj() if v is None else v for v, k in zip(columns, mates.tolist())
     ])
     # One Jordan block per cluster: the eigenvalue on the diagonal, a unit
     # superdiagonal inside each block and zero between blocks.
@@ -308,10 +343,8 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
         y0, *_ = np.linalg.lstsq(basis, b, rcond=None)
     else:
         y0 = np.linalg.solve(basis, b)
-    # conj(B) is B with the mirrored blocks swapped (up to rounding), so the
-    # y0 of a real b has the same symmetry; impose it exactly, which leaves
-    # N2 real up to the rounding of its own product.
-    starts = list(itertools.accumulate((m for _, m in roots), initial=0))
-    swap = [starts[k] + p for k in mirror for p in range(roots[k][1])]
-    y0 = (y0 + y0[swap].conj()) / 2
+    # conj(B) is B with each column moved to its mate's place (up to
+    # rounding), so the y0 of a real b has the same symmetry; impose it
+    # exactly, which leaves N2 real up to the rounding of its own product.
+    y0 = (y0 + y0[mates].conj()) / 2
     return ModalDecomposition(modes, J, basis, y0, sigma_ratio)

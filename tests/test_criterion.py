@@ -20,20 +20,25 @@ from nusamp import (
     SamplingSchedule,
     ShiftedIntervals,
     Tolerances,
+    check_minimal,
     classify_case,
     controllable_direct,
+    criterion,
+    cross_validate,
     factor_n1,
     factor_n2,
     full_determinant,
     joint_verdict,
     modal_decompose,
     mode_matrix,
+    numeric_rank,
+    numerics,
     schedule_conditioning,
     shifted_intervals,
 )
 from nusamp.cli import SystemDocument, build_analysis
-from nusamp.criterion import schedule_screen
-from nusamp.numerics import column_normalized_sigma_ratio
+from nusamp.criterion import SCREEN_BOUND, schedule_screen
+from nusamp.numerics import column_normalized_sigma_ratio, numeric_ranks
 from conftest import (
     AMBIGUITY_BAND, count_calls, random_minimal_system, random_orthogonal, random_schedule
 )
@@ -304,6 +309,169 @@ class TestScheduleScreen:
             schedule_screen(modes, [0.0])
         with pytest.raises(NumericRangeError):
             schedule_screen(modes, [[0.0, 1.0], [0.0, 300.0]])
+
+
+def _full_width_screen(modes: ModeSet, rows: np.ndarray) -> tuple:
+    """The real form R and ``schedule_screen`` from the full mode matrix:
+    every column evaluated and normalized, R taken column by column."""
+    n = modes.n
+    imag = modes.kernel[0].imag
+    alphas = rows[..., n - 1 : n] - rows[..., n - 1 :: -1]
+    unit = numerics._unit_columns(mode_matrix(modes, alphas))
+    real = np.where(imag < 0.0, unit.imag, unit.real) * np.where(imag == 0.0, 1.0, np.sqrt(2.0))
+    w = np.linalg.eigvalsh(np.swapaxes(real, -1, -2) @ real)
+    estimate = np.sqrt(np.maximum(w[..., 0], 0.0) / w[..., -1])
+    with np.errstate(divide="ignore"):
+        bound = SCREEN_BOUND * n**2 * np.finfo(float).eps * (1.0 + 1.0 / estimate)
+    return real, np.stack((estimate, bound))
+
+
+class TestHalfPlaneScreen:
+    """The screen evaluates only the modes on or above the real axis and
+    mirrors the rest; its figures are the full-width formula's bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_full_width_formula(self, n):
+        rng = np.random.default_rng(3200 + n)
+        for _ in range(4):
+            modes = _screen_modes(rng, n)
+            for kind in ("random", "gap", "far"):
+                rows = _screen_rows(rng, n, kind)
+                real, screen = _full_width_screen(modes, rows)
+                alphas = rows[..., n - 1 : n] - rows[..., n - 1 :: -1]
+                # R itself, since flipping the sign of a column leaves the
+                # Gram eigenvalues' bits as they are.  A mirrored column is
+                # the negated imaginary part of its mate, so a zero entry
+                # (row 0, where lam * 0 has an imaginary zero of either
+                # sign) may differ in sign only; adding 0.0 folds -0.0 into
+                # 0.0 and keeps every other float's bits.
+                half = criterion._real_form(modes, alphas) + 0.0
+                assert np.array_equal(half.view(np.uint64), (real + 0.0).view(np.uint64)), (
+                    modes, kind
+                )
+                assert np.array_equal(
+                    schedule_screen(modes, rows).view(np.uint64), screen.view(np.uint64)
+                ), (modes, kind)
+
+    def test_conjugate_exponentials_are_exact(self):
+        # exp(conj z) == conj(exp z) bit for bit: the column of conj(lam) is
+        # the conjugate of the column of lam.  Real parts reach the
+        # subnormal and zero results, imaginary parts span many magnitudes,
+        # and the array lengths are not multiples of any vector width.
+        rng = np.random.default_rng(3300)
+        for size in (1, 3, 7, 64, 1001):
+            real = rng.uniform(-800.0, 700.0, size)
+            imag = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-12.0, 4.0, size)
+            imag[rng.random(size) < 0.1] = 0.0
+            z = real + 1j * imag
+            assert np.array_equal(
+                np.exp(np.conj(z)).view(np.uint64), np.conj(np.exp(z)).view(np.uint64)
+            )
+
+
+class TestModeMates:
+    """``ModeSet.mates``: each mode's conjugate mate among the ordered modes."""
+
+    def test_pairs_defects_and_real_modes(self):
+        modes = ModeSet((
+            (complex(-1.0, -2.0), 2), (complex(-1.0), 1), (complex(-1.0, 2.0), 2),
+            (complex(0.5, -1.0), 1), (complex(0.5, 1.0), 1), (complex(3.0), 3),
+        ))
+        mates = modes.mates
+        assert mates.tolist() == [3, 4, 2, 0, 1, 6, 5, 7, 8, 9]
+        assert not mates.flags.writeable
+        lams, powers, _ = modes.kernel
+        assert np.array_equal(lams[mates], lams.conj())
+        assert np.array_equal(powers[mates], powers)
+        # The real form reads modes 2, 3, 4, 6, 7, 8 and 9, and each lower
+        # mode the imaginary part of its mate's column.
+        upper_lams, upper_powers, columns, factors = modes.real_form_gather
+        assert np.array_equal(upper_lams, lams[[2, 3, 4, 6, 7, 8, 9]])
+        assert np.array_equal(upper_powers, powers[[2, 3, 4, 6, 7, 8, 9]])
+        assert columns.tolist() == [3, 5, 0, 2, 4, 7, 6, 8, 10, 12]
+        root2 = math.sqrt(2.0)
+        assert factors.tolist() == [-root2, -root2, 1.0, root2, root2, -root2, root2, 1.0, 1.0, 1.0]
+        assert not any(array.flags.writeable for array in modes.real_form_gather)
+
+    def test_an_involution_on_every_screen_set(self):
+        rng = np.random.default_rng(3400)
+        for n in range(1, 13):
+            modes = _screen_modes(rng, n)
+            lams, powers, _ = modes.kernel
+            mates = modes.mates
+            assert np.array_equal(mates[mates], np.arange(n))
+            real = lams.imag == 0.0
+            assert np.array_equal(mates[real], np.flatnonzero(real))
+            assert np.array_equal(lams[mates], lams.conj())
+            assert np.array_equal(powers[mates], powers)
+
+    @pytest.mark.parametrize("roots", [
+        ((complex(0.0, 1.0), 1),),
+        ((complex(-1.0, -1.0), 1), (complex(-1.0, 1.0 + 1e-15), 1)),
+        ((complex(-1.0, -1.0), 1), (complex(-1.0, 1.0), 2)),
+    ], ids=["alone", "inexact", "multiplicity"])
+    def test_an_unmatched_complex_mode_raises(self, roots):
+        modes = ModeSet(roots)
+        with pytest.raises(DimensionError, match="not conjugate-closed"):
+            modes.mates
+        with pytest.raises(DimensionError, match="not conjugate-closed"):
+            schedule_screen(modes, np.arange(modes.n, dtype=float))
+
+
+def _bits(values) -> list:
+    """The bytes of each number, so that -0.0 and 0.0 differ."""
+    return [np.asarray(v).tobytes() for v in values]
+
+
+class TestStackedLapackCalls:
+    """Each pair of rank tests or determinants runs as one stacked LAPACK
+    call, with the bits of one call per matrix."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_stacked_ranks_are_the_separate_ranks(self, n):
+        rng = np.random.default_rng(3500 + n)
+        for _ in range(10):
+            for dtype in (float, complex):
+                m = rng.normal(size=(n, 2 * n)).astype(dtype)
+                if dtype is complex:
+                    m += 1j * rng.normal(size=(n, 2 * n))
+                m[:, n - 1] = m[:, 0] * 2.0  # rank deficient on the left when n > 1
+                pairs = [(m[:, :n], m[:, n:]), (m[:, :n].T, m[:, n:].T)]
+                for left, right in pairs:
+                    stacked = numeric_ranks((left, right), 1e-9)
+                    separate = [numeric_rank(left, 1e-9), numeric_rank(right, 1e-9)]
+                    assert [r.rank for r in stacked] == [r.rank for r in separate]
+                    assert _bits(r.sigma_ratio for r in stacked) == _bits(
+                        r.sigma_ratio for r in separate
+                    )
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_call_sites_give_the_bits_of_separate_calls(self, n, monkeypatch):
+        rng = np.random.default_rng(3600 + n)
+        separate = lambda matrices, tol: [numeric_rank(m, tol) for m in matrices]
+        for k in range(6):
+            system = random_minimal_system(rng, n, allow_defective=k % 2 == 1)
+            schedule = random_schedule(rng, n + k % 2, window=(0.0, 2.0 * n), min_spacing=0.1)
+            results = [(check_minimal(system), cross_validate(system, schedule))]
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "numeric_ranks", separate)
+                fresh = Realization(system.A, system.b, system.c)
+                results.append((check_minimal(fresh), cross_validate(fresh, schedule)))
+            (minimal, oracle), (reference, reference_oracle) = results
+            assert (minimal.controllability_rank.rank, minimal.observability_rank.rank) == (
+                reference.controllability_rank.rank, reference.observability_rank.rank
+            )
+            ratios = lambda m, o: (
+                m.controllability_rank.sigma_ratio, m.observability_rank.sigma_ratio,
+                o.reachability_sigma_ratio, o.observability_sigma_ratio,
+            )
+            assert _bits(ratios(minimal, oracle)) == _bits(ratios(reference, reference_oracle))
+            # joint_verdict's determinants against one det call each.
+            report = oracle.criterion
+            alphas = shifted_intervals(schedule, n)
+            mode_det = complex(np.linalg.det(mode_matrix(system.modes, alphas.alpha)))
+            full_det = full_determinant(system.decomposition, alphas)
+            assert _bits((report.mode_det, report.full_det)) == _bits((mode_det, full_det))
 
 
 class TestFactorN1:

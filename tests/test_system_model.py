@@ -400,6 +400,12 @@ class TestModalBasis:
                 ]
                 y0 = decomposition.y0
                 assert np.array_equal(y0[swap], y0.conj())
+                # The mode-level mate map is that swap, and each column
+                # below the real axis is its mate's conjugate, exactly.
+                assert decomposition.modes.mates.tolist() == swap
+                lower = decomposition.modes.kernel[0].imag < 0.0
+                B = decomposition.B
+                assert np.array_equal(B[:, lower], B[:, np.array(swap)[lower]].conj())
 
     def test_nearly_defective_clusters_take_distinct_columns(self):
         rng = np.random.default_rng(5)
