@@ -277,24 +277,25 @@ def eig_clustered(values, cluster_tol: float = Tolerances.cluster):
 
 
 def numeric_rank(matrix, rank_tol: float = Tolerances.rank) -> RankResult:
-    """Rank = number of singular values above rank_tol * sigma_max; a
-    matrix not of integer, real or complex dtype raises DimensionError."""
+    """``numeric_ranks`` of one matrix; a matrix not of integer, real or
+    complex dtype raises DimensionError."""
     m = np.atleast_2d(_numeric(matrix, "numeric_rank matrix"))
-    return _rank(np.linalg.svd(m, compute_uv=False), rank_tol)
+    return numeric_ranks((m,), rank_tol)[0]
 
 
 def numeric_ranks(matrices, rank_tol: float = Tolerances.rank) -> list[RankResult]:
-    """``numeric_rank`` of each of a sequence of same-shape real or complex
-    matrices, from one stacked SVD: the bits of one call per matrix."""
-    return [_rank(sigma, rank_tol) for sigma in np.linalg.svd(np.array(matrices), compute_uv=False)]
-
-
-def _rank(sigma: np.ndarray, rank_tol: float) -> RankResult:
-    """The RankResult of the descending singular values ``sigma``."""
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return RankResult(0, 0.0)
-    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    return RankResult(rank, float(sigma[-1] / sigma[0]))
+    """Rank (singular values above ``rank_tol * sigma_max``) and sigma_min /
+    sigma_max of each of a sequence of same-shape real or complex matrices,
+    (0, 0.0) for a zero or empty one, from one stacked SVD: the bits of one
+    call per matrix."""
+    results = []
+    for sigma in np.linalg.svd(np.array(matrices), compute_uv=False):
+        if sigma.size == 0 or sigma[0] == 0.0:
+            results.append(RankResult(0, 0.0))
+        else:
+            rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+            results.append(RankResult(rank, float(sigma[-1] / sigma[0])))
+    return results
 
 
 def _pow2(x, k):

@@ -358,8 +358,9 @@ def _grid_rows(last: int, head: int, stride: int = 1, boxes=None) -> np.ndarray:
         rows = np.column_stack((rows[parent], first[parent] + stride * rank))
         owner = owner[parent]
     if owners > 1:
-        # The mixed-radix codes of the rows sort as the rows do; the grid
-        # guard keeps their range far inside int64.
+        # The mixed-radix codes of the rows sort as the rows do; they stay
+        # below (last + 1) ** (head - 1), which the grid guard holds to at
+        # most 68 ** 5 < 1.5e9 (order 6), far inside int64.
         codes = np.zeros(len(rows), np.int64)
         for column in rows.T:
             codes = codes * (int(column.max(initial=0)) + 1) + column
@@ -494,8 +495,9 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     ``_meet_spec``).  A window whose lattice holds no row may still hold a
     schedule: the walk back from its end, on the instants min_spacing apart
     from its start, then finds one.  Returns (schedule, achieved sigma
-    ratio), or raises InfeasibleError when no schedule meets the spec or
-    that ratio does not exceed the singularity tolerance.  The realization
+    ratio), or raises InfeasibleError when no schedule meets the spec, the
+    grid is too large or that ratio does not exceed the singularity
+    tolerance, and UnsupportedOrderError above order 6.  The realization
     must be minimal; only its mode set is computed, never the modal
     decomposition.
     The objective depends only on instant differences, so the first instant
@@ -516,7 +518,12 @@ def suggest_schedule(system: Realization, spec: ScheduleSearchSpec):
     # at minimal spacing, so the first n must leave room for them.
     tail = spec.count - n
     last = (end - 256 * tail) // 64
-    if (last + 1) ** (n - 1) > MAX_GRID_CANDIDATES:
+    # The guard counts what the two passes can build: the coarse grid, and
+    # KEEP boxes; from order 7 the boxes alone are too many.
+    fine = KEEP * (2 * BOX + 1) ** (n - 1)
+    if fine > MAX_GRID_CANDIDATES:
+        raise UnsupportedOrderError(f"schedule search supports order 6 at most, got order {n}")
+    if (last // COARSE + 1) ** (n - 1) + fine > MAX_GRID_CANDIDATES:
         raise InfeasibleError(
             "search grid too large; increase min_spacing or shrink the window"
         )

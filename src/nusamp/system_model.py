@@ -34,10 +34,6 @@ from . import numerics
 from .errors import DimensionError, MinimalityError, ToleranceError
 from .errors import UnsupportedOrderError
 
-# Basis matrices with sigma ratios below this take y0 from least squares
-# rather than from a solve.
-ILL_CONDITIONED_BASIS = 1e-10
-
 
 def _state_vector(values, n: int, name: str) -> np.ndarray:
     """``values`` as a new finite real vector of n entries, or DimensionError."""
@@ -221,7 +217,6 @@ class ModalDecomposition:
     J: np.ndarray
     B: np.ndarray
     y0: np.ndarray
-    basis_sigma_ratio: float
 
 
 def check_minimal(realization: Realization) -> MinimalityReport:
@@ -302,10 +297,8 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     cluster runs ``_jordan_chain``.  The cluster list is exactly
     conjugate-closed (see ``numerics.eig_clustered``), so a mode below the
     real axis takes the conjugate of its mate's column (``ModeSet.mates``).
-    One solve with B gives y0, or least squares when the basis is
-    ill-conditioned (sigma ratio below ``ILL_CONDITIONED_BASIS``); y0 is
-    then made exactly real on real modes and conjugate between mates, the
-    symmetry it has in exact arithmetic.
+    One solve with B gives y0, which is then made exactly real on real modes
+    and conjugate between mates, the symmetry it has in exact arithmetic.
 
     Minimality is not checked here: ``Realization.decomposition`` checks
     it first, and on a non-minimal realization the decomposition is only
@@ -337,14 +330,9 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     J = np.diag(lams)
     J += np.diag((powers[1:] > 0).astype(float), 1)
 
-    sigma_ratio = numerics.numeric_rank(basis).sigma_ratio
-    b = realization.b.astype(complex)
-    if sigma_ratio < ILL_CONDITIONED_BASIS:
-        y0, *_ = np.linalg.lstsq(basis, b, rcond=None)
-    else:
-        y0 = np.linalg.solve(basis, b)
+    y0 = np.linalg.solve(basis, realization.b.astype(complex))
     # conj(B) is B with each column moved to its mate's place (up to
     # rounding), so the y0 of a real b has the same symmetry; impose it
     # exactly, which leaves N2 real up to the rounding of its own product.
     y0 = (y0 + y0[mates].conj()) / 2
-    return ModalDecomposition(modes, J, basis, y0, sigma_ratio)
+    return ModalDecomposition(modes, J, basis, y0)

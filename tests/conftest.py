@@ -116,6 +116,18 @@ def _real_modal_block(re: float, im: float, mult: int) -> np.ndarray:
     return block
 
 
+def block_diagonal(blocks) -> np.ndarray:
+    """The square blocks on the diagonal of a zero matrix."""
+    n = sum(block.shape[0] for block in blocks)
+    a = np.zeros((n, n))
+    offset = 0
+    for block in blocks:
+        size = block.shape[0]
+        a[offset : offset + size, offset : offset + size] = block
+        offset += size
+    return a
+
+
 def _nonzero_entries(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(0.3, 1.5, size=n) * rng.choice([-1.0, 1.0], size=n)
 
@@ -158,14 +170,8 @@ def random_eigen_structure(rng: np.random.Generator, n: int, *, allow_defective:
 
 def build_system(rng: np.random.Generator, structure, *, transform: bool = True) -> Realization:
     """Real realization with the given eigenvalue structure, minimal by retry."""
-    blocks = [_real_modal_block(re, im, m) for re, im, m in structure]
-    n = sum(b.shape[0] for b in blocks)
-    a0 = np.zeros((n, n))
-    offset = 0
-    for block in blocks:
-        size = block.shape[0]
-        a0[offset : offset + size, offset : offset + size] = block
-        offset += size
+    a0 = block_diagonal([_real_modal_block(re, im, m) for re, im, m in structure])
+    n = a0.shape[0]
     # Similarity transforms of defective blocks of size >= 3 smear the
     # spectrum beyond the clustering tolerance; keep those in modal form.
     use_transform = transform and not any(

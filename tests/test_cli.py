@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import nusamp
-from nusamp import SamplingSchedule, SystemDocumentError, ToleranceError, cli, oracle, system_model
+from nusamp import SamplingSchedule, SystemDocumentError, ToleranceError, cli, numeric_rank, oracle
+from nusamp import system_model
 from nusamp.cli import (
     EXIT_NEGATIVE,
     EXIT_NOT_MINIMAL,
@@ -396,11 +397,11 @@ class TestAnalyze:
 
     def test_ill_conditioned_basis_still_analyzes(self, tmp_path):
         # A minimal system whose modal basis has sigma ratio 5e-11: y0 comes
-        # from least squares, and the factorization identity still holds.
+        # from the one solve, and the factorization identity still holds.
         A = [[-1.0, 1e4], [0.0, -1.0 + 1e-6]]
         system = system_model.Realization(A, [0.3, 1.0], [1.0, 0.7])
         assert system.minimality.minimal
-        assert system.decomposition.basis_sigma_ratio < system_model.ILL_CONDITIONED_BASIS
+        assert numeric_rank(system.decomposition.B).sigma_ratio < 1e-10
         path = tmp_path / "ill.json"
         path.write_text(json.dumps(
             {"order": 2, "A": [x for row in A for x in row], "b": [0.3, 1], "c": [1, 0.7]}

@@ -1,8 +1,8 @@
 """Golden corpus: every subcommand's output on a fixed set of system documents.
 
-``tests/corpus/*.json`` holds fourteen system documents: order 1, the rotation
+``tests/corpus/*.json`` holds fifteen system documents: order 1, the rotation
 and its damped form, a diagonal order 3, a defective order 3 in modal form,
-orders 4 and 8, a non-minimal system, one with a ``tolerances`` record, a
+orders 4, 6 and 8, a non-minimal system, one with a ``tolerances`` record, a
 nearly uncontrollable one, a nearly defective one, the rotation without a
 schedule, one whose ``tolerances`` record has an unknown key, and a defective
 cluster at -800 whose sampled exponentials are subnormal.

@@ -448,7 +448,8 @@ class TestStackedLapackCalls:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_call_sites_give_the_bits_of_separate_calls(self, n, monkeypatch):
         rng = np.random.default_rng(3600 + n)
-        separate = lambda matrices, tol: [numeric_rank(m, tol) for m in matrices]
+        # One stack per matrix: numeric_rank itself calls numeric_ranks.
+        separate = lambda matrices, tol: [numeric_ranks((m,), tol)[0] for m in matrices]
         for k in range(6):
             system = random_minimal_system(rng, n, allow_defective=k % 2 == 1)
             schedule = random_schedule(rng, n + k % 2, window=(0.0, 2.0 * n), min_spacing=0.1)
@@ -492,7 +493,6 @@ def _decomposition_with_y0(modes: ModeSet, y0) -> ModalDecomposition:
         J=np.zeros((n, n), dtype=complex),
         B=np.eye(n, dtype=complex),
         y0=np.asarray(y0, dtype=complex),
-        basis_sigma_ratio=1.0,
     )
 
 

@@ -22,6 +22,12 @@ the minimality flags (and, when ``minimal`` flips, the sections a
 non-minimal ``build_analysis`` document drops).  Besides generic systems
 the sweep draws oscillators near a singular schedule or near membership
 and systems near the minimality threshold, so every decision flips.
+
+The mode weights y0 come from one solve with the modal basis B, backward
+stable however ill-conditioned B is: on non-normal realizations, some with
+nearly parallel basis columns, y0 solves ``B y0 = b`` to a few rounding
+errors, and the factorization identity holds on every schedule whose sigma
+ratio clears the ambiguity band.
 """
 
 from __future__ import annotations
@@ -47,12 +53,14 @@ from nusamp import (
     full_determinant,
     in_range,
     joint_verdict,
+    numeric_rank,
     reconstruct_state,
     shifted_intervals,
     simulate_impulse,
     simulate_zoh,
 )
-from conftest import random_minimal_system, random_schedule
+from conftest import _nonzero_entries, _real_modal_block, block_diagonal, random_eigen_structure
+from conftest import AMBIGUITY_BAND, random_minimal_system, random_orthogonal, random_schedule
 
 ALLOWED = (NumericRangeError, SingularScheduleError, MinimalityError, np.linalg.LinAlgError)
 DRAWS = 240
@@ -335,3 +343,44 @@ def test_each_tolerance_changes_only_the_fields_it_names():
     assert ("criterion", "controllable") in moved["residual"], moved
     assert ("criterion", "reachable") in moved["singularity"], moved
     assert ("minimality", "minimal") in moved["rank"], moved
+
+
+NON_NORMAL_DRAWS = 300
+
+
+def _non_normal_draw(rng: np.random.Generator, k: int):
+    """``A = T M T^-1`` of order 2-6 with M in real modal form (a defective
+    cluster on every third draw) and cond(T) log-uniform in 1e2-1e9, and a
+    schedule of n or n+1 instants."""
+    n = 2 + k % 5
+    while True:
+        structure = random_eigen_structure(rng, n, allow_defective=k % 3 == 0)
+        if k % 3 or any(m > 1 for *_, m in structure):
+            break
+    M = block_diagonal([_real_modal_block(re, im, m) for re, im, m in structure])
+    singular_values = np.geomspace(1.0, 10.0 ** rng.uniform(2.0, 9.0), n)
+    T = random_orthogonal(rng, n) @ np.diag(singular_values) @ random_orthogonal(rng, n)
+    inverse = np.linalg.inv(T)
+    b, c = _nonzero_entries(rng, n), _nonzero_entries(rng, n)
+    system = Realization(T @ M @ inverse, T @ b, c @ inverse)
+    return system, random_schedule(rng, n + k // 5 % 2)
+
+
+def test_mode_weights_solve_the_basis_on_non_normal_realizations():
+    rng = np.random.default_rng(33)
+    cleared = ill_conditioned = 0
+    for k in range(NON_NORMAL_DRAWS):
+        system, schedule = _non_normal_draw(rng, k)
+        if not system.minimality.minimal:
+            continue
+        B, y0 = system.decomposition.B, system.decomposition.y0
+        backward = np.linalg.norm(B @ y0 - system.b) / (np.linalg.norm(B, 2) * np.linalg.norm(y0))
+        assert backward <= 1e-14, (k, backward)
+        ill_conditioned += numeric_rank(B).sigma_ratio < 1e-10
+        report = joint_verdict(system, schedule)
+        if report.sigma_ratio > AMBIGUITY_BAND[1]:
+            bound = 1e-8 * max(1.0, abs(report.full_det))
+            assert report.factorization_residual <= bound, (k, report.sigma_ratio)
+            cleared += 1
+    assert cleared >= 0.6 * NON_NORMAL_DRAWS, cleared
+    assert ill_conditioned >= 10, ill_conditioned

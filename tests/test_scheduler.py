@@ -1327,6 +1327,44 @@ class TestPassRowSets:
             assert (schedule.instants, objective) == (expected[0].instants, expected[1])
 
 
+ORDER6 = random_minimal_system(np.random.default_rng(6), 6)
+
+
+class TestGridGuard:
+    """The grid guard counts the rows the two passes can build: the coarse
+    grid and KEEP boxes of (2 BOX + 1) ** (n - 1) rows."""
+
+    @pytest.mark.parametrize(
+        "window, count, spacing",
+        [((0.0, 2.5), 6, 0.5), ((0.0, 5.0), 6, 1.0), ((0.0, 3.0), 6, 0.5), ((0.0, 4.0), 7, 0.5),
+         ((0.0, 4.0), 6, 0.5)],
+    )
+    def test_order_6_matches_the_exhaustive_search(self, window, count, spacing):
+        spec = ScheduleSearchSpec(window, count, spacing)
+        result = suggest_schedule(ORDER6, spec)
+        assert_meets_spec(ORDER6, spec, result)
+        assert (result[0].instants, result[1]) == exhaustive_search(ORDER6, spec)
+
+    def test_order_6_at_the_edge_of_the_guard(self):
+        # (0, 16.75) ends at grid step 67: 17**5 coarse rows and 8 * 9**5
+        # fine ones, 1,892,249 in all.  One step more counts 18**5 coarse.
+        assert scheduler.KEEP * (2 * scheduler.BOX + 1) ** 5 == 8 * 9**5
+        spec = ScheduleSearchSpec((0.0, 16.75), 6, 1.0)
+        assert_meets_spec(ORDER6, spec, suggest_schedule(ORDER6, spec))
+        with pytest.raises(InfeasibleError, match="search grid too large"):
+            suggest_schedule(ORDER6, ScheduleSearchSpec((0.0, 17.0), 6, 1.0))
+
+    @pytest.mark.parametrize("n", [7, 8, 12])
+    def test_higher_orders_are_refused_by_order(self, n):
+        # From order 7 the boxes alone exceed the limit, whatever the window.
+        boxes = scheduler.KEEP * (2 * scheduler.BOX + 1) ** (n - 1)
+        assert boxes > scheduler.MAX_GRID_CANDIDATES
+        system = random_minimal_system(np.random.default_rng(n), n)
+        spec = ScheduleSearchSpec((0.0, n - 1.0), n, 1.0)
+        with pytest.raises(UnsupportedOrderError, match=f"order 6 at most, got order {n}$"):
+            suggest_schedule(system, spec)
+
+
 def screen_search_specs(count):
     """Seeded (system, spec) pairs at orders 1-6, every third with defective
     clusters allowed: n to n+2 instants, spacings log-uniform in 0.003-0.6,

@@ -38,6 +38,7 @@ from nusamp.cli import SystemDocument
 from nusamp.system_model import require_minimal
 from conftest import (
     _real_modal_block,
+    block_diagonal,
     count_calls,
     random_eigen_structure,
     random_minimal_system,
@@ -118,7 +119,6 @@ class TestRealization:
             assert ours.modes == theirs.modes, n
             for name in ("J", "B", "y0"):
                 assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), (n, name)
-            assert ours.basis_sigma_ratio == theirs.basis_sigma_ratio, n
 
     def test_dual_keeps_the_tolerances(self, rotation_system):
         strict = replace(rotation_system, tolerances=Tolerances(singularity=0.05))
@@ -283,7 +283,7 @@ class TestModalDecompose:
 
     def test_decomposition_holds_only_its_facts(self):
         names = [f.name for f in fields(ModalDecomposition)]
-        assert names == ["modes", "J", "B", "y0", "basis_sigma_ratio"]
+        assert names == ["modes", "J", "B", "y0"]
 
     def test_rotation_y0(self, rotation_system):
         decomposition = modal_decompose(rotation_system)
@@ -320,6 +320,23 @@ class TestModalDecompose:
                 misfit = np.linalg.norm(d.B @ d.y0 - system.b)
                 assert misfit <= 1e-8 * max(1.0, np.linalg.norm(system.b)), n
         assert defective >= 20
+
+    def test_svds_are_the_jordan_chains(self, monkeypatch):
+        # y0 comes from one solve: the only SVDs are those of the Jordan
+        # chains, one per defective cluster on or above the real axis.
+        rng = np.random.default_rng(33)
+        calls = count_calls(monkeypatch, [(np.linalg, "svd")])
+        chains = 0
+        for n in range(1, 13):
+            for allow_defective in (False, True, True):
+                system = random_minimal_system(rng, n, allow_defective=allow_defective)
+                roots = system.modes.roots
+                calls.clear()
+                modal_decompose(system)
+                expected = sum(1 for lam, m in roots if m > 1 and lam.imag >= 0.0)
+                assert calls["svd"] == expected, (n, roots)
+                chains += expected
+        assert chains >= 10
 
     def test_jordan_chain_structure(self):
         # exact Jordan block: B should reproduce A = B J B^-1 with unit
@@ -435,12 +452,7 @@ def _seeded_system(rng: np.random.Generator, n: int, kind: str):
     if near:
         lam = 2.5 + rng.uniform(0.0, 0.5)  # apart from the rest of the spectrum
         blocks.append(np.array([[lam, 1.0], [10.0 ** rng.uniform(-12, -10), lam]]))
-    a = np.zeros((n, n))
-    offset = 0
-    for block in blocks:
-        size = block.shape[0]
-        a[offset : offset + size, offset : offset + size] = block
-        offset += size
+    a = block_diagonal(blocks)
     transform = not any((m >= 3 if im == 0.0 else m >= 2) for _, im, m in structure)
     t = random_well_conditioned(rng, n) if transform else np.eye(n)
     system = Realization(t @ a @ np.linalg.inv(t), t @ rng.normal(size=n), rng.normal(size=n))
@@ -476,13 +488,8 @@ def _mirror_draw(rng: np.random.Generator, n: int):
                 size += 2
         blocks.append(block)
         size += len(block)
-    a = np.zeros((n, n))
-    offset = 0
-    for block in blocks:
-        a[offset : offset + len(block), offset : offset + len(block)] = block
-        offset += len(block)
     t = random_well_conditioned(rng, n)
-    a = t @ a @ np.linalg.inv(t)
+    a = t @ block_diagonal(blocks) @ np.linalg.inv(t)
     if rng.random() < 0.5:
         a += 10.0 ** rng.uniform(-12.0, -6.0) * rng.normal(size=(n, n))
     return a, rng.normal(size=n), rng.normal(size=n)
