@@ -55,6 +55,13 @@ EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_NOT_MINIMAL = 3
 _TOLERANCE_FIELDS = tuple(field.name for field in fields(Tolerances))
+# Each Tolerances field's flag, metavar and help; the field is the flag's dest.
+_TOLERANCE_FLAGS = {
+    "singularity": ("--tol", "TOL", "singularity tolerance"),
+    "cluster": ("--cluster-tol", "CLUSTER_TOL", "eigenvalue clustering tolerance"),
+    "rank": ("--rank-tol", "RANK_TOL", "rank-test tolerance"),
+    "residual": ("--residual-tol", "RESIDUAL_TOL", "range-membership tolerance"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +148,7 @@ def parse_system_document(text: str) -> SystemDocument:
                     ) from exc
         unknown = set(record) - set(_TOLERANCE_FIELDS)
         if unknown:
-            raise SystemDocumentError(
-                f"field tolerances.{sorted(unknown)[0]}: unknown field"
-            )
+            raise SystemDocumentError(f"field tolerances.{sorted(unknown)[0]}: unknown field")
 
     return SystemDocument(
         order=order,
@@ -366,7 +371,7 @@ def render_text(result: dict) -> str:
 
 def _tolerances_from_args(document: SystemDocument, args) -> Tolerances:
     """The document's tolerances with every tolerance flag that was set."""
-    flags = {name: getattr(args, name) for name in _TOLERANCE_FIELDS}
+    flags = {name: getattr(args, name) for name in args.tolerance_fields}
     return replace(document.tolerances, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -404,25 +409,19 @@ def _schedule(document: SystemDocument, args, err) -> tuple:
     return schedule, [warning]
 
 
-def _subcommand(sub, name: str, run, summary: str) -> argparse.ArgumentParser:
-    """Add a subcommand with the arguments every subcommand takes.
+def _subcommand(sub, name: str, run, tolerances, summary: str) -> argparse.ArgumentParser:
+    """Add a subcommand with a flag for each Tolerances field in ``tolerances``.
 
     ``run(args, document, system, err)`` parses the subcommand's own flags,
     then resolves the schedule if it needs one, and returns
     ``(result, render, exit_code)``.
     """
     parser = sub.add_parser(name, help=summary)
-    parser.set_defaults(run=run)
+    parser.set_defaults(run=run, tolerance_fields=tolerances)
     parser.add_argument("system", help="system-definition JSON file")
-    # Each flag's dest is the Tolerances field it sets.
-    parser.add_argument("--tol", dest="singularity", metavar="TOL", type=float,
-                        help="singularity tolerance")
-    parser.add_argument("--cluster-tol", dest="cluster", metavar="CLUSTER_TOL", type=float,
-                        help="eigenvalue clustering tolerance")
-    parser.add_argument("--rank-tol", dest="rank", metavar="RANK_TOL", type=float,
-                        help="rank-test tolerance")
-    parser.add_argument("--residual-tol", dest="residual", metavar="RESIDUAL_TOL", type=float,
-                        help="range-membership tolerance")
+    for field in tolerances:
+        flag, metavar, help_text = _TOLERANCE_FLAGS[field]
+        parser.add_argument(flag, dest=field, metavar=metavar, type=float, help=help_text)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -433,33 +432,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reachability/observability analysis of SISO systems under nonuniform sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    no_membership = ("singularity", "cluster", "rank")  # no membership test on n instants
 
-    p = _subcommand(sub, "analyze", _cmd_analyze, "joint criterion with oracle cross-check")
+    p = _subcommand(sub, "analyze", _cmd_analyze, _TOLERANCE_FIELDS,
+                    "joint criterion with oracle cross-check")
     p.add_argument("--schedule", help="comma-separated instants (overrides the file)")
 
-    p = _subcommand(sub, "forbidden", _cmd_forbidden,
+    p = _subcommand(sub, "forbidden", _cmd_forbidden, ("singularity", "cluster"),
                     "forbidden second instants of an order-2 oscillatory system")
     p.add_argument("--t0", type=float, default=0.0, help="first sampling instant")
     p.add_argument("--window", required=True, help="query window as 'lo,hi'")
 
-    p = _subcommand(sub, "suggest", _cmd_suggest, "search a window for a well-conditioned schedule")
+    p = _subcommand(sub, "suggest", _cmd_suggest, no_membership,
+                    "search a window for a well-conditioned schedule")
     p.add_argument("--window", required=True, help="search window as 'lo,hi'")
     p.add_argument("--count", type=int, required=True,
                    help=f"number of instants (at most {numerics.MAX_SCHEDULE_INSTANTS})")
     p.add_argument("--min-spacing", type=float, required=True, help="minimum spacing")
 
-    p = _subcommand(sub, "deadbeat", _cmd_deadbeat, "n-step input sequence reaching a target state")
+    p = _subcommand(sub, "deadbeat", _cmd_deadbeat, no_membership,
+                    "n-step input sequence reaching a target state")
     p.add_argument("--schedule", help="comma-separated input instants")
     p.add_argument("--x0", required=True, help="initial state, comma-separated")
     p.add_argument("--target", required=True, help="target state, comma-separated")
     p.add_argument("--final-time", type=float, default=None, help="evaluation instant after the inputs")
 
-    p = _subcommand(sub, "reconstruct", _cmd_reconstruct,
+    p = _subcommand(sub, "reconstruct", _cmd_reconstruct, no_membership,
                     "recover the initial state from free-response outputs")
     p.add_argument("--schedule", help="comma-separated output instants")
     p.add_argument("--outputs", required=True, help="measured outputs, comma-separated")
 
-    p = _subcommand(sub, "uniform", _cmd_uniform, "validate a uniform sampling interval")
+    p = _subcommand(sub, "uniform", _cmd_uniform, no_membership, "validate a uniform sampling interval")
     p.add_argument("--interval", type=float, required=True, help="sampling interval T")
     p.add_argument("--horizon", type=int, default=numerics.DEFAULT_UNIFORM_HORIZON,
                    help=f"largest multiple of T to scan (default {numerics.DEFAULT_UNIFORM_HORIZON}, "

@@ -10,7 +10,9 @@ package.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import dataclasses
 import math
 from collections import Counter
 
@@ -42,6 +44,18 @@ GOOD_REALS = [
     pytest.param(3, id="int"),
     pytest.param(np.array(3.0), id="0-d-array"),
 ]
+
+
+def cli_tolerance_flags() -> dict:
+    """Each subcommand of ``cli._build_parser()`` mapped to its tolerance
+    flags, each flag to the ``Tolerances`` field it sets."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = {field.name for field in dataclasses.fields(cli.Tolerances)}
+    return {
+        command: {a.option_strings[0]: a.dest for a in sub._actions if a.dest in names}
+        for command, sub in commands.choices.items()
+    }
 
 
 @pytest.fixture(autouse=True)

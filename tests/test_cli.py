@@ -26,7 +26,7 @@ from nusamp.cli import (
     main,
     parse_system_document,
 )
-from conftest import build_system, count_calls, random_schedule
+from conftest import build_system, cli_tolerance_flags, count_calls, random_schedule
 
 PI_16 = "3.141592653589793"
 CORPUS = Path(__file__).parent / "corpus"
@@ -865,6 +865,49 @@ class TestWarningOrder:
             "warning: schedule: command-line value overrides the one in the file",
             "error: schedule has 1 instants but the order-2 test needs at least 2",
         ]
+
+
+# The flags each subcommand needs besides the system file, on the rotation.
+OWN_FLAGS = {
+    "analyze": ["--schedule", "0,1"],
+    "forbidden": ["--window", "0,7"],
+    "suggest": ["--window", "0,2", "--count", "2", "--min-spacing", "0.1"],
+    "deadbeat": ["--schedule", "0,1", "--x0", "1,0", "--target", "0,1"],
+    "reconstruct": ["--schedule", "0,1", "--outputs", "2,1"],
+    "uniform": ["--interval", "1"],
+}
+NO_MEMBERSHIP = {"--tol": "singularity", "--cluster-tol": "cluster", "--rank-tol": "rank"}
+TOLERANCE_FLAGS = {
+    "analyze": {**NO_MEMBERSHIP, "--residual-tol": "residual"},
+    "forbidden": {"--tol": "singularity", "--cluster-tol": "cluster"},
+    "suggest": NO_MEMBERSHIP,
+    "deadbeat": NO_MEMBERSHIP,
+    "reconstruct": NO_MEMBERSHIP,
+    "uniform": NO_MEMBERSHIP,
+}
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in TOLERANCE_FLAGS.items()
+    for flag in TOLERANCE_FLAGS["analyze"]
+    if flag not in flags
+]
+
+
+class TestToleranceFlags:
+    """Each subcommand takes the flags of exactly the tolerances its analysis
+    reads: only analyze tests membership on n instants, and forbidden reads
+    only the mode set and the guard band."""
+
+    def test_each_subcommand_takes_the_flags_it_reads(self):
+        assert cli_tolerance_flags() == TOLERANCE_FLAGS
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_an_unread_tolerance_flag_is_refused(self, rotation_file, command, flag):
+        argv = [command, rotation_file, *OWN_FLAGS[command]]
+        assert run_cli(*argv)[0] == EXIT_OK
+        code, out, err = run_cli(*argv, flag, "1e-3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"error: unrecognized arguments: {flag} 1e-3" in err
 
 
 class TestUniform:

@@ -8,11 +8,12 @@ schedule, one whose ``tolerances`` record has an unknown key, and a defective
 cluster at -800 whose sampled exponentials are subnormal.
 ``tests/corpus/runs.json`` lists the command lines run on them, each with the
 exit code, stdout and stderr the CLI produced.  Together the runs cover every
-subcommand in both formats, each of ``--tol``, ``--cluster-tol``,
-``--rank-tol`` and ``--residual-tol`` on a case where it changes the output,
-and the input errors of the CLI (a malformed window, a missing schedule, a
-rejected tolerance), so refactors are held to the same output and the same
-tolerance routing.
+subcommand in both formats, each tolerance flag a subcommand takes on a case
+where it changes the output, and the input errors of the CLI (a malformed
+window, a missing schedule, a rejected tolerance), so refactors are held to
+the same output and the same tolerance routing.  A subcommand takes no flag
+for a tolerance it never reads, and a document's value for that tolerance
+changes none of its runs.
 
 Exit codes, keys, booleans, integers and strings must match exactly; floats
 match to a relative 1e-9 with an absolute floor of 1e-12, so a BLAS that
@@ -30,6 +31,7 @@ A change that alters an output on purpose re-records the runs it moves with
 and says which runs changed.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -39,8 +41,8 @@ from pathlib import Path
 
 import pytest
 
-from nusamp.cli import main
-from conftest import AMBIGUITY_BAND
+from nusamp.cli import Tolerances, main
+from conftest import AMBIGUITY_BAND, cli_tolerance_flags
 
 CORPUS = Path(__file__).parent / "corpus"
 RUNS = CORPUS / "runs.json"
@@ -49,9 +51,9 @@ ABS_TOL = 1e-12
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
-def run(argv):
-    """Run the CLI in-process on a corpus document; (exit, stdout, stderr)."""
-    argv = [argv[0], str(CORPUS / argv[1]), *argv[2:]]
+def run(argv, documents=CORPUS):
+    """Run the CLI in-process on a document of ``documents``; (exit, stdout, stderr)."""
+    argv = [argv[0], str(documents / argv[1]), *argv[2:]]
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
@@ -140,14 +142,47 @@ def test_recorded_suggestion_meets_its_spec(case):
     assert all(b - a >= spacing for a, b in zip(instants, instants[1:])), instants
 
 
+def _flag_moves_output(argv, flag) -> bool:
+    """Whether argv sets ``flag`` to a positive finite value and its run
+    differs from the run of argv without it."""
+    if flag not in argv:
+        return False
+    k = argv.index(flag)
+    value = float(argv[k + 1])
+    return math.isfinite(value) and value > 0 and run(argv) != run(argv[:k] + argv[k + 2:])
+
+
+TOLERANCE_FLAGS = cli_tolerance_flags()
+
+
 def test_corpus_covers_every_subcommand_and_tolerance_flag():
     argvs = [case["argv"] for case in RECORDED]
-    for command in ("analyze", "forbidden", "suggest", "deadbeat", "reconstruct", "uniform"):
+    for command, flags in TOLERANCE_FLAGS.items():
         used = [argv for argv in argvs if argv[0] == command]
         assert any(_is_json(argv) for argv in used), command
         assert any(not _is_json(argv) for argv in used), command
-    for flag in ("--tol", "--cluster-tol", "--rank-tol", "--residual-tol"):
-        assert any(flag in argv for argv in argvs), flag
+        for flag in flags:
+            assert any(_flag_moves_output(argv, flag) for argv in used), (command, flag)
+
+
+UNREAD_TOLERANCES = [
+    (command, name)
+    for command, flags in TOLERANCE_FLAGS.items()
+    for name in (field.name for field in dataclasses.fields(Tolerances))
+    if name not in flags.values()
+]
+
+
+@pytest.mark.parametrize("command, name", UNREAD_TOLERANCES)
+def test_a_tolerance_without_a_flag_changes_no_run(tmp_path, command, name):
+    for case in RECORDED:
+        if case["argv"][0] != command:
+            continue
+        document = json.loads((CORPUS / case["argv"][1]).read_text(encoding="utf-8"))
+        for value in (1e-300, 1e300):
+            document["tolerances"] = {**(document.get("tolerances") or {}), name: value}
+            (tmp_path / case["argv"][1]).write_text(json.dumps(document), encoding="utf-8")
+            assert run(case["argv"], tmp_path) == run(case["argv"]), (case["name"], value)
 
 
 def record(names=()) -> int:

@@ -23,6 +23,11 @@ non-minimal ``build_analysis`` document drops).  Besides generic systems
 the sweep draws oscillators near a singular schedule or near membership
 and systems near the minimality threshold, so every decision flips.
 
+The joint verdict depends only on instant differences, and so does every
+field of an ``analyze`` report without x0: shifting a schedule on a 2**-10
+grid by a multiple of 2**-10 below 2**10 keeps every instant and every
+difference exact, and the report other than its ``schedule`` bit for bit.
+
 The mode weights y0 come from one solve with the modal basis B, backward
 stable however ill-conditioned B is: on non-normal realizations, some with
 nearly parallel basis columns, y0 solves ``B y0 = b`` to a few rounding
@@ -33,6 +38,7 @@ ratio clears the ambiguity band.
 from __future__ import annotations
 
 import dataclasses
+import json
 import numbers
 import warnings
 
@@ -384,3 +390,35 @@ def test_mode_weights_solve_the_basis_on_non_normal_realizations():
             cleared += 1
     assert cleared >= 0.6 * NON_NORMAL_DRAWS, cleared
     assert ill_conditioned >= 10, ill_conditioned
+
+
+TRANSLATION_DRAWS = 300
+GRID = 2.0 ** -10
+
+
+def _translation_draw(rng: np.random.Generator, k: int):
+    """A minimal system of order 1-12, with a defective cluster on every third
+    draw from order 2, and n or n+1 distinct grid steps in (0, 4)."""
+    n = 1 + k % 12
+    defective = k % 3 == 0 and n > 1
+    while True:
+        system = random_minimal_system(rng, n, allow_defective=defective)
+        if not defective or any(m > 1 for _, m in system.modes.roots):
+            break
+    steps = np.sort(rng.choice(np.arange(1, int(4 / GRID)), size=n + k // 12 % 2, replace=False))
+    return system, steps
+
+
+def test_analysis_ignores_a_translation_of_the_schedule():
+    rng = np.random.default_rng(34)
+    for k in range(TRANSLATION_DRAWS):
+        system, steps = _translation_draw(rng, k)
+        document = cli.SystemDocument(order=system.n, A=system.A, b=system.b, c=system.c)
+        shift = int(rng.integers(1, int(2.0 ** 10 / GRID)))
+        reports = []
+        for offset in (0, shift):
+            schedule = SamplingSchedule(tuple(((steps + offset) * GRID).tolist()))
+            report = cli.build_analysis(document, schedule, system.tolerances)
+            assert report.pop("schedule") == list(schedule.instants)
+            reports.append(json.dumps(report))
+        assert reports[0] == reports[1], (k, shift)
