@@ -51,7 +51,6 @@ from .numerics import (
 )
 from .oracle import (
     OracleReport,
-    ReachabilityMatrixResult,
     controllable_direct,
     cross_validate,
     reachability_matrix,
@@ -83,7 +82,6 @@ __all__ = [
     "OracleReport",
     "RangeCheck",
     "RankResult",
-    "ReachabilityMatrixResult",
     "Realization",
     "SamplingSchedule",
     "ScheduleSearchSpec",

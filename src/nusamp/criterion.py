@@ -58,14 +58,6 @@ class SamplingSchedule:
     def __len__(self) -> int:
         return len(self.instants)
 
-    def shifted(self, delta: float) -> "SamplingSchedule":
-        """The same schedule translated by delta, a finite real number."""
-        error = lambda: DimensionError(f"shift delta must be a finite real number, got {delta!r}")
-        shift = numerics.as_float(delta, error)
-        if not isfinite(shift):
-            raise error()
-        return SamplingSchedule(tuple(t + shift for t in self.instants))
-
 
 @dataclass(frozen=True)
 class ShiftedIntervals:
@@ -174,14 +166,17 @@ def factor_n2(decomposition: ModalDecomposition) -> complex:
     return value
 
 
-def full_determinant(decomposition: ModalDecomposition, alphas: ShiftedIntervals) -> complex:
-    """det of the matrix whose m-th column is exp(J alpha_m) y0, under the range rule."""
+def full_determinant(decomposition: ModalDecomposition, alphas) -> complex:
+    """det of the matrix whose m-th column is exp(J alpha_m) y0, under the range rule.
+
+    ``alphas`` is an interval array of shape (n,), as ``mode_matrix`` takes
+    for one schedule; any other shape raises DimensionError.
+    """
     n = decomposition.J.shape[0]
-    if len(alphas.alpha) != n:
-        raise DimensionError(
-            f"full determinant needs {n} intervals, got {len(alphas.alpha)}"
-        )
-    vectors = _mode_space_vectors(decomposition, alphas.alpha)
+    a = np.asarray(alphas, dtype=float)
+    if a.shape != (n,):
+        raise DimensionError(f"full determinant needs {n} intervals, got shape {a.shape}")
+    vectors = _mode_space_vectors(decomposition, a)
     message = "determinant overflowed; shrink the schedule window or scale down b"
     return numerics.finite(lambda: complex(np.linalg.det(vectors.T)), message)
 

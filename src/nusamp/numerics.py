@@ -31,9 +31,9 @@ class Tolerances:
 
     ``singularity`` is the verdict threshold on the mode-matrix sigma ratio
     and the rank-truncation threshold of every span: the direct oracle's
-    rank tests (``cross_validate`` and ``reachability_matrix``) and the
-    spans of both range-membership tests; ``cluster`` merges eigenvalues
-    into multiplicity clusters; ``rank`` decides the continuous-time Kalman
+    rank tests (``cross_validate``) and the spans of both range-membership
+    tests; ``cluster`` merges eigenvalues into multiplicity clusters and
+    cuts the Jordan chains; ``rank`` decides the continuous-time Kalman
     rank tests of ``check_minimal``; ``residual`` is the membership
     tolerance of the joint verdict's controllability test and of
     ``controllable_direct``, relative to the vector tested whatever its

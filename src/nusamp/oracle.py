@@ -23,19 +23,6 @@ from .errors import InsufficientScheduleError
 from .system_model import Realization, _state_vector
 
 
-@dataclass(frozen=True, eq=False)
-class ReachabilityMatrixResult:
-    """Sampled input matrix and its rank test.
-
-    Column i is built from instant ``t[n-1-i]``, i.e. the columns run from
-    the latest input instant back to the earliest.
-    """
-
-    G: np.ndarray
-    rank: numerics.RankResult
-    reference_instant: float
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Direct verdicts, the criterion report they were compared against, and
@@ -55,7 +42,8 @@ class OracleReport:
 
 
 def _exponentials(realization: Realization, schedule: SamplingSchedule, final: bool = False):
-    """The stack exp(A (t_ref - t[n-1-i])), i < n, and the reference t_ref.
+    """The stack exp(A (t_ref - t[n-1-i])), i < n, with the reference t_ref
+    at ``t[n-1]`` for n instants and at ``t[n]`` for more.
 
     With ``final`` the schedule needs n+1 instants and slice n of the stack
     is exp(A t[n]).
@@ -74,7 +62,7 @@ def _exponentials(realization: Realization, schedule: SamplingSchedule, final: b
     times = [reference - t[n - 1 - i] for i in range(n)]
     if final:
         times.append(t[n])
-    return numerics.expm(realization.A, times), reference
+    return numerics.expm(realization.A, times)
 
 
 def _sampled(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -84,21 +72,18 @@ def _sampled(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return numerics.finite(lambda: left @ right, message)
 
 
-def reachability_matrix(
-    realization: Realization, schedule: SamplingSchedule
-) -> ReachabilityMatrixResult:
-    """Build [G_{n-1}, ..., G_0] with G_i = exp(A (t_ref - t_i)) b.
+def reachability_matrix(realization: Realization, schedule: SamplingSchedule) -> np.ndarray:
+    """The sampled input matrix G = [G_{n-1}, ..., G_0], G_i = exp(A (t_ref - t_i)) b.
 
-    With exactly n instants the reference is ``t[n-1]`` (matching the
-    shifted-interval convention); with n+1 or more it is ``t[n]``.  The two
-    choices differ by a nonsingular common factor, so the rank verdict is
-    the same either way.  The rank is cut at the bundle's ``singularity``,
-    as in ``cross_validate``.
+    Column i is built from instant ``t[n-1-i]``, so the columns run from the
+    latest input instant back to the earliest.  With exactly n instants the
+    reference t_ref is ``t[n-1]`` (matching the shifted-interval
+    convention); with n+1 or more it is ``t[n]``.  The two choices differ by
+    a nonsingular common factor, so the rank is the same either way:
+    ``numeric_rank(G, realization.tolerances.singularity)`` is the rank
+    ``cross_validate`` tests.
     """
-    stack, reference = _exponentials(realization, schedule)
-    G = _sampled(stack, realization.b).T
-    rank = numerics.numeric_rank(G, realization.tolerances.singularity)
-    return ReachabilityMatrixResult(G, rank, reference)
+    return _sampled(_exponentials(realization, schedule), realization.b).T
 
 
 def controllable_direct(realization: Realization, schedule: SamplingSchedule, x0) -> bool:
@@ -113,7 +98,7 @@ def controllable_direct(realization: Realization, schedule: SamplingSchedule, x0
     """
     n = realization.n
     x0 = _state_vector(x0, n, "x0")
-    stack, _ = _exponentials(realization, schedule, final=True)
+    stack = _exponentials(realization, schedule, final=True)
     target = _sampled(stack[n], x0)
     tolerances = realization.tolerances
     return numerics.in_range(
@@ -133,7 +118,7 @@ def cross_validate(realization: Realization, schedule: SamplingSchedule) -> Orac
     """
     report = joint_verdict(realization, schedule)
     tol = realization.tolerances.singularity
-    stack, _ = _exponentials(realization, schedule)
+    stack = _exponentials(realization, schedule)
     reach, obs = numerics.numeric_ranks(
         (_sampled(stack, realization.b).T, _sampled(realization.c, stack).T), tol
     )

@@ -303,7 +303,9 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     Minimality is not checked here: ``Realization.decomposition`` checks
     it first, and on a non-minimal realization the decomposition is only
     well defined when the eigenvalues are distinct.  The bundle's
-    ``cluster`` tolerance also cuts the Jordan chains' pseudo-inverse.
+    ``cluster`` tolerance also cuts the Jordan chains' pseudo-inverse; one
+    wide enough to merge distinct eigenvalues can cut every direction, and
+    the singular basis raises LinAlgError naming that tolerance.
     """
     modes = realization.modes
     values, vectors = realization.eigen
@@ -330,7 +332,13 @@ def modal_decompose(realization: Realization) -> ModalDecomposition:
     J = np.diag(lams)
     J += np.diag((powers[1:] > 0).astype(float), 1)
 
-    y0 = np.linalg.solve(basis, realization.b.astype(complex))
+    try:
+        y0 = np.linalg.solve(basis, realization.b.astype(complex))
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(
+            f"modal basis is singular at cluster tolerance {realization.tolerances.cluster:g};"
+            " lower the cluster tolerance"
+        ) from None
     # conj(B) is B with each column moved to its mate's place (up to
     # rounding), so the y0 of a real b has the same symmetry; impose it
     # exactly, which leaves N2 real up to the rounding of its own product.

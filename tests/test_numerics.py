@@ -555,8 +555,6 @@ REAL_INPUTS = {
                    lambda r: r.rank),
     "SamplingSchedule": (lambda v: SamplingSchedule((0.0, v)), DimensionError,
                          "schedule instants", lambda r: r.instants[1]),
-    "shifted": (lambda v: SamplingSchedule((0.0, 1.0)).shifted(v), DimensionError,
-                "shift delta", lambda r: r.instants[0]),
     "expm": (lambda v: expm(np.array(ROTATION_A), v), NumericRangeError, "expm needs", None),
     "t_final": (deadbeat_until, DimensionError, "t_final", None),
     "A": (lambda v: Realization([[0.0, -1.0], [1.0, v]], [1.0, 0.0], [1.0, 0.0]),

@@ -16,6 +16,7 @@ from nusamp import (
     cross_validate,
     deadbeat_inputs,
     joint_verdict,
+    numeric_rank,
     numerics,
     reachability_matrix,
 )
@@ -26,33 +27,36 @@ RNG = np.random.default_rng(4242)
 
 class TestReachabilityMatrix:
     def test_rotation_quarter_turn(self, rotation_system):
-        result = reachability_matrix(rotation_system, SamplingSchedule((0.0, np.pi / 2)))
+        G = reachability_matrix(rotation_system, SamplingSchedule((0.0, np.pi / 2)))
         # column 0 from the latest instant (zero elapsed time), column 1 from
         # the earliest (quarter turn of b)
-        assert np.allclose(result.G[:, 0], [1.0, 0.0], atol=1e-12)
-        assert np.allclose(result.G[:, 1], [0.0, 1.0], atol=1e-12)
-        assert result.rank.rank == 2
+        assert np.allclose(G[:, 0], [1.0, 0.0], atol=1e-12)
+        assert np.allclose(G[:, 1], [0.0, 1.0], atol=1e-12)
+        assert numeric_rank(G, rotation_system.tolerances.singularity).rank == 2
 
     def test_rotation_half_turn_rank_deficient(self, rotation_system):
-        result = reachability_matrix(rotation_system, SamplingSchedule((0.0, np.pi)))
-        assert np.allclose(result.G[:, 0], [1.0, 0.0], atol=1e-12)
-        assert np.allclose(result.G[:, 1], [-1.0, 0.0], atol=1e-12)
-        assert result.rank.rank == 1
+        G = reachability_matrix(rotation_system, SamplingSchedule((0.0, np.pi)))
+        assert np.allclose(G[:, 0], [1.0, 0.0], atol=1e-12)
+        assert np.allclose(G[:, 1], [-1.0, 0.0], atol=1e-12)
+        assert numeric_rank(G, rotation_system.tolerances.singularity).rank == 1
 
     def test_scalar(self, scalar_system):
-        result = reachability_matrix(scalar_system, SamplingSchedule((0.3,)))
-        assert result.G[0, 0] == pytest.approx(1.0)
-        assert result.rank.rank == 1
+        G = reachability_matrix(scalar_system, SamplingSchedule((0.3,)))
+        assert G[0, 0] == pytest.approx(1.0)
+        assert numeric_rank(G, scalar_system.tolerances.singularity).rank == 1
 
     def test_insufficient_instants(self, rotation_system):
         with pytest.raises(InsufficientScheduleError):
             reachability_matrix(rotation_system, SamplingSchedule((0.0,)))
 
     def test_reference_instant_choice(self, rotation_system):
+        # Column 0 is b carried from t[n-1] to the reference: t[n-1] itself
+        # with n instants, t[n] with more.
+        A, b = rotation_system.A, rotation_system.b
         short = reachability_matrix(rotation_system, SamplingSchedule((0.0, 1.0)))
         long = reachability_matrix(rotation_system, SamplingSchedule((0.0, 1.0, 2.5)))
-        assert short.reference_instant == 1.0
-        assert long.reference_instant == 2.5
+        assert np.allclose(short[:, 0], b, rtol=0.0, atol=1e-15)
+        assert np.allclose(long[:, 0], numerics.expm(A, 1.5) @ b, rtol=0.0, atol=1e-15)
 
     def test_reference_conventions_rank_equivalent(self):
         # the exponential factor between the two reference choices is
@@ -62,9 +66,10 @@ class TestReachabilityMatrix:
             system = random_minimal_system(RNG, n, allow_defective=True)
             schedule = random_schedule(RNG, n + 1)
             clipped = SamplingSchedule(schedule.instants[:n])
+            tol = system.tolerances.singularity
             assert (
-                reachability_matrix(system, schedule).rank.rank
-                == reachability_matrix(system, clipped).rank.rank
+                numeric_rank(reachability_matrix(system, schedule), tol).rank
+                == numeric_rank(reachability_matrix(system, clipped), tol).rank
             )
 
 
@@ -94,8 +99,9 @@ class TestDirectVerdicts:
             system = random_minimal_system(RNG, n)
             schedule = random_schedule(RNG, n)
             report = cross_validate(system, schedule)
+            G = reachability_matrix(system.dual(), schedule)
             assert report.observable == (
-                reachability_matrix(system.dual(), schedule).rank.rank == n
+                numeric_rank(G, system.tolerances.singularity).rank == n
             )
             double = cross_validate(system.dual().dual(), schedule)
             assert double.reachable == report.reachable

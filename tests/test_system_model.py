@@ -27,7 +27,6 @@ from nusamp import (
     joint_verdict,
     modal_decompose,
     mode_matrix,
-    reachability_matrix,
     reconstruct_state,
     simulate_impulse,
     suggest_schedule,
@@ -139,7 +138,6 @@ class TestRealization:
                                   c=rotation_system.c)
         for record in (
             rotation_system.decomposition,
-            reachability_matrix(rotation_system, schedule),
             simulate_impulse(rotation_system, schedule, [1.0, 0.0]),
             document,
         ):
