@@ -7,7 +7,7 @@ A system document is a JSON object with the fields
     b, c        lists of n reals
     schedule    optional strictly increasing list of instants
     x0          optional list of n reals
-    tolerances  optional record: singularity, cluster, rank, residual
+    tolerances  optional record: singularity, cluster, rank
 
 Stderr: a ``warning:`` line comes after every input has validated and before the analysis.
 Exit codes, from one table: 0 positive, 1 usage, parse or tolerance error,
@@ -60,7 +60,6 @@ _TOLERANCE_FLAGS = {
     "singularity": ("--tol", "TOL", "singularity tolerance"),
     "cluster": ("--cluster-tol", "CLUSTER_TOL", "eigenvalue clustering tolerance"),
     "rank": ("--rank-tol", "RANK_TOL", "rank-test tolerance"),
-    "residual": ("--residual-tol", "RESIDUAL_TOL", "range-membership tolerance"),
 }
 
 
@@ -409,8 +408,9 @@ def _schedule(document: SystemDocument, args, err) -> tuple:
     return schedule, [warning]
 
 
-def _subcommand(sub, name: str, run, tolerances, summary: str) -> argparse.ArgumentParser:
-    """Add a subcommand with a flag for each Tolerances field in ``tolerances``.
+def _subcommand(sub, name: str, run, summary: str, tolerances=_TOLERANCE_FIELDS):
+    """Add a subcommand with a flag for each Tolerances field in ``tolerances``
+    (every field unless given) and return its parser.
 
     ``run(args, document, system, err)`` parses the subcommand's own flags,
     then resolves the schedule if it needs one, and returns
@@ -432,37 +432,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reachability/observability analysis of SISO systems under nonuniform sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    no_membership = ("singularity", "cluster", "rank")  # no membership test on n instants
 
-    p = _subcommand(sub, "analyze", _cmd_analyze, _TOLERANCE_FIELDS,
-                    "joint criterion with oracle cross-check")
+    p = _subcommand(sub, "analyze", _cmd_analyze, "joint criterion with oracle cross-check")
     p.add_argument("--schedule", help="comma-separated instants (overrides the file)")
 
-    p = _subcommand(sub, "forbidden", _cmd_forbidden, ("singularity", "cluster"),
-                    "forbidden second instants of an order-2 oscillatory system")
+    p = _subcommand(sub, "forbidden", _cmd_forbidden,
+                    "forbidden second instants of an order-2 oscillatory system",
+                    tolerances=("singularity", "cluster"))
     p.add_argument("--t0", type=float, default=0.0, help="first sampling instant")
     p.add_argument("--window", required=True, help="query window as 'lo,hi'")
 
-    p = _subcommand(sub, "suggest", _cmd_suggest, no_membership,
-                    "search a window for a well-conditioned schedule")
+    p = _subcommand(sub, "suggest", _cmd_suggest, "search a window for a well-conditioned schedule")
     p.add_argument("--window", required=True, help="search window as 'lo,hi'")
     p.add_argument("--count", type=int, required=True,
                    help=f"number of instants (at most {numerics.MAX_SCHEDULE_INSTANTS})")
     p.add_argument("--min-spacing", type=float, required=True, help="minimum spacing")
 
-    p = _subcommand(sub, "deadbeat", _cmd_deadbeat, no_membership,
-                    "n-step input sequence reaching a target state")
+    p = _subcommand(sub, "deadbeat", _cmd_deadbeat, "n-step input sequence reaching a target state")
     p.add_argument("--schedule", help="comma-separated input instants")
     p.add_argument("--x0", required=True, help="initial state, comma-separated")
     p.add_argument("--target", required=True, help="target state, comma-separated")
     p.add_argument("--final-time", type=float, default=None, help="evaluation instant after the inputs")
 
-    p = _subcommand(sub, "reconstruct", _cmd_reconstruct, no_membership,
+    p = _subcommand(sub, "reconstruct", _cmd_reconstruct,
                     "recover the initial state from free-response outputs")
     p.add_argument("--schedule", help="comma-separated output instants")
     p.add_argument("--outputs", required=True, help="measured outputs, comma-separated")
 
-    p = _subcommand(sub, "uniform", _cmd_uniform, no_membership, "validate a uniform sampling interval")
+    p = _subcommand(sub, "uniform", _cmd_uniform, "validate a uniform sampling interval")
     p.add_argument("--interval", type=float, required=True, help="sampling interval T")
     p.add_argument("--horizon", type=int, default=numerics.DEFAULT_UNIFORM_HORIZON,
                    help=f"largest multiple of T to scan (default {numerics.DEFAULT_UNIFORM_HORIZON}, "

@@ -259,11 +259,11 @@ def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionR
     exceeds the singularity tolerance.  With n+1 or more instants the weaker
     controllability / constructibility pair is also reported: the mode-space
     vector at ``alpha_n = t[n] - t[0]`` must lie in the span of those at
-    ``alpha_0 .. alpha_{n-1}``, a span truncated at the singularity
-    tolerance and a membership judged by the residual tolerance.  A
-    full-rank span holds every vector, so the pair holds whenever the
-    schedule is reachable.  A mode matrix, mode-space vector, determinant, N2
-    or residual that is not finite raises NumericRangeError (``numerics.finite``).
+    ``alpha_0 .. alpha_{n-1}``, a span truncated and a membership judged at
+    the singularity tolerance.  A full-rank span holds every vector, so the
+    pair holds whenever the schedule is reachable.  A mode matrix,
+    mode-space vector, determinant, N2 or residual that is not finite raises
+    NumericRangeError (``numerics.finite``).
     """
     decomposition = system.decomposition
     tolerances = system.tolerances
@@ -294,9 +294,7 @@ def joint_verdict(system: Realization, schedule: SamplingSchedule) -> CriterionR
     controllable = constructible = None
     membership_residual = None
     if alphas.alpha_n is not None:
-        membership = numerics.in_range(
-            vectors[:n].T, vectors[n], tolerances.residual, tolerances.singularity
-        )
+        membership = numerics.in_range(vectors[:n].T, vectors[n], tolerances.singularity)
         controllable = constructible = verdict or membership.contained
         membership_residual = membership.residual
 

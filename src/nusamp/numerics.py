@@ -29,24 +29,24 @@ MAX_SCHEDULE_INSTANTS = 100_000  # the instants one schedule search returns
 class Tolerances:
     """The tolerances of one analysis, passed around as one value.
 
-    ``singularity`` is the verdict threshold on the mode-matrix sigma ratio
-    and the rank-truncation threshold of every span: the direct oracle's
-    rank tests (``cross_validate``) and the spans of both range-membership
-    tests; ``cluster`` merges eigenvalues into multiplicity clusters and
+    ``singularity`` is the one threshold of numerical zero in every span
+    test: the verdict threshold on the mode-matrix sigma ratio, the
+    rank-truncation threshold of every span (the direct oracle's rank tests
+    in ``cross_validate`` and the spans of both range-membership tests) and
+    the membership residual of the joint verdict's controllability test and
+    of ``controllable_direct``, relative to the vector tested whatever its
+    scale; ``cluster`` merges eigenvalues into multiplicity clusters and
     cuts the Jordan chains; ``rank`` decides the continuous-time Kalman
-    rank tests of ``check_minimal``; ``residual`` is the membership
-    tolerance of the joint verdict's controllability test and of
-    ``controllable_direct``, relative to the vector tested whatever its
-    scale.  Analyses read each field from the bundle of the realization
-    they are given, and the kernels' keyword defaults from this class,
-    which holds the only defaults.  Each must be a positive finite real
-    (ToleranceError naming the field otherwise), stored as a float.
+    rank tests of ``check_minimal``.  Analyses read each field from the
+    bundle of the realization they are given, and the kernels' keyword
+    defaults from this class, which holds the only defaults.  Each must be
+    a positive finite real (ToleranceError naming the field otherwise),
+    stored as a float.
     """
 
     singularity: float = 1e-9
     cluster: float = 1e-7
     rank: float = 1e-9
-    residual: float = 1e-9
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -359,19 +359,14 @@ def vector_norm(vector) -> float:
     return _pow2(float(np.linalg.norm(scaled)), k)
 
 
-def in_range(
-    matrix,
-    vector,
-    residual_tol: float = Tolerances.residual,
-    rank_tol: float = Tolerances.singularity,
-) -> RangeCheck:
+def in_range(matrix, vector, tol: float = Tolerances.singularity) -> RangeCheck:
     """Whether vector lies in the numerical column span of matrix.
 
     The span is that of the left singular vectors of the column-normalized
-    matrix whose singular values exceed ``rank_tol * sigma_max``, so a span
-    the rank test calls dependent covers only its numerical rank.  Membership
+    matrix whose singular values exceed ``tol * sigma_max``, so a span the
+    rank test calls dependent covers only its numerical rank.  Membership
     holds when the residual of the projection onto it is at most
-    ``residual_tol * ||v||``, both taken on v scaled by ``_unit_peak``: the
+    ``tol * ||v||``, both taken on v scaled by ``_unit_peak``: the
     test is relative at every magnitude.  A matrix or vector that is not of
     integer, real or complex dtype raises DimensionError naming it, and a
     residual beyond the floating-point range NumericRangeError.
@@ -383,7 +378,7 @@ def in_range(
             f"in_range got a vector of length {v.shape[0]} for a matrix with {m.shape[0]} rows"
         )
     u, sigma, _ = np.linalg.svd(_unit_columns(m), full_matrices=False)
-    basis = u[:, sigma > rank_tol * sigma.max(initial=0.0)]
+    basis = u[:, sigma > tol * sigma.max(initial=0.0)]
     scaled, k = _unit_peak(v)
 
     def residuals():  # of the scaled vector, and scaled back
@@ -391,4 +386,4 @@ def in_range(
         return residual, _pow2(residual, k)
 
     unit, residual = finite(residuals, "membership residual overflowed; scale down b or x0")
-    return RangeCheck(unit <= residual_tol * float(np.linalg.norm(scaled)), residual)
+    return RangeCheck(unit <= tol * float(np.linalg.norm(scaled)), residual)

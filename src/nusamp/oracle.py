@@ -92,17 +92,16 @@ def controllable_direct(realization: Realization, schedule: SamplingSchedule, x0
     This is the x0-dependent form; the criterion module reports the
     x0-independent mode-space version.  Both sides use absolute times, so
     unlike the joint verdict this test is not translation invariant.  The
-    span of G is truncated at the bundle's ``singularity`` and membership is
-    judged by its ``residual``.  An x0 of the wrong length or with a
-    non-finite entry raises DimensionError.
+    span of G is truncated, and membership judged, at the bundle's
+    ``singularity``.  An x0 of the wrong length or with a non-finite entry
+    raises DimensionError.
     """
     n = realization.n
     x0 = _state_vector(x0, n, "x0")
     stack = _exponentials(realization, schedule, final=True)
     target = _sampled(stack[n], x0)
-    tolerances = realization.tolerances
     return numerics.in_range(
-        _sampled(stack[:n], realization.b).T, target, tolerances.residual, tolerances.singularity
+        _sampled(stack[:n], realization.b).T, target, realization.tolerances.singularity
     ).contained
 
 

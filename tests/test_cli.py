@@ -123,7 +123,7 @@ class TestDocumentParsing:
                 json.dumps({"order": 1, "A": [-1], "b": [1], "c": [1], "extra": 1})
             )
 
-    @pytest.mark.parametrize("key", ["singularity", "cluster", "rank", "residual"])
+    @pytest.mark.parametrize("key", ["singularity", "cluster", "rank"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tolerance_must_be_positive_and_finite(self, key, value):
         text = json.dumps({"order": 1, "A": [-1], "b": [1], "c": [1], "tolerances": {key: value}})
@@ -149,6 +149,18 @@ class TestDocumentParsing:
         assert out == ""
         assert err == "error: field tolerances.singularity: must be a positive number\n"
 
+    def test_residual_tolerance_in_file_exits_one(self, tmp_path):
+        # The membership residual is judged at the singularity tolerance; a
+        # separate residual entry is an unknown field like any other.
+        path = tmp_path / "residual_tol.json"
+        path.write_text(json.dumps(
+            {"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0],
+             "tolerances": {"singularity": 1e-9, "residual": 1e-9}}
+        ))
+        code, out, err = run_cli("analyze", str(path), "--schedule", "0,1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: field tolerances.residual: unknown field\n"
+
     @pytest.mark.parametrize("field", ["A", "b", "c", "schedule", "x0"])
     def test_integer_beyond_float_range_exits_one(self, tmp_path, field):
         raw = {"order": 2, "A": [0, -1, 1, 0], "b": [1, 0], "c": [1, 0],
@@ -161,7 +173,7 @@ class TestDocumentParsing:
         assert out == ""
         assert err == f"error: field {field}: entries must be finite\n"
 
-    @pytest.mark.parametrize("key", ["singularity", "cluster", "rank", "residual"])
+    @pytest.mark.parametrize("key", ["singularity", "cluster", "rank"])
     def test_integer_tolerance_beyond_float_range_exits_one(self, tmp_path, key):
         path = tmp_path / "huge_tol.json"
         path.write_text(json.dumps(
@@ -241,7 +253,7 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "field b: expected 2 entries, found 3" in err
 
-    @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol", "--rank-tol", "--residual-tol"])
+    @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol", "--rank-tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_flag_exits_one(self, rotation_file, flag, value):
         code, out, err = run_cli("analyze", rotation_file, "--schedule", "0,1", f"{flag}={value}")
@@ -520,7 +532,7 @@ class TestAnalysisMemo:
         rng = np.random.default_rng(23)
         # Coarse enough to move verdicts, so a memo that ignored the
         # tolerances would change reports.
-        custom = Tolerances(singularity=1e-3, cluster=1e-3, rank=1e-3, residual=1e-6)
+        custom = Tolerances(singularity=1e-3, cluster=1e-3, rank=1e-3)
         documents = []
         for k in range(16):
             n = 1 + k % 12
@@ -876,27 +888,28 @@ OWN_FLAGS = {
     "reconstruct": ["--schedule", "0,1", "--outputs", "2,1"],
     "uniform": ["--interval", "1"],
 }
-NO_MEMBERSHIP = {"--tol": "singularity", "--cluster-tol": "cluster", "--rank-tol": "rank"}
+EVERY_TOLERANCE = {"--tol": "singularity", "--cluster-tol": "cluster", "--rank-tol": "rank"}
 TOLERANCE_FLAGS = {
-    "analyze": {**NO_MEMBERSHIP, "--residual-tol": "residual"},
+    "analyze": EVERY_TOLERANCE,
     "forbidden": {"--tol": "singularity", "--cluster-tol": "cluster"},
-    "suggest": NO_MEMBERSHIP,
-    "deadbeat": NO_MEMBERSHIP,
-    "reconstruct": NO_MEMBERSHIP,
-    "uniform": NO_MEMBERSHIP,
+    "suggest": EVERY_TOLERANCE,
+    "deadbeat": EVERY_TOLERANCE,
+    "reconstruct": EVERY_TOLERANCE,
+    "uniform": EVERY_TOLERANCE,
 }
+# --residual-tol set a membership tolerance that is now the singularity
+# tolerance, so every subcommand refuses it.
 UNREAD_FLAGS = [
     (command, flag)
     for command, flags in TOLERANCE_FLAGS.items()
-    for flag in TOLERANCE_FLAGS["analyze"]
+    for flag in (*EVERY_TOLERANCE, "--residual-tol")
     if flag not in flags
 ]
 
 
 class TestToleranceFlags:
     """Each subcommand takes the flags of exactly the tolerances its analysis
-    reads: only analyze tests membership on n instants, and forbidden reads
-    only the mode set and the guard band."""
+    reads: forbidden reads only the mode set and the guard band."""
 
     def test_each_subcommand_takes_the_flags_it_reads(self):
         assert cli_tolerance_flags() == TOLERANCE_FLAGS

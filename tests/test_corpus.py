@@ -23,9 +23,10 @@ ambiguity band (``AMBIGUITY_BAND`` of conftest.py), where the verdict could
 flip on such rounding.
 
 The recorded outputs pin the tolerance routing: the singularity tolerance
-decides the verdict and truncates the rank of every span, and the residual
-tolerance judges range membership, so ``--residual-tol 10`` turns
-``criterion.controllable`` on in ``rotation-analyze-residual-tol-singular``.
+decides the verdict, truncates the rank of every span and judges the range
+membership residual, so ``--tol 0.05`` turns the verdict off in
+``rotation-analyze-tol``; ``--residual-tol``, whose tolerance folded into
+``--tol``, is refused in ``rotation-analyze-residual-tol``.
 A change that alters an output on purpose re-records the runs it moves with
 ``python tests/test_corpus.py NAME ...`` (every run when no name is given)
 and says which runs changed.

@@ -716,13 +716,18 @@ class TestControllabilityVerdict:
         assert report.controllable is None and report.constructible is None
         assert report.membership_residual is None
 
-    def test_membership_uses_the_residual_tolerance(self, rotation_system):
-        schedule = SamplingSchedule((0.0, np.pi, np.pi + 1.5))
-        assert not joint_verdict(rotation_system, schedule).controllable
-        loose = replace(rotation_system, tolerances=Tolerances(residual=10.0))
-        assert joint_verdict(loose, schedule).controllable
-        loose_singularity = replace(rotation_system, tolerances=Tolerances(singularity=10.0))
-        assert not joint_verdict(loose_singularity, schedule).controllable
+    def test_membership_uses_the_singularity_tolerance(self, rotation_system):
+        # At (0, pi, 4) the span is one direction at every tolerance below 1
+        # and the third instant's vector lies 0.757 of its norm off it: the
+        # singularity tolerance that cuts the span also judges that residual.
+        schedule = SamplingSchedule((0.0, np.pi, 4.0))
+        reports = [
+            joint_verdict(replace(rotation_system, tolerances=Tolerances(singularity=tol)), schedule)
+            for tol in (1e-9, 0.5, 0.8)
+        ]
+        assert [report.controllable for report in reports] == [False, False, True]
+        assert not any(report.reachable for report in reports)
+        assert len({report.membership_residual for report in reports}) == 1
 
     def test_membership_ignores_the_scale_of_b(self, rotation_system):
         # At (0, pi, 4) the third instant's mode-space vector lies 0.757 of
@@ -752,25 +757,27 @@ class TestVerdictCoherence:
 
     The half-turn rotation schedule ``0, 3.14159265, 4`` has sigma ratio
     1.79e-9, just above the default singularity tolerance: the band the
-    corpus refuses, so it is pinned here.  Expected per tolerance bundle:
-    (case label, controllable, controllable_x0).
+    corpus refuses, so it is pinned here.  At singularity 0.8 both spans are
+    one direction and the third vector, 0.757 of its norm off it, counts as
+    in it.  Expected per tolerance bundle: (case label, controllable,
+    controllable_x0).
     """
 
     BUNDLES = {
         "default": Tolerances(),
         "singularity": Tolerances(singularity=0.1),
-        "residual": Tolerances(residual=10.0),
+        "loose": Tolerances(singularity=0.8),
     }
     EXPECTED = {
         (0.0, 3.14159265, 4.0): {
             "default": ("a", True, True),
             "singularity": ("c", False, False),
-            "residual": ("a", True, True),
+            "loose": ("b", True, True),
         },
         (0.0, np.pi, 4.0): {
             "default": ("c", False, False),
             "singularity": ("c", False, False),
-            "residual": ("b", True, True),
+            "loose": ("b", True, True),
         },
     }
 
@@ -810,10 +817,7 @@ class TestVerdictCoherence:
         for _ in range(200):
             n = int(rng.integers(1, 5))
             system = random_minimal_system(rng, n, allow_defective=True)
-            tolerances = Tolerances(
-                singularity=10.0 ** rng.uniform(-14.0, 0.0),
-                residual=10.0 ** rng.uniform(-14.0, 1.0),
-            )
+            tolerances = Tolerances(singularity=10.0 ** rng.uniform(-14.0, 1.0))
             schedule = random_schedule(rng, n + 1)
             report = joint_verdict(replace(system, tolerances=tolerances), schedule)
             label = classify_case(report)

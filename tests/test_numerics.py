@@ -386,33 +386,25 @@ class TestInRange:
             in_range(np.eye(2), [1.0, 2.0, 3.0])
 
     def test_span_truncated_at_rank_tol(self):
-        # sigma ratio ~5e-13: dependent at 1e-9, so only the first column's
-        # direction spans, and independent at 1e-15, so the plane does.
+        # sigma ratio ~5e-13: dependent at tol 1e-9, so only the first
+        # column's direction spans and [0, 1] lies off it, and independent at
+        # 1e-15, so the plane spans and holds it.
         columns = np.array([[1.0, 1.0], [0.0, 1e-12]])
-        truncated = in_range(columns, [0.0, 1.0], rank_tol=1e-9)
+        truncated = in_range(columns, [0.0, 1.0], tol=1e-9)
         assert not truncated.contained
         assert truncated.residual == pytest.approx(1.0)
-        assert in_range(columns, [0.0, 1.0], rank_tol=1e-15).contained
-
-    def test_each_tolerance_moves_only_its_own_outcome(self):
-        columns = np.array([[1.0, 1.0], [0.0, 1e-12]])
-        v = [0.0, 1.0]
-        # residual_tol moves the verdict, never the span or the residual
-        strict = in_range(columns, v, residual_tol=1e-9, rank_tol=1e-9)
-        loose = in_range(columns, v, residual_tol=10.0, rank_tol=1e-9)
-        assert not strict.contained and loose.contained
-        assert loose.residual == strict.residual
-        # rank_tol moves the span and so the residual, at a fixed threshold
-        full = in_range(columns, v, residual_tol=1e-9, rank_tol=1e-15)
-        assert full.contained and full.residual < 1e-12
-        # a full-rank span holds every vector whatever the residual_tol
-        for residual_tol in (1e-15, 1e-9, 10.0):
-            assert in_range(np.eye(2), v, residual_tol=residual_tol, rank_tol=1e-9).contained
+        full = in_range(columns, [0.0, 1.0], tol=1e-15)
+        assert full.contained and full.residual < 1e-15
+        # the one tolerance also judges the residual: 10 admits it on the line
+        assert in_range(columns, [0.0, 1.0], tol=10.0).contained
+        # a full-rank span holds every vector whatever the tolerance
+        for tol in (1e-15, 1e-9, 10.0):
+            assert in_range(np.eye(2), [0.0, 1.0], tol=tol).contained
 
     def test_threshold_scales_with_the_vector(self):
         column = np.array([[1.0], [0.0]])
-        assert in_range(column, [100.0, 1e-8], residual_tol=1e-9).contained
-        assert not in_range(column, [0.1, 1e-8], residual_tol=1e-9).contained
+        assert in_range(column, [100.0, 1e-8], tol=1e-9).contained
+        assert not in_range(column, [0.1, 1e-8], tol=1e-9).contained
 
     def test_complex_image_contained(self):
         for _ in range(20):
@@ -515,7 +507,7 @@ class TestColumnNormalization:
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("field", ["singularity", "cluster", "rank", "residual"])
+    @pytest.mark.parametrize("field", ["singularity", "cluster", "rank"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_non_positive_or_non_finite(self, field, value):
         with pytest.raises(ToleranceError, match=field) as caught:
@@ -527,14 +519,13 @@ class TestTolerances:
         for function, name, field in [
             (eig_clustered, "cluster_tol", "cluster"),
             (numeric_rank, "rank_tol", "rank"),
-            (in_range, "residual_tol", "residual"),
-            (in_range, "rank_tol", "singularity"),
+            (in_range, "tol", "singularity"),
         ]:
             default = inspect.signature(function).parameters[name].default
             assert default == getattr(defaults, field)
 
     def test_accepts_positive_numbers(self):
-        assert Tolerances(singularity=1e-3, cluster=np.float64(1e-5), rank=1, residual=0.5).rank == 1
+        assert Tolerances(singularity=1e-3, cluster=np.float64(1e-5), rank=1).rank == 1
 
 
 ROTATION_A = [[0.0, -1.0], [1.0, 0.0]]

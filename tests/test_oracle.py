@@ -154,11 +154,13 @@ class TestControllableDirect:
         assert calls == {"expm": 1}
 
     def test_residual_tolerance_from_the_bundle(self, rotation_system):
-        # After the half turn G spans one direction; x0 lies 1e-6 off it.
+        # The bundle's singularity tolerance judges the residual.  After the
+        # half turn G spans one direction at either tolerance; x0 lies 1e-6
+        # off it.
         schedule = SamplingSchedule((0.0, np.pi, np.pi + 1.5))
         x0 = [1.0, 1e-6]
-        strict = replace(rotation_system, tolerances=Tolerances(residual=1e-9))
-        loose = replace(rotation_system, tolerances=Tolerances(residual=1e-3))
+        strict = replace(rotation_system, tolerances=Tolerances(singularity=1e-9))
+        loose = replace(rotation_system, tolerances=Tolerances(singularity=1e-3))
         assert not controllable_direct(strict, schedule, x0)
         assert controllable_direct(loose, schedule, x0)
 

@@ -16,9 +16,9 @@ power-of-two scaling of that vector, or of b and x0, changes no membership
 decision and scales the range test's residual exactly.
 
 Each tolerance controls exactly the tests it names: scaled by 1e-3 or 1e3,
-``residual`` moves only the membership decisions, ``singularity`` only the
-verdicts, the span-truncated membership and the warnings, and ``rank`` only
-the minimality flags (and, when ``minimal`` flips, the sections a
+``singularity`` moves only the verdicts, the membership decisions (whose
+spans it cuts and whose residuals it judges) and the warnings, and ``rank``
+only the minimality flags (and, when ``minimal`` flips, the sections a
 non-minimal ``build_analysis`` document drops).  Besides generic systems
 the sweep draws oscillators near a singular schedule or near membership
 and systems near the minimality threshold, so every decision flips.
@@ -46,6 +46,13 @@ stable however ill-conditioned B is: on non-normal realizations, some with
 nearly parallel basis columns, y0 solves ``B y0 = b`` to a few rounding
 errors, and the factorization identity holds on every schedule whose sigma
 ratio clears the ambiguity band.
+
+The factorization identity ``full_det = N1 * N2 * det(mode matrix)`` holds
+at orders 5-12 too, where the acceptance test does not draw, on defective
+clusters whose J is not diagonal, so ``expm`` takes its Pade route there.
+And the impulse response ``c exp(At) b`` is the y0-weighted sum of the modes,
+``(c B) exp(Jt) y0``, to within a thousand rounding errors scaled by the
+conditioning of B.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ from nusamp import (
     controllable_direct,
     cross_validate,
     deadbeat_inputs,
+    expm,
     full_determinant,
     in_range,
     joint_verdict,
@@ -281,7 +289,6 @@ MEMBERSHIP = {
     ("case", "label"),
 }
 ROUTES = {
-    "residual": MEMBERSHIP,
     "singularity": MEMBERSHIP | {
         ("criterion", "reachable"), ("criterion", "observable"), ("criterion", "membership_residual"),
         ("oracle", "reachable"), ("oracle", "observable"), ("oracle", "agrees_with_criterion"),
@@ -341,6 +348,7 @@ def _routing_draw(rng: np.random.Generator, k: int):
 def test_each_tolerance_changes_only_the_fields_it_names():
     rng = np.random.default_rng(31)
     moved = {name: set() for name in ROUTES}
+    membership_alone = False  # a membership flip with no verdict flip
     for k in range(ROUTING_DRAWS):
         system, schedule = _routing_draw(rng, k)
         x0 = tuple(rng.uniform(-1.0, 1.0, system.n))
@@ -361,8 +369,12 @@ def test_each_tolerance_changes_only_the_fields_it_names():
                 }
                 assert not stray, (k, name, factor, sorted(stray))
                 moved[name] |= changed
-    # Each tolerance flips the decision it names somewhere in the sweep.
-    assert ("criterion", "controllable") in moved["residual"], moved
+                membership_alone |= (
+                    ("criterion", "controllable") in changed and ("criterion", "reachable") not in changed
+                )
+    # Each tolerance flips the decision it names somewhere in the sweep, and
+    # singularity flips a membership on its own.
+    assert membership_alone, moved
     assert ("criterion", "reachable") in moved["singularity"], moved
     assert ("minimality", "minimal") in moved["rank"], moved
 
@@ -406,6 +418,45 @@ def test_mode_weights_solve_the_basis_on_non_normal_realizations():
             cleared += 1
     assert cleared >= 0.6 * NON_NORMAL_DRAWS, cleared
     assert ill_conditioned >= 10, ill_conditioned
+
+
+HIGH_ORDER_DRAWS = 240
+
+
+def test_factorization_identity_at_high_orders():
+    rng = np.random.default_rng(5)
+    pade = 0
+    for k in range(HIGH_ORDER_DRAWS):
+        n = 5 + k // 2 % 8
+        system = random_minimal_system(rng, n, allow_defective=k % 2 == 0)
+        report = joint_verdict(system, random_schedule(rng, n))
+        bound = 1e-8 * max(1.0, abs(report.full_det))
+        assert report.factorization_residual <= bound, (k, n, report.factorization_residual)
+        J = system.decomposition.J
+        pade += np.count_nonzero(J) > np.count_nonzero(J.diagonal())
+    # Nearly every defective draw has a Jordan chain at these orders.
+    assert pade >= 0.4 * HIGH_ORDER_DRAWS, pade
+
+
+IMPULSE_TIMES = np.linspace(0.0, 3.0, 16)
+
+
+def test_impulse_response_is_the_weighted_sum_of_the_modes():
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for k in range(HIGH_ORDER_DRAWS):
+        n = 1 + k // 2 % 12
+        system = random_minimal_system(rng, n, allow_defective=k % 2 == 0)
+        d = system.decomposition
+        kappa = 1.0 / numeric_rank(d.B).sigma_ratio
+        transitions = expm(system.A, IMPULSE_TIMES)
+        direct = system.c @ transitions @ system.b
+        modal = (expm(d.J, IMPULSE_TIMES) @ d.y0) @ (system.c @ d.B)
+        bound = (
+            1e3 * kappa * eps * np.linalg.norm(system.c)
+            * np.linalg.norm(transitions, 2, axis=(1, 2)) * np.linalg.norm(system.b)
+        )
+        assert (np.abs(direct - modal) <= bound).all(), (k, n, np.max(np.abs(direct - modal) / bound))
 
 
 TRANSLATION_DRAWS = 300

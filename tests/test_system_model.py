@@ -575,7 +575,7 @@ class TestPreparedSystem:
     by every analysis it is passed to, never across objects."""
 
     def test_plain_realization_gets_default_tolerances(self, rotation_system):
-        assert rotation_system.tolerances == Tolerances(1e-9, 1e-7, 1e-9, 1e-9)
+        assert rotation_system.tolerances == Tolerances(1e-9, 1e-7, 1e-9)
 
     def test_facts_computed_once_across_analyses(self, rotation_system, monkeypatch):
         calls = count_calls(monkeypatch, [
